@@ -56,6 +56,14 @@ struct Workload {
   std::function<std::string(const std::string &, int)> Text;
 };
 
+/// The generated definition name `f<I>`.  Built by appending: GCC 12 -O3
+/// flags `"f" + std::to_string(I)` with a false -Wrestrict.
+std::string fnName(int64_t I) {
+  std::string Name = "f";
+  Name += std::to_string(I);
+  return Name;
+}
+
 std::string deepProgram(int N) {
   ShapeSpec S;
   S.Shape = CondShape::Deep;
@@ -73,7 +81,7 @@ std::vector<Workload> workloads() {
     W.Name = "deep:512";
     W.Source = deepProgram(512);
     for (int I = 2; I <= 512; ++I)
-      W.Targets.push_back("f" + std::to_string(I));
+      W.Targets.push_back(fnName(I));
     W.Text = [](const std::string &Name, int Variant) {
       int I = std::atoi(Name.c_str() + 1);
       // Variant 0 reroutes around the predecessor; variant 1 restores
@@ -91,7 +99,7 @@ std::vector<Workload> workloads() {
     W.Source = makeCubicFamily(N);
     W.Name = N == 100 ? "cubic:100" : "cubic:200";
     for (int I = 1; I <= N; ++I)
-      W.Targets.push_back("f" + std::to_string(I));
+      W.Targets.push_back(fnName(I));
     W.Text = [](const std::string &Name, int Variant) {
       // Both variants differ from the generated `fn x => x`.
       return "let " + Name + " = fn x => " +
@@ -267,7 +275,7 @@ int deltaSmoke() {
   W.Source = makeCubicFamily(60);
   std::unique_ptr<DeltaSession> Sess = mustSession(W.Source);
   for (int I = 0; I != 8; ++I) {
-    const std::string Name = "f" + std::to_string(7 * I + 3);
+    const std::string Name = fnName(7 * I + 3);
     const std::string Text = "let " + Name + " = fn x => " +
                              (I % 2 ? "fs" : "bs") + " (x);";
     ApplyResult Res;
@@ -295,7 +303,7 @@ int deltaSmoke() {
 void BM_SingleEdit(benchmark::State &State) {
   const std::string Source = makeCubicFamily(static_cast<int>(State.range(0)));
   std::unique_ptr<DeltaSession> Sess = mustSession(Source);
-  const std::string Name = "f" + std::to_string(State.range(0) / 2);
+  const std::string Name = fnName(State.range(0) / 2);
   int Variant = 0;
   for (auto _ : State) {
     ApplyResult Res;

@@ -5,18 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving-path benchmark: how much does freezing the subtransitive
-/// graph into a CSR snapshot buy over the intrusive linked lists, and
-/// how do batched queries scale across worker lanes?
+/// The serving-path benchmark: how do batched queries over the frozen
+/// CSR snapshot scale across worker lanes?
 ///
-///   * Table 1 — `allLabelSets` on the linked-list `Reachability` vs the
-///     CSR `QueryEngine` (one lane), plus the cached-SCC path and the
-///     one-time freeze cost, on `cubic:N` and `lexgen`.
 ///   * Table 2 — batched `labelsOf` over every occurrence at 1, 2, and 4
 ///     lanes.  Thread counts beyond the machine's core count cannot show
-///     wall-clock wins (this table reports honest numbers either way);
-///     the CSR-vs-linked-list speedup in Table 1 is layout, not
-///     parallelism.
+///     wall-clock wins (this table reports honest numbers either way).
 ///   * Table 3 — the word-parallel `LabelSetKernel`: one level-scheduled
 ///     closure over the condensation vs one BFS per query, at 1, 2, and
 ///     4 lanes, plus the steady-state kernel-backed batch path.
@@ -30,7 +24,7 @@
 /// SIMD capability, thread count), so numbers are comparable across
 /// runs and machines.
 ///
-/// Emits `BENCH_parallel.json` (Tables 1–2) and `BENCH_kernel.json`
+/// Emits `BENCH_parallel.json` (Table 2) and `BENCH_kernel.json`
 /// (Tables 3–5, with a `hardware_threads` field so scaling numbers can
 /// be judged against the machine that produced them).
 ///
@@ -96,81 +90,10 @@ template <typename FnT> double bestMillis(int Reps, FnT Fn) {
   return Best;
 }
 
-/// Best-of-\p Reps for two competing implementations, interleaved
-/// A,B,A,B,... so drifting machine load (frequency scaling, co-tenants)
-/// hits both sides equally instead of biasing whichever ran later.
-/// Both sides get the same untimed warm-up as `bestMillis`.
-template <typename AFnT, typename BFnT>
-std::pair<double, double> bestMillisPaired(int Reps, AFnT A, BFnT B) {
-  for (int I = 0; I != WarmupReps; ++I) {
-    A();
-    B();
-  }
-  double BestA = 0, BestB = 0;
-  for (int I = 0; I != Reps; ++I) {
-    Timer T;
-    A();
-    double MsA = T.millis();
-    T.reset();
-    B();
-    double MsB = T.millis();
-    if (I == 0 || MsA < BestA)
-      BestA = MsA;
-    if (I == 0 || MsB < BestB)
-      BestB = MsB;
-  }
-  return {BestA, BestB};
-}
-
 void printPaperTables() {
   JsonReport Report("parallel");
   std::printf("machine: %u hardware thread(s)\n\n",
               std::thread::hardware_concurrency());
-
-  std::printf("== allLabelSets: linked lists vs frozen CSR (one lane) ==\n");
-  TablePrinter T1({"program", "exprs", "freeze(ms)", "list(ms)", "csr(ms)",
-                   "speedup", "csr-scc(ms)"});
-  for (const Workload &W : workloads()) {
-    auto M = mustParse(W.Source);
-    GraphRun G = runGraph(*M);
-    Reachability R(*G.Graph);
-
-    Timer FreezeT;
-    FrozenGraph F(*G.Graph);
-    double FreezeMs = FreezeT.millis();
-    QueryEngine Engine(F, 1);
-
-    constexpr int Reps = 9;
-    auto [ListMs, CsrMs] = bestMillisPaired(
-        Reps,
-        [&] {
-          benchmark::DoNotOptimize(R.allLabelSets(/*UseScc=*/false).size());
-        },
-        [&] {
-          benchmark::DoNotOptimize(
-              Engine.allLabelSets(/*UseScc=*/false).size());
-        });
-    // First SCC call pays the condensation; steady state is cached.
-    benchmark::DoNotOptimize(Engine.allLabelSets(/*UseScc=*/true).size());
-    double SccMs = bestMillis(Reps, [&] {
-      benchmark::DoNotOptimize(Engine.allLabelSets(/*UseScc=*/true).size());
-    });
-    double Speedup = CsrMs > 0 ? ListMs / CsrMs : 0;
-
-    T1.addRow({W.Name, std::to_string(M->numExprs()),
-               TablePrinter::num(FreezeMs), TablePrinter::num(ListMs),
-               TablePrinter::num(CsrMs), TablePrinter::num(Speedup, 2),
-               TablePrinter::num(SccMs)});
-    Report.record("all_label_sets")
-        .add("program", std::string(W.Name))
-        .add("exprs", M->numExprs())
-        .add("freeze_ms", FreezeMs)
-        .add("linked_list_ms", ListMs)
-        .add("csr_ms", CsrMs)
-        .add("speedup", Speedup)
-        .add("csr_scc_cached_ms", SccMs);
-  }
-  std::printf("%s\n", T1.render().c_str());
 
   std::printf("== batched labelsOf over every occurrence: lane scaling ==\n");
   TablePrinter T2({"program", "queries", "1 lane(ms)", "2 lanes(ms)",
@@ -232,12 +155,16 @@ void printKernelTables() {
     // the closure, not the one-time Tarjan pass.
     F.condensation();
 
+    std::vector<ExprId> Queries;
+    for (uint32_t I = 0; I != M->numExprs(); ++I)
+      Queries.push_back(ExprId(I));
+
     constexpr int Reps = 9;
     // Baseline: the CSR per-query BFS (kernel dispatch disabled).
     QueryEngine Bfs(F, 1);
     Bfs.setKernelThreshold(0);
     double BfsMs = bestMillis(Reps, [&] {
-      benchmark::DoNotOptimize(Bfs.allLabelSets(/*UseScc=*/false).size());
+      benchmark::DoNotOptimize(Bfs.labelsOfBatch(Queries).size());
     });
 
     double Ms[3];
@@ -439,31 +366,6 @@ int kernelSmoke() {
               M->numExprs());
   return 0;
 }
-
-void BM_AllLabelSets_LinkedList(benchmark::State &State) {
-  auto M = mustParse(makeCubicFamily(static_cast<int>(State.range(0))));
-  GraphRun G = runGraph(*M);
-  Reachability R(*G.Graph);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(R.allLabelSets(false).size());
-}
-BENCHMARK(BM_AllLabelSets_LinkedList)
-    ->Arg(100)
-    ->Arg(200)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AllLabelSets_Csr(benchmark::State &State) {
-  auto M = mustParse(makeCubicFamily(static_cast<int>(State.range(0))));
-  GraphRun G = runGraph(*M);
-  FrozenGraph F(*G.Graph);
-  QueryEngine Engine(F, 1);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(Engine.allLabelSets(false).size());
-}
-BENCHMARK(BM_AllLabelSets_Csr)
-    ->Arg(100)
-    ->Arg(200)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_LabelsOfBatch(benchmark::State &State) {
   auto M = mustParse(makeCubicFamily(200));

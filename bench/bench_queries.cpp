@@ -9,8 +9,8 @@
 /// problems (`l ∈ L(e)?`, `L(e)`, `{e : l ∈ L(e)}`, all label sets) under
 /// the standard algorithm (solve everything, then read) and the new
 /// algorithm (build+close once, then graph reachability per query).
-/// Also covers E10: the quadratic all-label-sets pass, naive vs.
-/// SCC-condensed.
+/// Also covers E10: the quadratic all-label-sets pass, answered as one
+/// `labelsOfBatch` over every occurrence (the label-set kernel).
 ///
 /// Expected shape: per-query cost for the new algorithm is roughly linear
 /// in program size, while the standard algorithm pays its full
@@ -21,6 +21,8 @@
 #include "BenchUtil.h"
 
 #include "core/Compression.h"
+#include "core/FrozenGraph.h"
+#include "core/QueryEngine.h"
 #include "gen/Generators.h"
 #include "support/TablePrinter.h"
 
@@ -40,8 +42,7 @@ void printPaperTables() {
   JsonReport Report("queries");
   std::printf("== Section 2 query problems: standard vs subtransitive ==\n");
   TablePrinter Table({"bindings", "exprs", "std solve(ms)", "prep(ms)",
-                      "isIn(us)", "L(e)(us)", "occurs(us)", "all(ms)",
-                      "all-scc(ms)"});
+                      "isIn(us)", "L(e)(us)", "occurs(us)", "all(ms)"});
   for (int N : {50, 100, 200, 400, 800}) {
     auto M = mustParse(workload(N));
     StandardRun Std = runStandard(*M);
@@ -67,26 +68,22 @@ void printPaperTables() {
       benchmark::DoNotOptimize(R.occurrencesOf(L0).size());
     double OccursUs = T.millis() * 1000 / Reps;
 
+    // All label sets: freeze, then one batch over every occurrence (the
+    // label-set kernel above the dispatch threshold).
     T.reset();
-    auto All = R.allLabelSets(/*UseScc=*/false);
+    FrozenGraph F(*G.Graph);
+    QueryEngine Engine(F);
+    std::vector<ExprId> AllExprs;
+    for (uint32_t I = 0; I != M->numExprs(); ++I)
+      AllExprs.push_back(ExprId(I));
+    benchmark::DoNotOptimize(Engine.labelsOfBatch(AllExprs).size());
     double AllMs = T.millis();
-    T.reset();
-    auto AllScc = R.allLabelSets(/*UseScc=*/true);
-    double AllSccMs = T.millis();
-    // The two all-sets strategies must agree.
-    for (uint32_t I = 0; I != M->numExprs(); ++I) {
-      if (!(All[I] == AllScc[I])) {
-        std::fprintf(stderr, "all-label-sets mismatch at expr %u\n", I);
-        std::abort();
-      }
-    }
 
     Table.addRow({std::to_string(N), std::to_string(M->numExprs()),
                   TablePrinter::num(Std.TotalMs),
                   TablePrinter::num(G.BuildMs + G.CloseMs),
                   TablePrinter::num(IsInUs), TablePrinter::num(LabelsUs),
-                  TablePrinter::num(OccursUs), TablePrinter::num(AllMs),
-                  TablePrinter::num(AllSccMs)});
+                  TablePrinter::num(OccursUs), TablePrinter::num(AllMs)});
     Report.record("section2")
         .add("bindings", N)
         .add("exprs", M->numExprs())
@@ -95,8 +92,7 @@ void printPaperTables() {
         .add("is_in_us", IsInUs)
         .add("labels_of_us", LabelsUs)
         .add("occurs_us", OccursUs)
-        .add("all_ms", AllMs)
-        .add("all_scc_ms", AllSccMs);
+        .add("all_ms", AllMs);
   }
   std::printf("%s\n", Table.render().c_str());
 
@@ -153,21 +149,6 @@ void BM_Query_LabelsOf(benchmark::State &State) {
     benchmark::DoNotOptimize(R.labelsOf(M->root()).count());
 }
 BENCHMARK(BM_Query_LabelsOf)->Arg(100)->Arg(400)->Unit(benchmark::kMicrosecond);
-
-void BM_Query_AllLabelSets(benchmark::State &State) {
-  auto M = mustParse(workload(static_cast<int>(State.range(0))));
-  GraphRun G = runGraph(*M);
-  Reachability R(*G.Graph);
-  bool UseScc = State.range(1) != 0;
-  for (auto _ : State)
-    benchmark::DoNotOptimize(R.allLabelSets(UseScc).size());
-}
-BENCHMARK(BM_Query_AllLabelSets)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({400, 0})
-    ->Args({400, 1})
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -16,7 +16,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/StandardCFA.h"
-#include "core/Reachability.h"
+#include "core/FrozenGraph.h"
+#include "core/QueryEngine.h"
 #include "gen/Generators.h"
 #include "parser/Parser.h"
 #include "poly/Polyvariant.h"
@@ -70,7 +71,8 @@ int main() {
   G.build();
   G.close();
   double GraphMs = T.millis();
-  Reachability R(G);
+  FrozenGraph F(G);
+  QueryEngine R(F);
   uint64_t GraphMass = mass([&](ExprId E) { return R.labelsOf(E); });
   Table.addRow({"subtransitive", TablePrinter::num(GraphMs),
                 TablePrinter::num(GraphMass),
@@ -90,7 +92,8 @@ int main() {
   PolyvariantCFA Poly(*M);
   Poly.run();
   double PolyMs = T.millis();
-  Reachability PR(Poly.graph());
+  FrozenGraph PF(Poly.graph());
+  QueryEngine PR(PF);
   uint64_t PolyMass = mass([&](ExprId E) { return PR.labelsOf(E); });
   Table.addRow({"polyvariant", TablePrinter::num(PolyMs),
                 TablePrinter::num(PolyMass),

@@ -57,11 +57,13 @@ int main() {
     return std::string(M->text(M->var(Lam->param()).Name));
   };
 
-  // Call graph from the subtransitive graph.
+  // Call graph from the frozen subtransitive graph.
   SubtransitiveGraph G(*M);
   G.build();
   G.close();
-  CallGraph CG(G);
+  FrozenGraph F(G);
+  QueryEngine Engine(F);
+  CallGraph CG(*M, Engine);
   CG.run();
 
   std::printf("--- call graph ---\n");

@@ -10,7 +10,8 @@
 ///   1. parse a program,
 ///   2. type-check it,
 ///   3. build + close the subtransitive control-flow graph,
-///   4. answer control-flow queries by plain graph reachability.
+///   4. freeze it into a CSR snapshot and answer control-flow queries by
+///      plain graph reachability through the query engine.
 ///
 /// Everything here runs in time linear in the program (for the build and
 /// the close) plus linear per query — the paper's headline result.
@@ -18,7 +19,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "ast/Printer.h"
-#include "core/Reachability.h"
+#include "core/FrozenGraph.h"
+#include "core/QueryEngine.h"
 #include "parser/Parser.h"
 #include "sema/Infer.h"
 
@@ -63,14 +65,15 @@ int main() {
               (unsigned long long)G.stats().totalNodes(),
               (unsigned long long)G.stats().totalEdges());
 
-  // 4. Queries are graph reachability.
-  Reachability R(G);
+  // 4. Queries are graph reachability over the frozen snapshot.
+  FrozenGraph Frozen(G);
+  QueryEngine Engine(Frozen);
   std::printf("--- callable functions per call site ---\n");
   for (uint32_t I = 0; I != M->numExprs(); ++I) {
     const auto *App = dyn_cast<AppExpr>(M->expr(ExprId(I)));
     if (!App)
       continue;
-    DenseBitset Callees = R.labelsOf(App->fn());
+    DenseBitset Callees = Engine.labelsOf(App->fn());
     std::printf("%-12s ->", describeExpr(*M, ExprId(I)).c_str());
     Callees.forEach([&](uint32_t L) {
       const auto *Lam = cast<LamExpr>(M->expr(M->lamOfLabel(LabelId(L))));
@@ -86,7 +89,7 @@ int main() {
   for (uint32_t V = 0; V != M->numVars(); ++V)
     if (M->text(M->var(VarId(V)).Name) == "f")
       F = VarId(V);
-  DenseBitset FSet = R.labelsOfVar(F);
+  DenseBitset FSet = Engine.labelsOfVar(F);
   std::printf("the parameter `f` of twice may be %u function(s): inc, dbl\n",
               FSet.count());
   return FSet.count() == 2 ? 0 : 1;

@@ -3,11 +3,13 @@
 #
 # Part of the stcfa project (PLDI'97 subtransitive CFA reproduction).
 #
-# Builds and tests three presets:
+# Builds and tests four presets:
 #
 #   1. default   - RelWithDebInfo, the tier-1 gate (all labels)
-#   2. asan      - AddressSanitizer + UBSan, unit + fuzz labels
-#   3. tsan      - ThreadSanitizer, unit label (the parallel query/kernel
+#   2. release   - Release (-O3), all labels: GCC 12 raises warnings
+#                  (false -Wrestrict positives) at -O3 that -O2 does not
+#   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels
+#   4. tsan      - ThreadSanitizer, unit label (the parallel query/kernel
 #                  paths are what TSan is here for; the fuzz sweep under
 #                  TSan is slow and adds no thread coverage)
 #
@@ -35,8 +37,14 @@ run_preset() {
 }
 
 # Tier 1: the default build runs every registered test (unit, fuzz,
-# bench-smoke, lint-smoke, snapshot-smoke, gen-smoke, examples).
+# bench-smoke, lint-smoke, snapshot-smoke, gen-smoke, prop1-smoke,
+# examples).
 run_preset build ""
+
+# Release: under -Werror, -O3 fails on warnings -O2 never raises (GCC 12's
+# false -Wrestrict positives), so the configuration must build and pass
+# the whole tier-1 suite on its own.
+run_preset build-release "-DCMAKE_BUILD_TYPE=Release"
 
 # The SIMD seam: the kernel/bitset/generator tests rerun with the row-OR
 # dispatch pinned to the scalar path (STCFA_FORCE_SCALAR=1), so a vector

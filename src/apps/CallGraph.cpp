@@ -8,8 +8,8 @@
 
 using namespace stcfa;
 
-CallGraph::CallGraph(const SubtransitiveGraph &G, QueryEngine *Engine)
-    : G(G), M(G.module()), Engine(Engine) {
+CallGraph::CallGraph(const Module &M, QueryEngine &Engine)
+    : M(M), Engine(Engine) {
   Callees.assign(numCallers(), DenseBitset(M.numLabels()));
   Sites.resize(numCallers());
 }
@@ -34,8 +34,8 @@ void CallGraph::run() {
     });
   }
 
-  // Collect all call sites first so the engine path can answer them as
-  // one batch (sharded across its thread pool).
+  // Collect all call sites first so the engine answers them as one batch
+  // (sharded across its thread pool).
   std::vector<ExprId> Operators;
   std::vector<uint32_t> Owners;
   forEachExprPreorder(M, M.root(), [&](ExprId Id, const Expr *E) {
@@ -48,15 +48,9 @@ void CallGraph::run() {
     Owners.push_back(Owner);
   });
 
-  if (Engine) {
-    std::vector<DenseBitset> Sets = Engine->labelsOfBatch(Operators);
-    for (size_t I = 0; I != Sets.size(); ++I)
-      Callees[Owners[I]].unionWith(Sets[I]);
-    return;
-  }
-  Reachability R(G);
-  for (size_t I = 0; I != Operators.size(); ++I)
-    Callees[Owners[I]].unionWith(R.labelsOf(Operators[I]));
+  std::vector<DenseBitset> Sets = Engine.labelsOfBatch(Operators);
+  for (size_t I = 0; I != Sets.size(); ++I)
+    Callees[Owners[I]].unionWith(Sets[I]);
 }
 
 DenseBitset CallGraph::reachableFunctions() const {

@@ -15,8 +15,9 @@
 ///   * there is an edge `f -> g` when some application site inside `f`'s
 ///     body may invoke `g`.
 ///
-/// Callee sets per site come from graph reachability (output-bound cost,
-/// like the paper's "all calls from all call sites" view); the derived
+/// Callee sets per site come from one batched reachability query over
+/// the frozen graph (output-bound cost, like the paper's "all calls from
+/// all call sites" view); the derived
 /// queries — reachable functions, dead functions, strongly connected
 /// (mutually recursive) groups — are then linear in the call graph.
 ///
@@ -25,9 +26,8 @@
 #ifndef STCFA_APPS_CALLGRAPH_H
 #define STCFA_APPS_CALLGRAPH_H
 
+#include "ast/Module.h"
 #include "core/QueryEngine.h"
-#include "core/Reachability.h"
-#include "core/SubtransitiveGraph.h"
 
 #include <vector>
 
@@ -36,11 +36,10 @@ namespace stcfa {
 /// Monovariant call graph over abstraction labels.
 class CallGraph {
 public:
-  /// With \p Engine, callee sets come from one batched (optionally
-  /// parallel) `labelsOfBatch` over all call-site operators instead of
-  /// one linked-list DFS per site; results are identical.
-  explicit CallGraph(const SubtransitiveGraph &G,
-                     QueryEngine *Engine = nullptr);
+  /// Callee sets come from one (optionally parallel) `labelsOfBatch` on
+  /// \p Engine over all call-site operators of \p M, the module the
+  /// engine's frozen graph was built from.
+  CallGraph(const Module &M, QueryEngine &Engine);
 
   /// Builds the graph (callee sets via reachability per call site).
   void run();
@@ -66,9 +65,8 @@ public:
   std::vector<LabelId> deadFunctions() const;
 
 private:
-  const SubtransitiveGraph &G;
   const Module &M;
-  QueryEngine *Engine;
+  QueryEngine &Engine;
   std::vector<DenseBitset> Callees;
   std::vector<std::vector<ExprId>> Sites;
   bool HasRun = false;

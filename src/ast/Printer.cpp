@@ -299,11 +299,16 @@ std::string stcfa::describeExpr(const Module &M, ExprId E) {
                                 "lit",   "if",   "tuple", "proj", "con",
                                 "case",  "prim"};
   const Expr *Ex = M.expr(E);
+  // One-char separators are appended on their own: GCC 12 -O3 flags
+  // `"@" + std::to_string(..)` with a false -Wrestrict.
   std::string Out = Names[static_cast<int>(Ex->kind())];
-  Out += "@" + std::to_string(E.index());
-  if (Ex->loc().isValid())
-    Out += "(" + std::to_string(Ex->loc().Line) + ":" +
+  Out += '@';
+  Out += std::to_string(E.index());
+  if (Ex->loc().isValid()) {
+    Out += '(';
+    Out += std::to_string(Ex->loc().Line) + ":" +
            std::to_string(Ex->loc().Col) + ")";
+  }
   return Out;
 }
 
@@ -312,7 +317,9 @@ std::string stcfa::describeLabel(const Module &M, LabelId L) {
   std::string Out = "fn#" + std::to_string(L.index()) + "(";
   Out += M.text(M.var(Lam->param()).Name);
   SourceLoc Loc = M.expr(M.lamOfLabel(L))->loc();
-  if (Loc.isValid())
-    Out += "@" + std::to_string(Loc.Line) + ":" + std::to_string(Loc.Col);
+  if (Loc.isValid()) {
+    Out += '@';
+    Out += std::to_string(Loc.Line) + ":" + std::to_string(Loc.Col);
+  }
   return Out + ")";
 }

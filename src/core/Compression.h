@@ -12,8 +12,8 @@
 /// `let`-spines, `ran`-ladders) dominate the graph.  `CompressedGraph`
 /// collapses every label-free node with exactly one successor into that
 /// successor's representative and rebuilds a condensed adjacency over the
-/// kept nodes.  Reachability queries over the compressed graph return
-/// exactly the same label sets, with proportionally fewer nodes visited.
+/// kept nodes.  Queries over the compressed graph return exactly the
+/// same label sets, with proportionally fewer nodes visited.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +32,8 @@ class CompressedGraph {
 public:
   explicit CompressedGraph(const SubtransitiveGraph &G);
 
-  /// Labels reachable from occurrence \p E (same result as
-  /// `Reachability::labelsOf`, fewer nodes visited).
+  /// Labels reachable from occurrence \p E (same result as reachability
+  /// over the uncompressed graph, fewer nodes visited).
   DenseBitset labelsOf(ExprId E);
 
   /// Labels reachable from binder \p V.

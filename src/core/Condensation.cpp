@@ -6,60 +6,46 @@
 
 #include "core/Condensation.h"
 
-#include "core/SubtransitiveGraph.h"
-
 #include <algorithm>
 
 using namespace stcfa;
 
-namespace {
-
-/// One iterative Tarjan pass.  `SuccsOf(N)` must return an iterable range
-/// whose elements convert to a node index via `indexOf`; the range object
-/// is captured in the DFS frame, so it must stay valid while iterated.
-inline uint32_t indexOf(uint32_t N) { return N; }
-inline uint32_t indexOf(NodeId N) { return N.index(); }
-
-template <typename SuccRangeFn>
-uint32_t tarjan(uint32_t NumNodes, SuccRangeFn SuccsOf,
-                std::vector<uint32_t> &SccOf) {
-  SccOf.assign(NumNodes, ~0u);
+Condensation::Condensation(uint32_t NumNodes,
+                           std::span<const uint32_t> Offsets,
+                           std::span<const uint32_t> Targets) {
+  // One iterative Tarjan pass over the CSR rows.
+  Owned.assign(NumNodes, ~0u);
   std::vector<uint32_t> Index(NumNodes, 0), Low(NumNodes, 0);
   std::vector<bool> OnStack(NumNodes, false);
   std::vector<uint32_t> TarjanStack;
-  uint32_t NextIndex = 1, NumSccs = 0;
+  uint32_t NextIndex = 1;
+  const uint32_t *Base = Targets.data();
 
-  using RangeT = decltype(SuccsOf(0u));
-  using IterT = decltype(std::declval<RangeT>().begin());
   struct Frame {
     uint32_t Node;
-    IterT Next;
-    IterT End;
+    const uint32_t *Next;
+    const uint32_t *End;
   };
   std::vector<Frame> Frames;
+  auto enter = [&](uint32_t N) {
+    Index[N] = Low[N] = NextIndex++;
+    TarjanStack.push_back(N);
+    OnStack[N] = true;
+    Frames.push_back({N, Base + Offsets[N], Base + Offsets[N + 1]});
+  };
 
   for (uint32_t Root = 0; Root != NumNodes; ++Root) {
     if (Index[Root] != 0)
       continue;
-    auto RootRange = SuccsOf(Root);
-    Frames.push_back({Root, RootRange.begin(), RootRange.end()});
-    Index[Root] = Low[Root] = NextIndex++;
-    TarjanStack.push_back(Root);
-    OnStack[Root] = true;
+    enter(Root);
     while (!Frames.empty()) {
       Frame &F = Frames.back();
       if (F.Next != F.End) {
-        uint32_t S = indexOf(*F.Next);
-        ++F.Next;
-        if (Index[S] == 0) {
-          Index[S] = Low[S] = NextIndex++;
-          TarjanStack.push_back(S);
-          OnStack[S] = true;
-          auto SRange = SuccsOf(S);
-          Frames.push_back({S, SRange.begin(), SRange.end()});
-        } else if (OnStack[S]) {
+        uint32_t S = *F.Next++;
+        if (Index[S] == 0)
+          enter(S);
+        else if (OnStack[S])
           Low[F.Node] = std::min(Low[F.Node], Index[S]);
-        }
         continue;
       }
       uint32_t N = F.Node;
@@ -74,38 +60,11 @@ uint32_t tarjan(uint32_t NumNodes, SuccRangeFn SuccsOf,
         uint32_t W = TarjanStack.back();
         TarjanStack.pop_back();
         OnStack[W] = false;
-        SccOf[W] = Scc;
+        Owned[W] = Scc;
         if (W == N)
           break;
       }
     }
   }
-  return NumSccs;
-}
-
-/// A CSR row as an iterable range of raw pointers.
-struct CsrRow {
-  const uint32_t *First;
-  const uint32_t *Last;
-  const uint32_t *begin() const { return First; }
-  const uint32_t *end() const { return Last; }
-};
-
-} // namespace
-
-Condensation::Condensation(uint32_t NumNodes,
-                           std::span<const uint32_t> Offsets,
-                           std::span<const uint32_t> Targets) {
-  const uint32_t *Base = Targets.data();
-  NumSccs = tarjan(
-      NumNodes,
-      [&](uint32_t N) { return CsrRow{Base + Offsets[N], Base + Offsets[N + 1]}; },
-      Owned);
-  SccOf = Owned;
-}
-
-Condensation::Condensation(const SubtransitiveGraph &G) {
-  NumSccs = tarjan(
-      G.numNodes(), [&](uint32_t N) { return G.succs(NodeId(N)); }, Owned);
   SccOf = Owned;
 }

@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Strongly-connected-component condensation of a query graph, shared by
-/// `Reachability::allLabelSets` (over the intrusive adjacency) and
-/// `FrozenGraph` (over the compacted CSR arrays, cached across queries).
+/// Strongly-connected-component condensation of a `FrozenGraph`'s CSR
+/// adjacency, cached across queries and consumed by the label-set kernel.
 ///
 /// The computation is one iterative Tarjan pass.  Component ids are
 /// assigned in *completion* order, which gives the invariant every
@@ -32,8 +31,6 @@
 
 namespace stcfa {
 
-class SubtransitiveGraph;
-
 /// The SCC partition of a directed graph over dense `uint32_t` node ids.
 class Condensation {
 public:
@@ -41,9 +38,6 @@ public:
   /// node `N` are `Targets[Offsets[N] .. Offsets[N + 1])`.
   Condensation(uint32_t NumNodes, std::span<const uint32_t> Offsets,
                std::span<const uint32_t> Targets);
-
-  /// Condenses a closed subtransitive graph's intrusive adjacency.
-  explicit Condensation(const SubtransitiveGraph &G);
 
   /// Adopts a precomputed node -> component map (a snapshot section)
   /// without copying; \p Map must outlive this object and satisfy the

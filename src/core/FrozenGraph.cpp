@@ -281,31 +281,7 @@ DenseBitset FrozenGraph::reachableFrom(std::span<const uint32_t> Roots,
   return Mark;
 }
 
-void FrozenGraph::buildSccLabels() const {
-  // One ascending-id sweep over the condensed DAG: SCC ids are in
-  // completion order, so every successor component is finalized first.
-  uint32_t NumSccs = Cond->numSccs();
-  std::vector<std::vector<uint32_t>> NodesOfScc(NumSccs);
-  for (uint32_t N = 0; N != NumNodes; ++N)
-    NodesOfScc[Cond->sccOf(N)].push_back(N);
-  SccLabels.assign(NumSccs, DenseBitset(NumLabels));
-  for (uint32_t Scc = 0; Scc != NumSccs; ++Scc) {
-    DenseBitset &Set = SccLabels[Scc];
-    for (uint32_t N : NodesOfScc[Scc]) {
-      if (LabelAt[N] != None)
-        Set.insert(LabelAt[N]);
-      for (uint32_t S : succs(N))
-        if (Cond->sccOf(S) != Scc)
-          Set.unionWith(SccLabels[Cond->sccOf(S)]);
-    }
-  }
-}
-
 const Condensation &FrozenGraph::condensation() const {
-  // The Tarjan pass and the serial per-SCC label sets are cached under
-  // *separate* once-flags: the label-set kernel wants the condensation
-  // alone (it computes the label closure itself, in parallel), so it
-  // must not pay for — or race with — the serial `sccLabelSets` sweep.
   std::call_once(CondOnce, [this] {
     Span CondSpan("condense");
     static Counter &Condensations = counter("condense.count");
@@ -319,10 +295,4 @@ const Condensation &FrozenGraph::condensation() const {
     CondSpan.arg("sccs", Cond->numSccs());
   });
   return *Cond;
-}
-
-const std::vector<DenseBitset> &FrozenGraph::sccLabelSets() const {
-  condensation();
-  std::call_once(SccLabelsOnce, [this] { buildSccLabels(); });
-  return SccLabels;
 }

@@ -17,8 +17,8 @@
 ///     per-node `labelOf` dispatch on the query path);
 ///   * flat occurrence/binder -> node maps and per-label reverse-search
 ///     roots;
-///   * an optional SCC condensation plus per-component label sets,
-///     built once on first use and cached across queries.
+///   * an SCC condensation, built once on first use and cached across
+///     queries.
 ///
 /// Storage seam: every array accessor reads a `std::span` view.  A
 /// snapshot frozen from a graph backs those views with its own vectors;
@@ -223,17 +223,11 @@ public:
   /// instead of recomputing.
   const Condensation &condensation() const;
 
-  /// Per-component label sets in reverse topological order, cached with
-  /// the condensation: `sccLabelSets()[condensation().sccOf(N)]` is the
-  /// full label set reachable from node `N`.
-  const std::vector<DenseBitset> &sccLabelSets() const;
-
 private:
   FrozenGraph() = default; // the `fromTables` view path
 
   Status init(const Deadline &D);
   void resetToInert();
-  void buildSccLabels() const;
 
   const SubtransitiveGraph *G = nullptr; // null for an mmap-backed view
   const Module *M = nullptr;             // null for an mmap-backed view
@@ -256,9 +250,8 @@ private:
   std::span<const uint32_t> NodeOfExpr, NodeOfVar, LabelRoots, RanOf;
   double FreezeMs = 0;
 
-  mutable std::once_flag CondOnce, SccLabelsOnce;
+  mutable std::once_flag CondOnce;
   mutable std::unique_ptr<Condensation> Cond;
-  mutable std::vector<DenseBitset> SccLabels;
 };
 
 } // namespace stcfa

@@ -107,7 +107,7 @@ void QueryEngine::forEachReachable(Scratch &S, uint32_t Start, FnT Fn) {
 }
 
 DenseBitset QueryEngine::labelsFromNode(Scratch &S, uint32_t Start) {
-  // The allLabelSets / labelsOfBatch hot path: a hand-unrolled DFS over
+  // The labelsOfBatch hot path: a hand-unrolled DFS over
   // raw CSR arrays (hoisted pointers, no per-row span construction).
   DenseBitset Out(F.numLabels());
   bumpEpoch(S);
@@ -368,62 +368,6 @@ QueryEngine::occurrencesOfBatch(const std::vector<LabelId> &Ls) {
     Pool->parallelFor(NumThreads, RunShard);
   else
     RunShard(0, 0);
-  return Out;
-}
-
-std::vector<DenseBitset> QueryEngine::allLabelSets(bool UseScc) {
-  std::vector<DenseBitset> Out(F.numExprs(), DenseBitset(F.numLabels()));
-  Span BatchSpan("query.all-labels");
-  BatchSpan.arg("exprs", F.numExprs());
-  BatchSpan.arg("lanes", NumThreads);
-  BatchSpan.arg("strategy", UseScc ? "scc" : "bfs");
-
-  if (UseScc) {
-    // The condensation and its per-component label sets are cached on
-    // the frozen graph, so repeat calls cost only the output copies.
-    const Condensation &C = F.condensation();
-    const std::vector<DenseBitset> &SccLabels = F.sccLabelSets();
-    for (uint32_t I = 0, E = F.numExprs(); I != E; ++I) {
-      uint32_t N = F.nodeOfExpr(ExprId(I));
-      if (N != FrozenGraph::None)
-        Out[I] = SccLabels[C.sccOf(N)];
-    }
-    return Out;
-  }
-
-  // Naive strategy: one DFS per distinct canonical node, memoized.  The
-  // distinct-node list is built sequentially, then sharded — each lane
-  // writes only its own slots of `PerNode`, so no synchronisation.
-  std::vector<DenseBitset> PerNode(F.numNodes());
-  std::vector<uint32_t> Distinct;
-  {
-    std::vector<bool> Seen(F.numNodes(), false);
-    for (uint32_t I = 0, E = F.numExprs(); I != E; ++I) {
-      uint32_t N = F.nodeOfExpr(ExprId(I));
-      if (N != FrozenGraph::None && !Seen[N]) {
-        Seen[N] = true;
-        Distinct.push_back(N);
-      }
-    }
-  }
-  auto RunShard = [&](unsigned Lane, size_t Index) {
-    Scratch &S = Lanes[Lane];
-    Shard Sh = shardOf(Distinct.size(), NumThreads, Index);
-    Span LaneSpan("query.lane");
-    LaneSpan.arg("lane", Lane);
-    LaneSpan.arg("items", Sh.End - Sh.Begin);
-    for (size_t I = Sh.Begin; I != Sh.End; ++I)
-      PerNode[Distinct[I]] = labelsFromNode(S, Distinct[I]);
-  };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
-  for (uint32_t I = 0, E = F.numExprs(); I != E; ++I) {
-    uint32_t N = F.nodeOfExpr(ExprId(I));
-    if (N != FrozenGraph::None)
-      Out[I] = PerNode[N];
-  }
   return Out;
 }
 

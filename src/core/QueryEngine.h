@@ -6,9 +6,11 @@
 ///
 /// \file
 /// The serving-path query engine: answers the Section 2 query problems
-/// over a `FrozenGraph` CSR snapshot, bit-for-bit equal to
-/// `Reachability` over the mutable graph but without pointer chasing,
-/// and with batched entry points sharded across a fixed `ThreadPool`.
+/// over a `FrozenGraph` CSR snapshot, bit-for-bit equal to reachability
+/// over the mutable graph but without pointer chasing, and with batched
+/// entry points sharded across a fixed `ThreadPool`.  "All label sets"
+/// is `labelsOfBatch` over every occurrence, which the label-set kernel
+/// answers above the dispatch threshold.
 ///
 /// Concurrency model: the CSR snapshot is read-only, so workers need no
 /// locks — each worker lane owns a private epoch-stamped visit vector
@@ -153,12 +155,6 @@ public:
   std::vector<std::vector<ExprId>>
   occurrencesOfBatch(const std::vector<LabelId> &Ls, const BatchControl &C,
                      BatchOutcome &Out);
-
-  /// Complete CFA information, one label set per occurrence.  With
-  /// \p UseScc the frozen graph's cached condensation answers repeat
-  /// calls in output-copy time; without it, per-node DFS memoization is
-  /// sharded across the pool.
-  std::vector<DenseBitset> allLabelSets(bool UseScc = false);
 
   /// Nodes touched by queries so far, summed over all lanes.
   uint64_t nodesVisited() const;

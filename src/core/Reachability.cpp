@@ -6,8 +6,6 @@
 
 #include "core/Reachability.h"
 
-#include "core/Condensation.h"
-
 #include <algorithm>
 
 using namespace stcfa;
@@ -139,59 +137,6 @@ std::vector<ExprId> Reachability::occurrencesOf(LabelId L) {
     NodeId N = G.lookupExprNode(ExprId(I));
     if (N.isValid() && Stamp[N.index()] == Epoch)
       Out.push_back(ExprId(I));
-  }
-  return Out;
-}
-
-std::vector<DenseBitset> Reachability::allLabelSets(bool UseScc) {
-  std::vector<DenseBitset> Out(M.numExprs(), DenseBitset(M.numLabels()));
-  if (!usable())
-    return Out;
-
-  if (!UseScc) {
-    // Repeated Algorithm 2, memoized per canonical node (congruence
-    // summaries stand for many occurrences).
-    std::vector<DenseBitset> PerNode(G.numNodes());
-    std::vector<bool> Done(G.numNodes(), false);
-    for (uint32_t I = 0, E = M.numExprs(); I != E; ++I) {
-      NodeId N = G.lookupExprNode(ExprId(I));
-      if (!N.isValid())
-        continue;
-      if (!Done[N.index()]) {
-        PerNode[N.index()] = labelsOfNode(N);
-        Done[N.index()] = true;
-      }
-      Out[I] = PerNode[N.index()];
-    }
-    return Out;
-  }
-
-  // SCC condensation (iterative Tarjan, see Condensation.cpp), then one
-  // bottom-up union pass over the DAG.  Component ids are in completion
-  // order, so ascending id order sees all successors of a component
-  // finalized before the component itself.
-  uint32_t NumNodes = G.numNodes();
-  Condensation C(G);
-  Visited += NumNodes; // the condensation touches every node once
-  std::vector<std::vector<uint32_t>> NodesOfScc(C.numSccs());
-  for (uint32_t N = 0; N != NumNodes; ++N)
-    NodesOfScc[C.sccOf(N)].push_back(N);
-  std::vector<DenseBitset> SccLabels(C.numSccs(), DenseBitset(M.numLabels()));
-  for (uint32_t Scc = 0; Scc != C.numSccs(); ++Scc) {
-    DenseBitset &Set = SccLabels[Scc];
-    for (uint32_t N : NodesOfScc[Scc]) {
-      if (LabelId L = G.labelOf(NodeId(N)); L.isValid())
-        Set.insert(L.index());
-      for (NodeId S : G.succs(NodeId(N)))
-        if (C.sccOf(S.index()) != Scc)
-          Set.unionWith(SccLabels[C.sccOf(S.index())]);
-    }
-  }
-
-  for (uint32_t I = 0, E = M.numExprs(); I != E; ++I) {
-    NodeId N = G.lookupExprNode(ExprId(I));
-    if (N.isValid())
-      Out[I] = SccLabels[C.sccOf(N.index())];
   }
   return Out;
 }

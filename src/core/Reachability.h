@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Control-flow queries as plain graph reachability over the subtransitive
-/// graph — the payoff of the paper's factorisation (Section 2's table):
+/// Control-flow queries as plain graph reachability over the mutable
+/// subtransitive graph — the payoff of the paper's factorisation
+/// (Section 2's table):
 ///
 ///   * `isLabelIn`      — Algorithm 1, O(n) per query
 ///   * `labelsOf`       — Algorithm 2, O(n) per query
 ///   * `occurrencesOf`  — reverse reachability, O(n) per query
-///   * `allLabelSets`   — O(n^2) total (output-optimal), naive or
-///                        SCC-condensation based
 ///
-/// Queries never mutate the graph; run them after `build()` + `close()`.
+/// Production code answers through `FrozenGraph` + `QueryEngine`; this
+/// linked-list walk is the reference those are tested against.  Queries
+/// never mutate the graph; run them after `build()` + `close()`.
 ///
 /// Aborted-graph contract: a graph whose close phase was stopped by a
 /// budget, deadline, or cancellation (`G.aborted()`) is incomplete, and
@@ -55,12 +56,6 @@ public:
   /// All expression occurrences whose label set contains \p L (reverse
   /// reachability from the abstraction node).
   std::vector<ExprId> occurrencesOf(LabelId L);
-
-  /// Complete CFA information: a label set per expression occurrence.
-  /// Quadratic; with \p UseScc the graph is first condensed and sets are
-  /// propagated over the DAG (same asymptotics, better constants on graphs
-  /// with large strongly connected components).
-  std::vector<DenseBitset> allLabelSets(bool UseScc = false);
 
   /// Nodes touched by queries so far (machine-independent work measure).
   uint64_t nodesVisited() const { return Visited; }

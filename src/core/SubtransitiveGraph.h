@@ -127,8 +127,9 @@ struct GraphStats {
 ///   SubtransitiveGraph G(M);
 ///   G.build();   // linear pass
 ///   G.close();   // demand-driven closure
-///   Reachability R(G);
-///   DenseBitset L = R.labelsOf(SomeExpr);
+///   FrozenGraph F(G);
+///   QueryEngine Q(F);
+///   DenseBitset L = Q.labelsOf(SomeExpr);
 /// \endcode
 class SubtransitiveGraph {
 public:

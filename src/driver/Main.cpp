@@ -25,7 +25,6 @@
 #include "ast/Printer.h"
 #include "core/FrozenGraph.h"
 #include "core/QueryEngine.h"
-#include "core/Reachability.h"
 #include "gen/Corpus.h"
 #include "gen/Generators.h"
 #include "testgen/ShapeGen.h"
@@ -48,6 +47,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream> // the one tool entry point reads stdin
 #include <iterator>
 #include <sstream>
@@ -84,7 +84,6 @@ struct Options {
   std::string TraceJson;
   /// Metrics snapshot export path; empty = no export.
   std::string MetricsJson;
-  bool Frozen = false;
   bool Stats = false;
   bool Run = false;
   bool Print = false;
@@ -174,8 +173,7 @@ int usage(const char *Argv0) {
       "                         dot | json\n"
       "  --congruence=<c>       none | bytype (default) | bybase\n"
       "  --policy=<p>           paper (default) | nodeexists | undemanded\n"
-      "  --frozen               serve queries from a frozen CSR snapshot\n"
-      "  --threads=<n>          query-engine worker lanes (implies --frozen)\n"
+      "  --threads=<n>          query-engine worker lanes\n"
       "  --kernel-threshold=<n> batch size above which batched queries use\n"
       "                         the word-parallel label-set kernel\n"
       "                         (0 disables the kernel; default 16)\n"
@@ -192,7 +190,7 @@ int usage(const char *Argv0) {
       "                         'off' conflicts with --timeout-ms)\n"
       "  --save-snapshot=<file> persist the frozen graph (plus name tables\n"
       "                         and the label-set kernel matrix) to an\n"
-      "                         mmap-able snapshot (implies --frozen)\n"
+      "                         mmap-able snapshot\n"
       "  --load-snapshot=<file> serve --query=labels|all-labels straight\n"
       "                         from a snapshot: no parse, no close, no\n"
       "                         freeze (docs/SNAPSHOT.md)\n"
@@ -275,24 +273,31 @@ std::string loadInput(const Options &Opts, bool &Ok) {
                      std::istreambuf_iterator<char>());
 }
 
-std::string labelName(const Module &M, LabelId L) {
-  const auto *Lam = cast<LamExpr>(M.expr(M.lamOfLabel(L)));
-  std::string Out = "fn#" + std::to_string(L.index()) + "(";
-  Out += M.text(M.var(Lam->param()).Name);
-  SourceLoc Loc = M.expr(M.lamOfLabel(L))->loc();
-  if (Loc.isValid())
-    Out += "@" + std::to_string(Loc.Line) + ":" + std::to_string(Loc.Col);
-  return Out + ")";
+/// How query output names an occurrence and a label: through the live
+/// `Module`, or through a loaded snapshot's persisted name tables.
+struct Names {
+  std::function<std::string(ExprId)> Expr;
+  std::function<std::string(uint32_t)> Label;
+};
+
+Names moduleNames(const Module &M) {
+  return {[&M](ExprId E) { return describeExpr(M, E); },
+          [&M](uint32_t L) { return describeLabel(M, LabelId(L)); }};
 }
 
-std::string renderSet(const Module &M, const DenseBitset &Set) {
+Names snapshotNames(const LoadedSnapshot &Snap) {
+  return {[&Snap](ExprId E) { return std::string(Snap.exprName(E.index())); },
+          [&Snap](uint32_t L) { return std::string(Snap.labelName(L)); }};
+}
+
+std::string renderSet(const Names &N, const DenseBitset &Set) {
   std::string Out = "{";
   bool First = true;
   Set.forEach([&](uint32_t L) {
     if (!First)
       Out += ", ";
     First = false;
-    Out += labelName(M, LabelId(L));
+    Out += N.Label(L);
   });
   return Out + "}";
 }
@@ -304,21 +309,19 @@ struct AnalysisResult {
   std::unique_ptr<SubtransitiveGraph> Graph;
   std::unique_ptr<PolyvariantCFA> Poly;
   std::unique_ptr<HybridCFA> Hybrid;
-  std::unique_ptr<Reachability> Reach;
   std::unique_ptr<FrozenGraph> Snapshot;
   std::unique_ptr<QueryEngine> Engine;
   double AnalysisMs = 0;
 
+  /// The label set of \p E under the graph-free analyses (standard,
+  /// unify, and the hybrid's fallback rungs); graph analyses answer
+  /// through `engine()` instead.
   DenseBitset labels(ExprId E) {
     if (Std)
       return Std->labelSet(E);
     if (Uni)
       return Uni->labelSet(E);
-    if (Hybrid)
-      return Hybrid->labelSet(E);
-    if (Engine)
-      return Engine->labelsOf(E);
-    return Reach->labelsOf(E);
+    return Hybrid->labelSet(E);
   }
   const SubtransitiveGraph *graph() const {
     if (Graph)
@@ -329,8 +332,8 @@ struct AnalysisResult {
       return Hybrid->graph();
     return nullptr;
   }
-  /// The frozen snapshot / query engine, when `--frozen` produced one
-  /// (the hybrid analysis always freezes on subtransitive success).
+  /// The frozen snapshot every graph analysis answers through (the
+  /// hybrid analysis freezes internally on subtransitive success).
   const FrozenGraph *frozen() const {
     if (Snapshot)
       return Snapshot.get();
@@ -354,18 +357,49 @@ std::string snapshotConfigString(const Options &O) {
          ";policy=" + O.Policy;
 }
 
-/// `renderSet` over the snapshot's persisted label names (no Module).
-std::string renderSnapshotSet(const LoadedSnapshot &Snap,
-                              const DenseBitset &Set) {
-  std::string Out = "{";
-  bool First = true;
-  Set.forEach([&](uint32_t L) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += Snap.labelName(L);
-  });
-  return Out + "}";
+/// `--query=labels|all-labels`, shared by the live pipeline and the
+/// snapshot paths.  `labels` prints the root's set; `all-labels` answers
+/// every occurrence in one batch — through \p Engine, governed by \p D,
+/// or, when there is no engine (the graph-free analyses), through
+/// \p LabelSet — and prints the non-empty sets.  Returns 3 when the
+/// batch stopped early, else 0.
+int printLabelQuery(const Options &Opts, const Names &N, uint32_t NumExprs,
+                    ExprId Root, QueryEngine *Engine,
+                    const std::function<DenseBitset(ExprId)> &LabelSet,
+                    Deadline D) {
+  if (Opts.Query == "labels") {
+    DenseBitset Set = Engine ? Engine->labelsOf(Root) : LabelSet(Root);
+    std::printf("L(root) = %s\n", renderSet(N, Set).c_str());
+    return 0;
+  }
+  std::vector<DenseBitset> Sets;
+  BatchOutcome Outcome;
+  if (Engine) {
+    std::vector<ExprId> Es;
+    Es.reserve(NumExprs);
+    for (uint32_t I = 0; I != NumExprs; ++I)
+      Es.push_back(ExprId(I));
+    BatchControl BC;
+    BC.D = D;
+    Sets = Engine->labelsOfBatch(Es, BC, Outcome);
+  } else {
+    Sets.reserve(NumExprs);
+    for (uint32_t I = 0; I != NumExprs; ++I)
+      Sets.push_back(LabelSet(ExprId(I)));
+    Outcome.Done.assign(NumExprs, 1);
+  }
+  for (uint32_t I = 0; I != NumExprs; ++I) {
+    if (!Outcome.Done[I] || Sets[I].empty())
+      continue;
+    std::printf("%-18s %s\n", N.Expr(ExprId(I)).c_str(),
+                renderSet(N, Sets[I]).c_str());
+  }
+  if (Outcome.S.isOk())
+    return 0;
+  std::fprintf(stderr, "note: batch stopped early: %s (%llu of %u answered)\n",
+               Outcome.S.toString().c_str(),
+               (unsigned long long)Outcome.Completed, NumExprs);
+  return 3;
 }
 
 /// Serves `--query=labels|all-labels` straight from a loaded snapshot:
@@ -391,78 +425,29 @@ int serveFromSnapshot(const Options &Opts, const LoadedSnapshot &Snap) {
 
   Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
                                    : Deadline::infinite();
-  int ExitCode = 0;
   Timer QueryTimer;
-  if (Opts.Query == "labels") {
-    std::printf("L(root) = %s\n",
-                renderSnapshotSet(Snap, Engine.labelsOf(Snap.rootExpr()))
-                    .c_str());
-  } else { // all-labels (the flag validation admits nothing else)
-    std::vector<ExprId> Es;
-    Es.reserve(F.numExprs());
-    for (uint32_t I = 0; I != F.numExprs(); ++I)
-      Es.push_back(ExprId(I));
-    BatchOutcome Outcome;
-    std::vector<DenseBitset> Sets;
-    if (Opts.TimeoutMs >= 0) {
-      BatchControl BC;
-      BC.D = D;
-      Sets = Engine.labelsOfBatch(Es, BC, Outcome);
-    } else {
-      Sets = Engine.labelsOfBatch(Es);
-      Outcome.Done.assign(Es.size(), true);
-    }
-    for (uint32_t I = 0; I != F.numExprs(); ++I) {
-      if (!Outcome.Done[I] || Sets[I].empty())
-        continue;
-      std::printf("%-18s %s\n", std::string(Snap.exprName(I)).c_str(),
-                  renderSnapshotSet(Snap, Sets[I]).c_str());
-    }
-    if (Opts.TimeoutMs >= 0 && !Outcome.S.isOk()) {
-      std::fprintf(stderr,
-                   "note: batch stopped early: %s (%llu of %u answered)\n",
-                   Outcome.S.toString().c_str(),
-                   (unsigned long long)Outcome.Completed, F.numExprs());
-      ExitCode = 3;
-    }
-  }
+  int ExitCode = printLabelQuery(Opts, snapshotNames(Snap), F.numExprs(),
+                                 Snap.rootExpr(), &Engine, nullptr, D);
   if (Opts.Stats)
     std::printf("queries: %.3f ms\n", QueryTimer.millis());
   return ExitCode;
 }
 
-/// `--load-snapshot --lint`: the frozen tables come from the mapping,
-/// the AST from reparsing the named input (already hash-verified against
-/// the snapshot header, so the two line up).
-int lintOverSnapshot(const Options &Opts, const LoadedSnapshot &Snap,
-                     const std::string &Source) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::fprintf(stderr, "%s", Diags.render().c_str());
-    return 1;
-  }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*M, InferDiags);
-  const FrozenGraph &F = Snap.frozen();
-  if (M->numExprs() != F.numExprs()) {
-    std::fprintf(stderr,
-                 "error: snapshot '%s' does not match the given input "
-                 "(%u vs %u occurrences)\n",
-                 Opts.LoadSnapshot.c_str(), F.numExprs(), M->numExprs());
-    return 1;
-  }
-  LintEngine Lint(*M, F);
+/// The `--lint` tail, shared by the live pipeline and `--load-snapshot`
+/// (which differ only in how \p Lint was built): run the passes, render
+/// the report, and map it to an exit code.
+int runLint(const Options &Opts, LintEngine &Lint, Deadline D,
+            const char *Over) {
   LintOptions LO;
   LO.Passes = Opts.LintPasses;
-  LO.D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
-                             : Deadline::infinite();
+  LO.D = D;
   LO.Threads = Opts.Threads;
   Timer LintTimer;
   LintResult LR = Lint.run(LO);
-  std::string InputName = !Opts.InputFile.empty() && Opts.InputFile != "-"
-                              ? Opts.InputFile
-                              : "corpus:" + Opts.Corpus;
+  std::string InputName =
+      !Opts.InputFile.empty() && Opts.InputFile != "-" ? Opts.InputFile
+      : !Opts.Corpus.empty() ? "corpus:" + Opts.Corpus
+                             : "stdin";
   std::string Rendered = Opts.LintFormat == "json"
                              ? renderLintJson(LR, InputName)
                          : Opts.LintFormat == "sarif"
@@ -470,13 +455,40 @@ int lintOverSnapshot(const Options &Opts, const LoadedSnapshot &Snap,
                              : renderLintText(LR, InputName);
   std::fputs(Rendered.c_str(), stdout);
   if (Opts.Stats)
-    std::printf("lint: %u pass(es) over snapshot in %.3f ms\n",
-                (unsigned)LR.Reports.size(), LintTimer.millis());
+    std::printf("lint: %u pass(es)%s in %.3f ms\n",
+                (unsigned)LR.Reports.size(), Over, LintTimer.millis());
+  // Error-severity findings outrank the governed partial-result code.
   if (LR.NumErrors > 0)
     return 7;
   if (LR.anyPartial() && Opts.governed())
     return 3;
   return 0;
+}
+
+/// The AST behind a `--load-snapshot` lint or slice: the frozen tables
+/// come from the mapping, the AST from reparsing the named input (already
+/// hash-verified against the snapshot header, so the two line up).  Null,
+/// with the error printed, when the input does not parse or its shape
+/// does not match the snapshot.
+std::unique_ptr<Module> reparseForSnapshot(const Options &Opts,
+                                           const FrozenGraph &F,
+                                           const std::string &Source) {
+  DiagnosticEngine Diags;
+  std::unique_ptr<Module> M = parseProgram(Source, Diags);
+  if (!M) {
+    std::fprintf(stderr, "%s", Diags.render().c_str());
+    return nullptr;
+  }
+  DiagnosticEngine InferDiags;
+  (void)inferTypes(*M, InferDiags);
+  if (M->numExprs() != F.numExprs()) {
+    std::fprintf(stderr,
+                 "error: snapshot '%s' does not match the given input "
+                 "(%u vs %u occurrences)\n",
+                 Opts.LoadSnapshot.c_str(), F.numExprs(), M->numExprs());
+    return nullptr;
+  }
+  return M;
 }
 
 /// Resolves `--slice=expr@L:C` to the innermost occurrence at exactly
@@ -605,32 +617,6 @@ int runSliceModes(const Options &Opts, const Module &M, const FrozenGraph &F,
   return ExitCode;
 }
 
-/// `--load-snapshot` + a slice mode: frozen tables from the mapping, AST
-/// from reparsing the (hash-verified) named input — the `lintOverSnapshot`
-/// recipe.
-int sliceOverSnapshot(const Options &Opts, const LoadedSnapshot &Snap,
-                      const std::string &Source) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::fprintf(stderr, "%s", Diags.render().c_str());
-    return 1;
-  }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*M, InferDiags);
-  const FrozenGraph &F = Snap.frozen();
-  if (M->numExprs() != F.numExprs()) {
-    std::fprintf(stderr,
-                 "error: snapshot '%s' does not match the given input "
-                 "(%u vs %u occurrences)\n",
-                 Opts.LoadSnapshot.c_str(), F.numExprs(), M->numExprs());
-    return 1;
-  }
-  Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
-                                   : Deadline::infinite();
-  return runSliceModes(Opts, *M, F, D, 0);
-}
-
 /// Builds the complete label-set kernel for \p F and persists graph +
 /// kernel to \p Path.  Shared by `--save-snapshot` and the cache-miss
 /// fill; \p Key lands in the header for loader-side verification.
@@ -708,7 +694,6 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --save-snapshot expects a file path\n");
         return 2;
       }
-      Opts.Frozen = true;
     } else if (startsWith(A, "--load-snapshot=")) {
       Opts.LoadSnapshot = A.substr(16);
       if (Opts.LoadSnapshot.empty()) {
@@ -717,11 +702,9 @@ int main(int Argc, char **Argv) {
       }
     } else if (A == "--snapshot-cache") {
       Opts.SnapshotCache = true;
-      Opts.Frozen = true;
     } else if (startsWith(A, "--snapshot-cache=")) {
       Opts.SnapshotCache = true;
       Opts.SnapshotDir = A.substr(17);
-      Opts.Frozen = true;
       if (Opts.SnapshotDir.empty()) {
         std::fprintf(stderr,
                      "error: --snapshot-cache= expects a directory; plain "
@@ -778,7 +761,6 @@ int main(int Argc, char **Argv) {
       Opts.Threads = std::stoul(N);
       if (Opts.Threads == 0)
         Opts.Threads = 1;
-      Opts.Frozen = true;
     } else if (startsWith(A, "--kernel-threshold=")) {
       std::string N = A.substr(19);
       if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
@@ -840,9 +822,7 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --metrics-json expects a file path\n");
         return 2;
       }
-    } else if (A == "--frozen")
-      Opts.Frozen = true;
-    else if (A == "--stats")
+    } else if (A == "--stats")
       Opts.Stats = true;
     else if (A == "--run")
       Opts.Run = true;
@@ -975,8 +955,6 @@ int main(int Argc, char **Argv) {
                      Id.c_str(), Known.c_str());
         return 2;
       }
-    // Lint serves from the CSR snapshot; freezing is part of the mode.
-    Opts.Frozen = true;
   }
   if (Opts.sliceMode()) {
     // The three slice-subsystem modes each own stdout, so they are
@@ -1050,8 +1028,6 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     }
-    // Like lint, the subsystem serves from the CSR snapshot.
-    Opts.Frozen = true;
   }
   if (!Opts.LoadSnapshot.empty() || Opts.SnapshotCache) {
     // A served snapshot has no Module and no live graph, so everything
@@ -1217,15 +1193,22 @@ int main(int Argc, char **Argv) {
         return 1;
       }
     }
-    // `--lint` over the mapping: flag validation guaranteed an input was
-    // named, so VerifiedSource holds the (hash-checked) program text.
-    if (Opts.Lint)
-      return lintOverSnapshot(Opts, *Snap, VerifiedSource);
-    // Same recipe for the slice modes: the AST comes from the verified
-    // reparse, the frozen tables stay zero-copy.
-    if (Opts.sliceMode())
-      return sliceOverSnapshot(Opts, *Snap, VerifiedSource);
-    return serveFromSnapshot(Opts, *Snap);
+    if (!Opts.Lint && !Opts.sliceMode())
+      return serveFromSnapshot(Opts, *Snap);
+    // Lint and the slice modes walk the AST: flag validation guaranteed an
+    // input was named, so VerifiedSource holds the (hash-checked) program
+    // text; the frozen tables stay zero-copy.
+    const FrozenGraph &F = Snap->frozen();
+    std::unique_ptr<Module> M = reparseForSnapshot(Opts, F, VerifiedSource);
+    if (!M)
+      return 1;
+    Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
+                                     : Deadline::infinite();
+    if (Opts.Lint) {
+      LintEngine Lint(*M, F);
+      return runLint(Opts, Lint, D, " over snapshot");
+    }
+    return runSliceModes(Opts, *M, F, D, 0);
   }
 
   bool Ok = true;
@@ -1343,7 +1326,6 @@ int main(int Argc, char **Argv) {
                  ? 6
                  : 3;
     }
-    R.Reach = std::make_unique<Reachability>(R.Poly->graph());
   } else if (Opts.Analysis == "hybrid") {
     HybridOptions HO;
     HO.BudgetFactor = 8;
@@ -1383,43 +1365,30 @@ int main(int Argc, char **Argv) {
                    S.toString().c_str());
       return S == StatusCode::ResourceExhausted ? 6 : 3;
     }
-    R.Reach = std::make_unique<Reachability>(*R.Graph);
   } else {
     return usage(Argv[0]);
   }
   R.AnalysisMs = T.millis();
 
-  // `--frozen`: compact the graph into a CSR snapshot and serve every
-  // query through the (optionally parallel) engine.  The hybrid analysis
-  // freezes internally on subtransitive success.
-  if (Opts.Frozen && R.graph() && !R.Hybrid) {
-    const SubtransitiveGraph *G = R.graph();
-    if (G->closed() && !G->aborted()) {
-      R.Snapshot = std::make_unique<FrozenGraph>(*G);
-      R.Engine = std::make_unique<QueryEngine>(*R.Snapshot, Opts.Threads);
-      if (Opts.KernelThreshold >= 0)
-        R.Engine->setKernelThreshold(
-            static_cast<size_t>(Opts.KernelThreshold));
-      if (Opts.KernelChunkRows >= 0)
-        R.Engine->setKernelChunkRows(
-            static_cast<uint32_t>(Opts.KernelChunkRows));
-    } else {
-      std::fprintf(stderr, "note: --frozen ignored (graph not closed or "
-                           "aborted)\n");
-    }
+  // Every graph analysis answers through a frozen CSR snapshot and the
+  // (optionally parallel) query engine over it; the close above finished
+  // cleanly, so the freeze cannot fail.  The hybrid analysis freezes
+  // internally on subtransitive success.
+  if (R.graph() && !R.Hybrid) {
+    R.Snapshot = std::make_unique<FrozenGraph>(*R.graph());
+    R.Engine = std::make_unique<QueryEngine>(*R.Snapshot, Opts.Threads);
+    if (Opts.KernelThreshold >= 0)
+      R.Engine->setKernelThreshold(static_cast<size_t>(Opts.KernelThreshold));
+    if (Opts.KernelChunkRows >= 0)
+      R.Engine->setKernelChunkRows(
+          static_cast<uint32_t>(Opts.KernelChunkRows));
   }
 
   // `--save-snapshot` / the `--snapshot-cache` miss fill: persist the
   // fresh frozen graph (and its complete kernel matrix) for later warm
-  // loads.  Both imply --frozen, so R.Snapshot is set whenever the
-  // subtransitive/poly pipeline closed cleanly.
+  // loads.  Flag validation admits both only for subtransitive/poly, so
+  // R.Snapshot is set.
   if (!Opts.SaveSnapshot.empty() || (Opts.SnapshotCache && !CachePath.empty())) {
-    if (!R.Snapshot || !R.Snapshot->status().isOk()) {
-      std::fprintf(stderr, "error: cannot persist a snapshot: no frozen "
-                           "graph (close incomplete or analysis "
-                           "graph-free)\n");
-      return 1;
-    }
     const std::string &Dest =
         !Opts.SaveSnapshot.empty() ? Opts.SaveSnapshot : CachePath;
     uint64_t Key = Opts.SnapshotCache
@@ -1493,106 +1462,21 @@ int main(int Argc, char **Argv) {
   // `--lint`: run the checker passes over the frozen graph and render;
   // replaces the query path entirely (validated above).
   if (Opts.Lint) {
-    const SubtransitiveGraph *G = R.graph();
-    const FrozenGraph *F = R.frozen();
-    if (!G || !F || !F->status().isOk()) {
-      std::fprintf(stderr,
-                   "error: --lint requires a frozen subtransitive graph\n");
-      return 1;
-    }
-    LintEngine Lint(*G, *F);
-    LintOptions LO;
-    LO.Passes = Opts.LintPasses;
-    LO.D = D;
-    LO.Threads = Opts.Threads;
-    Timer LintTimer;
-    LintResult LR = Lint.run(LO);
-    std::string InputName =
-        !Opts.InputFile.empty() && Opts.InputFile != "-" ? Opts.InputFile
-        : !Opts.Corpus.empty() ? "corpus:" + Opts.Corpus
-                               : "stdin";
-    std::string Rendered = Opts.LintFormat == "json"
-                               ? renderLintJson(LR, InputName)
-                           : Opts.LintFormat == "sarif"
-                               ? renderLintSarif(LR, InputName)
-                               : renderLintText(LR, InputName);
-    std::fputs(Rendered.c_str(), stdout);
-    if (Opts.Stats)
-      std::printf("lint: %u pass(es) in %.3f ms\n",
-                  (unsigned)LR.Reports.size(), LintTimer.millis());
-    // Error-severity findings outrank the governed partial-result code.
-    if (LR.NumErrors > 0)
-      return 7;
-    if (LR.anyPartial() && Opts.governed())
-      return 3;
-    return ExitCode;
+    LintEngine Lint(*R.graph(), *R.frozen());
+    return runLint(Opts, Lint, D, "");
   }
 
   // `--slice` / `--dce` / `--export-deps`: the slice subsystem consumes
   // the frozen graph exactly like --lint, replacing the query path.
-  if (Opts.sliceMode()) {
-    const FrozenGraph *F = R.frozen();
-    if (!F || !F->status().isOk()) {
-      std::fprintf(stderr, "error: --slice/--dce/--export-deps require a "
-                           "frozen subtransitive graph\n");
-      return 1;
-    }
-    return runSliceModes(Opts, *M, *F, D, ExitCode);
-  }
+  if (Opts.sliceMode())
+    return runSliceModes(Opts, *M, *R.frozen(), D, ExitCode);
 
   Timer QueryTimer;
-  if (Opts.Query == "labels") {
-    std::printf("L(root) = %s\n", renderSet(*M, R.labels(M->root())).c_str());
-  } else if (Opts.Query == "all-labels") {
-    QueryEngine *E = R.engine();
-    if (E && Opts.TimeoutMs >= 0) {
-      // Governed batch: the engine polls the deadline between shards and
-      // returns whatever completed, flagged per item.
-      std::vector<ExprId> Es;
-      Es.reserve(M->numExprs());
-      for (uint32_t I = 0; I != M->numExprs(); ++I)
-        Es.push_back(ExprId(I));
-      BatchControl BC;
-      BC.D = D;
-      BatchOutcome Outcome;
-      std::vector<DenseBitset> Sets = E->labelsOfBatch(Es, BC, Outcome);
-      for (uint32_t I = 0; I != M->numExprs(); ++I) {
-        if (!Outcome.Done[I] || Sets[I].empty())
-          continue;
-        std::printf("%-18s %s\n", describeExpr(*M, ExprId(I)).c_str(),
-                    renderSet(*M, Sets[I]).c_str());
-      }
-      if (!Outcome.S.isOk()) {
-        std::fprintf(stderr,
-                     "note: batch stopped early: %s (%llu of %u answered)\n",
-                     Outcome.S.toString().c_str(),
-                     (unsigned long long)Outcome.Completed, M->numExprs());
-        ExitCode = 3;
-      }
-    } else if (E) {
-      // Ungoverned but engine-served: one batched call, so the full
-      // all-labels sweep rides the label-set kernel above the dispatch
-      // threshold instead of one BFS per occurrence.
-      std::vector<ExprId> Es;
-      Es.reserve(M->numExprs());
-      for (uint32_t I = 0; I != M->numExprs(); ++I)
-        Es.push_back(ExprId(I));
-      std::vector<DenseBitset> Sets = E->labelsOfBatch(Es);
-      for (uint32_t I = 0; I != M->numExprs(); ++I) {
-        if (Sets[I].empty())
-          continue;
-        std::printf("%-18s %s\n", describeExpr(*M, ExprId(I)).c_str(),
-                    renderSet(*M, Sets[I]).c_str());
-      }
-    } else {
-      for (uint32_t I = 0; I != M->numExprs(); ++I) {
-        DenseBitset Set = R.labels(ExprId(I));
-        if (Set.empty())
-          continue;
-        std::printf("%-18s %s\n", describeExpr(*M, ExprId(I)).c_str(),
-                    renderSet(*M, Set).c_str());
-      }
-    }
+  if (Opts.Query == "labels" || Opts.Query == "all-labels") {
+    if (int RC = printLabelQuery(
+            Opts, moduleNames(*M), M->numExprs(), M->root(), R.engine(),
+            [&R](ExprId E) { return R.labels(E); }, D))
+      ExitCode = RC;
   } else if (Opts.Query == "effects") {
     const SubtransitiveGraph *G = R.graph();
     if (!G) {
@@ -1614,30 +1498,30 @@ int main(int Argc, char **Argv) {
     CalledOnceAnalysis CO(*G, R.frozen());
     CO.run();
     for (LabelId L : CO.calledOnce())
-      std::printf("called once: %s at %s\n", labelName(*M, L).c_str(),
+      std::printf("called once: %s at %s\n", describeLabel(*M, L).c_str(),
                   describeExpr(*M, CO.uniqueCallSite(L)).c_str());
   } else if (Opts.Query == "callgraph") {
-    const SubtransitiveGraph *G = R.graph();
-    if (!G) {
+    QueryEngine *E = R.engine();
+    if (!E) {
       std::fprintf(stderr, "error: callgraph needs a graph analysis\n");
       return 1;
     }
-    CallGraph CG(*G, R.engine());
+    CallGraph CG(*M, *E);
     CG.run();
     for (uint32_t Caller = 0; Caller != CG.numCallers(); ++Caller) {
       if (CG.calleesOf(Caller).empty())
         continue;
       std::string Name = Caller == CG.rootIndex()
                              ? "<top-level>"
-                             : labelName(*M, LabelId(Caller));
+                             : describeLabel(*M, LabelId(Caller));
       std::printf("%s calls:", Name.c_str());
       CG.calleesOf(Caller).forEach([&](uint32_t L) {
-        std::printf(" %s", labelName(*M, LabelId(L)).c_str());
+        std::printf(" %s", describeLabel(*M, LabelId(L)).c_str());
       });
       std::printf("\n");
     }
     for (LabelId Dead : CG.deadFunctions())
-      std::printf("dead: %s\n", labelName(*M, Dead).c_str());
+      std::printf("dead: %s\n", describeLabel(*M, Dead).c_str());
   } else if (Opts.Query == "dead-code") {
     DeadCodeAwareCFA Dc(*M);
     Dc.run();
@@ -1647,12 +1531,12 @@ int main(int Argc, char **Argv) {
     std::printf("%u of %u occurrences are dead code\n", DeadExprs,
                 M->numExprs());
     for (LabelId Dead : Dc.deadFunctions())
-      std::printf("never called: %s\n", labelName(*M, Dead).c_str());
-    // Cross-check against the frozen engine when available: a function the
-    // (over-approximating) subtransitive flow never calls must also be dead
-    // under the liveness-gated analysis.
+      std::printf("never called: %s\n", describeLabel(*M, Dead).c_str());
+    // Cross-check against the frozen engine of a graph analysis: a
+    // function the (over-approximating) subtransitive flow never calls must
+    // also be dead under the liveness-gated analysis.
     if (QueryEngine *E = R.engine()) {
-      CallGraph CG(*R.graph(), E);
+      CallGraph CG(*M, *E);
       CG.run();
       uint32_t Agree = 0, Mismatch = 0;
       for (LabelId L : CG.deadFunctions()) {
@@ -1690,7 +1574,7 @@ int main(int Argc, char **Argv) {
       } else {
         for (uint32_t L : S.ids())
           Callees += (Callees.empty() ? "" : ", ") +
-                     labelName(*M, LabelId(L));
+                     describeLabel(*M, LabelId(L));
         if (Callees.empty())
           Callees = "none";
       }

@@ -11,6 +11,18 @@
 
 using namespace stcfa;
 
+namespace {
+
+/// Appends every piece to \p Out in order.  Building lines this way
+/// instead of as `"lit" + S + ...` chains avoids the temporaries whose
+/// prepend GCC 12 misreads as an overlapping copy (`-Wrestrict` under
+/// -O3).
+template <typename... Ts> void append(std::string &Out, const Ts &...Pieces) {
+  (Out += ... += Pieces);
+}
+
+} // namespace
+
 std::string stcfa::makeCubicFamily(int N) {
   assert(N >= 1 && "family size must be positive");
   // The paper (Section 10):
@@ -24,12 +36,12 @@ std::string stcfa::makeCubicFamily(int N) {
   Out += "let bs = fn x => x;\n";
   for (int I = 1; I <= N; ++I) {
     std::string S = std::to_string(I);
-    Out += "let f" + S + " = fn x => x;\n";
-    Out += "let b" + S + " = fn x => x;\n";
-    Out += "let x" + S + " = b" + S + " (fs f" + S + ");\n";
-    Out += "let y" + S + " = (bs b" + S + ") f" + S + ";\n";
+    append(Out, "let f", S, " = fn x => x;\n");
+    append(Out, "let b", S, " = fn x => x;\n");
+    append(Out, "let x", S, " = b", S, " (fs f", S, ");\n");
+    append(Out, "let y", S, " = (bs b", S, ") f", S, ";\n");
   }
-  Out += "y" + std::to_string(N) + "\n";
+  append(Out, "y", std::to_string(N), "\n");
   return Out;
 }
 
@@ -40,10 +52,10 @@ std::string stcfa::makeJoinPointFamily(int N) {
   std::string Out = "let f = fn x => x;\n";
   for (int I = 1; I <= N; ++I) {
     std::string S = std::to_string(I);
-    Out += "let g" + S + " = fn u" + S + " => u" + S + ";\n";
-    Out += "let r" + S + " = f g" + S + ";\n";
+    append(Out, "let g", S, " = fn u", S, " => u", S, ";\n");
+    append(Out, "let r", S, " = f g", S, ";\n");
   }
-  Out += "r" + std::to_string(N) + "\n";
+  append(Out, "r", std::to_string(N), "\n");
   return Out;
 }
 
@@ -92,12 +104,12 @@ std::string stcfa::makeDispatchFamily(int N) {
                     "let c0 = d0 0;\n";
   for (int I = 1; I <= N; ++I) {
     std::string S = std::to_string(I), P = std::to_string(I - 1);
-    Out += "let g" + S + " = fn x => x + " + S + ";\n";
-    Out += "let d" + S + " = if c" + P + " < " + S + " then d" + P +
-           " else g" + S + ";\n";
-    Out += "let c" + S + " = d" + S + " " + S + ";\n";
+    append(Out, "let g", S, " = fn x => x + ", S, ";\n");
+    append(Out, "let d", S, " = if c", P, " < ", S, " then d", P, " else g", S,
+           ";\n");
+    append(Out, "let c", S, " = d", S, " ", S, ";\n");
   }
-  Out += "c" + std::to_string(N) + "\n";
+  append(Out, "c", std::to_string(N), "\n");
   return Out;
 }
 

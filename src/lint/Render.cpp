@@ -52,9 +52,14 @@ std::string locText(std::string_view InputName, SourceRange R) {
   std::string Out(InputName);
   if (!R.isValid())
     return Out;
-  Out += ":" + std::to_string(R.Begin.Line) + ":" + std::to_string(R.Begin.Col);
-  if (R.hasExtent())
-    Out += "-" + std::to_string(R.End.Line) + ":" + std::to_string(R.End.Col);
+  // One-char separators are appended on their own: GCC 12 -O3 flags
+  // `":" + std::to_string(..)` with a false -Wrestrict.
+  Out += ':';
+  Out += std::to_string(R.Begin.Line) + ":" + std::to_string(R.Begin.Col);
+  if (R.hasExtent()) {
+    Out += '-';
+    Out += std::to_string(R.End.Line) + ":" + std::to_string(R.End.Col);
+  }
   return Out;
 }
 

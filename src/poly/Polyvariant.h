@@ -61,7 +61,7 @@ struct PolyStats {
 
 /// Orchestrates the polyvariant analysis: builds the main graph with
 /// candidate def-use flow externalized, instantiates summaries, closes.
-/// Query the result through `graph()` with `Reachability` as usual.
+/// Query the result by freezing `graph()` into a `FrozenGraph` as usual.
 class PolyvariantCFA {
 public:
   explicit PolyvariantCFA(const Module &M, SubtransitiveConfig GraphConfig = {},
@@ -74,7 +74,7 @@ public:
   const PolyStats &stats() const { return Stats; }
 
 private:
-  /// Reachability among interface anchors plus the labels at each anchor.
+  /// Anchor-to-anchor reachability plus the labels at each anchor.
   struct Summary {
     /// One derivation step (dom, ran, or tuple field).
     struct Step {

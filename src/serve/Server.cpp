@@ -169,8 +169,9 @@ bool Server::readLine(std::string &Line, Status &LineStatus) {
   // site between this thread blocking for a request and receiving it.
   bool Polled = false, Faulted = false, Oversized = false;
   for (;;) {
-    size_t Nl = Pending.find('\n');
-    size_t Take = Nl == std::string::npos ? Pending.size() : Nl;
+    size_t Nl = Pending.find('\n', PendingPos);
+    size_t End = Nl == std::string::npos ? Pending.size() : Nl;
+    size_t Take = End - PendingPos;
     if (!Polled && (Take != 0 || Nl != std::string::npos)) {
       Polled = true;
       Faulted = faultFires(fault::ServeAcceptAlloc);
@@ -179,9 +180,9 @@ bool Server::readLine(std::string &Line, Status &LineStatus) {
       if (Line.size() + Take > Opts.MaxRequestBytes)
         Oversized = true;
       else
-        Line.append(Pending.data(), Take);
+        Line.append(Pending.data() + PendingPos, Take);
     }
-    Pending.erase(0, Nl == std::string::npos ? Pending.size() : Nl + 1);
+    PendingPos = Nl == std::string::npos ? End : Nl + 1;
     if (Nl != std::string::npos || (SawEof && (!Line.empty() || Oversized))) {
       if (Faulted) {
         Line.clear();
@@ -197,6 +198,10 @@ bool Server::readLine(std::string &Line, Status &LineStatus) {
     }
     if (SawEof)
       return false;
+    // Everything buffered is consumed: compact once per refill, so a read
+    // carrying many lines costs linear time, not one erase per line.
+    Pending.clear();
+    PendingPos = 0;
     char Buf[65536];
     ssize_t N = ::read(InFd, Buf, sizeof(Buf));
     if (N < 0) {

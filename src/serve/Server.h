@@ -174,8 +174,11 @@ private:
   std::unique_ptr<DeltaSession> Session;
   std::string LoadedSource;
 
-  // Reader-side line buffer; carries bytes across read() chunks.
+  // Reader-side line buffer; carries bytes across read() chunks.  Bytes
+  // before PendingPos are consumed; the buffer is emptied before each
+  // refill instead of erased line by line.
   std::string Pending;
+  size_t PendingPos = 0;
   bool SawEof = false;
   bool ShutdownRequested = false;
 };

@@ -82,9 +82,14 @@ public:
     std::string Out;
     for (const Diagnostic &D : Diags) {
       Out += std::to_string(D.Loc.Line) + ":" + std::to_string(D.Loc.Col);
-      if (D.Range.hasExtent())
-        Out += "-" + std::to_string(D.Range.End.Line) + ":" +
+      if (D.Range.hasExtent()) {
+        // Not `"-" + std::to_string(..)`: GCC 12 -O3 misreads a one-char
+        // literal prepended to a temporary as an overlapping copy
+        // (-Wrestrict), which fails Release builds.
+        Out += '-';
+        Out += std::to_string(D.Range.End.Line) + ":" +
                std::to_string(D.Range.End.Col);
+      }
       Out += ": " + D.Message + "\n";
     }
     return Out;

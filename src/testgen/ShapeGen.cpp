@@ -48,6 +48,10 @@ std::vector<int> permutation(int N, Rng &R) {
   return P;
 }
 
+/// Closing lines append the literal and the number separately: GCC 12
+/// misreads a one-character literal prepended to a temporary string
+/// (`"r" + num(N)`) as an overlapping copy and fails -O3 builds with
+/// -Wrestrict.
 std::string num(int I) { return std::to_string(I); }
 
 /// wide:N — N independent identities all passed through one shared
@@ -61,7 +65,8 @@ std::string makeWide(int N, Rng &R) {
     Out += "let a" + S + " = fs w" + S + ";\n";
     Out += "let r" + S + " = a" + S + " 0;\n";
   }
-  Out += "r" + num(N) + "\n";
+  Out += "r";
+  Out += num(N) + "\n";
   return Out;
 }
 
@@ -72,7 +77,8 @@ std::string makeDeep(int N, Rng &) {
   std::string Out = "let f0 = fn x => x;\n";
   for (int I = 1; I <= N; ++I)
     Out += "let f" + num(I) + " = fn x => f" + num(I - 1) + " x;\n";
-  Out += "f" + num(N) + " 0\n";
+  Out += "f";
+  Out += num(N) + " 0\n";
   return Out;
 }
 
@@ -87,7 +93,8 @@ std::string makeDiamond(int N, Rng &) {
     Out += "let r" + S + " = fn x => m" + P + " x;\n";
     Out += "let m" + S + " = fn x => l" + S + " (r" + S + " x);\n";
   }
-  Out += "m" + num(N) + " 0\n";
+  Out += "m";
+  Out += num(N) + " 0\n";
   return Out;
 }
 
@@ -107,7 +114,8 @@ std::string makeSkewed(int N, Rng &R) {
          ";\n";
   for (int I = 1; I <= N; ++I)
     Out += "let d" + num(I) + " = fn x => d" + num(I - 1) + " x;\n";
-  Out += "d" + num(N) + " 0\n";
+  Out += "d";
+  Out += num(N) + " 0\n";
   return Out;
 }
 

@@ -75,9 +75,14 @@ uint32_t TypeTable::arity(TypeId Id) const {
 std::string TypeTable::renderAtom(TypeId Id,
                                   const StringInterner &Strings) const {
   const Type &T = type(Id);
-  if (T.Kind == TypeKind::Arrow || T.Kind == TypeKind::Ref)
-    return "(" + render(Id, Strings) + ")";
-  return render(Id, Strings);
+  if (T.Kind != TypeKind::Arrow && T.Kind != TypeKind::Ref)
+    return render(Id, Strings);
+  // Appended piecewise: `"(" + render(...)` trips GCC 12's -Wrestrict
+  // false positive in -O3 builds.
+  std::string Out = "(";
+  Out += render(Id, Strings);
+  Out += ")";
+  return Out;
 }
 
 std::string TypeTable::render(TypeId Id, const StringInterner &Strings) const {

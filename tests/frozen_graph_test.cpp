@@ -7,7 +7,7 @@
 /// \file
 /// The frozen CSR snapshot and the parallel query engine must be
 /// *bit-for-bit* interchangeable with the mutable-graph `Reachability`
-/// baseline: every query kind, on every corpus program, under every
+/// reference: every query kind, on every corpus program, under every
 /// closure policy and congruence mode, at one worker lane and at four.
 /// Plus unit tests for the `ThreadPool` primitive and for the apps'
 /// CSR propagation branches.
@@ -185,16 +185,26 @@ void checkEquivalence(const Module &M, const SubtransitiveGraph &G,
   FrozenGraph F(G);
   QueryEngine Engine(F, Threads);
 
-  // labelsOf: point and batched, every occurrence.
+  // labelsOf: point and batched, every occurrence.  The batch over every
+  // occurrence is "all label sets"; two more engines pin it to the kernel
+  // and to per-query BFS, whatever the batch size.
   std::vector<ExprId> AllExprs;
   for (uint32_t I = 0; I != M.numExprs(); ++I)
     AllExprs.push_back(ExprId(I));
   std::vector<DenseBitset> Batch = Engine.labelsOfBatch(AllExprs);
   ASSERT_EQ(Batch.size(), AllExprs.size());
+  QueryEngine Kernel(F, Threads), Bfs(F, Threads);
+  Kernel.setKernelThreshold(1);
+  Bfs.setKernelThreshold(0);
+  std::vector<DenseBitset> KernelBatch = Kernel.labelsOfBatch(AllExprs);
+  ASSERT_TRUE(Kernel.kernel() && Kernel.kernel()->complete()) << Where;
+  std::vector<DenseBitset> BfsBatch = Bfs.labelsOfBatch(AllExprs);
   for (uint32_t I = 0; I != M.numExprs(); ++I) {
     DenseBitset Want = Reach.labelsOf(ExprId(I));
     expectSameSet(Want, Engine.labelsOf(ExprId(I)), "labelsOf", Where, I);
     expectSameSet(Want, Batch[I], "labelsOfBatch", Where, I);
+    expectSameSet(Want, KernelBatch[I], "labelsOfBatch(kernel)", Where, I);
+    expectSameSet(Want, BfsBatch[I], "labelsOfBatch(bfs)", Where, I);
   }
 
   // labelsOfVar: every binder.
@@ -231,18 +241,6 @@ void checkEquivalence(const Module &M, const SubtransitiveGraph &G,
         << "occurrencesOf mismatch on " << Where << " at label " << L;
     EXPECT_EQ(Want, OccBatch[L])
         << "occurrencesOfBatch mismatch on " << Where << " at label " << L;
-  }
-
-  // allLabelSets: naive-vs-naive and SCC-vs-SCC, plus cross (the two
-  // strategies must agree with each other anyway).
-  std::vector<DenseBitset> WantAll = Reach.allLabelSets(/*UseScc=*/false);
-  std::vector<DenseBitset> GotNaive = Engine.allLabelSets(/*UseScc=*/false);
-  std::vector<DenseBitset> GotScc = Engine.allLabelSets(/*UseScc=*/true);
-  ASSERT_EQ(WantAll.size(), GotNaive.size());
-  ASSERT_EQ(WantAll.size(), GotScc.size());
-  for (uint32_t I = 0; I != WantAll.size(); ++I) {
-    expectSameSet(WantAll[I], GotNaive[I], "allLabelSets(naive)", Where, I);
-    expectSameSet(WantAll[I], GotScc[I], "allLabelSets(scc)", Where, I);
   }
 }
 
@@ -306,9 +304,14 @@ TEST(QueryEngine, SharedSnapshotIndependentEngines) {
   QueryEngine A(F, 1), B(F, 2);
   for (uint32_t I = 0; I != M->numExprs(); ++I)
     EXPECT_TRUE(A.labelsOf(ExprId(I)) == B.labelsOf(ExprId(I)));
-  // Both see the same cached condensation label sets.
-  std::vector<DenseBitset> SA = A.allLabelSets(true);
-  std::vector<DenseBitset> SB = B.allLabelSets(true);
+  // Each engine runs its own kernel over the snapshot's one cached
+  // condensation; the batches over every occurrence agree.
+  std::vector<ExprId> AllExprs;
+  for (uint32_t I = 0; I != M->numExprs(); ++I)
+    AllExprs.push_back(ExprId(I));
+  std::vector<DenseBitset> SA = A.labelsOfBatch(AllExprs);
+  std::vector<DenseBitset> SB = B.labelsOfBatch(AllExprs);
+  ASSERT_TRUE(A.kernel() && B.kernel() && A.kernel() != B.kernel());
   for (uint32_t I = 0; I != SA.size(); ++I)
     EXPECT_TRUE(SA[I] == SB[I]);
 }
@@ -385,7 +388,9 @@ TEST(FrozenApps, CalledOnceIdenticalWithAndWithoutSnapshot) {
   }
 }
 
-TEST(FrozenApps, CallGraphIdenticalWithAndWithoutEngine) {
+TEST(FrozenApps, CallGraphCalleesMatchReachabilityPerSite) {
+  // Each caller's callees are exactly the union, over its call sites, of
+  // the operator's label set on the mutable-graph reference.
   for (const CorpusProgram &P : corpusPrograms()) {
     std::unique_ptr<Module> M = parseMaybeInfer(P.Source);
     ASSERT_TRUE(M);
@@ -394,15 +399,17 @@ TEST(FrozenApps, CallGraphIdenticalWithAndWithoutEngine) {
     G.close();
     FrozenGraph F(G);
     QueryEngine Engine(F, 2);
-    CallGraph Plain(G);
-    Plain.run();
-    CallGraph Batched(G, &Engine);
-    Batched.run();
-    ASSERT_EQ(Plain.numCallers(), Batched.numCallers()) << P.Name;
-    for (uint32_t C = 0; C != Plain.numCallers(); ++C)
-      EXPECT_TRUE(Plain.calleesOf(C) == Batched.calleesOf(C))
-          << P.Name << " caller " << C;
-    EXPECT_EQ(Plain.deadFunctions(), Batched.deadFunctions()) << P.Name;
+    CallGraph CG(*M, Engine);
+    CG.run();
+    Reachability Reach(G);
+    ASSERT_EQ(CG.numCallers(), M->numLabels() + 1) << P.Name;
+    for (uint32_t C = 0; C != CG.numCallers(); ++C) {
+      DenseBitset Want(M->numLabels());
+      for (ExprId Site : CG.sitesOf(C))
+        Want.unionWith(
+            Reach.labelsOf(cast<AppExpr>(M->expr(Site))->fn()));
+      EXPECT_TRUE(CG.calleesOf(C) == Want) << P.Name << " caller " << C;
+    }
   }
 }
 
@@ -418,7 +425,7 @@ TEST(FrozenApps, EngineNeverCalledContainedInDeadCodeAware) {
     G.close();
     FrozenGraph F(G);
     QueryEngine Engine(F, 2);
-    CallGraph CG(G, &Engine);
+    CallGraph CG(*M, Engine);
     CG.run();
     DeadCodeAwareCFA Dc(*M);
     Dc.run();

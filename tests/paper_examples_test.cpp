@@ -15,6 +15,8 @@
 #include "TestUtil.h"
 
 #include "analysis/StandardCFA.h"
+#include "core/FrozenGraph.h"
+#include "core/QueryEngine.h"
 #include "core/Reachability.h"
 #include "gen/Generators.h"
 #include "sema/Infer.h"
@@ -120,9 +122,18 @@ TEST_P(QueryConsistency, ForwardAndBackwardAgree) {
   G.close();
   Reachability R(G);
 
-  // l ∈ labelsOf(e)  ⟺  e ∈ occurrencesOf(l)  ⟺  isLabelIn(e, l).
-  std::vector<DenseBitset> All = R.allLabelSets();
-  std::vector<DenseBitset> AllScc = R.allLabelSets(/*UseScc=*/true);
+  // l ∈ labelsOf(e)  ⟺  e ∈ occurrencesOf(l)  ⟺  isLabelIn(e, l), and the
+  // kernel batch over every occurrence agrees with the point queries.
+  std::vector<DenseBitset> All;
+  std::vector<ExprId> AllExprs;
+  for (uint32_t I = 0; I != M->numExprs(); ++I) {
+    All.push_back(R.labelsOf(ExprId(I)));
+    AllExprs.push_back(ExprId(I));
+  }
+  FrozenGraph F(G);
+  QueryEngine Engine(F);
+  std::vector<DenseBitset> Batch = Engine.labelsOfBatch(AllExprs);
+  ASSERT_TRUE(Engine.kernel() && Engine.kernel()->complete());
   for (uint32_t L = 0; L != M->numLabels(); ++L) {
     std::vector<ExprId> Occs = R.occurrencesOf(LabelId(L));
     std::vector<bool> InOccs(M->numExprs(), false);
@@ -134,7 +145,7 @@ TEST_P(QueryConsistency, ForwardAndBackwardAgree) {
           << "expr " << I << " label " << L << " seed " << GetParam();
       EXPECT_EQ(Forward, R.isLabelIn(ExprId(I), LabelId(L)))
           << "expr " << I << " label " << L << " seed " << GetParam();
-      EXPECT_TRUE(All[I] == AllScc[I]) << "expr " << I;
+      EXPECT_TRUE(All[I] == Batch[I]) << "expr " << I;
     }
   }
 }

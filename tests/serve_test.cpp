@@ -26,6 +26,7 @@
 
 #include "gtest/gtest.h"
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -475,6 +476,46 @@ TEST(Serve, HostileInputsYieldStructuredErrors) {
   EXPECT_TRUE(ServeHarness::okOf(H.recv()));
   H.send(R"({"id":6,"verb":"query"})");
   EXPECT_TRUE(ServeHarness::okOf(H.recv()));
+  H.shutdown();
+}
+
+TEST(Serve, ManyLinesPerReadAndALineSplitAcrossReads) {
+  ServeHarness H{ServeOptions{}};
+  H.send(loadRequest(1, kProgram));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  Reference Ref(kProgram);
+
+  // One write of 2000 requests: well over one 64 KiB read, so many lines
+  // arrive per read and some line straddles a read boundary.  A writer
+  // thread keeps the reply pipe draining while the requests go out.
+  constexpr int NumRequests = 2000;
+  std::string Batch;
+  for (int I = 0; I != NumRequests; ++I)
+    Batch += R"({"id":)" + std::to_string(100 + I) +
+             R"(,"verb":"query","params":{"kind":"labels"}})" + "\n";
+  std::thread Writer([&] { H.sendRaw(Batch); });
+  std::vector<char> Seen(NumRequests, 0);
+  for (int I = 0; I != NumRequests; ++I) {
+    JsonValue R = H.recv();
+    ASSERT_TRUE(ServeHarness::okOf(R)) << renderJson(R);
+    int64_t Id = R.field("id")->asInt() - 100;
+    ASSERT_TRUE(Id >= 0 && Id < NumRequests) << renderJson(R);
+    EXPECT_FALSE(Seen[Id]) << "duplicate reply " << Id;
+    Seen[Id] = 1;
+    EXPECT_EQ(labelIdsOf(R), Ref.labelsOf(Ref.M->root()));
+  }
+  Writer.join();
+
+  // One request split across two writes, with a pause between them so
+  // the daemon reads the first half on its own.
+  std::string Split = R"({"id":7,"verb":"query","params":{"kind":"labels"}})";
+  H.sendRaw(Split.substr(0, 20));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  H.send(Split.substr(20));
+  JsonValue R = H.recv();
+  ASSERT_TRUE(ServeHarness::okOf(R)) << renderJson(R);
+  EXPECT_EQ(R.field("id")->asInt(), 7);
+  EXPECT_EQ(labelIdsOf(R), Ref.labelsOf(Ref.M->root()));
   H.shutdown();
 }
 

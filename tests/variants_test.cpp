@@ -120,6 +120,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeadCodeProperty,
 struct BuiltGraph {
   std::unique_ptr<Module> M;
   std::unique_ptr<SubtransitiveGraph> G;
+  std::unique_ptr<FrozenGraph> F;
+  std::unique_ptr<QueryEngine> Engine;
 
   explicit BuiltGraph(const std::string &Source) {
     M = parseMaybeInfer(Source);
@@ -129,6 +131,8 @@ struct BuiltGraph {
     G = std::make_unique<SubtransitiveGraph>(*M);
     G->build();
     G->close();
+    F = std::make_unique<FrozenGraph>(*G);
+    Engine = std::make_unique<QueryEngine>(*F);
   }
 };
 
@@ -138,7 +142,7 @@ TEST(CallGraphApp, DirectAndIndirectEdges) {
                "let apply = fn f => fn x => f x in "
                "apply (fn b => b) (even 4)");
   ASSERT_TRUE(B.G);
-  CallGraph CG(*B.G);
+  CallGraph CG(*B.M, *B.Engine);
   CG.run();
 
   LabelId Even = labelOfFnWithParam(*B.M, "n");
@@ -160,7 +164,7 @@ TEST(CallGraphApp, DeadFunctionDetection) {
                "let dead2 = fn c => dead1 c in "
                "used 1");
   ASSERT_TRUE(B.G);
-  CallGraph CG(*B.G);
+  CallGraph CG(*B.M, *B.Engine);
   CG.run();
   auto Dead = CG.deadFunctions();
   EXPECT_EQ(Dead.size(), 2u);
@@ -180,7 +184,9 @@ TEST_P(CallGraphProperty, ContainsDynamicCallEdges) {
   SubtransitiveGraph G(*M);
   G.build();
   G.close();
-  CallGraph CG(G);
+  FrozenGraph F(G);
+  QueryEngine Engine(F);
+  CallGraph CG(*M, Engine);
   CG.run();
   InterpreterResult Dyn = interpret(*M, 2000000);
 
