@@ -38,7 +38,8 @@ void printPaperTables() {
     SubtransitiveGraph G(*M);
     G.build();
     G.close();
-    EffectsAnalysis Fast(G);
+    FrozenGraph F(G);
+    EffectsAnalysis Fast(*M, F);
     Fast.run();
     double FastMs = T.millis();
 
@@ -67,7 +68,8 @@ void BM_Effects_Graph(benchmark::State &State) {
     SubtransitiveGraph G(*M);
     G.build();
     G.close();
-    EffectsAnalysis E(G);
+    FrozenGraph F(G);
+    EffectsAnalysis E(*M, F);
     E.run();
     benchmark::DoNotOptimize(E.numEffectful());
   }

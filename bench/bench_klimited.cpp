@@ -33,9 +33,10 @@ void printPaperTables() {
   for (int N : {16, 64, 256, 1024}) {
     auto M = mustParse(makeDispatchFamily(N));
     GraphRun G = runGraph(*M);
+    FrozenGraph F(*G.Graph);
     for (uint32_t K : {1u, 3u}) {
       Timer T;
-      KLimitedCFA KL(*G.Graph, K);
+      KLimitedCFA KL(*M, F, K);
       KL.run();
       double KlMs = T.millis();
 
@@ -70,8 +71,9 @@ void printPaperTables() {
   for (int N : {16, 64, 256, 1024}) {
     auto M = mustParse(makeCalledOnceFamily(N));
     GraphRun G = runGraph(*M);
+    FrozenGraph F(*G.Graph);
     Timer T;
-    CalledOnceAnalysis CO(*G.Graph);
+    CalledOnceAnalysis CO(*M, F);
     CO.run();
     double Ms = T.millis();
     uint32_t Once = static_cast<uint32_t>(CO.calledOnce().size());
@@ -89,8 +91,9 @@ void printPaperTables() {
 void BM_KLimited(benchmark::State &State) {
   auto M = mustParse(makeDispatchFamily(static_cast<int>(State.range(0))));
   GraphRun G = runGraph(*M);
+  FrozenGraph F(*G.Graph);
   for (auto _ : State) {
-    KLimitedCFA KL(*G.Graph, static_cast<uint32_t>(State.range(1)));
+    KLimitedCFA KL(*M, F, static_cast<uint32_t>(State.range(1)));
     KL.run();
     benchmark::DoNotOptimize(KL.updates());
   }
@@ -105,8 +108,9 @@ BENCHMARK(BM_KLimited)
 void BM_CalledOnce(benchmark::State &State) {
   auto M = mustParse(makeCalledOnceFamily(static_cast<int>(State.range(0))));
   GraphRun G = runGraph(*M);
+  FrozenGraph F(*G.Graph);
   for (auto _ : State) {
-    CalledOnceAnalysis CO(*G.Graph);
+    CalledOnceAnalysis CO(*M, F);
     CO.run();
     benchmark::DoNotOptimize(CO.calledOnce().size());
   }

@@ -61,7 +61,7 @@ void printPaperTables() {
       continue;
     }
 
-    LintEngine Engine(*G.Graph, F);
+    LintEngine Engine(*M, F);
     for (const LintPassInfo &Info : LintEngine::passes()) {
       LintOptions LO;
       LO.Passes = {Info.Id};
@@ -111,7 +111,7 @@ void BM_LintAllPasses(benchmark::State &State) {
   auto M = mustParse(makeCubicFamily(static_cast<int>(State.range(0))));
   GraphRun G = runGraph(*M);
   FrozenGraph F(*G.Graph);
-  LintEngine Engine(*G.Graph, F);
+  LintEngine Engine(*M, F);
   for (auto _ : State) {
     LintResult R = Engine.run({});
     benchmark::DoNotOptimize(R.NumWarnings);
@@ -124,7 +124,7 @@ void BM_LintSinglePass(benchmark::State &State) {
   auto M = mustParse(makeCubicFamily(64));
   GraphRun G = runGraph(*M);
   FrozenGraph F(*G.Graph);
-  LintEngine Engine(*G.Graph, F);
+  LintEngine Engine(*M, F);
   const LintPassInfo &Info = LintEngine::passes()[State.range(0)];
   State.SetLabel(Info.Id);
   for (auto _ : State) {

@@ -51,11 +51,12 @@ int main() {
   SubtransitiveGraph G(*M);
   G.build();
   G.close();
+  FrozenGraph F(G);
 
   // k = 1: we only care whether a call site is monomorphic.
-  KLimitedCFA KL(G, /*K=*/1);
+  KLimitedCFA KL(*M, F, /*K=*/1);
   KL.run();
-  CalledOnceAnalysis CO(G);
+  CalledOnceAnalysis CO(*M, F);
   CO.run();
 
   auto lamName = [&](LabelId L) {

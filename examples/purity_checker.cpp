@@ -53,7 +53,8 @@ int main() {
   SubtransitiveGraph G(*M);
   G.build();
   G.close();
-  EffectsAnalysis Effects(G);
+  FrozenGraph F(G);
+  EffectsAnalysis Effects(*M, F);
   Effects.run();
 
   // Purity report: a definition is "impure to use" when its initializer

@@ -8,7 +8,8 @@
 #   1. default   - RelWithDebInfo, the tier-1 gate (all labels)
 #   2. release   - Release (-O3), all labels: GCC 12 raises warnings
 #                  (false -Wrestrict positives) at -O3 that -O2 does not
-#   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels
+#   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels plus the
+#                  serve, slice and flag-error smokes
 #   4. tsan      - ThreadSanitizer, unit label (the parallel query/kernel
 #                  paths are what TSan is here for; the fuzz sweep under
 #                  TSan is slow and adds no thread coverage)
@@ -38,7 +39,7 @@ run_preset() {
 
 # Tier 1: the default build runs every registered test (unit, fuzz,
 # bench-smoke, lint-smoke, snapshot-smoke, gen-smoke, prop1-smoke,
-# examples).
+# flag-smoke, examples).
 run_preset build ""
 
 # Release: under -Werror, -O3 fails on warnings -O2 never raises (GCC 12's
@@ -108,11 +109,12 @@ fi
 
 if [[ "${FAST}" == 0 ]]; then
   # serve-smoke rides along under ASan/UBSan so the daemon's line reader,
-  # fault fallbacks, and epoch teardown get leak/overflow coverage; the
+  # fault fallbacks, and epoch teardown get leak/overflow coverage, and
+  # flag-smoke so every malformed flag value is parsed under UBSan; the
   # unit tier already includes the in-process serve tests, which is what
   # gives TSan its epoch-swap coverage.
   run_preset build-asan "-DSTCFA_SANITIZE=address,undefined" \
-    -L 'unit|fuzz|serve-smoke|slice-smoke'
+    -L 'unit|fuzz|serve-smoke|slice-smoke|flag-smoke'
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
 fi
 

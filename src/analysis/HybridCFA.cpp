@@ -29,6 +29,12 @@ const char *stcfa::engineName(HybridCFA::Engine E) {
   return "none";
 }
 
+DegradeMode stcfa::degradeModeNamed(std::string_view Name) {
+  return Name == "off"       ? DegradeMode::Off
+         : Name == "partial" ? DegradeMode::Partial
+                             : DegradeMode::Standard;
+}
+
 namespace {
 
 void appendJsonString(std::string &Out, const std::string &S) {

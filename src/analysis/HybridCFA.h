@@ -41,6 +41,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stcfa {
@@ -146,6 +147,10 @@ private:
 /// Printable name of a hybrid engine ("subtransitive", "standard",
 /// "partial", "none").
 const char *engineName(HybridCFA::Engine E);
+
+/// The mode a `--degrade=` value names: "off", "partial", and anything
+/// else (callers validate first) `Standard`.
+DegradeMode degradeModeNamed(std::string_view Name);
 
 } // namespace stcfa
 

@@ -10,39 +10,10 @@
 
 using namespace stcfa;
 
-EffectsAnalysis::EffectsAnalysis(const SubtransitiveGraph &G,
-                                 const FrozenGraph *Frozen)
-    : G(&G), Frozen(Frozen), M(G.module()), RedExpr(M.numExprs(), false),
-      RedNode(G.numNodes(), false), ExprDeps(M.numExprs()),
-      AppsOnRan(G.numNodes()) {
-  assert((!Frozen || !Frozen->hasSource() || &Frozen->source() == &G) &&
-         "snapshot must freeze this graph");
-}
-
-EffectsAnalysis::EffectsAnalysis(const Module &M, const FrozenGraph &Frozen)
-    : G(nullptr), Frozen(&Frozen), M(M), RedExpr(M.numExprs(), false),
-      RedNode(Frozen.numNodes(), false), ExprDeps(M.numExprs()),
-      AppsOnRan(Frozen.numNodes()) {
-  assert(M.numExprs() == Frozen.numExprs() &&
-         "module/snapshot shape mismatch");
-}
-
-NodeId EffectsAnalysis::nodeOfExpr(ExprId E) const {
-  if (G)
-    return G->lookupExprNode(E);
-  uint32_t N = Frozen->nodeOfExpr(E);
-  return N == FrozenGraph::None ? NodeId() : NodeId(N);
-}
-
-NodeId EffectsAnalysis::ranPortOf(NodeId Fn) const {
-  if (G)
-    return G->lookupDerived(NodeOp::Ran, Fn);
-  uint32_t R = Frozen->ranOf(Fn.index());
-  return R == FrozenGraph::None ? NodeId() : NodeId(R);
-}
-
-NodeOp EffectsAnalysis::opOf(NodeId N) const {
-  return G ? G->op(N) : Frozen->op(N.index());
+EffectsAnalysis::EffectsAnalysis(const Module &M, const FrozenGraph &F)
+    : F(F), M(M), RedExpr(M.numExprs(), false), RedNode(F.numNodes(), false),
+      ExprDeps(M.numExprs()), AppsOnRan(F.numNodes()) {
+  assert(M.numExprs() == F.numExprs() && "module/snapshot shape mismatch");
 }
 
 void EffectsAnalysis::markExpr(ExprId E) {
@@ -51,15 +22,14 @@ void EffectsAnalysis::markExpr(ExprId E) {
   RedExpr[E.index()] = true;
   ++NumRed;
   ExprWorklist.push_back(E);
-  NodeId N = nodeOfExpr(E);
-  if (N.isValid())
+  if (uint32_t N = F.nodeOfExpr(E); N != FrozenGraph::None)
     markNode(N);
 }
 
-void EffectsAnalysis::markNode(NodeId N) {
-  if (RedNode[N.index()])
+void EffectsAnalysis::markNode(uint32_t N) {
+  if (RedNode[N])
     return;
-  RedNode[N.index()] = true;
+  RedNode[N] = true;
   NodeWorklist.push_back(N);
 }
 
@@ -78,12 +48,10 @@ Status EffectsAnalysis::run(const Deadline &D, const CancellationToken &Token) {
         markExpr(Id);
     }
     if (const auto *A = dyn_cast<AppExpr>(E)) {
-      NodeId Fn = nodeOfExpr(A->fn());
-      if (Fn.isValid()) {
-        NodeId Ran = ranPortOf(Fn);
+      if (uint32_t Fn = F.nodeOfExpr(A->fn()); Fn != FrozenGraph::None) {
         // APP-2 created ran(fn) during the build phase.
-        if (Ran.isValid())
-          AppsOnRan[Ran.index()].push_back(Id);
+        if (uint32_t Ran = F.ranOf(Fn); Ran != FrozenGraph::None)
+          AppsOnRan[Ran].push_back(Id);
       }
     }
   });
@@ -108,21 +76,15 @@ Status EffectsAnalysis::run(const Deadline &D, const CancellationToken &Token) {
         markExpr(Parent);
       continue;
     }
-    NodeId N = NodeWorklist.back();
+    uint32_t N = NodeWorklist.back();
     NodeWorklist.pop_back();
     // Rule (b): a ran-node with an edge to a red node is red.
-    if (Frozen) {
-      for (uint32_t P : Frozen->preds(N.index()))
-        if (Frozen->op(P) == NodeOp::Ran)
-          markNode(NodeId(P));
-    } else {
-      for (NodeId P : G->preds(N))
-        if (G->op(P) == NodeOp::Ran)
-          markNode(P);
-    }
+    for (uint32_t P : F.preds(N))
+      if (F.op(P) == NodeOp::Ran)
+        markNode(P);
     // Rule (a), third disjunct: a call site whose ran(operator) is red.
-    if (opOf(N) == NodeOp::Ran)
-      for (ExprId App : AppsOnRan[N.index()])
+    if (F.op(N) == NodeOp::Ran)
+      for (ExprId App : AppsOnRan[N])
         markExpr(App);
   }
   return RunStatus = Status::ok();

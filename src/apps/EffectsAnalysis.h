@@ -32,27 +32,19 @@
 #define STCFA_APPS_EFFECTSANALYSIS_H
 
 #include "core/FrozenGraph.h"
-#include "core/SubtransitiveGraph.h"
 
 namespace stcfa {
 
 class StandardCFA;
 
-/// Linear-time effects analysis over a closed subtransitive graph.
+/// Linear-time effects analysis over the frozen subtransitive graph.
 class EffectsAnalysis {
 public:
-  /// With \p Frozen (a snapshot of the same graph), the propagation
-  /// iterates the compacted CSR adjacency instead of the intrusive
-  /// linked lists; results are identical.
-  explicit EffectsAnalysis(const SubtransitiveGraph &G,
-                           const FrozenGraph *Frozen = nullptr);
-
-  /// Snapshot-only form: every graph lookup (occurrence nodes, ran
-  /// ports, ops, adjacency) is served from \p Frozen's flat tables, so
-  /// an mmap-backed view with no live graph works — the
-  /// lint-over-snapshot and daemon paths.  \p M must be the module the
-  /// snapshot was frozen from (content-hash-verified by the caller).
-  EffectsAnalysis(const Module &M, const FrozenGraph &Frozen);
+  /// Every graph lookup (occurrence nodes, ran ports, ops, adjacency) is
+  /// served from \p F's flat tables, so fresh, delta and mmap-backed
+  /// snapshots all work.  \p M must be the module \p F was frozen from
+  /// (content-hash-verified by callers that load a snapshot).
+  EffectsAnalysis(const Module &M, const FrozenGraph &F);
 
   /// Runs the propagation; call once.
   void run() { (void)run(Deadline::infinite()); }
@@ -74,13 +66,9 @@ public:
 
 private:
   void markExpr(ExprId E);
-  void markNode(NodeId N);
-  NodeId nodeOfExpr(ExprId E) const;
-  NodeId ranPortOf(NodeId Fn) const;
-  NodeOp opOf(NodeId N) const;
+  void markNode(uint32_t N);
 
-  const SubtransitiveGraph *G; ///< null on the snapshot-only path
-  const FrozenGraph *Frozen;   ///< non-null whenever `G` is null
+  const FrozenGraph &F;
   const Module &M;
   std::vector<bool> RedExpr;
   std::vector<bool> RedNode;
@@ -89,7 +77,7 @@ private:
   /// ran-node -> application sites registered on it.
   std::vector<std::vector<ExprId>> AppsOnRan;
   std::vector<ExprId> ExprWorklist;
-  std::vector<NodeId> NodeWorklist;
+  std::vector<uint32_t> NodeWorklist;
   uint32_t NumRed = 0;
   Status RunStatus;
   bool HasRun = false;

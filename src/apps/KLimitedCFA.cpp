@@ -46,11 +46,9 @@ bool LimitedSet::mergeFrom(const LimitedSet &Other, uint32_t K) {
 // KLimitedCFA
 //===----------------------------------------------------------------------===//
 
-KLimitedCFA::KLimitedCFA(const SubtransitiveGraph &G, uint32_t K,
-                         const FrozenGraph *Frozen)
-    : G(G), Frozen(Frozen), M(G.module()), K(K), Ann(G.numNodes()) {
-  assert((!Frozen || &Frozen->source() == &G) &&
-         "snapshot must freeze this graph");
+KLimitedCFA::KLimitedCFA(const Module &M, const FrozenGraph &F, uint32_t K)
+    : F(F), M(M), K(K), Ann(F.numNodes()) {
+  assert(M.numExprs() == F.numExprs() && "module/snapshot shape mismatch");
 }
 
 void KLimitedCFA::run() {
@@ -59,41 +57,34 @@ void KLimitedCFA::run() {
 
   // Seed: every node carrying a label knows at least itself; propagate
   // against the edges (a predecessor's set contains its successors').
-  std::vector<NodeId> Worklist;
-  for (uint32_t N = 0, E = G.numNodes(); N != E; ++N) {
-    if (LabelId L = G.labelOf(NodeId(N)); L.isValid()) {
-      Ann[N].insert(L.index(), K);
-      Worklist.push_back(NodeId(N));
+  std::vector<uint32_t> Worklist;
+  for (uint32_t N = 0, E = F.numNodes(); N != E; ++N) {
+    if (uint32_t L = F.labelAt(N); L != FrozenGraph::None) {
+      Ann[N].insert(L, K);
+      Worklist.push_back(N);
     }
   }
-  auto Merge = [&](uint32_t P, uint32_t N) {
-    ++Updates;
-    if (Ann[P].mergeFrom(Ann[N], K))
-      Worklist.push_back(NodeId(P));
-  };
   while (!Worklist.empty()) {
-    NodeId N = Worklist.back();
+    uint32_t N = Worklist.back();
     Worklist.pop_back();
-    if (Frozen) {
-      for (uint32_t P : Frozen->preds(N.index()))
-        Merge(P, N.index());
-    } else {
-      for (NodeId P : G.preds(N))
-        Merge(P.index(), N.index());
+    for (uint32_t P : F.preds(N)) {
+      ++Updates;
+      if (Ann[P].mergeFrom(Ann[N], K))
+        Worklist.push_back(P);
     }
   }
 }
 
 const LimitedSet &KLimitedCFA::ofExpr(ExprId E) const {
   assert(HasRun && "query before run()");
-  NodeId N = G.lookupExprNode(E);
-  return N.isValid() ? Ann[N.index()] : Empty;
+  uint32_t N = F.nodeOfExpr(E);
+  return N != FrozenGraph::None ? Ann[N] : Empty;
 }
 
 const LimitedSet &KLimitedCFA::ofVar(VarId V) const {
   assert(HasRun && "query before run()");
-  NodeId N = G.lookupVarNode(V);
-  return N.isValid() ? Ann[N.index()] : Empty;
+  uint32_t N = F.nodeOfVar(V);
+  return N != FrozenGraph::None ? Ann[N] : Empty;
 }
 
 const LimitedSet &KLimitedCFA::ofCallSite(ExprId App) const {
@@ -105,36 +96,10 @@ const LimitedSet &KLimitedCFA::ofCallSite(ExprId App) const {
 // CalledOnceAnalysis
 //===----------------------------------------------------------------------===//
 
-CalledOnceAnalysis::CalledOnceAnalysis(const SubtransitiveGraph &G,
-                                       const FrozenGraph *Frozen)
-    : G(&G), Frozen(Frozen), M(G.module()),
-      Result(M.numLabels(), CallCount::Never),
+CalledOnceAnalysis::CalledOnceAnalysis(const Module &M, const FrozenGraph &F)
+    : F(F), M(M), Result(M.numLabels(), CallCount::Never),
       Site(M.numLabels(), ExprId::invalid()) {
-  assert((!Frozen || !Frozen->hasSource() || &Frozen->source() == &G) &&
-         "snapshot must freeze this graph");
-}
-
-CalledOnceAnalysis::CalledOnceAnalysis(const Module &M,
-                                       const FrozenGraph &Frozen)
-    : G(nullptr), Frozen(&Frozen), M(M),
-      Result(M.numLabels(), CallCount::Never),
-      Site(M.numLabels(), ExprId::invalid()) {
-  assert(M.numLabels() == Frozen.numLabels() &&
-         "module/snapshot shape mismatch");
-}
-
-NodeId CalledOnceAnalysis::nodeOfExpr(ExprId E) const {
-  if (G)
-    return G->lookupExprNode(E);
-  uint32_t N = Frozen->nodeOfExpr(E);
-  return N == FrozenGraph::None ? NodeId() : NodeId(N);
-}
-
-NodeId CalledOnceAnalysis::labelNodeOf(LabelId L) const {
-  if (G)
-    return G->lookupLabelNode(L);
-  uint32_t N = Frozen->labelRoots(L).second;
-  return N == FrozenGraph::None ? NodeId() : NodeId(N);
+  assert(M.numLabels() == F.numLabels() && "module/snapshot shape mismatch");
 }
 
 Status CalledOnceAnalysis::run(const Deadline &D,
@@ -143,23 +108,18 @@ Status CalledOnceAnalysis::run(const Deadline &D,
   HasRun = true;
 
   // 1-limited call-site markers flowing with the edges.
-  std::vector<LimitedSet> Marks(G ? G->numNodes() : Frozen->numNodes());
-  std::vector<NodeId> Worklist;
+  std::vector<LimitedSet> Marks(F.numNodes());
+  std::vector<uint32_t> Worklist;
   forEachExprPreorder(M, M.root(), [&](ExprId Id, const Expr *E) {
     const auto *A = dyn_cast<AppExpr>(E);
     if (!A)
       return;
-    NodeId Fn = nodeOfExpr(A->fn());
-    if (!Fn.isValid())
+    uint32_t Fn = F.nodeOfExpr(A->fn());
+    if (Fn == FrozenGraph::None)
       return;
-    if (Marks[Fn.index()].insert(Id.index(), /*K=*/1) ||
-        Marks[Fn.index()].isMany())
+    if (Marks[Fn].insert(Id.index(), /*K=*/1) || Marks[Fn].isMany())
       Worklist.push_back(Fn);
   });
-  auto Merge = [&](uint32_t S, uint32_t N) {
-    if (Marks[S].mergeFrom(Marks[N], /*K=*/1))
-      Worklist.push_back(NodeId(S));
-  };
   constexpr uint64_t Stride = 4096;
   uint64_t Pops = 0;
   RunStatus = Status::ok();
@@ -175,28 +135,25 @@ Status CalledOnceAnalysis::run(const Deadline &D,
         break;
       }
     }
-    NodeId N = Worklist.back();
+    uint32_t N = Worklist.back();
     Worklist.pop_back();
-    if (Frozen) {
-      for (uint32_t S : Frozen->succs(N.index()))
-        Merge(S, N.index());
-    } else {
-      for (NodeId S : G->succs(N))
-        Merge(S.index(), N.index());
-    }
+    for (uint32_t S : F.succs(N))
+      if (Marks[S].mergeFrom(Marks[N], /*K=*/1))
+        Worklist.push_back(S);
   }
 
   // Summarise whatever marker flow completed; on an aborted propagation
   // the counts are an under-approximation and RunStatus says so.
   for (uint32_t L = 0, E = M.numLabels(); L != E; ++L) {
     LimitedSet Total;
-    NodeId Lam = nodeOfExpr(M.lamOfLabel(LabelId(L)));
-    if (Lam.isValid())
-      Total.mergeFrom(Marks[Lam.index()], 1);
-    // Polyvariant instantiations attach labels through closure-inert
-    // label nodes; their markers count too.
-    if (NodeId LN = labelNodeOf(LabelId(L)); LN.isValid())
-      Total.mergeFrom(Marks[LN.index()], 1);
+    // The lambda's own node, plus the closure-inert label node through
+    // which polyvariant instantiations attach the label: markers on
+    // either count.
+    auto [Lam, Carrier] = F.labelRoots(LabelId(L));
+    if (Lam != FrozenGraph::None)
+      Total.mergeFrom(Marks[Lam], 1);
+    if (Carrier != FrozenGraph::None)
+      Total.mergeFrom(Marks[Carrier], 1);
     if (Total.isMany()) {
       Result[L] = CallCount::Many;
     } else if (Total.size() == 1) {

@@ -17,7 +17,6 @@
 #define STCFA_APPS_KLIMITEDCFA_H
 
 #include "core/FrozenGraph.h"
-#include "core/SubtransitiveGraph.h"
 
 #include <vector>
 
@@ -43,13 +42,12 @@ private:
   bool Many = false;
 };
 
-/// Linear-time k-limited CFA over a closed subtransitive graph.
+/// Linear-time k-limited CFA over the frozen subtransitive graph.
 class KLimitedCFA {
 public:
-  /// With \p Frozen (a snapshot of the same graph), the propagation
-  /// iterates the compacted CSR adjacency; results are identical.
-  KLimitedCFA(const SubtransitiveGraph &G, uint32_t K,
-              const FrozenGraph *Frozen = nullptr);
+  /// The propagation iterates \p F's CSR adjacency and flat label table.
+  /// \p M must be the module \p F was frozen from.
+  KLimitedCFA(const Module &M, const FrozenGraph &F, uint32_t K);
 
   void run();
 
@@ -69,8 +67,7 @@ public:
   uint64_t updates() const { return Updates; }
 
 private:
-  const SubtransitiveGraph &G;
-  const FrozenGraph *Frozen;
+  const FrozenGraph &F;
   const Module &M;
   uint32_t K;
   std::vector<LimitedSet> Ann;
@@ -86,16 +83,11 @@ private:
 /// saturation keeps it linear.
 class CalledOnceAnalysis {
 public:
-  /// With \p Frozen, marker propagation iterates the compacted CSR
-  /// adjacency; results are identical.
-  explicit CalledOnceAnalysis(const SubtransitiveGraph &G,
-                              const FrozenGraph *Frozen = nullptr);
-
-  /// Snapshot-only form: node lookups come from \p Frozen's flat tables
-  /// (occurrence map, label roots), so an mmap-backed view works — the
-  /// lint-over-snapshot and daemon paths.  \p M must be the module the
-  /// snapshot was frozen from.
-  CalledOnceAnalysis(const Module &M, const FrozenGraph &Frozen);
+  /// Marker propagation iterates \p F's CSR adjacency, and node lookups
+  /// come from its flat tables (occurrence map, label roots), so fresh,
+  /// delta and mmap-backed snapshots all work.  \p M must be the module
+  /// \p F was frozen from.
+  CalledOnceAnalysis(const Module &M, const FrozenGraph &F);
 
   void run() { (void)run(Deadline::infinite()); }
 
@@ -120,11 +112,7 @@ public:
   std::vector<LabelId> calledOnce() const;
 
 private:
-  NodeId nodeOfExpr(ExprId E) const;
-  NodeId labelNodeOf(LabelId L) const;
-
-  const SubtransitiveGraph *G; ///< null on the snapshot-only path
-  const FrozenGraph *Frozen;   ///< non-null whenever `G` is null
+  const FrozenGraph &F;
   const Module &M;
   std::vector<CallCount> Result;
   std::vector<ExprId> Site;

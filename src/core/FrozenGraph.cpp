@@ -21,12 +21,12 @@ FrozenGraph::FrozenGraph(const SubtransitiveGraph &G)
   assert(!G.aborted() && "an aborted graph must not be frozen");
 }
 
-FrozenGraph::FrozenGraph(const SubtransitiveGraph &Src, const Deadline &D)
-    : G(&Src), M(&Src.module()) {
-  NumExprs = M->numExprs();
-  NumVars = M->numVars();
-  NumLabels = M->numLabels();
-  FreezeStatus = init(D);
+FrozenGraph::FrozenGraph(const SubtransitiveGraph &G, const Deadline &D) {
+  const Module &M = G.module();
+  NumExprs = M.numExprs();
+  NumVars = M.numVars();
+  NumLabels = M.numLabels();
+  FreezeStatus = init(G, D);
   if (!FreezeStatus.isOk())
     resetToInert();
 }
@@ -115,7 +115,7 @@ void FrozenGraph::resetToInert() {
   RanOf = RanOfStore;
 }
 
-Status FrozenGraph::init(const Deadline &D) {
+Status FrozenGraph::init(const SubtransitiveGraph &G, const Deadline &D) {
   Span FreezeSpan("freeze");
   static Counter &Freezes = counter("freeze.count");
   static Counter &FreezeAborts = counter("freeze.aborts");
@@ -130,12 +130,12 @@ Status FrozenGraph::init(const Deadline &D) {
   // An aborted close leaves the graph un-closed too, so test abortion
   // first: its diagnostic (which carries the close status) is the one the
   // caller needs.
-  if (G->aborted())
+  if (G.aborted())
     return fail(Status::failedPrecondition(
-        "an aborted graph must not be frozen: " + G->closeStatus().toString()));
-  if (!G->closed())
+        "an aborted graph must not be frozen: " + G.closeStatus().toString()));
+  if (!G.closed())
     return fail(Status::failedPrecondition("freeze before close()"));
-  NumNodes = G->numNodes();
+  NumNodes = G.numNodes();
   Timer T;
 
   // Governor checkpoint between compaction phases: each phase is one
@@ -156,7 +156,7 @@ Status FrozenGraph::init(const Deadline &D) {
   // stamp accesses local.
   OutOffsetsStore.assign(NumNodes + 1, 0);
   for (uint32_t N = 0; N != NumNodes; ++N)
-    for (NodeId S : G->succs(NodeId(N))) {
+    for (NodeId S : G.succs(NodeId(N))) {
       (void)S;
       ++OutOffsetsStore[N + 1];
     }
@@ -167,7 +167,7 @@ Status FrozenGraph::init(const Deadline &D) {
     std::vector<uint32_t> Fill(OutOffsetsStore.begin(),
                                OutOffsetsStore.end() - 1);
     for (uint32_t N = 0; N != NumNodes; ++N)
-      for (NodeId S : G->succs(NodeId(N)))
+      for (NodeId S : G.succs(NodeId(N)))
         OutTargetsStore[Fill[N]++] = S.index();
   }
   for (uint32_t N = 0; N != NumNodes; ++N)
@@ -198,36 +198,36 @@ Status FrozenGraph::init(const Deadline &D) {
   LabelAtStore.resize(NumNodes);
   OpStore.resize(NumNodes);
   for (uint32_t N = 0; N != NumNodes; ++N) {
-    LabelId L = G->labelOf(NodeId(N));
+    LabelId L = G.labelOf(NodeId(N));
     LabelAtStore[N] = L.isValid() ? L.index() : None;
-    OpStore[N] = G->op(NodeId(N));
+    OpStore[N] = G.op(NodeId(N));
   }
 
   // Flat occurrence/binder -> node maps and per-label reverse roots.
   NodeOfExprStore.resize(NumExprs);
   for (uint32_t I = 0; I != NumExprs; ++I) {
-    NodeId N = G->lookupExprNode(ExprId(I));
+    NodeId N = G.lookupExprNode(ExprId(I));
     NodeOfExprStore[I] = N.isValid() ? N.index() : None;
   }
   NodeOfVarStore.resize(NumVars);
   for (uint32_t I = 0; I != NumVars; ++I) {
-    NodeId N = G->lookupVarNode(VarId(I));
+    NodeId N = G.lookupVarNode(VarId(I));
     NodeOfVarStore[I] = N.isValid() ? N.index() : None;
   }
   LabelRootsStore.assign(2 * size_t(NumLabels), None);
   for (uint32_t L = 0; L != NumLabels; ++L) {
-    NodeId Lam = G->lookupExprNode(M->lamOfLabel(LabelId(L)));
-    NodeId Carrier = G->lookupLabelNode(LabelId(L));
+    NodeId Lam = G.lookupExprNode(G.module().lamOfLabel(LabelId(L)));
+    NodeId Carrier = G.lookupLabelNode(LabelId(L));
     LabelRootsStore[2 * L] = Lam.isValid() ? Lam.index() : None;
     LabelRootsStore[2 * L + 1] = Carrier.isValid() ? Carrier.index() : None;
   }
 
   // Ran-port map hoisted flat: the effects analysis resolves
-  // `ran(lambda-node)` per call site, and an mmap-backed view has no
-  // source graph hash to consult, so the ports ride the snapshot.
+  // `ran(lambda-node)` per call site, and the snapshot keeps no source
+  // graph hash to consult, so the ports ride the snapshot.
   RanOfStore.resize(NumNodes);
   for (uint32_t N = 0; N != NumNodes; ++N) {
-    NodeId R = G->lookupDerived(NodeOp::Ran, NodeId(N));
+    NodeId R = G.lookupDerived(NodeOp::Ran, NodeId(N));
     RanOfStore[N] = R.isValid() && R.index() < NumNodes ? R.index() : None;
   }
 
@@ -248,19 +248,6 @@ Status FrozenGraph::init(const Deadline &D) {
   FreezeSpan.arg("edges", OutTargetsStore.size());
   FreezeSpan.arg("status", statusCodeName(StatusCode::Ok));
   return Status::ok();
-}
-
-uint32_t FrozenGraph::portOf(NodeOp PortOp, uint32_t Base, uint32_t Tag) const {
-  // Ran ports ride the flat persisted table, so even mmap-backed views
-  // (no source graph) answer them.
-  if (PortOp == NodeOp::Ran && Tag == 0 && !RanOf.empty())
-    return ranOf(Base);
-  if (!G || Base >= NumNodes)
-    return None;
-  NodeId N = G->lookupDerived(PortOp, NodeId(Base), Tag);
-  // Nodes the source grew after the freeze (incremental/polyvariant
-  // additions) have no CSR rows here; treat them as absent.
-  return N.isValid() && N.index() < NumNodes ? N.index() : None;
 }
 
 DenseBitset FrozenGraph::reachableFrom(std::span<const uint32_t> Roots,

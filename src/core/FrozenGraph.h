@@ -24,10 +24,11 @@
 /// snapshot frozen from a graph backs those views with its own vectors;
 /// an mmap-backed view (`fromTables`, built by the snapshot loader in
 /// src/snapshot/) points them straight into a read-only file mapping with
-/// zero deserialization.  `QueryEngine`, the label-set kernel, and every
-/// other query-side consumer work against either form unchanged; only
-/// `module()`/`source()` (and the cold-path `portOf`) need the owning
-/// pipeline — guard those behind `hasSource()`.
+/// zero deserialization.  Either way the snapshot is self-contained: the
+/// source graph is read only while freezing, so a fresh, delta or
+/// mmap-backed snapshot is the same view, and `QueryEngine`, the
+/// label-set kernel, the effects/k-limited/called-once analyses and the
+/// lint passes all consume it alone (plus the `Module` for the AST).
 ///
 /// Freeze invariants: freeze only after `close()`, never after
 /// `aborted()`.  The governed entry point is the `freeze()` factory,
@@ -36,11 +37,10 @@
 /// debug builds, and in release builds a precondition violation yields
 /// an *empty, inert* snapshot — every lookup answers "no node", every
 /// query is empty, and `status()` carries `FailedPrecondition` — rather
-/// than undefined behaviour over a half-closed graph.  The snapshot
-/// keeps a reference to the source graph (for cold-path lookups such as
-/// `lookupDerived`) and to its `Module`; both must outlive it.  Edges
-/// added to the source graph after freezing (the incremental/polyvariant
-/// path) are *not* reflected — re-freeze instead.
+/// than undefined behaviour over a half-closed graph.  Once frozen, the
+/// source graph may be mutated or destroyed freely; edges added to it
+/// afterwards (the incremental/polyvariant path) are *not* reflected —
+/// re-freeze instead.
 ///
 /// Thread safety: after construction every accessor is `const` and
 /// lock-free; the cached condensation is materialised under
@@ -109,9 +109,7 @@ public:
 
   /// Wraps externally owned tables — the snapshot loader's mmap — with
   /// zero copying; \p T's storage must outlive the returned snapshot.
-  /// The view has no source graph or module (`hasSource()` is false):
-  /// every query-side accessor works, the condensation is adopted from
-  /// `T.SccOf` instead of recomputed, and `portOf` answers `None`.
+  /// The condensation is adopted from `T.SccOf` instead of recomputed.
   static std::unique_ptr<FrozenGraph> fromTables(const Tables &T);
 
   /// This snapshot's tables as spans (the snapshot writer's input).
@@ -120,31 +118,6 @@ public:
 
   /// `Ok` for a usable snapshot; the failure reason for an inert one.
   const Status &status() const { return FreezeStatus; }
-
-  /// True when this snapshot was frozen from a live pipeline, so
-  /// `module()` / `source()` may be called; false for an mmap-backed
-  /// view, which carries only the flat tables.
-  bool hasSource() const { return G != nullptr; }
-
-  /// Severs the back-references into the live pipeline, turning this
-  /// snapshot into a self-contained view (like `fromTables`, but with
-  /// owned storage): `hasSource()` becomes false, `portOf` falls back to
-  /// the flat `ran` table, and the graph/module may then be mutated or
-  /// destroyed freely.  The delta layer detaches every epoch snapshot so
-  /// in-flight queries never race the next edit's graph surgery.
-  void detachSource() {
-    G = nullptr;
-    M = nullptr;
-  }
-
-  const Module &module() const {
-    assert(M && "mmap-backed view has no module");
-    return *M;
-  }
-  const SubtransitiveGraph &source() const {
-    assert(G && "mmap-backed view has no source graph");
-    return *G;
-  }
 
   uint32_t numNodes() const { return NumNodes; }
   uint64_t numEdges() const { return OutTargets.size(); }
@@ -187,19 +160,8 @@ public:
     return {LabelRoots[2 * L.index()], LabelRoots[2 * L.index() + 1]};
   }
 
-  //===--- port reachability ----------------------------------------------//
-
-  /// The derived *port* node hanging off \p Base — `dom(Base)`,
-  /// `ran(Base)`, `field_Tag(Base)`, or `refcell(Base)` — or `None` when
-  /// the port was never materialised.  Cold path (one hash lookup in the
-  /// source graph); node indices in the snapshot equal source indices.
-  /// An mmap-backed view has no source graph and always answers `None`
-  /// — except for `ran` ports, which `ranOf` serves from a flat table.
-  uint32_t portOf(NodeOp PortOp, uint32_t Base, uint32_t Tag = 0) const;
-
-  /// The `ran(N)` port node of \p N, or `None`.  Unlike `portOf`, this
-  /// reads a flat array persisted at freeze time, so it works on
-  /// mmap-backed views too (the effects-analysis path over snapshots).
+  /// The `ran(N)` port node of \p N, or `None`: a flat array persisted
+  /// at freeze time (the effects analysis resolves call sites through it).
   uint32_t ranOf(uint32_t N) const {
     return N < RanOf.size() ? RanOf[N] : None;
   }
@@ -226,11 +188,9 @@ public:
 private:
   FrozenGraph() = default; // the `fromTables` view path
 
-  Status init(const Deadline &D);
+  Status init(const SubtransitiveGraph &G, const Deadline &D);
   void resetToInert();
 
-  const SubtransitiveGraph *G = nullptr; // null for an mmap-backed view
-  const Module *M = nullptr;             // null for an mmap-backed view
   uint32_t NumNodes = 0, NumExprs = 0, NumVars = 0, NumLabels = 0;
   Status FreezeStatus;
 

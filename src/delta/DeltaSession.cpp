@@ -984,9 +984,9 @@ Status DeltaSession::freezeView(DeltaView &Out) {
   std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(*G, FS);
   if (!F)
     return FS;
-  // Detach so queries against this view never race the next edit's graph
-  // surgery (the serve layer shares views across worker threads).
-  F->detachSource();
+  // A frozen graph keeps no reference to its source, so queries against
+  // this view never race the next edit's graph surgery (the serve layer
+  // shares views across worker threads).
   Out.Frozen = std::move(F);
 
   // Canonical numbering, in fresh-parse creation order: each definition's

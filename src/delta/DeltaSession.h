@@ -86,8 +86,8 @@
 namespace stcfa {
 
 /// A self-contained, immutable view of one edit epoch, ready to be
-/// installed by the serve layer: the frozen snapshot is detached from
-/// the session's live graph (queries never race the next edit's graph
+/// installed by the serve layer: the frozen snapshot keeps no reference
+/// to the session's live graph (queries never race the next edit's graph
 /// surgery), and the id maps translate between the canonical numbering
 /// clients speak and the shadow numbering the snapshot uses.
 struct DeltaView {
@@ -195,7 +195,7 @@ public:
   /// definition) never corrupts the session.
   Status apply(const EditRequest &R, ApplyResult &Res);
 
-  /// Publishes the current state as a detached immutable view.  Invalid
+  /// Publishes the current state as a self-contained immutable view.  Invalid
   /// after an apply that returned `NeedsFullPipeline` (the session then
   /// has no graph; rebuild via the full pipeline instead).
   Status freezeView(DeltaView &Out);

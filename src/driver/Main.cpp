@@ -34,13 +34,13 @@
 #include "slice/DeadCode.h"
 #include "slice/Export.h"
 #include "slice/Slicer.h"
-#include "core/LabelSetKernel.h"
 #include "parser/Parser.h"
 #include "poly/Polyvariant.h"
 #include "sema/Infer.h"
 #include "serve/Server.h"
 #include "snapshot/Snapshot.h"
 #include "support/Metrics.h"
+#include "support/ParseNumber.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 #include "unify/UnificationCFA.h"
@@ -50,6 +50,7 @@
 #include <functional>
 #include <iostream> // the one tool entry point reads stdin
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -62,6 +63,8 @@ struct Options {
   std::string Corpus;
   std::string Analysis = "subtransitive";
   std::string Query = "labels";
+  /// K of `--query=klimited:K`, checked while parsing flags.
+  uint32_t KLimit = 0;
   std::string Congruence = "bytype";
   std::string Policy = "paper";
   unsigned Threads = 1;
@@ -232,6 +235,26 @@ bool startsWith(const std::string &S, const char *Prefix) {
   return S.rfind(Prefix, 0) == 0;
 }
 
+/// Reads the value of the numeric flag \p Arg (`--<name>=<n>`) into
+/// \p Out through the checked parser, requiring `Min <= n <= Max`.  On a
+/// malformed or out-of-range value prints the error and returns false;
+/// the caller exits 2, like every flag error.
+template <typename T>
+bool numericFlag(const std::string &Arg, T &Out, T Min = 0,
+                 T Max = std::numeric_limits<T>::max()) {
+  size_t Eq = Arg.find('=');
+  T V{};
+  if (parseDecimal(std::string_view(Arg).substr(Eq + 1), V, Max) && V >= Min) {
+    Out = V;
+    return true;
+  }
+  std::fprintf(stderr, "error: %s expects a number from %llu to %llu, got "
+                       "'%s'\n",
+               Arg.substr(0, Eq).c_str(), (unsigned long long)Min,
+               (unsigned long long)Max, Arg.substr(Eq + 1).c_str());
+  return false;
+}
+
 std::string loadInput(const Options &Opts, bool &Ok) {
   Ok = true;
   if (!Opts.Corpus.empty()) {
@@ -239,15 +262,18 @@ std::string loadInput(const Options &Opts, bool &Ok) {
       return lifeProgram();
     if (Opts.Corpus == "lexgen")
       return makeLexgenLike();
-    if (startsWith(Opts.Corpus, "lexgen:"))
-      return makeLexgenLike(std::stoi(Opts.Corpus.substr(7)));
-    if (startsWith(Opts.Corpus, "cubic:"))
-      return makeCubicFamily(std::stoi(Opts.Corpus.substr(6)));
-    if (startsWith(Opts.Corpus, "joinpoint:"))
-      return makeJoinPointFamily(std::stoi(Opts.Corpus.substr(10)));
-    if (startsWith(Opts.Corpus, "random:")) {
-      RandomProgramOptions R;
-      R.Seed = std::stoull(Opts.Corpus.substr(7));
+    // A malformed numeric suffix falls through to "unknown corpus".
+    std::string_view Corpus = Opts.Corpus;
+    int N = 0;
+    if (startsWith(Opts.Corpus, "lexgen:") && parseDecimal(Corpus.substr(7), N))
+      return makeLexgenLike(N);
+    if (startsWith(Opts.Corpus, "cubic:") && parseDecimal(Corpus.substr(6), N))
+      return makeCubicFamily(N);
+    if (startsWith(Opts.Corpus, "joinpoint:") &&
+        parseDecimal(Corpus.substr(10), N))
+      return makeJoinPointFamily(N);
+    if (RandomProgramOptions R; startsWith(Opts.Corpus, "random:") &&
+                                parseDecimal(Corpus.substr(7), R.Seed)) {
       R.UseRefs = true;
       R.UseEffects = true;
       return makeRandomProgram(R);
@@ -617,24 +643,6 @@ int runSliceModes(const Options &Opts, const Module &M, const FrozenGraph &F,
   return ExitCode;
 }
 
-/// Builds the complete label-set kernel for \p F and persists graph +
-/// kernel to \p Path.  Shared by `--save-snapshot` and the cache-miss
-/// fill; \p Key lands in the header for loader-side verification.
-Status persistSnapshot(const std::string &Path, const FrozenGraph &F,
-                       const Module &M, uint64_t Key, unsigned Threads) {
-  SnapshotWriteOptions WO;
-  WO.ContentHash = Key;
-  std::unique_ptr<LabelSetKernel> Kern;
-  if (M.numLabels() != 0) {
-    Kern = std::make_unique<LabelSetKernel>(F, Threads);
-    if (Kern->run().isOk())
-      WO.Kernel = Kern.get();
-    else
-      Kern.reset(); // persist the graph alone; loads just skip adoption
-  }
-  return writeSnapshot(Path, F, M, WO);
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -649,6 +657,14 @@ int main(int Argc, char **Argv) {
     } else if (startsWith(A, "--query=")) {
       Opts.Query = A.substr(8);
       Opts.QueryGiven = true;
+      if (startsWith(Opts.Query, "klimited:") &&
+          !parseDecimal(std::string_view(Opts.Query).substr(9), Opts.KLimit)) {
+        std::fprintf(stderr,
+                     "error: --query=klimited:K expects a number K, got "
+                     "'%s'\n",
+                     Opts.Query.c_str() + 9);
+        return 2;
+      }
     } else if (A == "--lint")
       Opts.Lint = true;
     else if (startsWith(A, "--lint=")) {
@@ -712,73 +728,30 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (startsWith(A, "--snapshot-cache-max-mb=")) {
-      std::string N = A.substr(24);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --snapshot-cache-max-mb expects a number, got "
-                     "'%s'\n",
-                     N.c_str());
+      // Applied in bytes (MiB << 20), so the shift must not overflow.
+      if (!numericFlag<uint64_t>(A, Opts.SnapshotCacheMaxMb, 0,
+                                 UINT64_MAX >> 20))
         return 2;
-      }
-      Opts.SnapshotCacheMaxMb = std::stoull(N);
     } else if (A == "--serve") {
       Opts.Serve = true;
     } else if (startsWith(A, "--serve-max-cost=")) {
-      std::string N = A.substr(17);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --serve-max-cost expects a number, got '%s'\n",
-                     N.c_str());
+      if (!numericFlag<uint64_t>(A, Opts.ServeMaxCost, 1))
         return 2;
-      }
-      Opts.ServeMaxCost = std::stoull(N);
-      if (Opts.ServeMaxCost == 0) {
-        std::fprintf(stderr, "error: --serve-max-cost must be positive\n");
-        return 2;
-      }
     } else if (startsWith(A, "--serve-max-request-mb=")) {
-      std::string N = A.substr(23);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --serve-max-request-mb expects a number, got "
-                     "'%s'\n",
-                     N.c_str());
+      if (!numericFlag<uint64_t>(A, Opts.ServeMaxRequestMb, 1,
+                                 UINT64_MAX >> 20))
         return 2;
-      }
-      Opts.ServeMaxRequestMb = std::stoull(N);
-      if (Opts.ServeMaxRequestMb == 0) {
-        std::fprintf(stderr,
-                     "error: --serve-max-request-mb must be positive\n");
-        return 2;
-      }
     } else if (startsWith(A, "--threads=")) {
-      std::string N = A.substr(10);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        fprintf(stderr, "error: --threads expects a number, got '%s'\n",
-                N.c_str());
-        return 1;
-      }
-      Opts.Threads = std::stoul(N);
+      if (!numericFlag(A, Opts.Threads))
+        return 2;
       if (Opts.Threads == 0)
         Opts.Threads = 1;
     } else if (startsWith(A, "--kernel-threshold=")) {
-      std::string N = A.substr(19);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --kernel-threshold expects a number, got '%s'\n",
-                     N.c_str());
+      if (!numericFlag<int64_t>(A, Opts.KernelThreshold))
         return 2;
-      }
-      Opts.KernelThreshold = std::stoll(N);
     } else if (startsWith(A, "--kernel-chunk-rows=")) {
-      std::string N = A.substr(20);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --kernel-chunk-rows expects a number, got '%s'\n",
-                     N.c_str());
+      if (!numericFlag<int64_t>(A, Opts.KernelChunkRows, 0, UINT32_MAX))
         return 2;
-      }
-      Opts.KernelChunkRows = std::stoll(N);
     } else if (startsWith(A, "--gen-shape=")) {
       Opts.GenShape = A.substr(12);
       if (Opts.GenShape.empty()) {
@@ -787,27 +760,14 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (startsWith(A, "--timeout-ms=")) {
-      std::string N = A.substr(13);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: --timeout-ms expects a number, got "
-                             "'%s'\n",
-                     N.c_str());
+      // Bounded so `now + timeout` stays inside the steady clock's
+      // nanosecond range (about 146 years).
+      if (!numericFlag<int64_t>(A, Opts.TimeoutMs, 0,
+                                INT64_MAX / 2'000'000))
         return 2;
-      }
-      Opts.TimeoutMs = std::stoll(N);
     } else if (startsWith(A, "--close-budget=")) {
-      std::string N = A.substr(15);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: --close-budget expects a number, got "
-                             "'%s'\n",
-                     N.c_str());
+      if (!numericFlag<uint64_t>(A, Opts.CloseBudget, 1))
         return 2;
-      }
-      Opts.CloseBudget = std::stoull(N);
-      if (Opts.CloseBudget == 0) {
-        std::fprintf(stderr, "error: --close-budget must be positive\n");
-        return 2;
-      }
     } else if (startsWith(A, "--degrade=")) {
       Opts.Degrade = A.substr(10);
     } else if (startsWith(A, "--trace-json=")) {
@@ -1009,16 +969,11 @@ int main(int Argc, char **Argv) {
       }
       bool SpecOk = startsWith(Spec, "expr@");
       if (SpecOk) {
-        std::string Pos = Spec.substr(5);
+        std::string_view Pos = std::string_view(Spec).substr(5);
         size_t Colon = Pos.find(':');
-        SpecOk = Colon != std::string::npos && Colon > 0 &&
-                 Colon + 1 < Pos.size() &&
-                 Pos.find_first_not_of("0123456789:") == std::string::npos &&
-                 Pos.find(':', Colon + 1) == std::string::npos;
-        if (SpecOk) {
-          Opts.SliceLine = std::stoul(Pos.substr(0, Colon));
-          Opts.SliceCol = std::stoul(Pos.substr(Colon + 1));
-        }
+        SpecOk = Colon != std::string_view::npos &&
+                 parseDecimal(Pos.substr(0, Colon), Opts.SliceLine) &&
+                 parseDecimal(Pos.substr(Colon + 1), Opts.SliceCol);
       }
       if (!SpecOk || (Opts.SliceDir != "back" && Opts.SliceDir != "fwd")) {
         std::fprintf(stderr,
@@ -1331,9 +1286,7 @@ int main(int Argc, char **Argv) {
     HO.BudgetFactor = 8;
     HO.Threads = Opts.Threads;
     HO.D = D;
-    HO.Degrade = Opts.Degrade == "off"       ? DegradeMode::Off
-                 : Opts.Degrade == "partial" ? DegradeMode::Partial
-                                             : DegradeMode::Standard;
+    HO.Degrade = degradeModeNamed(Opts.Degrade);
     if (Opts.KernelThreshold >= 0)
       HO.KernelThreshold = static_cast<size_t>(Opts.KernelThreshold);
     if (Opts.KernelChunkRows >= 0)
@@ -1398,7 +1351,7 @@ int main(int Argc, char **Argv) {
     if (Opts.SnapshotCache)
       WS = ensureSnapshotDir(snapshotCacheDir(Opts.SnapshotDir));
     if (WS.isOk())
-      WS = persistSnapshot(Dest, *R.Snapshot, *M, Key, Opts.Threads);
+      WS = writeSnapshotWithKernel(Dest, *R.Snapshot, *M, Key, Opts.Threads);
     if (!WS.isOk()) {
       std::fprintf(stderr, "error: %s\n", WS.toString().c_str());
       return 1;
@@ -1462,7 +1415,7 @@ int main(int Argc, char **Argv) {
   // `--lint`: run the checker passes over the frozen graph and render;
   // replaces the query path entirely (validated above).
   if (Opts.Lint) {
-    LintEngine Lint(*R.graph(), *R.frozen());
+    LintEngine Lint(*M, *R.frozen());
     return runLint(Opts, Lint, D, "");
   }
 
@@ -1478,24 +1431,24 @@ int main(int Argc, char **Argv) {
             [&R](ExprId E) { return R.labels(E); }, D))
       ExitCode = RC;
   } else if (Opts.Query == "effects") {
-    const SubtransitiveGraph *G = R.graph();
-    if (!G) {
+    const FrozenGraph *F = R.frozen();
+    if (!F) {
       std::fprintf(stderr, "error: effects needs a graph analysis\n");
       return 1;
     }
-    EffectsAnalysis Eff(*G, R.frozen());
+    EffectsAnalysis Eff(*M, *F);
     Eff.run();
     std::printf("%u side-effecting occurrences\n", Eff.numEffectful());
     for (uint32_t I = 0; I != M->numExprs(); ++I)
       if (Eff.isEffectful(ExprId(I)))
         std::printf("  %s\n", describeExpr(*M, ExprId(I)).c_str());
   } else if (Opts.Query == "called-once") {
-    const SubtransitiveGraph *G = R.graph();
-    if (!G) {
+    const FrozenGraph *F = R.frozen();
+    if (!F) {
       std::fprintf(stderr, "error: called-once needs a graph analysis\n");
       return 1;
     }
-    CalledOnceAnalysis CO(*G, R.frozen());
+    CalledOnceAnalysis CO(*M, *F);
     CO.run();
     for (LabelId L : CO.calledOnce())
       std::printf("called once: %s at %s\n", describeLabel(*M, L).c_str(),
@@ -1555,13 +1508,12 @@ int main(int Argc, char **Argv) {
                     Agree);
     }
   } else if (startsWith(Opts.Query, "klimited:")) {
-    const SubtransitiveGraph *G = R.graph();
-    if (!G) {
+    const FrozenGraph *F = R.frozen();
+    if (!F) {
       std::fprintf(stderr, "error: klimited needs a graph analysis\n");
       return 1;
     }
-    uint32_t K = std::stoul(Opts.Query.substr(9));
-    KLimitedCFA KL(*G, K, R.frozen());
+    KLimitedCFA KL(*M, *F, Opts.KLimit);
     KL.run();
     for (uint32_t I = 0; I != M->numExprs(); ++I) {
       const auto *A = dyn_cast<AppExpr>(M->expr(ExprId(I)));

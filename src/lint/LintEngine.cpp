@@ -15,14 +15,7 @@
 
 using namespace stcfa;
 
-LintEngine::LintEngine(const SubtransitiveGraph &G, const FrozenGraph &F)
-    : G(&G), M(G.module()), F(F) {
-  assert((!F.hasSource() || &F.source() == &G) &&
-         "snapshot must freeze this graph");
-}
-
-LintEngine::LintEngine(const Module &M, const FrozenGraph &F)
-    : G(nullptr), M(M), F(F) {
+LintEngine::LintEngine(const Module &M, const FrozenGraph &F) : M(M), F(F) {
   assert(M.numExprs() == F.numExprs() && "module/snapshot shape mismatch");
 }
 
@@ -55,7 +48,7 @@ LintResult LintEngine::run(const LintOptions &Opts) {
   if (Selected.empty())
     return Result;
 
-  LintContext Ctx(G, M, F, Opts.D, Opts.Token);
+  LintContext Ctx(M, F, Opts.D, Opts.Token);
   unsigned Width = Opts.Threads ? Opts.Threads : 1;
   if (Width > Selected.size())
     Width = static_cast<unsigned>(Selected.size());

@@ -77,19 +77,14 @@ struct LintPassInfo {
 /// for `calledOnce()` build it exactly once and then share it read-only.
 class LintContext {
 public:
-  LintContext(const SubtransitiveGraph &G, const FrozenGraph &F,
-              const Deadline &D, const CancellationToken &Token);
-
-  /// Snapshot-only form: the wrapped analyses run on \p F's flat tables
-  /// alone, so an mmap-backed view works — the lint-over-snapshot and
-  /// daemon paths.  \p M must be the module \p F was frozen from.
+  /// The passes and wrapped analyses run on \p F's flat tables alone,
+  /// so fresh, delta and mmap-backed snapshots all work.  \p M must be
+  /// the module \p F was frozen from.
   LintContext(const Module &M, const FrozenGraph &F, const Deadline &D,
               const CancellationToken &Token);
   ~LintContext();
 
   const Module &module() const { return M; }
-  /// The live source graph, or null on the snapshot-only path.
-  const SubtransitiveGraph *graph() const { return G; }
   const FrozenGraph &frozen() const { return F; }
   const Deadline &deadline() const { return D; }
   const CancellationToken &token() const { return Token; }
@@ -108,12 +103,6 @@ public:
   ExprId exprOfNode(uint32_t N) const;
 
 private:
-  friend class LintEngine;
-  LintContext(const SubtransitiveGraph *G, const Module &M,
-              const FrozenGraph &F, const Deadline &D,
-              const CancellationToken &Token);
-
-  const SubtransitiveGraph *G; ///< null on the snapshot-only path
   const FrozenGraph &F;
   const Module &M;
   Deadline D;
@@ -167,15 +156,16 @@ struct LintResult {
 /// The pass manager.
 class LintEngine {
 public:
-  /// \p F must be a usable snapshot of \p G (`F.status().isOk()`).
-  LintEngine(const SubtransitiveGraph &G, const FrozenGraph &F);
-
-  /// Snapshot-only form: every pass and wrapped analysis runs on \p F's
-  /// flat tables, so an mmap-backed snapshot works without its source
-  /// pipeline.  \p M must be the module \p F was frozen from
-  /// (content-hash-verified by the caller — the driver and daemon both
-  /// check before constructing).
+  /// Every pass and wrapped analysis runs on \p F's flat tables, so
+  /// fresh, delta and mmap-backed snapshots all work.  \p F must be
+  /// usable (`F.status().isOk()`) and \p M must be the module it was
+  /// frozen from (content-hash-verified by callers that load a snapshot).
   LintEngine(const Module &M, const FrozenGraph &F);
+
+  /// Same as `LintEngine(G.module(), F)`, for callers holding the graph
+  /// \p F was frozen from.
+  LintEngine(const SubtransitiveGraph &G, const FrozenGraph &F)
+      : LintEngine(G.module(), F) {}
 
   /// All registered passes, in execution order.
   static std::span<const LintPassInfo> passes();
@@ -187,7 +177,6 @@ public:
   LintResult run(const LintOptions &Opts = {});
 
 private:
-  const SubtransitiveGraph *G; ///< null on the snapshot-only path
   const Module &M;
   const FrozenGraph &F;
 };

@@ -36,25 +36,15 @@ using namespace stcfa;
 // LintContext
 //===----------------------------------------------------------------------===//
 
-LintContext::LintContext(const SubtransitiveGraph &G, const FrozenGraph &F,
-                         const Deadline &D, const CancellationToken &Token)
-    : LintContext(&G, G.module(), F, D, Token) {}
-
 LintContext::LintContext(const Module &M, const FrozenGraph &F,
                          const Deadline &D, const CancellationToken &Token)
-    : LintContext(nullptr, M, F, D, Token) {}
-
-LintContext::LintContext(const SubtransitiveGraph *G, const Module &M,
-                         const FrozenGraph &F, const Deadline &D,
-                         const CancellationToken &Token)
-    : G(G), F(F), M(M), D(D), Token(Token) {}
+    : F(F), M(M), D(D), Token(Token) {}
 
 LintContext::~LintContext() = default;
 
 const CalledOnceAnalysis &LintContext::calledOnce(Status &S) const {
   std::call_once(CalledOnceFlag, [this] {
-    CalledOnceA = G ? std::make_unique<CalledOnceAnalysis>(*G, &F)
-                    : std::make_unique<CalledOnceAnalysis>(M, F);
+    CalledOnceA = std::make_unique<CalledOnceAnalysis>(M, F);
     CalledOnceStatus = CalledOnceA->run(D, Token);
   });
   S = CalledOnceStatus;
@@ -63,8 +53,7 @@ const CalledOnceAnalysis &LintContext::calledOnce(Status &S) const {
 
 const EffectsAnalysis &LintContext::effects(Status &S) const {
   std::call_once(EffectsFlag, [this] {
-    EffectsA = G ? std::make_unique<EffectsAnalysis>(*G, &F)
-                 : std::make_unique<EffectsAnalysis>(M, F);
+    EffectsA = std::make_unique<EffectsAnalysis>(M, F);
     EffectsStatus = EffectsA->run(D, Token);
   });
   S = EffectsStatus;

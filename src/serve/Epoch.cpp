@@ -59,9 +59,10 @@ Epoch::Epoch(uint64_t Id, std::unique_ptr<Module> Mod,
 
 Epoch::Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
              size_t KernelThreshold)
-    : EpochId(Id), View(std::move(V)), DeltaSource(std::move(Source)),
-      DeltaThreads(Threads) {
+    : EpochId(Id), View(std::move(V)), DeltaSource(std::move(Source)) {
   assert(View.Frozen && "delta epoch needs a frozen view");
+  DeltaOpts.Threads = Threads;
+  DeltaOpts.KernelThreshold = KernelThreshold;
   MappedEngine = std::make_unique<QueryEngine>(*View.Frozen, Threads);
   MappedEngine->setKernelThreshold(KernelThreshold);
   Q = MappedEngine.get();
@@ -221,71 +222,61 @@ Status Epoch::lint(const std::vector<std::string> &Passes, const Deadline &D,
   LO.D = D;
   LO.Threads = Threads;
   std::lock_guard<std::mutex> Lock(Mu);
-  if (View.Frozen) {
-    // A delta epoch serves lint over the spliced source through the lazy
-    // full pipeline, so the findings are bit-exact with a fresh full
-    // load of the same text (tests/serve_edit_test.cpp proves it).
-    const Module *LM = nullptr;
-    const FrozenGraph *LF = nullptr;
-    if (Status S = sliceSubstrate(D, LM, LF); !S.isOk())
-      return S;
-    LintEngine Lint(*LM, *LF);
-    Out = Lint.run(LO);
-    return Status::ok();
-  }
-  const FrozenGraph *F = frozen();
-  if (!F || !F->status().isOk())
-    return Status::failedPrecondition(
-        "lint requires the subtransitive engine; this epoch degraded to " +
-        std::string(engine()));
-  if (Snap) {
-    LintEngine Lint(*M, *F);
-    Out = Lint.run(LO);
-  } else {
-    LintEngine Lint(*Hybrid->graph(), *F);
-    Out = Lint.run(LO);
-  }
+  // A delta epoch lints the spliced source through the lazy full
+  // pipeline, so the findings are bit-exact with a fresh full load of the
+  // same text (tests/serve_edit_test.cpp proves it).
+  const Module *LM = nullptr;
+  const FrozenGraph *LF = nullptr;
+  if (Status S = sliceSubstrate(D, LM, LF); !S.isOk())
+    return S;
+  Out = LintEngine(*LM, *LF).run(LO);
   return Status::ok();
 }
 
-Status Epoch::ensureDeltaPipeline(const Deadline &D) {
-  if (DeltaM)
-    return Status::ok();
+Status LivePipeline::parse(const std::string &Source) {
   DiagnosticEngine Diags;
-  std::unique_ptr<Module> Mod = parseProgram(DeltaSource, Diags);
-  if (!Mod) {
+  M = parseProgram(Source, Diags);
+  if (!M) {
     std::string Rendered = Diags.render();
     while (!Rendered.empty() && Rendered.back() == '\n')
       Rendered.pop_back();
-    return Status::internal("delta source reparse failed: " + Rendered);
+    return Status::invalidArgument("parse failed: " + Rendered);
   }
   DiagnosticEngine InferDiags;
-  (void)inferTypes(*Mod, InferDiags); // untyped programs still analyze
-  HybridOptions HO;
-  HO.Threads = DeltaThreads;
-  HO.D = D;
-  auto H = std::make_unique<HybridCFA>(*Mod, HO);
-  if (Status S = H->solve(); !S.isOk())
-    return S; // not latched: a later request with a longer deadline retries
-  DeltaM = std::move(Mod);
-  DeltaHybrid = std::move(H);
+  (void)inferTypes(*M, InferDiags); // untyped programs still analyze
+  return Status::ok();
+}
+
+Status LivePipeline::solve(const HybridOptions &HO) {
+  auto Solved = std::make_unique<HybridCFA>(*M, HO);
+  if (Status S = Solved->solve(); !S.isOk())
+    return S;
+  H = std::move(Solved);
   return Status::ok();
 }
 
 Status Epoch::sliceSubstrate(const Deadline &D, const Module *&OutM,
                              const FrozenGraph *&OutF) {
   if (View.Frozen) {
-    if (Status S = ensureDeltaPipeline(D); !S.isOk())
-      return S;
-    const FrozenGraph *F = DeltaHybrid->frozen();
+    if (!Delta.H) {
+      LivePipeline P; // published only once solved: failures retry
+      HybridOptions HO = DeltaOpts;
+      HO.D = D;
+      if (Status S = P.parse(DeltaSource); !S.isOk())
+        return S;
+      if (Status S = P.solve(HO); !S.isOk())
+        return S;
+      Delta = std::move(P);
+    }
+    const FrozenGraph *F = Delta.H->frozen();
     if (!F || !F->status().isOk())
       return Status::failedPrecondition(
           "this pass requires the subtransitive engine; the delta epoch's "
           "full pipeline degraded to " +
-          std::string(engineName(DeltaHybrid->engine())));
+          std::string(engineName(Delta.H->engine())));
     // The lazy pipeline reparses the spliced source, so its module ids
     // are exactly the canonical numbering clients already speak.
-    OutM = DeltaM.get();
+    OutM = Delta.M.get();
     OutF = F;
     return Status::ok();
   }

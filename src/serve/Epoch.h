@@ -42,6 +42,24 @@
 namespace stcfa {
 namespace serve {
 
+/// The one live pipeline the daemon runs — behind a full `load`, a
+/// full-pipeline `edit`, and a delta epoch's lazy lint/slice substrate:
+/// parse, infer (untyped programs still analyze), then solve the hybrid
+/// ladder.  Two steps, so a `load` can consult the snapshot cache with
+/// the parsed module before paying for the solve.
+struct LivePipeline {
+  std::unique_ptr<Module> M;
+  std::unique_ptr<HybridCFA> H;
+
+  /// Parses and infers \p Source into `M`; `InvalidArgument` carrying the
+  /// rendered diagnostics when it does not parse.
+  Status parse(const std::string &Source);
+
+  /// Solves the ladder over `M` into `H`; the ladder's status when no
+  /// rung served (`H` then stays null).
+  Status solve(const HybridOptions &HO);
+};
+
 /// One loaded program at one version.  Immutable after construction
 /// apart from the engine's internal scratch (guarded by `Mu`).
 class Epoch {
@@ -104,10 +122,9 @@ public:
   Status allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
                    std::vector<char> &Done);
 
-  /// Runs the checker passes.  Requires frozen tables: a degraded epoch
-  /// returns `FailedPrecondition` (lint needs the subtransitive graph's
-  /// ports, which the cubic and partial rungs never build).  On a delta
-  /// epoch the lazy full pipeline over the spliced source serves.
+  /// Runs the checker passes over `sliceSubstrate`'s pair.  A degraded
+  /// epoch returns `FailedPrecondition` (lint needs the subtransitive
+  /// graph's ports, which the cubic and partial rungs never build).
   Status lint(const std::vector<std::string> &Passes, const Deadline &D,
               unsigned Threads, LintResult &Out);
 
@@ -131,14 +148,12 @@ private:
   /// Translates a shadow-numbered label row into canonical numbering.
   DenseBitset translateRow(const DenseBitset &ShadowRow) const;
 
-  /// Delta epochs only: parse -> infer -> hybrid-solve over the spliced
-  /// source on first demand (caller holds `Mu`).  A governed failure is
-  /// not latched — a later request with a longer deadline retries.
-  Status ensureDeltaPipeline(const Deadline &D);
-
-  /// The (module, frozen graph) pair every slice-subsystem entry point
-  /// consumes, resolved per epoch flavour; null module or tables =>
-  /// `FailedPrecondition` explaining why.  Caller holds `Mu`.
+  /// The (module, frozen graph) pair `lint` and the slice subsystem
+  /// consume; `FailedPrecondition` explaining why when the epoch has no
+  /// usable frozen tables.  A delta epoch runs its lazy full pipeline
+  /// over the spliced source on first demand; a governed failure there
+  /// is not latched — a later request with a longer deadline retries.
+  /// Caller holds `Mu`.
   Status sliceSubstrate(const Deadline &D, const Module *&OutM,
                         const FrozenGraph *&OutF);
 
@@ -152,14 +167,14 @@ private:
   // Mapped path (cache hit): the snapshot owns the tables, Q queries it.
   std::unique_ptr<LoadedSnapshot> Snap;
   std::unique_ptr<QueryEngine> MappedEngine;
-  // Delta path (edit): the view owns the detached frozen tables and the
+  // Delta path (edit): the view owns the frozen tables and the
   // canonical<->shadow id maps.  `DeltaSource` feeds the lazy full
-  // pipeline (`DeltaM`/`DeltaHybrid`) that serves lint and slice.
+  // pipeline (`Delta`, solved under `DeltaOpts`) that serves lint and
+  // slice.
   DeltaView View;
   std::string DeltaSource;
-  unsigned DeltaThreads = 1;
-  std::unique_ptr<Module> DeltaM;
-  std::unique_ptr<HybridCFA> DeltaHybrid;
+  HybridOptions DeltaOpts;
+  LivePipeline Delta;
 
   // Slice subsystem (all flavours): dependence graph cached on first
   // successful build.

@@ -59,16 +59,6 @@ std::string stcfa::serve::renderOkReply(const JsonValue &Id,
   return Out;
 }
 
-std::string stcfa::serve::renderRawOkReply(const JsonValue &Id,
-                                           const std::string &Raw) {
-  std::string Out = "{\"id\":";
-  renderJson(Id, Out);
-  Out += ",\"ok\":true,\"result\":";
-  Out += Raw;
-  Out += '}';
-  return Out;
-}
-
 std::string stcfa::serve::renderErrorReply(const JsonValue &Id,
                                            const Status &S) {
   JsonValue Err = JsonValue::object();

@@ -75,11 +75,6 @@ Status validateRequest(JsonValue Doc, ServeRequest &Out);
 /// `{"id":<id>,"ok":true,"result":<result>}`.
 std::string renderOkReply(const JsonValue &Id, const JsonValue &Result);
 
-/// `{"id":<id>,"ok":true,"result":<raw JSON>}` — splices a
-/// pre-serialized JSON document (the metrics snapshot) without
-/// re-parsing it.
-std::string renderRawOkReply(const JsonValue &Id, const std::string &Raw);
-
 /// `{"id":<id>,"ok":false,"error":{"code":...,"message":...}}`.
 std::string renderErrorReply(const JsonValue &Id, const Status &S);
 

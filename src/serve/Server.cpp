@@ -6,10 +6,6 @@
 
 #include "serve/Server.h"
 
-#include "core/LabelSetKernel.h"
-#include "parser/Parser.h"
-#include "sema/Infer.h"
-#include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
 #include "support/Timer.h"
@@ -53,6 +49,17 @@ JsonValue universalLabelArray(uint32_t NumLabels) {
   for (uint32_t L = 0; L != NumLabels; ++L)
     Arr.push(JsonValue::number(int64_t(L)));
   return Arr;
+}
+
+/// The ladder options shared by every live pipeline the daemon runs.
+HybridOptions ladderOptions(const ServeOptions &O, const Deadline &D) {
+  HybridOptions HO;
+  HO.Threads = O.Threads;
+  HO.D = D;
+  HO.Degrade = degradeModeNamed(O.Degrade);
+  if (O.KernelThreshold >= 0)
+    HO.KernelThreshold = static_cast<size_t>(O.KernelThreshold);
+  return HO;
 }
 
 /// Reads an optional non-negative integer field with an upper bound.
@@ -359,26 +366,15 @@ void Server::handleLoad(const ServeRequest &Req) {
     return;
   }
   const std::string &Source = Src->asString();
-  Deadline D = requestDeadline(Req);
-
-  const size_t KernelThreshold =
-      Opts.KernelThreshold >= 0
-          ? static_cast<size_t>(Opts.KernelThreshold)
-          : QueryEngine::DefaultKernelThreshold;
+  const HybridOptions HO = ladderOptions(Opts, requestDeadline(Req));
 
   // The parsed module is needed on every path: queries resolve the root
   // occurrence through it and lint walks it even over a mapped snapshot.
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::string Rendered = Diags.render();
-    while (!Rendered.empty() && Rendered.back() == '\n')
-      Rendered.pop_back();
-    replyError(Req.Id, Status::invalidArgument("parse failed: " + Rendered));
+  LivePipeline P;
+  if (Status S = P.parse(Source); !S.isOk()) {
+    replyError(Req.Id, S);
     return;
   }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*M, InferDiags); // untyped programs still analyze
 
   uint64_t CacheKey = 0;
   std::string CachePath;
@@ -391,12 +387,12 @@ void Server::handleLoad(const ServeRequest &Req) {
     if (std::unique_ptr<LoadedSnapshot> Snap =
             LoadedSnapshot::load(CachePath, CacheStatus)) {
       if (Snap->contentHash() == CacheKey &&
-          Snap->frozen().numExprs() == M->numExprs()) {
+          Snap->frozen().numExprs() == P.M->numExprs()) {
         counter("snapshot.cache-hits").inc();
         touchSnapshotEntry(CachePath); // a hit refreshes the LRU order
-        auto E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(M),
+        auto E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(P.M),
                                          std::move(Snap), Opts.Threads,
-                                         KernelThreshold);
+                                         HO.KernelThreshold);
         Epochs.install(E);
         LoadedSource = Source;
         Session.reset();
@@ -418,15 +414,7 @@ void Server::handleLoad(const ServeRequest &Req) {
     CacheOutcome = "miss";
   }
 
-  HybridOptions HO;
-  HO.Threads = Opts.Threads;
-  HO.D = D;
-  HO.Degrade = Opts.Degrade == "off"       ? DegradeMode::Off
-               : Opts.Degrade == "partial" ? DegradeMode::Partial
-                                           : DegradeMode::Standard;
-  HO.KernelThreshold = KernelThreshold;
-  auto Hybrid = std::make_unique<HybridCFA>(*M, HO);
-  if (Status S = Hybrid->solve(); !S.isOk()) {
+  if (Status S = P.solve(HO); !S.isOk()) {
     replyError(Req.Id, S);
     return;
   }
@@ -434,23 +422,12 @@ void Server::handleLoad(const ServeRequest &Req) {
   // Write-through: persist the freshly frozen tables under the cache key
   // so the *next* daemon process warms up with one mmap.  A failed fill
   // never fails the load.
-  if (Opts.SnapshotCache && Hybrid->frozen() &&
-      Hybrid->frozen()->status().isOk()) {
+  if (const FrozenGraph *F = P.H->frozen();
+      Opts.SnapshotCache && F && F->status().isOk()) {
     Status WS = ensureSnapshotDir(snapshotCacheDir(Opts.SnapshotDir));
-    if (WS.isOk()) {
-      SnapshotWriteOptions WO;
-      WO.ContentHash = CacheKey;
-      std::unique_ptr<LabelSetKernel> Kern;
-      if (M->numLabels() != 0) {
-        Kern = std::make_unique<LabelSetKernel>(*Hybrid->frozen(),
-                                                Opts.Threads);
-        if (Kern->run().isOk())
-          WO.Kernel = Kern.get();
-        else
-          Kern.reset();
-      }
-      WS = writeSnapshot(CachePath, *Hybrid->frozen(), *M, WO);
-    }
+    if (WS.isOk())
+      WS = writeSnapshotWithKernel(CachePath, *F, *P.M, CacheKey,
+                                   Opts.Threads);
     if (!WS.isOk())
       std::fprintf(stderr, "warning: snapshot cache fill failed: %s\n",
                    WS.toString().c_str());
@@ -459,8 +436,8 @@ void Server::handleLoad(const ServeRequest &Req) {
                                  Opts.SnapshotCacheMaxBytes);
   }
 
-  auto E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(M),
-                                   std::move(Hybrid));
+  auto E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(P.M),
+                                   std::move(P.H));
   Epochs.install(E);
   LoadedSource = Source;
   Session.reset();
@@ -479,31 +456,13 @@ void Server::handleLoad(const ServeRequest &Req) {
 
 Status Server::installFullEpoch(const std::string &Source, const Deadline &D,
                                 std::shared_ptr<Epoch> &Out) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::string Rendered = Diags.render();
-    while (!Rendered.empty() && Rendered.back() == '\n')
-      Rendered.pop_back();
-    return Status::invalidArgument("parse failed: " + Rendered);
-  }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*M, InferDiags); // untyped programs still analyze
-
-  HybridOptions HO;
-  HO.Threads = Opts.Threads;
-  HO.D = D;
-  HO.Degrade = Opts.Degrade == "off"       ? DegradeMode::Off
-               : Opts.Degrade == "partial" ? DegradeMode::Partial
-                                           : DegradeMode::Standard;
-  HO.KernelThreshold = Opts.KernelThreshold >= 0
-                           ? static_cast<size_t>(Opts.KernelThreshold)
-                           : QueryEngine::DefaultKernelThreshold;
-  auto Hybrid = std::make_unique<HybridCFA>(*M, HO);
-  if (Status S = Hybrid->solve(); !S.isOk())
+  LivePipeline P;
+  if (Status S = P.parse(Source); !S.isOk())
     return S;
-  Out = std::make_shared<Epoch>(Epochs.allocateId(), std::move(M),
-                                std::move(Hybrid));
+  if (Status S = P.solve(ladderOptions(Opts, D)); !S.isOk())
+    return S;
+  Out = std::make_shared<Epoch>(Epochs.allocateId(), std::move(P.M),
+                                std::move(P.H));
   Epochs.install(Out);
   return Status::ok();
 }
@@ -643,13 +602,9 @@ void Server::handleEdit(const ServeRequest &Req) {
       replyError(Req.Id, S);
       return;
     }
-    const size_t KernelThreshold =
-        Opts.KernelThreshold >= 0
-            ? static_cast<size_t>(Opts.KernelThreshold)
-            : QueryEngine::DefaultKernelThreshold;
     E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(View),
                                 Session->currentSource(), Opts.Threads,
-                                KernelThreshold);
+                                ladderOptions(Opts, D).KernelThreshold);
     Epochs.install(E);
     Mode = Res.M == ApplyResult::Mode::Metadata      ? "metadata"
            : Res.M == ApplyResult::Mode::FullRebuild ? "full-rebuild"

@@ -49,8 +49,9 @@ inline constexpr char SnapshotMagic[8] = {'S', 'T', 'C', 'F',
                                           'A', 'S', 'N', 'P'};
 
 /// Bumped on any layout change; mismatches are rejected, never migrated.
-/// Version 2 added the `RanOf` section (flat ran-port map, so
-/// lint-over-snapshot never needs the source graph).
+/// Version 2 added the `RanOf` section (the flat ran-port map the
+/// effects analysis reads, like every other consumer, from the frozen
+/// tables alone).
 inline constexpr uint32_t SnapshotFormatVersion = 2;
 
 /// Written as-is by the host; a foreign-endian reader sees it permuted.

@@ -75,6 +75,15 @@ Status writeSnapshot(const std::string &Path, const FrozenGraph &F,
                      const Module &M,
                      const SnapshotWriteOptions &Opts = {});
 
+/// `writeSnapshot` with the complete label-set kernel of \p F (built on
+/// \p Threads lanes) and \p ContentHash in the header: the fill behind
+/// `--save-snapshot`, the driver's cache miss and the daemon's
+/// write-through.  A kernel that fails to run is left out; loads then
+/// just skip adoption.
+Status writeSnapshotWithKernel(const std::string &Path, const FrozenGraph &F,
+                               const Module &M, uint64_t ContentHash,
+                               unsigned Threads);
+
 //===----------------------------------------------------------------------===//
 // Loading
 //===----------------------------------------------------------------------===//
@@ -114,7 +123,8 @@ public:
   static std::unique_ptr<LoadedSnapshot> load(const std::string &Path,
                                               Status &Out);
 
-  /// The zero-copy query view (`hasSource()` is false).
+  /// The zero-copy query view: the same self-contained `FrozenGraph`
+  /// a fresh freeze yields, backed by the mapping.
   const FrozenGraph &frozen() const { return *F; }
 
   /// Header fields.

@@ -235,3 +235,17 @@ Status stcfa::writeSnapshot(const std::string &Path, const FrozenGraph &F,
   WriteSpan.arg("status", statusCodeName(StatusCode::Ok));
   return Status::ok();
 }
+
+Status stcfa::writeSnapshotWithKernel(const std::string &Path,
+                                      const FrozenGraph &F, const Module &M,
+                                      uint64_t ContentHash, unsigned Threads) {
+  SnapshotWriteOptions WO;
+  WO.ContentHash = ContentHash;
+  std::unique_ptr<LabelSetKernel> Kern;
+  if (M.numLabels() != 0) {
+    Kern = std::make_unique<LabelSetKernel>(F, Threads);
+    if (Kern->run().isOk())
+      WO.Kernel = Kern.get();
+  }
+  return writeSnapshot(Path, F, M, WO);
+}

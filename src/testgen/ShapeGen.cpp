@@ -6,6 +6,8 @@
 
 #include "testgen/ShapeGen.h"
 
+#include "support/ParseNumber.h"
+
 #include <cassert>
 #include <numeric>
 #include <vector>
@@ -152,22 +154,13 @@ bool stcfa::parseShapeSpec(const std::string &Spec, ShapeSpec &Out) {
   else
     return false;
 
-  std::string Rest = Spec.substr(Colon + 1);
+  std::string_view Rest = std::string_view(Spec).substr(Colon + 1);
   size_t Colon2 = Rest.find(':');
-  std::string NStr = Rest.substr(0, Colon2);
-  if (NStr.empty() ||
-      NStr.find_first_not_of("0123456789") != std::string::npos)
+  if (!parseDecimal(Rest.substr(0, Colon2), S.N) || S.N < 1)
     return false;
-  S.N = std::stoi(NStr);
-  if (S.N < 1)
+  if (Colon2 != std::string_view::npos &&
+      !parseDecimal(Rest.substr(Colon2 + 1), S.Seed))
     return false;
-  if (Colon2 != std::string::npos) {
-    std::string SeedStr = Rest.substr(Colon2 + 1);
-    if (SeedStr.empty() ||
-        SeedStr.find_first_not_of("0123456789") != std::string::npos)
-      return false;
-    S.Seed = std::stoull(SeedStr);
-  }
   Out = S;
   return true;
 }

@@ -25,6 +25,7 @@ SubtransitiveConfig exact() {
 struct Pipeline {
   std::unique_ptr<Module> M;
   std::unique_ptr<SubtransitiveGraph> G;
+  std::unique_ptr<FrozenGraph> F;
 
   explicit Pipeline(const std::string &Source,
                     SubtransitiveConfig Config = exact()) {
@@ -35,6 +36,7 @@ struct Pipeline {
     G = std::make_unique<SubtransitiveGraph>(*M, Config);
     G->build();
     G->close();
+    F = std::make_unique<FrozenGraph>(*G);
   }
 };
 
@@ -76,7 +78,7 @@ TEST(LimitedSet, MergeRules) {
 TEST(Effects, DirectPrint) {
   Pipeline P("print \"x\"");
   ASSERT_TRUE(P.G);
-  EffectsAnalysis E(*P.G);
+  EffectsAnalysis E(*P.M, *P.F);
   E.run();
   EXPECT_TRUE(E.isEffectful(P.M->root()));
 }
@@ -84,7 +86,7 @@ TEST(Effects, DirectPrint) {
 TEST(Effects, PureProgramHasNone) {
   Pipeline P("let f = fn x => x + 1 in f (f 2)");
   ASSERT_TRUE(P.G);
-  EffectsAnalysis E(*P.G);
+  EffectsAnalysis E(*P.M, *P.F);
   E.run();
   EXPECT_EQ(E.numEffectful(), 0u);
 }
@@ -92,7 +94,7 @@ TEST(Effects, PureProgramHasNone) {
 TEST(Effects, CallingAnEffectfulFunction) {
   Pipeline P("let noisy = fn x => #2 (print \"hi\", x) in noisy 1");
   ASSERT_TRUE(P.G);
-  EffectsAnalysis E(*P.G);
+  EffectsAnalysis E(*P.M, *P.F);
   E.run();
   // The application is red; the abstraction itself is a pure value.
   const auto *Let = cast<LetExpr>(P.M->expr(P.M->root()));
@@ -106,7 +108,7 @@ TEST(Effects, EffectThroughHigherOrderFlow) {
              "let noisy = fn x => #2 (print \"hi\", x) in "
              "(id noisy) 7");
   ASSERT_TRUE(P.G);
-  EffectsAnalysis E(*P.G);
+  EffectsAnalysis E(*P.M, *P.F);
   E.run();
   const auto *LetId = cast<LetExpr>(P.M->expr(P.M->root()));
   const auto *LetNoisy = cast<LetExpr>(P.M->expr(LetId->body()));
@@ -121,7 +123,7 @@ TEST(Effects, PureCallSiteStaysPure) {
              "let quiet = fn x => x in "
              "(noisy 1, quiet 2)");
   ASSERT_TRUE(P.G);
-  EffectsAnalysis E(*P.G);
+  EffectsAnalysis E(*P.M, *P.F);
   E.run();
   const auto *L1 = cast<LetExpr>(P.M->expr(P.M->root()));
   const auto *L2 = cast<LetExpr>(P.M->expr(L1->body()));
@@ -133,7 +135,7 @@ TEST(Effects, PureCallSiteStaysPure) {
 TEST(Effects, RefAssignmentIsAnEffect) {
   Pipeline P("let r = ref 1 in r := 2");
   ASSERT_TRUE(P.G);
-  EffectsAnalysis E(*P.G);
+  EffectsAnalysis E(*P.M, *P.F);
   E.run();
   EXPECT_TRUE(E.isEffectful(P.M->root()));
 }
@@ -141,7 +143,7 @@ TEST(Effects, RefAssignmentIsAnEffect) {
 TEST(Effects, EffectsFamilySeparatesWrappersFromPure) {
   Pipeline P(makeEffectsFamily(6));
   ASSERT_TRUE(P.G);
-  EffectsAnalysis E(*P.G);
+  EffectsAnalysis E(*P.M, *P.F);
   E.run();
   StandardCFA Std(*P.M);
   Std.run();
@@ -163,7 +165,7 @@ TEST_P(EffectsProperty, AgreesWithReferencePipeline) {
   O.UseRefs = false;
   Pipeline P(makeRandomProgram(O));
   ASSERT_TRUE(P.G);
-  EffectsAnalysis E(*P.G);
+  EffectsAnalysis E(*P.M, *P.F);
   E.run();
   StandardCFA Std(*P.M);
   Std.run();
@@ -187,7 +189,7 @@ TEST_P(EffectsRefProperty, SoundWithRefs) {
   O.UseRefs = true;
   Pipeline P(makeRandomProgram(O));
   ASSERT_TRUE(P.G);
-  EffectsAnalysis E(*P.G);
+  EffectsAnalysis E(*P.M, *P.F);
   E.run();
   StandardCFA Std(*P.M);
   Std.run();
@@ -212,7 +214,7 @@ TEST(KLimited, SmallSetsAreExact) {
   Pipeline P("let pick = fn b => if b then fn x => x else fn y => y in "
              "pick true");
   ASSERT_TRUE(P.G);
-  KLimitedCFA KL(*P.G, 3);
+  KLimitedCFA KL(*P.M, *P.F, 3);
   KL.run();
   const auto *Let = cast<LetExpr>(P.M->expr(P.M->root()));
   const LimitedSet &S = KL.ofExpr(Let->body());
@@ -229,7 +231,7 @@ TEST(KLimited, SaturatesBeyondK) {
   Src += "r0";
   Pipeline P(Src);
   ASSERT_TRUE(P.G);
-  KLimitedCFA KL(*P.G, 2);
+  KLimitedCFA KL(*P.M, *P.F, 2);
   KL.run();
   EXPECT_TRUE(KL.ofVar(varNamed(*P.M, "x")).isMany());
 }
@@ -244,7 +246,7 @@ TEST_P(KLimitedProperty, MatchesExactReachability) {
   O.NumBindings = 60;
   Pipeline P(makeRandomProgram(O));
   ASSERT_TRUE(P.G);
-  KLimitedCFA KL(*P.G, K);
+  KLimitedCFA KL(*P.M, *P.F, K);
   KL.run();
   Reachability R(*P.G);
   for (uint32_t I = 0, N = P.M->numExprs(); I != N; ++I) {
@@ -272,7 +274,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CalledOnce, Family) {
   Pipeline P(makeCalledOnceFamily(4));
   ASSERT_TRUE(P.G);
-  CalledOnceAnalysis CO(*P.G);
+  CalledOnceAnalysis CO(*P.M, *P.F);
   CO.run();
   int Once = 0, Many = 0, Never = 0;
   for (uint32_t L = 0; L != P.M->numLabels(); ++L) {
@@ -296,7 +298,7 @@ TEST(CalledOnce, Family) {
 TEST(CalledOnce, UniqueSiteIsReported) {
   Pipeline P("let g = fn x => x in g 5");
   ASSERT_TRUE(P.G);
-  CalledOnceAnalysis CO(*P.G);
+  CalledOnceAnalysis CO(*P.M, *P.F);
   CO.run();
   LabelId G1 = labelOfFnWithParam(*P.M, "x");
   ASSERT_EQ(CO.countOf(G1), CalledOnceAnalysis::CallCount::Once);
@@ -307,7 +309,7 @@ TEST(CalledOnce, UniqueSiteIsReported) {
 TEST(CalledOnce, UncalledFunction) {
   Pipeline P("let dead = fn x => x in 42");
   ASSERT_TRUE(P.G);
-  CalledOnceAnalysis CO(*P.G);
+  CalledOnceAnalysis CO(*P.M, *P.F);
   CO.run();
   EXPECT_EQ(CO.countOf(labelOfFnWithParam(*P.M, "x")),
             CalledOnceAnalysis::CallCount::Never);
@@ -321,7 +323,7 @@ TEST_P(CalledOnceProperty, MatchesBruteForce) {
   O.NumBindings = 50;
   Pipeline P(makeRandomProgram(O));
   ASSERT_TRUE(P.G);
-  CalledOnceAnalysis CO(*P.G);
+  CalledOnceAnalysis CO(*P.M, *P.F);
   CO.run();
   Reachability R(*P.G);
 

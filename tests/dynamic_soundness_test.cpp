@@ -74,8 +74,9 @@ TEST_P(DynamicSoundness, AllAnalysesContainObservedFlows) {
   SubtransitiveGraph G(*M);
   G.build();
   G.close();
+  FrozenGraph F(G);
   Reachability R(G);
-  KLimitedCFA KL(G, 3);
+  KLimitedCFA KL(*M, F, 3);
   KL.run();
   PolyvariantCFA Poly(*M);
   Poly.run();
@@ -135,9 +136,10 @@ TEST_P(DynamicAppSoundness, EffectsAndCalledOnceContainObservations) {
   SubtransitiveGraph G(*M);
   G.build();
   G.close();
-  EffectsAnalysis Eff(G);
+  FrozenGraph F(G);
+  EffectsAnalysis Eff(*M, F);
   Eff.run();
-  CalledOnceAnalysis CO(G);
+  CalledOnceAnalysis CO(*M, F);
   CO.run();
 
   // Every dynamically effectful expression must be flagged.

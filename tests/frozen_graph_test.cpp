@@ -9,8 +9,9 @@
 /// *bit-for-bit* interchangeable with the mutable-graph `Reachability`
 /// reference: every query kind, on every corpus program, under every
 /// closure policy and congruence mode, at one worker lane and at four.
-/// Plus unit tests for the `ThreadPool` primitive and for the apps'
-/// CSR propagation branches.
+/// Plus unit tests for the `ThreadPool` primitive, and the apps over the
+/// frozen tables checked against the same reference on every corpus
+/// program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "apps/EffectsAnalysis.h"
 #include "apps/KLimitedCFA.h"
 #include "analysis/DeadCodeAwareCFA.h"
+#include "analysis/StandardCFA.h"
 #include "core/Condensation.h"
 #include "core/FrozenGraph.h"
 #include "core/QueryEngine.h"
@@ -320,7 +322,9 @@ TEST(QueryEngine, SharedSnapshotIndependentEngines) {
 // Apps over the frozen snapshot
 //===----------------------------------------------------------------------===//
 
-TEST(FrozenApps, EffectsIdenticalWithAndWithoutSnapshot) {
+TEST(FrozenApps, EffectsNeverMissReferenceEffect) {
+  // The frozen-table propagation may be coarser than the standard-CFA
+  // reference (invariant ref closure, congruence) but never misses.
   for (const CorpusProgram &P : corpusPrograms()) {
     std::unique_ptr<Module> M = parseMaybeInfer(P.Source);
     ASSERT_TRUE(M);
@@ -328,43 +332,23 @@ TEST(FrozenApps, EffectsIdenticalWithAndWithoutSnapshot) {
     G.build();
     G.close();
     FrozenGraph F(G);
-    EffectsAnalysis Plain(G);
-    Plain.run();
-    EffectsAnalysis Csr(G, &F);
-    Csr.run();
-    EXPECT_EQ(Plain.numEffectful(), Csr.numEffectful()) << P.Name;
-    for (uint32_t I = 0; I != M->numExprs(); ++I)
-      EXPECT_EQ(Plain.isEffectful(ExprId(I)), Csr.isEffectful(ExprId(I)))
-          << P.Name << " expr " << I;
-  }
-}
-
-TEST(FrozenApps, KLimitedIdenticalWithAndWithoutSnapshot) {
-  for (const CorpusProgram &P : corpusPrograms()) {
-    std::unique_ptr<Module> M = parseMaybeInfer(P.Source);
-    ASSERT_TRUE(M);
-    SubtransitiveGraph G(*M);
-    G.build();
-    G.close();
-    FrozenGraph F(G);
-    for (uint32_t K : {1u, 3u}) {
-      KLimitedCFA Plain(G, K);
-      Plain.run();
-      KLimitedCFA Csr(G, K, &F);
-      Csr.run();
-      for (uint32_t I = 0; I != M->numExprs(); ++I) {
-        const LimitedSet &A = Plain.ofExpr(ExprId(I));
-        const LimitedSet &B = Csr.ofExpr(ExprId(I));
-        EXPECT_EQ(A.isMany(), B.isMany()) << P.Name << " expr " << I;
-        if (!A.isMany()) {
-          EXPECT_EQ(A.ids(), B.ids()) << P.Name << " expr " << I;
-        }
+    EffectsAnalysis Eff(*M, F);
+    Eff.run();
+    StandardCFA Std(*M);
+    Std.run();
+    EffectsAnalysisRef Ref(*M, Std);
+    Ref.run();
+    for (uint32_t I = 0; I != M->numExprs(); ++I) {
+      if (Ref.isEffectful(ExprId(I))) {
+        EXPECT_TRUE(Eff.isEffectful(ExprId(I))) << P.Name << " expr " << I;
       }
     }
   }
 }
 
-TEST(FrozenApps, CalledOnceIdenticalWithAndWithoutSnapshot) {
+TEST(FrozenApps, KLimitedMatchesReachability) {
+  // Each occurrence's annotation is its exact label set when that has at
+  // most K labels, and `many` otherwise.
   for (const CorpusProgram &P : corpusPrograms()) {
     std::unique_ptr<Module> M = parseMaybeInfer(P.Source);
     ASSERT_TRUE(M);
@@ -372,16 +356,53 @@ TEST(FrozenApps, CalledOnceIdenticalWithAndWithoutSnapshot) {
     G.build();
     G.close();
     FrozenGraph F(G);
-    CalledOnceAnalysis Plain(G);
-    Plain.run();
-    CalledOnceAnalysis Csr(G, &F);
-    Csr.run();
+    Reachability R(G);
+    for (uint32_t K : {1u, 3u}) {
+      KLimitedCFA KL(*M, F, K);
+      KL.run();
+      for (uint32_t I = 0; I != M->numExprs(); ++I) {
+        DenseBitset Exact = R.labelsOf(ExprId(I));
+        const LimitedSet &S = KL.ofExpr(ExprId(I));
+        ASSERT_EQ(S.isMany(), Exact.count() > K)
+            << P.Name << " K=" << K << " expr " << I;
+        if (S.isMany())
+          continue;
+        std::vector<uint32_t> Want;
+        Exact.forEach([&](uint32_t L) { Want.push_back(L); });
+        EXPECT_EQ(S.ids(), Want) << P.Name << " K=" << K << " expr " << I;
+      }
+    }
+  }
+}
+
+TEST(FrozenApps, CalledOnceMatchesCallSiteCount) {
+  // A label's count and unique site follow from the call sites whose
+  // operator's reference label set contains it.
+  for (const CorpusProgram &P : corpusPrograms()) {
+    std::unique_ptr<Module> M = parseMaybeInfer(P.Source);
+    ASSERT_TRUE(M);
+    SubtransitiveGraph G(*M);
+    G.build();
+    G.close();
+    FrozenGraph F(G);
+    CalledOnceAnalysis CO(*M, F);
+    CO.run();
+    Reachability R(G);
+    std::vector<uint32_t> Sites(M->numLabels(), 0);
+    std::vector<ExprId> LastSite(M->numLabels(), ExprId::invalid());
+    for (uint32_t I = 0; I != M->numExprs(); ++I)
+      if (const auto *A = dyn_cast<AppExpr>(M->expr(ExprId(I))))
+        R.labelsOf(A->fn()).forEach([&](uint32_t L) {
+          ++Sites[L];
+          LastSite[L] = ExprId(I);
+        });
     for (uint32_t L = 0; L != M->numLabels(); ++L) {
-      EXPECT_EQ(Plain.countOf(LabelId(L)), Csr.countOf(LabelId(L)))
-          << P.Name << " label " << L;
-      if (Plain.countOf(LabelId(L)) == CalledOnceAnalysis::CallCount::Once) {
-        EXPECT_EQ(Plain.uniqueCallSite(LabelId(L)),
-                  Csr.uniqueCallSite(LabelId(L)))
+      auto Want = Sites[L] == 0   ? CalledOnceAnalysis::CallCount::Never
+                  : Sites[L] == 1 ? CalledOnceAnalysis::CallCount::Once
+                                  : CalledOnceAnalysis::CallCount::Many;
+      EXPECT_EQ(CO.countOf(LabelId(L)), Want) << P.Name << " label " << L;
+      if (Sites[L] == 1) {
+        EXPECT_EQ(CO.uniqueCallSite(LabelId(L)), LastSite[L])
             << P.Name << " label " << L;
       }
     }

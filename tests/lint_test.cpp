@@ -72,7 +72,7 @@ Pipeline buildPipeline(std::string_view Source,
 }
 
 LintResult runAll(const Pipeline &P, LintOptions LO = {}) {
-  LintEngine Engine(*P.G, *P.F);
+  LintEngine Engine(*P.M, *P.F);
   return Engine.run(LO);
 }
 

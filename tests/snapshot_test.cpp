@@ -134,7 +134,6 @@ TEST(SnapshotRoundTrip, BitExactAcrossTheCorpus) {
     std::unique_ptr<LoadedSnapshot> Snap = LoadedSnapshot::load(Path, S);
     ASSERT_TRUE(Snap) << S.toString();
     const FrozenGraph &LF = Snap->frozen();
-    EXPECT_FALSE(LF.hasSource());
     EXPECT_EQ(LF.numNodes(), P.F->numNodes());
     EXPECT_EQ(LF.numEdges(), P.F->numEdges());
     EXPECT_EQ(LF.numExprs(), P.F->numExprs());
