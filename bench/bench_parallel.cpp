@@ -11,13 +11,13 @@
 ///   * Table 2 — batched `labelsOf` over every occurrence at 1, 2, and 4
 ///     lanes.  Thread counts beyond the machine's core count cannot show
 ///     wall-clock wins (this table reports honest numbers either way).
-///   * Table 3 — the word-parallel `LabelSetKernel`: one level-scheduled
-///     closure over the condensation vs one BFS per query, at 1, 2, and
-///     4 lanes, plus the steady-state kernel-backed batch path.
-///   * Table 5 — kernel lane scaling over the condensation-shape stress
-///     corpus (wide/deep/diamond/skewed, src/testgen), with the
-///     schedule geometry (levels, chunks, barrier compression) and the
-///     active SIMD path per row.
+///   * Table 3 — the word-parallel `LabelSetKernel`: one sequential
+///     sweep over the condensation vs one BFS per query, plus the
+///     steady-state kernel-backed batch path at 1, 2, and 4
+///     `QueryEngine` lanes.
+///   * Table 5 — the kernel over the condensation-shape stress corpus
+///     (wide/deep/diamond/skewed, src/testgen), with the component
+///     count and the active SIMD path per row.
 ///
 /// Every timed cell is min-of-N after untimed warm-up reps (see
 /// `bestMillis`), and every report leads with a `cpu` record (model,
@@ -43,7 +43,6 @@
 #include "gen/Generators.h"
 #include "support/Metrics.h"
 #include "support/TablePrinter.h"
-#include "support/ThreadPool.h"
 #include "testgen/ShapeGen.h"
 
 #include <string_view>
@@ -143,10 +142,8 @@ void printKernelTables() {
   JsonReport Report("kernel");
   const unsigned HwThreads = std::thread::hardware_concurrency();
 
-  std::printf("== label-set kernel: level-scheduled closure vs per-query "
-              "BFS ==\n");
-  TablePrinter T3({"program", "exprs", "bfs(ms)", "k1(ms)", "k2(ms)",
-                   "k4(ms)", "vs-bfs", "2x", "4x"});
+  std::printf("== label-set kernel: sequential sweep vs per-query BFS ==\n");
+  TablePrinter T3({"program", "exprs", "bfs(ms)", "kernel(ms)", "vs-bfs"});
   for (const Workload &W : workloads()) {
     auto M = mustParse(W.Source);
     GraphRun G = runGraph(*M);
@@ -167,39 +164,25 @@ void printKernelTables() {
       benchmark::DoNotOptimize(Bfs.labelsOfBatch(Queries).size());
     });
 
-    double Ms[3];
-    unsigned LaneCounts[3] = {1, 2, 4};
-    for (int I = 0; I != 3; ++I) {
-      ThreadPool Pool(LaneCounts[I]);
-      Ms[I] = bestMillis(Reps, [&] {
-        // A fresh kernel per rep: the cell prices schedule build plus
-        // the full closure, the work a cold batched query pays once.
-        LabelSetKernel K(F, LaneCounts[I] > 1 ? &Pool : nullptr,
-                         LaneCounts[I]);
-        if (!K.run().isOk())
-          std::abort();
-        benchmark::DoNotOptimize(K.levelsCompleted());
-      });
-    }
-    double VsBfs = Ms[0] > 0 ? BfsMs / Ms[0] : 0;
+    // A fresh kernel per rep: the cell prices schedule build plus the
+    // full closure, the work a cold batched query pays once.
+    double KernelMs = bestMillis(Reps, [&] {
+      LabelSetKernel K(F);
+      if (!K.run().isOk())
+        std::abort();
+      benchmark::DoNotOptimize(K.componentsCompleted());
+    });
+    double VsBfs = KernelMs > 0 ? BfsMs / KernelMs : 0;
 
     T3.addRow({W.Name, std::to_string(M->numExprs()),
-               TablePrinter::num(BfsMs), TablePrinter::num(Ms[0]),
-               TablePrinter::num(Ms[1]), TablePrinter::num(Ms[2]),
-               TablePrinter::num(VsBfs, 2),
-               TablePrinter::num(Ms[1] > 0 ? Ms[0] / Ms[1] : 0, 2),
-               TablePrinter::num(Ms[2] > 0 ? Ms[0] / Ms[2] : 0, 2)});
+               TablePrinter::num(BfsMs), TablePrinter::num(KernelMs),
+               TablePrinter::num(VsBfs, 2)});
     Report.record("kernel_all_labels")
         .add("program", std::string(W.Name))
         .add("exprs", M->numExprs())
-        .add("hardware_threads", HwThreads)
         .add("bfs_ms", BfsMs)
-        .add("kernel1_ms", Ms[0])
-        .add("kernel2_ms", Ms[1])
-        .add("kernel4_ms", Ms[2])
-        .add("speedup_vs_bfs", VsBfs)
-        .add("scaling2", Ms[1] > 0 ? Ms[0] / Ms[1] : 0)
-        .add("scaling4", Ms[2] > 0 ? Ms[0] / Ms[2] : 0);
+        .add("kernel_ms", KernelMs)
+        .add("speedup_vs_bfs", VsBfs);
   }
   std::printf("%s\n", T3.render().c_str());
 
@@ -258,15 +241,10 @@ void printKernelTables() {
   }
   std::printf("%s\n", T4.render().c_str());
 
-  // Table 5 — lane scaling over the condensation-shape stress corpus
+  // Table 5 — the kernel over the condensation-shape stress corpus
   // (src/testgen): shapes the cubic/lexgen workloads never produce.
-  // Alongside wall clock, each row records the schedule geometry —
-  // levels, chunks, and the barrier compression the chunked scheduler
-  // bought — because on a 1-core bench box the counters, not the
-  // wall-clock scaling, are what prove the scheduler works.
-  std::printf("== kernel lane scaling over condensation shapes ==\n");
-  TablePrinter T5({"shape", "sccs", "levels", "chunks", "compress", "k1(ms)",
-                   "k2(ms)", "k4(ms)", "2x", "4x"});
+  std::printf("== kernel over condensation shapes ==\n");
+  TablePrinter T5({"shape", "exprs", "sccs", "kernel(ms)"});
   const ShapeSpec ShapeSpecs[] = {
       {CondShape::Wide, 256, 1},
       {CondShape::Deep, 512, 1},
@@ -281,48 +259,23 @@ void printKernelTables() {
     FrozenGraph F(*G.Graph);
     F.condensation();
 
-    // Schedule geometry from one un-timed closure.
-    LabelSetKernel Probe(F, /*Threads=*/1);
-    if (!Probe.run().isOk())
-      std::abort();
-    double Compression =
-        Probe.numChunks() ? double(Probe.numLevels()) / Probe.numChunks() : 0;
-
     constexpr int Reps = 9;
-    double Ms[3];
-    unsigned LaneCounts[3] = {1, 2, 4};
-    for (int I = 0; I != 3; ++I) {
-      ThreadPool Pool(LaneCounts[I]);
-      Ms[I] = bestMillis(Reps, [&] {
-        LabelSetKernel K(F, LaneCounts[I] > 1 ? &Pool : nullptr,
-                         LaneCounts[I]);
-        if (!K.run().isOk())
-          std::abort();
-        benchmark::DoNotOptimize(K.levelsCompleted());
-      });
-    }
+    double KernelMs = bestMillis(Reps, [&] {
+      LabelSetKernel K(F);
+      if (!K.run().isOk())
+        std::abort();
+      benchmark::DoNotOptimize(K.componentsCompleted());
+    });
 
-    T5.addRow({Name, std::to_string(F.condensation().numSccs()),
-               std::to_string(Probe.numLevels()),
-               std::to_string(Probe.numChunks()),
-               TablePrinter::num(Compression, 1), TablePrinter::num(Ms[0]),
-               TablePrinter::num(Ms[1]), TablePrinter::num(Ms[2]),
-               TablePrinter::num(Ms[1] > 0 ? Ms[0] / Ms[1] : 0, 2),
-               TablePrinter::num(Ms[2] > 0 ? Ms[0] / Ms[2] : 0, 2)});
+    T5.addRow({Name, std::to_string(M->numExprs()),
+               std::to_string(F.condensation().numSccs()),
+               TablePrinter::num(KernelMs)});
     Report.record("kernel_shape_scaling")
         .add("shape", Name)
         .add("exprs", M->numExprs())
         .add("sccs", F.condensation().numSccs())
-        .add("levels", Probe.numLevels())
-        .add("chunks", Probe.numChunks())
-        .add("barrier_compression", Compression)
         .add("simd_path", std::string(simd::activePathName()))
-        .add("hardware_threads", HwThreads)
-        .add("kernel1_ms", Ms[0])
-        .add("kernel2_ms", Ms[1])
-        .add("kernel4_ms", Ms[2])
-        .add("scaling2", Ms[1] > 0 ? Ms[0] / Ms[1] : 0)
-        .add("scaling4", Ms[2] > 0 ? Ms[0] / Ms[2] : 0);
+        .add("kernel_ms", KernelMs);
   }
   std::printf("%s\n", T5.render().c_str());
 
@@ -338,7 +291,7 @@ int kernelSmoke() {
   Reachability R(*G.Graph);
   FrozenGraph F(*G.Graph);
 
-  LabelSetKernel K(F, /*Threads=*/2);
+  LabelSetKernel K(F);
   if (!K.run().isOk()) {
     std::fprintf(stderr, "kernel smoke: run() failed: %s\n",
                  K.status().message().c_str());
@@ -389,20 +342,14 @@ void BM_KernelAllLabels(benchmark::State &State) {
   GraphRun G = runGraph(*M);
   FrozenGraph F(*G.Graph);
   F.condensation();
-  unsigned Lanes = static_cast<unsigned>(State.range(0));
-  ThreadPool Pool(Lanes);
   for (auto _ : State) {
-    LabelSetKernel K(F, Lanes > 1 ? &Pool : nullptr, Lanes);
+    LabelSetKernel K(F);
     if (!K.run().isOk())
       std::abort();
-    benchmark::DoNotOptimize(K.levelsCompleted());
+    benchmark::DoNotOptimize(K.componentsCompleted());
   }
 }
-BENCHMARK(BM_KernelAllLabels)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelAllLabels)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

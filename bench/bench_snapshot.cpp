@@ -89,7 +89,7 @@ void printPaperTables() {
     auto M = mustParse(W.Source);
     GraphRun G = runGraph(*M);
     FrozenGraph F(*G.Graph);
-    LabelSetKernel Kern(F, /*Threads=*/1);
+    LabelSetKernel Kern(F);
     if (!Kern.run().isOk())
       std::abort();
 
@@ -146,7 +146,7 @@ int snapshotSmoke() {
   auto M = mustParse(Source);
   GraphRun G = runGraph(*M);
   FrozenGraph F(*G.Graph);
-  LabelSetKernel Kern(F, 1);
+  LabelSetKernel Kern(F);
   if (!Kern.run().isOk()) {
     std::fprintf(stderr, "snapshot smoke: kernel closure failed\n");
     return 1;

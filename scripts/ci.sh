@@ -3,16 +3,19 @@
 #
 # Part of the stcfa project (PLDI'97 subtransitive CFA reproduction).
 #
-# Builds and tests four presets:
+# Builds and tests four presets, and builds the benchmark:
 #
 #   1. default   - RelWithDebInfo, the tier-1 gate (all labels)
 #   2. release   - Release (-O3), all labels: GCC 12 raises warnings
 #                  (false -Wrestrict positives) at -O3 that -O2 does not
 #   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels plus the
 #                  serve, slice and flag-error smokes
-#   4. tsan      - ThreadSanitizer, unit label (the parallel query/kernel
+#   4. tsan      - ThreadSanitizer, unit label (the parallel query
 #                  paths are what TSan is here for; the fuzz sweep under
 #                  TSan is slow and adds no thread coverage)
+#
+# The benchmark (perfbench/, its own CMake project over src/) is built
+# but not run, so a src/ API change that breaks it fails here first.
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast  skip the sanitizer presets (tier-1 only)
@@ -41,6 +44,12 @@ run_preset() {
 # bench-smoke, lint-smoke, snapshot-smoke, gen-smoke, prop1-smoke,
 # flag-smoke, examples).
 run_preset build ""
+
+# The benchmark harness compiles against src/ directly; building it here
+# catches an API change before the benchmark pipeline does.
+echo "=== perfbench build ==="
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench -j "${JOBS}"
 
 # Release: under -Werror, -O3 fails on warnings -O2 never raises (GCC 12's
 # false -Wrestrict positives), so the configuration must build and pass

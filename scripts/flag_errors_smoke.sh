@@ -3,8 +3,9 @@
 #
 # Part of the stcfa project (PLDI'97 subtransitive CFA reproduction).
 #
-# Runs the driver on malformed and conflicting invocations and checks each
-# one's exact exit status (2 for a flag error, 1 for an unknown corpus),
+# Runs the driver on malformed, unknown and conflicting invocations and
+# checks each one's exact exit status (2 for a usage or flag error, 1 for
+# an unknown corpus),
 # that it printed an `error:` line, and that it did not abort (no
 # "terminate called" on stderr).  The ctest flag-conflict smokes match
 # stderr text only; this script is what pins the exit codes.
@@ -57,12 +58,23 @@ expect 2 --corpus=life --close-budget=$BIG
 expect 2 --corpus=life --close-budget=0
 expect 2 --corpus=life --kernel-threshold=$BIG
 expect 2 --corpus=life --kernel-threshold=-1
-expect 2 --corpus=life --kernel-chunk-rows=4294967296
 expect 2 --corpus=life --threads=abc
 expect 2 --corpus=life --threads=$BIG
 expect 2 --serve --serve-max-cost=0
 expect 2 --serve --serve-max-request-mb=17592186044416
 expect 2 --corpus=life --snapshot-cache-max-mb=17592186044416
+
+# Unknown options (including removed ones) and a second positional input.
+expect 2 --corpus=life --kernel-chunk-rows=256
+expect 2 --corpus=life --frozen
+expect 2 --corpus=life --bogus
+expect 2 "$INPUT" "$INPUT"
+
+# Enumerated flag values outside their set, rejected while parsing flags.
+expect 2 --corpus=life --analysis=bogus
+expect 2 --corpus=life --congruence=bogus
+expect 2 --corpus=life --policy=bogus
+expect 2 --corpus=life --query=bogus
 
 # Flag conflicts.
 expect 2 --load-snapshot=/nonexistent.snap --close-budget=10

@@ -165,7 +165,6 @@ Status HybridCFA::solve() {
     if (FreezeStatus.isOk()) {
       Queries = std::make_unique<QueryEngine>(*Frozen, Opts.Threads);
       Queries->setKernelThreshold(Opts.KernelThreshold);
-      Queries->setKernelChunkRows(Opts.KernelChunkRows);
       Used = Engine::Subtransitive;
       return finish(Status::ok());
     }

@@ -67,9 +67,6 @@ struct HybridOptions {
   /// Batch size above which the query engine's batched entry points
   /// dispatch to the word-parallel label-set kernel (0 disables it).
   size_t KernelThreshold = QueryEngine::DefaultKernelThreshold;
-  /// Level-merge threshold for the kernel's chunked scheduler
-  /// (`LabelSetKernel::setChunkRows`; <= 1 restores per-level barriers).
-  uint32_t KernelChunkRows = LabelSetKernel::DefaultChunkRows;
 };
 
 /// Machine-readable record of the degradation ladder: one entry per rung

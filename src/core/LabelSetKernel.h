@@ -11,9 +11,10 @@
 /// The paper's "compute all label sets" bound is O(n²), and that bound is
 /// a transitive-closure-by-bitset computation (Van Horn & Mairson show
 /// the closure is inherent to exhaustive 0-CFA), so the win available
-/// here is constant-factor: word-parallelism and thread-parallelism.
-/// The kernel propagates 64-bit label words in reverse topological order
-/// over the cached Tarjan condensation of the snapshot:
+/// here is constant-factor: word-parallelism and a tight sequential
+/// sweep.  The kernel propagates 64-bit label words in reverse
+/// topological order over the cached Tarjan condensation of the
+/// snapshot:
 ///
 ///   * **Compacted label universe** — bit positions index only the
 ///     program's L abstraction labels, never graph nodes, so the closure
@@ -24,27 +25,21 @@
 ///     scalar, `STCFA_FORCE_SCALAR=1` pins scalar); the chosen path is
 ///     recorded in the `kernel.simd_path` gauge (0=scalar 1=avx2
 ///     2=avx512).
-///   * **Chunked level scheduling** — condensation components are
-///     grouped by DAG depth (level 0 = sinks); all components within a
-///     level are independent.  Runs of shallow levels whose total row
-///     count stays below `chunkRows()` are merged into one *chunk* and
-///     swept sequentially by a single task, so deep skinny DAGs pay
-///     O(levels/compression) barriers and governor polls instead of
-///     O(levels); a level too large to merge forms its own chunk and
-///     fans out across the `ThreadPool` lanes with one barrier.  Rows
-///     are padded to 64-byte cache lines, so two lanes finalizing
-///     adjacent components never write the same line (no false
-///     sharing), and rows are laid out level-major with the most-read
-///     components first (profile-guided by cross-edge in-degree), so a
-///     chunk sweeps contiguous warm lines.
+///   * **One ascending sweep** — condensation ids are reverse
+///     topological (everything a component reaches has a smaller id), so
+///     closing components in id order finds every successor row final
+///     before it is read.  Rows sit in component-id order, padded to
+///     64-byte cache lines in a 64-byte-aligned matrix, so each row-OR
+///     starts on a line boundary.
 ///   * **Governed, resumable closure** — the deadline / cancellation
-///     token / fault sites are polled once per chunk (the hot word loops
-///     stay check-free), and an aborted run reports `Status` plus a
-///     *well-defined* partial result: every component whose level is
-///     below `levelsCompleted()` holds its final label set, and
-///     `sccComplete()`/`exprComplete()` say exactly which answers are
-///     servable.  A later `run()` resumes from the first unfinished
-///     chunk — completed rows are never recomputed.
+///     token / fault sites are polled once every `PollStride` components
+///     (the hot word loops stay check-free), and an aborted run reports
+///     `Status` plus a *well-defined* partial result: a prefix of the
+///     sweep.  Component `S` holds its final label set iff
+///     `S < componentsCompleted()`, and `sccComplete()`/`exprComplete()`
+///     say exactly which answers are servable.  A later `run()` resumes
+///     at the first unfinished component — completed rows are never
+///     recomputed.
 ///
 /// The kernel is the batched-query backend: `QueryEngine` dispatches
 /// `labelsOf`/`occurrencesOf` batches here above a batch-size threshold,
@@ -55,7 +50,7 @@
 /// with the accessors; after `run()` returns, all `const` accessors are
 /// safe from any number of reader threads (the matrix is immutable until
 /// a resuming `run()`, which only writes rows of still-incomplete
-/// levels).
+/// components).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,10 +61,7 @@
 #include "support/Deadline.h"
 #include "support/DenseBitset.h"
 #include "support/Status.h"
-#include "support/ThreadPool.h"
 
-#include <cassert>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -84,13 +76,14 @@ public:
     CancellationToken Token;
   };
 
-  /// Uses \p Pool (may be null: sequential) with \p Threads logical
-  /// lanes.  The pool is borrowed — `QueryEngine` shares its own.
-  LabelSetKernel(const FrozenGraph &F, ThreadPool *Pool, unsigned Threads);
+  /// Components closed between two governor polls.
+  static constexpr uint32_t PollStride = 256;
 
-  /// Standalone construction: owns a pool of \p Threads lanes (none
-  /// spawned when \p Threads <= 1).
-  explicit LabelSetKernel(const FrozenGraph &F, unsigned Threads = 1);
+  explicit LabelSetKernel(const FrozenGraph &F);
+
+  /// Same as `LabelSetKernel(F)`; the lane count is ignored.  Kept only
+  /// for the benchmark's `perfbench/CliExport.cpp` probe, its one caller.
+  LabelSetKernel(const FrozenGraph &F, unsigned) : LabelSetKernel(F) {}
 
   /// Adopts a complete, precomputed row matrix (a persisted snapshot's
   /// kernel-rows section): one row per condensation component,
@@ -103,68 +96,30 @@ public:
 
   /// Runs (or resumes) the closure under \p C.  Returns `Ok` on a
   /// complete matrix; `DeadlineExceeded`/`Cancelled`/`OutOfMemory` on a
-  /// governed abort, leaving every level below `levelsCompleted()`
-  /// final.  Calling again resumes from the first unfinished level; a
-  /// completed kernel returns `Ok` immediately.
+  /// governed abort, leaving every component below
+  /// `componentsCompleted()` final.  Calling again resumes at the first
+  /// unfinished component; a completed kernel returns `Ok` immediately.
   Status run(const Controls &C = {});
 
-  /// True once `run()` finished every level.
-  bool complete() const { return Ran && RunStatus.isOk(); }
+  /// True once `run()` finished every component.
+  bool complete() const { return RunStatus.isOk(); }
 
   /// Outcome of the most recent `run()` (`FailedPrecondition` before the
   /// first call).
   const Status &status() const { return RunStatus; }
 
-  /// Depth of the condensation DAG (0 for an empty graph; meaningful
-  /// once `run()` built the schedule).
-  uint32_t numLevels() const { return NumLevels; }
-
-  /// Levels fully propagated so far; `== numLevels()` iff complete.
-  uint32_t levelsCompleted() const { return LevelsDone; }
-
-  //===--- chunked scheduling ----------------------------------------------//
-
-  /// Default level-merge threshold (rows per chunk), measured on the
-  /// bench corpus: large enough to swallow the long skinny tails of
-  /// deep condensations, small enough that a merged chunk still fits in
-  /// L2 alongside the successor rows it reads.
-  static constexpr uint32_t DefaultChunkRows = 256;
-
-  /// Sets the level-merge threshold: consecutive levels are merged into
-  /// one scheduling chunk while their total row count stays <= \p Rows.
-  /// 0 (and 1) disable merging — every level is its own chunk, which
-  /// restores one governor poll per level.  Must be called before the
-  /// first `run()`; once the schedule is built the chunking is frozen
-  /// (resume points are chunk boundaries).
-  void setChunkRows(uint32_t Rows) {
-    assert(!LevelsBuilt && "chunking is frozen once the schedule is built");
-    ChunkRows = Rows;
-  }
-  uint32_t chunkRows() const { return ChunkRows; }
-
-  /// Scheduling chunks in the frozen schedule (== barrier/poll count for
-  /// a full run); meaningful once `run()` built the schedule.  Always
-  /// <= `numLevels()` — the ratio is the barrier compression the merge
-  /// bought.
-  uint32_t numChunks() const {
-    return ChunkLevelOffsets.empty()
-               ? 0
-               : static_cast<uint32_t>(ChunkLevelOffsets.size() - 1);
-  }
-
-  /// Chunks fully propagated so far; `== numChunks()` iff complete.
-  uint32_t chunksCompleted() const { return ChunksDone; }
-
   //===--- partial-result contract -----------------------------------------//
 
+  /// Length of the finished prefix of the sweep: components
+  /// `0 .. componentsCompleted()` hold their final label sets.
+  uint32_t componentsCompleted() const { return SccsDone; }
+
   /// True iff component \p Scc holds its final label set.
-  bool sccComplete(uint32_t Scc) const {
-    return LevelsBuilt && SccLevel[Scc] < LevelsDone;
-  }
+  bool sccComplete(uint32_t Scc) const { return Scc < SccsDone; }
 
   /// True iff node \p N's label set is servable.
   bool nodeComplete(uint32_t N) const {
-    return LevelsBuilt && SccLevel[Cond->sccOf(N)] < LevelsDone;
+    return SccsDone != 0 && Cond->sccOf(N) < SccsDone;
   }
 
   /// True iff `labelsOf(E)` is servable.  An occurrence with no graph
@@ -192,63 +147,35 @@ public:
   /// Words per label-set row before cache-line padding: `⌈L/64⌉`.
   uint32_t wordsPerSet() const { return WordsPerSet; }
 
-  /// The final row of component \p Scc — `wordsPerSet()` words, padding
-  /// excluded — for the snapshot writer.  Requires `complete()`.
+  /// The row of component \p Scc — `wordsPerSet()` words, padding
+  /// excluded — for the snapshot writer.  Final once `sccComplete(Scc)`.
   std::span<const uint64_t> rowSpan(uint32_t Scc) const {
     return {row(Scc), WordsPerSet};
   }
 
-  /// Milliseconds spent inside `run()` so far (summed across resumes).
-  double closureMillis() const { return ClosureMs; }
-
 private:
   Status buildSchedule();
-  /// Physical row index of component \p Scc.  `RowOf` is the
-  /// profile-guided layout permutation (empty = identity, as in adopted
-  /// snapshots, whose rows are tight-packed in component-id order).
-  size_t rowIndex(uint32_t Scc) const {
-    return RowOf.empty() ? Scc : RowOf[Scc];
-  }
   const uint64_t *row(uint32_t Scc) const {
-    return Matrix + rowIndex(Scc) * RowWords;
+    return Matrix + size_t(Scc) * RowWords;
   }
-  uint64_t *rowMut(uint32_t Scc) { return Matrix + rowIndex(Scc) * RowWords; }
+  uint64_t *rowMut(uint32_t Scc) { return Matrix + size_t(Scc) * RowWords; }
   void closeComponent(uint32_t Scc, uint64_t &WordOrs);
 
   const FrozenGraph &F;
-  ThreadPool *Pool; // borrowed or owned via OwnedPool; null = sequential
-  std::unique_ptr<ThreadPool> OwnedPool;
-  unsigned Threads;
 
   Status RunStatus;
-  bool Ran = false;
-  bool LevelsBuilt = false;
-  uint32_t NumLevels = 0;
-  uint32_t LevelsDone = 0;
-  double ClosureMs = 0;
 
   // Schedule: the condensation (cached on the snapshot), nodes grouped
-  // by component (CSR), components grouped by level (CSR), levels
-  // merged into chunks (CSR over level indices), and the
-  // profile-guided row permutation.
+  // by component (CSR), and the finished prefix of the sweep.  `Cond` is
+  // null until the schedule is built.
   const Condensation *Cond = nullptr;
   std::vector<uint32_t> SccNodeOffsets, SccNodes;
-  std::vector<uint32_t> SccLevel;
-  std::vector<uint32_t> LevelOffsets, LevelComps;
-  uint32_t ChunkRows = DefaultChunkRows;
-  std::vector<uint32_t> ChunkLevelOffsets;
-  uint32_t ChunksDone = 0;
-  std::vector<uint32_t> RowOf;
-  // Per-node physical row (`RowOf[sccOf(node)]` precomputed), so the
-  // close loop maps an edge target to its row with a single load.
-  // Uninitialized-alloc array, not a vector: it is fully overwritten
-  // right after allocation and the zero-fill would be pure waste.
-  std::unique_ptr<uint32_t[]> NodeRow;
+  uint32_t SccsDone = 0;
 
   // The label-set matrix: one row per component, `RowWords` 64-bit words
   // each.  `RowWords` is `WordsPerSet` rounded up to a full cache line
   // (multiple of 8 words) and `Matrix` is 64-byte aligned into
-  // `MatrixStore`, so no two rows share a cache line.
+  // `MatrixStore`, so every row starts on its own cache line.
   uint32_t WordsPerSet = 0;
   uint32_t RowWords = 0;
   std::vector<uint64_t> MatrixStore;

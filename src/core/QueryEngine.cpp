@@ -32,10 +32,8 @@ void QueryEngine::adoptKernel(std::unique_ptr<LabelSetKernel> K) {
 }
 
 LabelSetKernel &QueryEngine::kernelRef() {
-  if (!Kern) {
-    Kern = std::make_unique<LabelSetKernel>(F, Pool.get(), NumThreads);
-    Kern->setChunkRows(KernelChunkRows);
-  }
+  if (!Kern)
+    Kern = std::make_unique<LabelSetKernel>(F);
   return *Kern;
 }
 

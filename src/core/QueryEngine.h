@@ -72,12 +72,13 @@ public:
   //===--- kernel dispatch -------------------------------------------------//
   //
   // Batches of at least `kernelThreshold()` items dispatch to the
-  // word-parallel `LabelSetKernel`: one level-scheduled closure over the
+  // word-parallel `LabelSetKernel`: one sequential sweep over the
   // condensation DAG is amortised across the whole batch instead of B
   // independent BFS walks.  The kernel is built lazily on first eligible
-  // batch (sharing this engine's thread pool) and cached; point queries
-  // never touch it.  An aborted kernel run (injected fault, deadline)
-  // falls back to the BFS path transparently.
+  // batch and cached; point queries never touch it, and it never uses
+  // this engine's thread pool (the lanes serve BFS batches and row
+  // copies).  An aborted kernel run (injected fault, deadline) falls
+  // back to the BFS path transparently.
 
   /// Default batch size above which batches use the kernel.
   static constexpr size_t DefaultKernelThreshold = 16;
@@ -85,12 +86,6 @@ public:
   /// Current dispatch threshold; 0 disables the kernel entirely.
   size_t kernelThreshold() const { return KernelThreshold; }
   void setKernelThreshold(size_t T) { KernelThreshold = T; }
-
-  /// Level-merge threshold handed to the lazily-built kernel
-  /// (`LabelSetKernel::setChunkRows`); takes effect only if set before
-  /// the first eligible batch builds the kernel.
-  uint32_t kernelChunkRows() const { return KernelChunkRows; }
-  void setKernelChunkRows(uint32_t Rows) { KernelChunkRows = Rows; }
 
   /// The cached kernel, or null if no eligible batch has run yet.
   const LabelSetKernel *kernel() const { return Kern.get(); }
@@ -183,7 +178,7 @@ private:
     return KernelThreshold != 0 && BatchSize >= KernelThreshold &&
            F.numNodes() != 0;
   }
-  /// The lazily-built kernel (shares this engine's pool).
+  /// The lazily-built kernel.
   LabelSetKernel &kernelRef();
   /// Runs the kernel for an eligible batch under the given controls
   /// (defaults never fire).  Counts the dispatch; on a governed kernel
@@ -209,7 +204,6 @@ private:
   std::unique_ptr<ThreadPool> Pool; // null when NumThreads == 1
   std::vector<Scratch> Lanes;       // one per worker lane
   size_t KernelThreshold = DefaultKernelThreshold;
-  uint32_t KernelChunkRows = LabelSetKernel::DefaultChunkRows;
   std::unique_ptr<LabelSetKernel> Kern; // built on first eligible batch
 };
 

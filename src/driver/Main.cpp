@@ -45,6 +45,7 @@
 #include "support/Trace.h"
 #include "unify/UnificationCFA.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -53,6 +54,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 using namespace stcfa;
 
@@ -71,9 +73,6 @@ struct Options {
   /// Batch size above which batched queries dispatch to the label-set
   /// kernel; -1 = flag not given (engine default), 0 = kernel disabled.
   int64_t KernelThreshold = -1;
-  /// Level-merge threshold for the kernel's chunked scheduler; -1 =
-  /// flag not given (kernel default), <= 1 = per-level barriers.
-  int64_t KernelChunkRows = -1;
   /// `--gen-shape=<family>:<N>[:<seed>]`: print the generated stress
   /// program and exit.
   std::string GenShape;
@@ -180,11 +179,6 @@ int usage(const char *Argv0) {
       "  --kernel-threshold=<n> batch size above which batched queries use\n"
       "                         the word-parallel label-set kernel\n"
       "                         (0 disables the kernel; default 16)\n"
-      "  --kernel-chunk-rows=<n>\n"
-      "                         kernel scheduler merges consecutive DAG\n"
-      "                         levels while their rows total <= n, cutting\n"
-      "                         barriers/polls on deep condensations\n"
-      "                         (<= 1 restores per-level; default 256)\n"
       "  --timeout-ms=<n>       wall-clock deadline over analysis + queries\n"
       "  --close-budget=<n>     node budget for the subtransitive close\n"
       "                         (subtransitive/poly analyses only)\n"
@@ -233,6 +227,36 @@ int usage(const char *Argv0) {
 
 bool startsWith(const std::string &S, const char *Prefix) {
   return S.rfind(Prefix, 0) == 0;
+}
+
+/// Prints `error: <Message>` and then the usage text; returns 2, the
+/// exit status of every usage error.
+int usageError(const char *Argv0, const std::string &Message) {
+  std::fprintf(stderr, "error: %s\n", Message.c_str());
+  return usage(Argv0);
+}
+
+/// True iff \p V is one of the `|`-separated words of \p Allowed.
+bool oneOf(std::string_view V, std::string_view Allowed) {
+  for (size_t Pos = 0; Pos <= Allowed.size();) {
+    size_t Bar = std::min(Allowed.find('|', Pos), Allowed.size());
+    if (Allowed.substr(Pos, Bar - Pos) == V)
+      return true;
+    Pos = Bar + 1;
+  }
+  return false;
+}
+
+/// Checks the value of the enumerated flag \p Flag against \p Allowed
+/// (`a|b|c`); on a mismatch reports it through `usageError` and returns
+/// false.
+bool enumFlag(const char *Argv0, const char *Flag, const std::string &V,
+              const char *Allowed) {
+  if (oneOf(V, Allowed))
+    return true;
+  usageError(Argv0, std::string(Flag) + " expects " + Allowed + ", got '" +
+                        V + "'");
+  return false;
 }
 
 /// Reads the value of the numeric flag \p Arg (`--<name>=<n>`) into
@@ -436,8 +460,6 @@ int serveFromSnapshot(const Options &Opts, const LoadedSnapshot &Snap) {
   QueryEngine Engine(F, Opts.Threads);
   if (Opts.KernelThreshold >= 0)
     Engine.setKernelThreshold(static_cast<size_t>(Opts.KernelThreshold));
-  if (Opts.KernelChunkRows >= 0)
-    Engine.setKernelChunkRows(static_cast<uint32_t>(Opts.KernelChunkRows));
   bool KernelAdopted = false;
   if (auto Kern = Snap.adoptKernel()) {
     Engine.adoptKernel(std::move(Kern));
@@ -654,15 +676,24 @@ int main(int Argc, char **Argv) {
     else if (startsWith(A, "--analysis=")) {
       Opts.Analysis = A.substr(11);
       Opts.AnalysisGiven = true;
+      if (!enumFlag(Argv[0], "--analysis", Opts.Analysis,
+                    "subtransitive|standard|unify|poly|hybrid"))
+        return 2;
     } else if (startsWith(A, "--query=")) {
       Opts.Query = A.substr(8);
       Opts.QueryGiven = true;
-      if (startsWith(Opts.Query, "klimited:") &&
-          !parseDecimal(std::string_view(Opts.Query).substr(9), Opts.KLimit)) {
-        std::fprintf(stderr,
-                     "error: --query=klimited:K expects a number K, got "
-                     "'%s'\n",
-                     Opts.Query.c_str() + 9);
+      if (startsWith(Opts.Query, "klimited:")) {
+        if (!parseDecimal(std::string_view(Opts.Query).substr(9),
+                          Opts.KLimit)) {
+          std::fprintf(stderr,
+                       "error: --query=klimited:K expects a number K, got "
+                       "'%s'\n",
+                       Opts.Query.c_str() + 9);
+          return 2;
+        }
+      } else if (!enumFlag(Argv[0], "--query", Opts.Query,
+                           "labels|all-labels|effects|called-once|"
+                           "klimited:K|callgraph|dead-code")) {
         return 2;
       }
     } else if (A == "--lint")
@@ -701,9 +732,15 @@ int main(int Argc, char **Argv) {
     else if (startsWith(A, "--congruence=")) {
       Opts.Congruence = A.substr(13);
       Opts.CongruenceGiven = true;
+      if (!enumFlag(Argv[0], "--congruence", Opts.Congruence,
+                    "none|bytype|bybase"))
+        return 2;
     } else if (startsWith(A, "--policy=")) {
       Opts.Policy = A.substr(9);
       Opts.PolicyGiven = true;
+      if (!enumFlag(Argv[0], "--policy", Opts.Policy,
+                    "paper|nodeexists|undemanded"))
+        return 2;
     } else if (startsWith(A, "--save-snapshot=")) {
       Opts.SaveSnapshot = A.substr(16);
       if (Opts.SaveSnapshot.empty()) {
@@ -749,9 +786,6 @@ int main(int Argc, char **Argv) {
     } else if (startsWith(A, "--kernel-threshold=")) {
       if (!numericFlag<int64_t>(A, Opts.KernelThreshold))
         return 2;
-    } else if (startsWith(A, "--kernel-chunk-rows=")) {
-      if (!numericFlag<int64_t>(A, Opts.KernelChunkRows, 0, UINT32_MAX))
-        return 2;
     } else if (startsWith(A, "--gen-shape=")) {
       Opts.GenShape = A.substr(12);
       if (Opts.GenShape.empty()) {
@@ -792,10 +826,13 @@ int main(int Argc, char **Argv) {
       Opts.DumpGraph = true;
     else if (A == "--help" || A == "-h")
       return usage(Argv[0]);
-    else if (!startsWith(A, "--") && Opts.InputFile.empty())
-      Opts.InputFile = A;
+    else if (startsWith(A, "--"))
+      return usageError(Argv[0], "unknown option '" + A + "'");
+    else if (!Opts.InputFile.empty())
+      return usageError(Argv[0], "more than one input: '" + Opts.InputFile +
+                                     "' and '" + A + "'");
     else
-      return usage(Argv[0]);
+      Opts.InputFile = A;
   }
 
   // `--gen-shape` is a pure generator invocation: print the stress
@@ -1233,23 +1270,20 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  // Flag parsing admitted only the listed values.
   SubtransitiveConfig GC;
   if (Opts.Congruence == "none")
     GC.Congruence = CongruenceMode::None;
   else if (Opts.Congruence == "bytype")
     GC.Congruence = CongruenceMode::ByType;
-  else if (Opts.Congruence == "bybase")
-    GC.Congruence = CongruenceMode::ByBaseAndType;
   else
-    return usage(Argv[0]);
+    GC.Congruence = CongruenceMode::ByBaseAndType;
   if (Opts.Policy == "paper")
     GC.Policy = ClosurePolicy::PaperExact;
   else if (Opts.Policy == "nodeexists")
     GC.Policy = ClosurePolicy::NodeExists;
-  else if (Opts.Policy == "undemanded")
-    GC.Policy = ClosurePolicy::Undemanded;
   else
-    return usage(Argv[0]);
+    GC.Policy = ClosurePolicy::Undemanded;
 
   // One absolute deadline covers the whole pipeline (analysis, freeze,
   // queries): later stages see only whatever wall-clock remains.
@@ -1289,8 +1323,6 @@ int main(int Argc, char **Argv) {
     HO.Degrade = degradeModeNamed(Opts.Degrade);
     if (Opts.KernelThreshold >= 0)
       HO.KernelThreshold = static_cast<size_t>(Opts.KernelThreshold);
-    if (Opts.KernelChunkRows >= 0)
-      HO.KernelChunkRows = static_cast<uint32_t>(Opts.KernelChunkRows);
     R.Hybrid = std::make_unique<HybridCFA>(*M, HO);
     Status S = R.Hybrid->solve();
     if (Opts.Stats) {
@@ -1309,7 +1341,7 @@ int main(int Argc, char **Argv) {
       else if (R.Hybrid->engine() == HybridCFA::Engine::PartialAnswer)
         ExitCode = 5;
     }
-  } else if (Opts.Analysis == "subtransitive") {
+  } else { // subtransitive
     R.Graph = std::make_unique<SubtransitiveGraph>(*M, GC);
     R.Graph->build();
     Status S = R.Graph->close(D);
@@ -1318,8 +1350,6 @@ int main(int Argc, char **Argv) {
                    S.toString().c_str());
       return S == StatusCode::ResourceExhausted ? 6 : 3;
     }
-  } else {
-    return usage(Argv[0]);
   }
   R.AnalysisMs = T.millis();
 
@@ -1332,9 +1362,6 @@ int main(int Argc, char **Argv) {
     R.Engine = std::make_unique<QueryEngine>(*R.Snapshot, Opts.Threads);
     if (Opts.KernelThreshold >= 0)
       R.Engine->setKernelThreshold(static_cast<size_t>(Opts.KernelThreshold));
-    if (Opts.KernelChunkRows >= 0)
-      R.Engine->setKernelChunkRows(
-          static_cast<uint32_t>(Opts.KernelChunkRows));
   }
 
   // `--save-snapshot` / the `--snapshot-cache` miss fill: persist the
@@ -1351,7 +1378,7 @@ int main(int Argc, char **Argv) {
     if (Opts.SnapshotCache)
       WS = ensureSnapshotDir(snapshotCacheDir(Opts.SnapshotDir));
     if (WS.isOk())
-      WS = writeSnapshotWithKernel(Dest, *R.Snapshot, *M, Key, Opts.Threads);
+      WS = writeSnapshotWithKernel(Dest, *R.Snapshot, *M, Key);
     if (!WS.isOk()) {
       std::fprintf(stderr, "error: %s\n", WS.toString().c_str());
       return 1;
@@ -1507,7 +1534,7 @@ int main(int Argc, char **Argv) {
                     "confirmed dead\n",
                     Agree);
     }
-  } else if (startsWith(Opts.Query, "klimited:")) {
+  } else { // klimited:K
     const FrozenGraph *F = R.frozen();
     if (!F) {
       std::fprintf(stderr, "error: klimited needs a graph analysis\n");
@@ -1533,8 +1560,6 @@ int main(int Argc, char **Argv) {
       std::printf("%-18s calls: %s\n", describeExpr(*M, ExprId(I)).c_str(),
                   Callees.c_str());
     }
-  } else {
-    return usage(Argv[0]);
   }
   if (Opts.Stats)
     std::printf("queries: %.3f ms\n", QueryTimer.millis());

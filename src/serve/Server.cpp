@@ -426,8 +426,7 @@ void Server::handleLoad(const ServeRequest &Req) {
       Opts.SnapshotCache && F && F->status().isOk()) {
     Status WS = ensureSnapshotDir(snapshotCacheDir(Opts.SnapshotDir));
     if (WS.isOk())
-      WS = writeSnapshotWithKernel(CachePath, *F, *P.M, CacheKey,
-                                   Opts.Threads);
+      WS = writeSnapshotWithKernel(CachePath, *F, *P.M, CacheKey);
     if (!WS.isOk())
       std::fprintf(stderr, "warning: snapshot cache fill failed: %s\n",
                    WS.toString().c_str());

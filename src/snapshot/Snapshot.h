@@ -75,14 +75,13 @@ Status writeSnapshot(const std::string &Path, const FrozenGraph &F,
                      const Module &M,
                      const SnapshotWriteOptions &Opts = {});
 
-/// `writeSnapshot` with the complete label-set kernel of \p F (built on
-/// \p Threads lanes) and \p ContentHash in the header: the fill behind
+/// `writeSnapshot` with the complete label-set kernel of \p F and
+/// \p ContentHash in the header: the fill behind
 /// `--save-snapshot`, the driver's cache miss and the daemon's
 /// write-through.  A kernel that fails to run is left out; loads then
 /// just skip adoption.
 Status writeSnapshotWithKernel(const std::string &Path, const FrozenGraph &F,
-                               const Module &M, uint64_t ContentHash,
-                               unsigned Threads);
+                               const Module &M, uint64_t ContentHash);
 
 //===----------------------------------------------------------------------===//
 // Loading

@@ -238,12 +238,12 @@ Status stcfa::writeSnapshot(const std::string &Path, const FrozenGraph &F,
 
 Status stcfa::writeSnapshotWithKernel(const std::string &Path,
                                       const FrozenGraph &F, const Module &M,
-                                      uint64_t ContentHash, unsigned Threads) {
+                                      uint64_t ContentHash) {
   SnapshotWriteOptions WO;
   WO.ContentHash = ContentHash;
   std::unique_ptr<LabelSetKernel> Kern;
   if (M.numLabels() != 0) {
-    Kern = std::make_unique<LabelSetKernel>(F, Threads);
+    Kern = std::make_unique<LabelSetKernel>(F);
     if (Kern->run().isOk())
       WO.Kernel = Kern.get();
   }

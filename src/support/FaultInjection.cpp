@@ -35,9 +35,10 @@ constexpr FaultSite Sites[] = {
     {fault::QueryBatchCancel, FaultKind::Cancel,
      "a batched query observes a cancellation request between items"},
     {fault::KernelAlloc, FaultKind::Alloc,
-     "the label-set kernel reports a level-schedule allocation failure"},
-    {fault::KernelLevelCancel, FaultKind::Cancel,
-     "the label-set kernel observes a cancellation request between levels"},
+     "the label-set kernel reports a schedule allocation failure"},
+    {fault::KernelCancel, FaultKind::Cancel,
+     "the label-set kernel observes a cancellation request at a poll "
+     "(every 256 components of its sweep)"},
     {fault::KernelRowCorrupt, FaultKind::Corrupt,
      "the label-set kernel silently flips one bit in a finished row — a "
      "canary proving the differential fuzz suite can catch a wrong answer"},

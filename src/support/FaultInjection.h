@@ -79,7 +79,9 @@ inline constexpr std::string_view FreezeAlloc = "freeze.alloc";
 inline constexpr std::string_view QueryBatchDeadline = "query.batch-deadline";
 inline constexpr std::string_view QueryBatchCancel = "query.batch-cancel";
 inline constexpr std::string_view KernelAlloc = "kernel.alloc";
-inline constexpr std::string_view KernelLevelCancel = "kernel.level-cancel";
+/// Polled once per kernel poll stride; the site keeps the name it had
+/// when the kernel polled once per DAG level.
+inline constexpr std::string_view KernelCancel = "kernel.level-cancel";
 inline constexpr std::string_view KernelRowCorrupt = "kernel.row-corrupt";
 inline constexpr std::string_view HybridSubtransitiveBudget =
     "hybrid.subtransitive-budget";

@@ -7,25 +7,19 @@
 /// \file
 /// Deterministic generators for programs whose *condensation DAGs* hit
 /// shapes the bench corpus (`cubic:N`, `lexgen`, `joinpoint:N`) never
-/// produces.  The label-set kernel's schedule — levels, chunks, barrier
-/// count, row layout — is a function of that DAG's shape, so these are
-/// the stress workloads for the chunked scheduler and the lane-scaling
-/// benches:
+/// produces.  The label-set kernel sweeps that DAG's components and
+/// reads every cross-component edge, so these are the stress workloads
+/// for the kernel, its prefix contract and the differential fuzz suite:
 ///
 ///   * **wide:N** — N independent functions joined through one shared
-///     conduit: a DAG that is almost all one massive level.  Maximum
-///     per-level parallelism, minimum depth; chunking buys nothing and
-///     must cost nothing.
+///     conduit: a DAG that is almost all one massive level — maximum
+///     width, minimum depth.
 ///   * **deep:N** — one wrapper chain of length N: a DAG that is a
-///     skinny path, one or two components per level.  The
-///     barrier-per-level worst case; level compression should collapse
-///     it to O(N / chunkRows) chunks.
+///     skinny path, one or two components per level — maximum depth.
 ///   * **diamond:N** — N stacked diamonds (two parallel branches
-///     re-joining per block): alternating width-2 / width-1 levels,
-///     the interleaved case where both merging and fan-out matter.
+///     re-joining per block): alternating width-2 / width-1 levels.
 ///   * **skewed:N** — a wide N-way join feeding a depth-N wrapper
-///     chain: one fat level then a long skinny tail, so a good
-///     schedule must switch strategy mid-DAG.
+///     chain: one fat level then a long skinny tail.
 ///
 /// All programs are well-typed, monomorphic, and deterministic in
 /// `(shape, N, seed)` — the seed only permutes emission order and join

@@ -42,11 +42,9 @@ namespace {
 /// Runs the three engines over \p Src and returns a human-readable
 /// mismatch report ("" when all agree).  Every line carries \p Tag (the
 /// generator spec/seed), so a failure is reproducible from the test log
-/// alone.  \p KernelChunkRows lets the shape suite sweep the chunked
-/// scheduler's one tuning knob (0 keeps the default).
+/// alone.
 std::string differentialReportSource(const std::string &Tag,
-                                     const std::string &Src,
-                                     uint32_t KernelChunkRows = 0) {
+                                     const std::string &Src) {
   DiagnosticEngine Diags;
   std::unique_ptr<Module> M = parseProgram(Src, Diags);
   if (!M)
@@ -91,8 +89,6 @@ std::string differentialReportSource(const std::string &Tag,
   // Engine 3: the word-parallel kernel — threshold 1 forces dispatch.
   QueryEngine Kern(*F, /*Threads=*/2);
   Kern.setKernelThreshold(1);
-  if (KernelChunkRows != 0)
-    Kern.setKernelChunkRows(KernelChunkRows);
   std::vector<DenseBitset> KernSets = Kern.labelsOfBatch(Es);
 
   std::string Report;
@@ -137,8 +133,8 @@ TEST_P(DifferentialFuzz, EnginesAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzz,
                          ::testing::Range<uint64_t>(1000, 1160));
 
-/// Larger programs push the close phase and the kernel's level schedule
-/// harder (more SCCs, deeper condensation DAG).
+/// Larger programs push the close phase and the kernel's sweep harder
+/// (more SCCs, deeper condensation DAG).
 class DifferentialFuzzDense : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialFuzzDense, EnginesAgree) {
@@ -170,12 +166,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzzTiny,
                          ::testing::Range<uint64_t>(9000, 9040));
 
 /// The condensation-shape stress corpus (testgen/ShapeGen.h): each shape
-/// family exercises a schedule geometry the random generator rarely
+/// family exercises a condensation geometry the random generator rarely
 /// produces — one fat level, a skinny path, alternating widths, and
-/// fat-then-skinny.  Each case also pins a different chunk size, so the
-/// level-compressed scheduler's merge decisions are fuzzed alongside the
-/// row-OR kernel itself (per-level, tiny merged chunks, the default, and
-/// one-chunk-for-everything).
+/// fat-then-skinny.
 class DifferentialFuzzShapes : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialFuzzShapes, EnginesAgree) {
@@ -184,10 +177,8 @@ TEST_P(DifferentialFuzzShapes, EnginesAgree) {
   Spec.Shape = static_cast<CondShape>(Case % NumCondShapes);
   Spec.N = 5 + static_cast<int>((Case * 7) % 60);
   Spec.Seed = 1 + Case;
-  const uint32_t ChunkRowsSweep[] = {1, 3, 0 /*default*/, UINT32_MAX};
-  uint32_t ChunkRows = ChunkRowsSweep[(Case / NumCondShapes) % 4];
   EXPECT_EQ(differentialReportSource(shapeSpecString(Spec),
-                                     makeShapeProgram(Spec), ChunkRows),
+                                     makeShapeProgram(Spec)),
             "");
 }
 

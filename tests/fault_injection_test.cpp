@@ -341,14 +341,17 @@ TEST(FaultInjection, KernelAllocFaultReportsOutOfMemory) {
   LabelSetKernel K(*F);
   EXPECT_EQ(K.run().code(), StatusCode::OutOfMemory);
   EXPECT_FALSE(K.complete());
-  EXPECT_EQ(K.levelsCompleted(), 0u);
+  EXPECT_EQ(K.componentsCompleted(), 0u);
   // Every answer is the well-defined empty set, never garbage.
   for (uint32_t I = 0; I != M->numExprs(); ++I)
     EXPECT_TRUE(K.labelsOf(ExprId(I)).empty()) << "expr " << I;
 }
 
 TEST(FaultInjection, KernelLevelCancelFaultReportsCancelled) {
-  std::unique_ptr<Module> M = parseMaybeInfer(Program);
+  // A program with more components than one poll stride, so the sweep
+  // polls the cancel site more than once.
+  std::unique_ptr<Module> M =
+      parseMaybeInfer(makeShapeProgram({CondShape::Deep, 100, 1}));
   ASSERT_TRUE(M);
   SubtransitiveGraph G(*M, exactConfig());
   G.build();
@@ -356,16 +359,18 @@ TEST(FaultInjection, KernelLevelCancelFaultReportsCancelled) {
   Status S;
   std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(G, S);
   ASSERT_TRUE(S.isOk());
+  ASSERT_GT(F->condensation().numSccs(), LabelSetKernel::PollStride);
 
-  // Let one level complete, then fire: the abort must report exactly one
-  // finished level and serve only the level-0 components' sets.  Chunk
-  // merging is pinned off so the cancel site is polled per level.
-  ArmedSite Armed(fault::KernelLevelCancel, /*SkipHits=*/1);
-  LabelSetKernel K(*F, /*Threads=*/2);
-  K.setChunkRows(1);
+  // Let one poll stride complete, then fire: the abort must report
+  // exactly that prefix of components finished and serve only theirs.
+  ArmedSite Armed(fault::KernelCancel, /*SkipHits=*/1);
+  LabelSetKernel K(*F);
   EXPECT_EQ(K.run().code(), StatusCode::Cancelled);
   EXPECT_FALSE(K.complete());
-  EXPECT_EQ(K.levelsCompleted(), 1u);
+  EXPECT_EQ(K.componentsCompleted(), LabelSetKernel::PollStride);
+  for (uint32_t Scc = 0; Scc != F->condensation().numSccs(); ++Scc)
+    EXPECT_EQ(K.sccComplete(Scc), Scc < LabelSetKernel::PollStride)
+        << "component " << Scc;
   disarmFaults();
 
   // Resume under the same governed contract: now it completes and the

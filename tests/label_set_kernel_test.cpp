@@ -10,10 +10,11 @@
 ///   * bit-identical to per-query BFS (`Reachability`) on every program,
 ///     and to `StandardCFA` on pure programs under exact congruence, over
 ///     the whole generator corpus;
-///   * lane-count independence (1 lane == 4 lanes, word for word);
-///   * governed aborts: a kernel stopped at level k reports `Status`,
-///     says exactly which label sets are complete, serves those
-///     bit-identically to a full closure, and resumes from level k;
+///   * governed aborts: a kernel stopped at its k-th poll reports
+///     `Status`, says exactly which label sets are complete — the
+///     components below `componentsCompleted()`, a prefix of the sweep —
+///     serves those bit-identically to per-query BFS, and resumes from
+///     there without rewriting a final row;
 ///   * `QueryEngine` dispatch: batches at/above the threshold ride the
 ///     kernel, point queries and sub-threshold batches do not, and an
 ///     aborted kernel degrades to the BFS path transparently.
@@ -31,8 +32,11 @@
 #include "gen/Corpus.h"
 #include "gen/Generators.h"
 #include "support/FaultInjection.h"
+#include "testgen/ShapeGen.h"
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,6 +97,19 @@ struct Built {
   std::unique_ptr<FrozenGraph> F;
 };
 
+/// Programs whose condensations span several poll strides: the cubic
+/// family and every condensation-shape family.
+std::vector<Workload> prefixCorpus() {
+  std::vector<Workload> W;
+  W.push_back({"cubic:100", makeCubicFamily(100), true});
+  for (ShapeSpec Spec : {ShapeSpec{CondShape::Wide, 60, 1},
+                         ShapeSpec{CondShape::Deep, 100, 1},
+                         ShapeSpec{CondShape::Diamond, 120, 1},
+                         ShapeSpec{CondShape::Skewed, 60, 1}})
+    W.push_back({shapeSpecString(Spec), makeShapeProgram(Spec), true});
+  return W;
+}
+
 Built build(const Workload &W, CongruenceMode Mode) {
   Built B;
   B.M = parseMaybeInfer(W.Source);
@@ -106,6 +123,72 @@ Built build(const Workload &W, CongruenceMode Mode) {
   EXPECT_FALSE(B.G->aborted()) << W.Name;
   B.F = std::make_unique<FrozenGraph>(*B.G);
   return B;
+}
+
+/// The partial-result contract of \p K, whose finished prefix is
+/// \p Done components: exactly the components below `Done` are complete,
+/// `exprComplete` agrees with that prefix, every complete answer equals
+/// the per-query BFS, and every incomplete one is empty.
+void expectPrefix(const std::string &Name, const Built &B,
+                  const LabelSetKernel &K, uint32_t Done) {
+  const Condensation &C = B.F->condensation();
+  ASSERT_EQ(K.componentsCompleted(), Done) << Name;
+  for (uint32_t S = 0; S != C.numSccs(); ++S)
+    ASSERT_EQ(K.sccComplete(S), S < Done) << Name << " component " << S;
+  Reachability R(*B.G);
+  uint32_t NumComplete = 0, NumIncomplete = 0;
+  for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I) {
+    ExprId Ex(I);
+    uint32_t N = B.F->nodeOfExpr(Ex);
+    bool InPrefix = N == FrozenGraph::None || C.sccOf(N) < Done;
+    ASSERT_EQ(K.exprComplete(Ex), InPrefix) << Name << " expr " << I;
+    if (N == FrozenGraph::None)
+      continue;
+    if (InPrefix) {
+      ++NumComplete;
+      ASSERT_TRUE(K.labelsOf(Ex) == R.labelsOf(Ex))
+          << Name << ": complete expr " << I << " differs from BFS";
+    } else {
+      ++NumIncomplete;
+      ASSERT_TRUE(K.labelsOf(Ex).empty()) << Name << " expr " << I;
+    }
+  }
+  // A mid-sweep abort leaves both kinds of occurrence.
+  if (Done != 0 && Done != C.numSccs()) {
+    EXPECT_GT(NumComplete, 0u) << Name;
+    EXPECT_GT(NumIncomplete, 0u) << Name;
+  }
+}
+
+/// The rows of the first \p Done components of \p K.
+std::vector<std::vector<uint64_t>> prefixRows(const LabelSetKernel &K,
+                                              uint32_t Done) {
+  std::vector<std::vector<uint64_t>> Rows;
+  for (uint32_t S = 0; S != Done; ++S) {
+    std::span<const uint64_t> R = K.rowSpan(S);
+    Rows.emplace_back(R.begin(), R.end());
+  }
+  return Rows;
+}
+
+/// Resumes \p K to completion and checks that no row of the
+/// \p Before prefix changed and that every answer equals the BFS.
+void expectResumeKeepsPrefix(const std::string &Name, const Built &B,
+                             LabelSetKernel &K,
+                             const std::vector<std::vector<uint64_t>> &Before) {
+  ASSERT_TRUE(K.run().isOk()) << Name;
+  EXPECT_TRUE(K.complete()) << Name;
+  EXPECT_EQ(K.componentsCompleted(), B.F->condensation().numSccs()) << Name;
+  for (uint32_t S = 0; S != Before.size(); ++S) {
+    std::span<const uint64_t> R = K.rowSpan(S);
+    ASSERT_TRUE(std::equal(R.begin(), R.end(), Before[S].begin(),
+                           Before[S].end()))
+        << Name << ": resume rewrote final row " << S;
+  }
+  Reachability R(*B.G);
+  for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
+    ASSERT_TRUE(K.labelsOf(ExprId(I)) == R.labelsOf(ExprId(I)))
+        << Name << " expr " << I;
 }
 
 } // namespace
@@ -160,135 +243,97 @@ TEST(LabelSetKernel, MatchesBfsUnderCongruence) {
 }
 
 TEST(LabelSetKernel, LaneCountDoesNotChangeResults) {
+  // The `(F, unsigned)` overload kept for the benchmark ignores its lane
+  // count: it must build the same kernel as `(F)`.
   Built B = build({"cubic:12", makeCubicFamily(12), true},
                   CongruenceMode::None);
   ASSERT_TRUE(B.M);
-  LabelSetKernel K1(*B.F, 1u);
+  LabelSetKernel K1(*B.F);
   LabelSetKernel K4(*B.F, 4u);
   ASSERT_TRUE(K1.run().isOk());
   ASSERT_TRUE(K4.run().isOk());
-  EXPECT_GT(K1.numLevels(), 1u);
+  EXPECT_GT(K1.componentsCompleted(), 1u);
+  EXPECT_EQ(K1.componentsCompleted(), K4.componentsCompleted());
   for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
     ASSERT_TRUE(K1.labelsOf(ExprId(I)) == K4.labelsOf(ExprId(I)))
         << "expr " << I;
 }
 
 //===----------------------------------------------------------------------===//
-// Level-compressed (chunked) scheduling
+// The sweep's prefix contract
 //===----------------------------------------------------------------------===//
 
-TEST(LabelSetKernel, ChunkRowsDoesNotChangeResults) {
-  // The chunk size is pure scheduling: per-level (1), default, and
-  // everything-in-one-chunk must produce word-identical label sets.
-  for (const Workload &W : corpus()) {
-    Built B = build(W, W.Mode);
+TEST(LabelSetKernel, CompleteRunFinishesEveryComponent) {
+  for (const Workload &W : prefixCorpus()) {
+    Built B = build(W, CongruenceMode::None);
     ASSERT_TRUE(B.M) << W.Name;
-    LabelSetKernel PerLevel(*B.F);
-    PerLevel.setChunkRows(1);
-    LabelSetKernel Default(*B.F);
-    LabelSetKernel OneChunk(*B.F);
-    OneChunk.setChunkRows(UINT32_MAX);
-    ASSERT_TRUE(PerLevel.run().isOk()) << W.Name;
-    ASSERT_TRUE(Default.run().isOk()) << W.Name;
-    ASSERT_TRUE(OneChunk.run().isOk()) << W.Name;
-    for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I) {
-      ExprId Ex(I);
-      ASSERT_TRUE(PerLevel.labelsOf(Ex) == Default.labelsOf(Ex))
-          << W.Name << " expr " << I;
-      ASSERT_TRUE(OneChunk.labelsOf(Ex) == Default.labelsOf(Ex))
-          << W.Name << " expr " << I;
-    }
+    const uint32_t NumSccs = B.F->condensation().numSccs();
+    ASSERT_GE(NumSccs, 3 * LabelSetKernel::PollStride)
+        << W.Name << " spans too few poll strides";
+    LabelSetKernel K(*B.F);
+    EXPECT_EQ(K.componentsCompleted(), 0u) << W.Name;
+    ASSERT_TRUE(K.run().isOk()) << W.Name;
+    expectPrefix(W.Name, B, K, NumSccs);
   }
-}
-
-TEST(LabelSetKernel, ChunkGeometryInvariants) {
-  Built B = build({"cubic:12", makeCubicFamily(12), true},
-                  CongruenceMode::None);
-  ASSERT_TRUE(B.M);
-
-  // Per-level chunking: exactly one chunk per level.
-  LabelSetKernel PerLevel(*B.F);
-  PerLevel.setChunkRows(1);
-  ASSERT_TRUE(PerLevel.run().isOk());
-  EXPECT_EQ(PerLevel.numChunks(), PerLevel.numLevels());
-
-  // An unbounded chunk budget collapses the whole schedule to one chunk.
-  LabelSetKernel OneChunk(*B.F);
-  OneChunk.setChunkRows(UINT32_MAX);
-  ASSERT_TRUE(OneChunk.run().isOk());
-  EXPECT_EQ(OneChunk.numChunks(), 1u);
-  EXPECT_GT(OneChunk.numLevels(), 1u);
-
-  // The default sits in between and never exceeds the level count; on
-  // completion the chunk cursor matches the chunk count.
-  LabelSetKernel Default(*B.F);
-  ASSERT_TRUE(Default.run().isOk());
-  EXPECT_LE(Default.numChunks(), Default.numLevels());
-  EXPECT_GE(Default.numChunks(), 1u);
-  EXPECT_EQ(Default.chunksCompleted(), Default.numChunks());
-  EXPECT_EQ(Default.levelsCompleted(), Default.numLevels());
-  // cubic:12 has many small levels — the default budget must actually
-  // compress barriers, not degenerate to per-level.
-  EXPECT_LT(Default.numChunks(), Default.numLevels());
-}
-
-TEST(LabelSetKernel, ChunkRowsIsStickyAcrossResume) {
-  // setChunkRows applies before the first run; the schedule is built
-  // once and survives resume (deadline abort at the very start).
-  Built B = build({"cubic:8", makeCubicFamily(8), true}, CongruenceMode::None);
-  ASSERT_TRUE(B.M);
-  LabelSetKernel K(*B.F);
-  K.setChunkRows(1);
-  LabelSetKernel::Controls C;
-  C.D = Deadline::afterMillis(-1);
-  EXPECT_EQ(K.run(C).code(), StatusCode::DeadlineExceeded);
-  EXPECT_EQ(K.chunksCompleted(), 0u);
-  ASSERT_TRUE(K.run().isOk());
-  EXPECT_EQ(K.numChunks(), K.numLevels());
-  EXPECT_EQ(K.chunksCompleted(), K.numChunks());
 }
 
 #if STCFA_FAULT_INJECTION
 
-TEST(LabelSetKernel, AbortAndResumeAtChunkGranularity) {
-  Built B = build({"cubic:12", makeCubicFamily(12), true},
-                  CongruenceMode::None);
-  ASSERT_TRUE(B.M);
-
-  LabelSetKernel Full(*B.F);
-  ASSERT_TRUE(Full.run().isOk());
-
-  // Force a multi-chunk schedule, then cancel after the first chunk's
-  // barrier: the governor polls once per chunk, so `LevelsDone` must
-  // land exactly on the first chunk boundary — whole chunks are either
-  // fully complete or untouched.
-  LabelSetKernel Part(*B.F);
-  Part.setChunkRows(4);
-  ASSERT_TRUE(armFault(fault::KernelLevelCancel, 1));
-  Status S = Part.run();
-  disarmFaults();
-  EXPECT_EQ(S.code(), StatusCode::Cancelled);
-  ASSERT_GE(Part.numChunks(), 3u) << "cubic:12 unexpectedly few chunks";
-  EXPECT_EQ(Part.chunksCompleted(), 1u);
-  EXPECT_GT(Part.levelsCompleted(), 0u);
-  EXPECT_LT(Part.levelsCompleted(), Part.numLevels());
-
-  // Every expr whose component sits below the completed chunk boundary
-  // is flagged complete and answers identically to the full closure.
-  for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I) {
-    ExprId Ex(I);
-    if (Part.exprComplete(Ex))
-      ASSERT_TRUE(Part.labelsOf(Ex) == Full.labelsOf(Ex)) << "expr " << I;
-    else
-      EXPECT_TRUE(Part.labelsOf(Ex).empty()) << "expr " << I;
+TEST(LabelSetKernel, AbortAtKthPollLeavesExactlyThePrefix) {
+  // The governor polls once per `PollStride` components, so letting k
+  // polls pass stops the sweep after exactly k strides.
+  for (const Workload &W : prefixCorpus()) {
+    Built B = build(W, CongruenceMode::None);
+    ASSERT_TRUE(B.M) << W.Name;
+    const uint32_t NumSccs = B.F->condensation().numSccs();
+    const uint32_t Polls =
+        (NumSccs + LabelSetKernel::PollStride - 1) / LabelSetKernel::PollStride;
+    for (uint32_t K : {1u, Polls / 2, Polls - 1}) {
+      std::string Name = W.Name + " poll " + std::to_string(K);
+      LabelSetKernel Part(*B.F);
+      ASSERT_TRUE(armFault(fault::KernelCancel, K));
+      Status S = Part.run();
+      disarmFaults();
+      EXPECT_EQ(S.code(), StatusCode::Cancelled) << Name;
+      EXPECT_FALSE(Part.complete()) << Name;
+      const uint32_t Done = K * LabelSetKernel::PollStride;
+      expectPrefix(Name, B, Part, Done);
+      expectResumeKeepsPrefix(Name, B, Part, prefixRows(Part, Done));
+    }
   }
+}
 
-  // Resume picks up at the chunk cursor and finishes.
-  ASSERT_TRUE(Part.run().isOk());
-  EXPECT_TRUE(Part.complete());
-  EXPECT_EQ(Part.chunksCompleted(), Part.numChunks());
-  for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
-    ASSERT_TRUE(Part.labelsOf(ExprId(I)) == Full.labelsOf(ExprId(I)));
+TEST(LabelSetKernel, MidSweepAbortReportsExactlyWhatIsComplete) {
+  // Stop mid-sweep, then let an expired deadline and a cancelled token
+  // stop resumed runs at their first poll: each abort reports its own
+  // status and leaves the prefix exactly as it was.
+  for (const Workload &W : prefixCorpus()) {
+    Built B = build(W, CongruenceMode::None);
+    ASSERT_TRUE(B.M) << W.Name;
+    const uint32_t NumSccs = B.F->condensation().numSccs();
+    const uint32_t K = NumSccs / LabelSetKernel::PollStride / 2;
+    ASSERT_GT(K, 0u) << W.Name;
+    const uint32_t Done = K * LabelSetKernel::PollStride;
+
+    LabelSetKernel Part(*B.F);
+    ASSERT_TRUE(armFault(fault::KernelCancel, K));
+    EXPECT_EQ(Part.run().code(), StatusCode::Cancelled) << W.Name;
+    disarmFaults();
+    std::vector<std::vector<uint64_t>> Before = prefixRows(Part, Done);
+
+    LabelSetKernel::Controls Late;
+    Late.D = Deadline::afterMillis(-1);
+    EXPECT_EQ(Part.run(Late).code(), StatusCode::DeadlineExceeded) << W.Name;
+    expectPrefix(W.Name + " deadline", B, Part, Done);
+
+    LabelSetKernel::Controls Cancelled;
+    Cancelled.Token = CancellationToken::create();
+    Cancelled.Token.requestCancel();
+    EXPECT_EQ(Part.run(Cancelled).code(), StatusCode::Cancelled) << W.Name;
+    expectPrefix(W.Name + " token", B, Part, Done);
+
+    expectResumeKeepsPrefix(W.Name, B, Part, Before);
+  }
 }
 
 #endif // STCFA_FAULT_INJECTION
@@ -306,7 +351,7 @@ TEST(LabelSetKernel, ExpiredDeadlineAbortsBeforeAnyLevel) {
   Status S = K.run(C);
   EXPECT_EQ(S.code(), StatusCode::DeadlineExceeded);
   EXPECT_FALSE(K.complete());
-  EXPECT_EQ(K.levelsCompleted(), 0u);
+  EXPECT_EQ(K.componentsCompleted(), 0u);
   // Nothing is servable except no-node occurrences (trivially empty).
   for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I) {
     ExprId Ex(I);
@@ -332,64 +377,11 @@ TEST(LabelSetKernel, PreCancelledTokenAborts) {
   C.Token.requestCancel();
   Status S = K.run(C);
   EXPECT_EQ(S.code(), StatusCode::Cancelled);
-  EXPECT_EQ(K.levelsCompleted(), 0u);
+  EXPECT_EQ(K.componentsCompleted(), 0u);
   EXPECT_FALSE(K.complete());
 }
 
 #if STCFA_FAULT_INJECTION
-
-TEST(LabelSetKernel, MidLevelAbortReportsExactlyWhatIsComplete) {
-  Built B = build({"cubic:12", makeCubicFamily(12), true},
-                  CongruenceMode::None);
-  ASSERT_TRUE(B.M);
-
-  // A reference closure to learn the level structure and the answers.
-  LabelSetKernel Full(*B.F);
-  ASSERT_TRUE(Full.run().isOk());
-  const uint32_t Levels = Full.numLevels();
-  ASSERT_GE(Levels, 3u) << "cubic:12 condensation unexpectedly shallow";
-  const uint32_t K = Levels / 2;
-
-  // Abort a fresh kernel at level K.  Chunk merging is pinned off so the
-  // governor polls once per level — the site passes K polls, then fires
-  // (under the default chunking cubic:12 collapses to one chunk and the
-  // only abort point would be the very start).
-  LabelSetKernel Part(*B.F);
-  Part.setChunkRows(1);
-  ASSERT_TRUE(armFault(fault::KernelLevelCancel, K));
-  Status S = Part.run();
-  disarmFaults();
-  EXPECT_EQ(S.code(), StatusCode::Cancelled);
-  EXPECT_FALSE(Part.complete());
-  EXPECT_EQ(Part.levelsCompleted(), K);
-  EXPECT_EQ(Part.numLevels(), Levels);
-
-  // The partial-result contract: complete answers are bit-identical to
-  // the full closure, incomplete ones are flagged and empty.  At a
-  // mid-DAG abort both kinds must exist.
-  uint32_t NumComplete = 0, NumIncomplete = 0;
-  for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I) {
-    ExprId Ex(I);
-    if (Part.exprComplete(Ex)) {
-      ++NumComplete;
-      ASSERT_TRUE(Part.labelsOf(Ex) == Full.labelsOf(Ex))
-          << "complete expr " << I << " differs from the full closure";
-    } else {
-      ++NumIncomplete;
-      EXPECT_TRUE(Part.labelsOf(Ex).empty()) << "expr " << I;
-    }
-  }
-  EXPECT_GT(NumComplete, 0u);
-  EXPECT_GT(NumIncomplete, 0u);
-
-  // Component-level reporting is consistent with itself across resumes:
-  // a second run picks up at level K and finishes everything.
-  ASSERT_TRUE(Part.run().isOk());
-  EXPECT_TRUE(Part.complete());
-  EXPECT_EQ(Part.levelsCompleted(), Levels);
-  for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
-    ASSERT_TRUE(Part.labelsOf(ExprId(I)) == Full.labelsOf(ExprId(I)));
-}
 
 TEST(LabelSetKernel, InjectedAllocFailureIsOutOfMemory) {
   Built B = build({"cubic:4", makeCubicFamily(4), true}, CongruenceMode::None);
@@ -400,7 +392,7 @@ TEST(LabelSetKernel, InjectedAllocFailureIsOutOfMemory) {
   disarmFaults();
   EXPECT_EQ(S.code(), StatusCode::OutOfMemory);
   EXPECT_FALSE(K.complete());
-  EXPECT_EQ(K.levelsCompleted(), 0u);
+  EXPECT_EQ(K.componentsCompleted(), 0u);
   // The failed schedule build is retried on resume.
   ASSERT_TRUE(K.run().isOk());
   EXPECT_TRUE(K.complete());
@@ -553,7 +545,7 @@ TEST(QueryEngineKernel, AbortedKernelFallsBackToBfsTransparently) {
   for (uint32_t I = 0, EN = B.M->numExprs(); I != EN; ++I)
     Es.push_back(ExprId(I));
 
-  for (std::string_view Site : {fault::KernelAlloc, fault::KernelLevelCancel}) {
+  for (std::string_view Site : {fault::KernelAlloc, fault::KernelCancel}) {
     QueryEngine E(*B.F, 2);
     E.setKernelThreshold(1);
     ASSERT_TRUE(armFault(Site));
@@ -571,44 +563,6 @@ TEST(QueryEngineKernel, AbortedKernelFallsBackToBfsTransparently) {
 //===----------------------------------------------------------------------===//
 // HybridCFA wiring
 //===----------------------------------------------------------------------===//
-
-TEST(QueryEngineKernel, ChunkRowsPlumbsThroughToKernel) {
-  Built B = build({"cubic:10", makeCubicFamily(10), true},
-                  CongruenceMode::None);
-  ASSERT_TRUE(B.M);
-  QueryEngine E(*B.F, 1);
-  EXPECT_EQ(E.kernelChunkRows(), LabelSetKernel::DefaultChunkRows);
-  E.setKernelChunkRows(1);
-  EXPECT_EQ(E.kernelChunkRows(), 1u);
-  E.setKernelThreshold(1);
-
-  std::vector<ExprId> Es;
-  for (uint32_t I = 0, EN = B.M->numExprs(); I != EN; ++I)
-    Es.push_back(ExprId(I));
-  std::vector<DenseBitset> Sets = E.labelsOfBatch(Es);
-  ASSERT_NE(E.kernel(), nullptr);
-  EXPECT_EQ(E.kernel()->chunkRows(), 1u);
-  EXPECT_EQ(E.kernel()->numChunks(), E.kernel()->numLevels());
-
-  QueryEngine Bfs(*B.F, 1);
-  Bfs.setKernelThreshold(0);
-  std::vector<DenseBitset> Want = Bfs.labelsOfBatch(Es);
-  for (size_t I = 0; I != Es.size(); ++I)
-    ASSERT_TRUE(Sets[I] == Want[I]) << "expr " << I;
-}
-
-TEST(QueryEngineKernel, HybridThreadsChunkRowsThrough) {
-  auto M = parseMaybeInfer(makeCubicFamily(8));
-  ASSERT_TRUE(M);
-  HybridOptions HO;
-  HO.KernelThreshold = 1;
-  HO.KernelChunkRows = 2;
-  HybridCFA H(*M, HO);
-  ASSERT_TRUE(H.solve().isOk());
-  QueryEngine *E = H.queryEngine();
-  ASSERT_NE(E, nullptr);
-  EXPECT_EQ(E->kernelChunkRows(), 2u);
-}
 
 TEST(QueryEngineKernel, HybridThreadsKernelThresholdThrough) {
   auto M = parseMaybeInfer(makeCubicFamily(8));

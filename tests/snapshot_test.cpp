@@ -95,7 +95,7 @@ Status expectLoadFails(const std::string &Path) {
 /// Writes a kernel-bearing snapshot of \p P to \p Path.
 void writeWithKernel(const std::string &Path, const Pipeline &P,
                      uint64_t ContentHash = 0) {
-  LabelSetKernel Kern(*P.F, /*Threads=*/2);
+  LabelSetKernel Kern(*P.F);
   ASSERT_TRUE(Kern.run().isOk());
   SnapshotWriteOptions WO;
   WO.ContentHash = ContentHash;

@@ -12,7 +12,7 @@
 ///     perturbs only emission order — never the shape class or the
 ///     analysis answers;
 ///   * the condensation geometry actually matches the family name: deep
-///     is a skinny path (levels grow with N), wide is one fat level,
+///     is a skinny path (depth grows with N), wide is one fat level,
 ///     skewed is fat-then-skinny;
 ///   * the spec parser round-trips and rejects malformed specs without
 ///     clobbering its output.
@@ -60,12 +60,33 @@ BuiltShape buildShape(const ShapeSpec &Spec) {
   return B;
 }
 
-/// Runs a fresh kernel to completion and returns it for geometry probes.
+/// Runs a fresh kernel to completion and returns it for label probes.
 std::unique_ptr<LabelSetKernel> closeKernel(const FrozenGraph &F) {
   auto K = std::make_unique<LabelSetKernel>(F);
   EXPECT_TRUE(K->run().isOk());
   EXPECT_TRUE(K->complete());
   return K;
+}
+
+/// Depth of \p F's condensation DAG: the number of components on its
+/// longest path (0 for an empty graph).  Component ids are reverse
+/// topological, so one ascending sweep over the nodes grouped by
+/// component sees every successor's depth final.
+uint32_t condensationDepth(const FrozenGraph &F) {
+  const Condensation &C = F.condensation();
+  std::vector<std::vector<uint32_t>> Nodes(C.numSccs());
+  for (uint32_t N = 0; N != F.numNodes(); ++N)
+    Nodes[C.sccOf(N)].push_back(N);
+  std::vector<uint32_t> Depth(C.numSccs(), 1);
+  uint32_t Max = 0;
+  for (uint32_t S = 0; S != C.numSccs(); ++S) {
+    for (uint32_t N : Nodes[S])
+      for (uint32_t J = F.outOffsets()[N]; J != F.outOffsets()[N + 1]; ++J)
+        if (uint32_t T = C.sccOf(F.outTargets()[J]); T != S)
+          Depth[S] = std::max(Depth[S], Depth[T] + 1);
+    Max = std::max(Max, Depth[S]);
+  }
+  return Max;
 }
 
 } // namespace
@@ -104,14 +125,16 @@ TEST(ShapeGen, SeedPermutesEmissionOrderOnly) {
     EXPECT_NE(makeShapeProgram(A), makeShapeProgram(B)) << shapeName(S);
   }
   // ...but the analysis answers are shape properties, not seed
-  // properties: label-set sizes and kernel geometry agree across seeds.
+  // properties: label-set sizes and condensation geometry agree across
+  // seeds.
   for (CondShape S : allShapes()) {
     BuiltShape A = buildShape({S, 10, 1});
     BuiltShape B = buildShape({S, 10, 99});
     ASSERT_TRUE(A.M && B.M) << shapeName(S);
     auto KA = closeKernel(*A.F);
     auto KB = closeKernel(*B.F);
-    EXPECT_EQ(KA->numLevels(), KB->numLevels()) << shapeName(S);
+    EXPECT_EQ(condensationDepth(*A.F), condensationDepth(*B.F))
+        << shapeName(S);
     EXPECT_EQ(A.F->condensation().numSccs(), B.F->condensation().numSccs())
         << shapeName(S);
 
@@ -136,37 +159,33 @@ TEST(ShapeGen, DeepLevelsGrowWithN) {
   BuiltShape Small = buildShape({CondShape::Deep, 20, 1});
   BuiltShape Large = buildShape({CondShape::Deep, 80, 1});
   ASSERT_TRUE(Small.M && Large.M);
-  auto KS = closeKernel(*Small.F);
-  auto KL = closeKernel(*Large.F);
-  // A wrapper chain condenses to a path: levels scale with N, and the
-  // 4x deeper chain must have ~4x the levels (allow generous slack for
-  // the fixed prologue/epilogue components).
-  EXPECT_GE(KS->numLevels(), 20u);
-  EXPECT_GE(KL->numLevels(), 80u);
-  EXPECT_GE(KL->numLevels(), 3 * KS->numLevels());
+  const uint32_t DS = condensationDepth(*Small.F);
+  const uint32_t DL = condensationDepth(*Large.F);
+  // A wrapper chain condenses to a path: depth scales with N, and the
+  // 4x deeper chain must be ~4x as deep (allow generous slack for the
+  // fixed prologue/epilogue components).
+  EXPECT_GE(DS, 20u);
+  EXPECT_GE(DL, 80u);
+  EXPECT_GE(DL, 3 * DS);
 }
 
 TEST(ShapeGen, WideIsShallowerThanDeepAtEqualN) {
   BuiltShape W = buildShape({CondShape::Wide, 60, 1});
   BuiltShape D = buildShape({CondShape::Deep, 60, 1});
   ASSERT_TRUE(W.M && D.M);
-  auto KW = closeKernel(*W.F);
-  auto KD = closeKernel(*D.F);
   // wide:N's branches run in parallel (each contributes only its fixed
   // per-branch plumbing depth); deep:N is a path where every wrapper
   // stacks.  At equal N the wide DAG must be markedly shallower despite
   // having more SCCs.
-  EXPECT_LT(KW->numLevels() * 2, KD->numLevels());
+  EXPECT_LT(condensationDepth(*W.F) * 2, condensationDepth(*D.F));
 }
 
 TEST(ShapeGen, SkewedIsDeeperThanWideAtEqualN) {
   BuiltShape S = buildShape({CondShape::Skewed, 40, 1});
   BuiltShape W = buildShape({CondShape::Wide, 40, 1});
   ASSERT_TRUE(S.M && W.M);
-  auto KS = closeKernel(*S.F);
-  auto KW = closeKernel(*W.F);
   // The skewed family appends a depth-N tail to the wide join.
-  EXPECT_GE(KS->numLevels(), KW->numLevels() + 40);
+  EXPECT_GE(condensationDepth(*S.F), condensationDepth(*W.F) + 40);
 }
 
 TEST(ShapeGen, WideJoinSeesAllLabels) {
