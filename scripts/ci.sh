@@ -9,7 +9,7 @@
 #   2. release   - Release (-O3), all labels: GCC 12 raises warnings
 #                  (false -Wrestrict positives) at -O3 that -O2 does not
 #   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels plus the
-#                  serve, slice and flag-error smokes
+#                  serve, slice, flag-error and output smokes
 #   4. tsan      - ThreadSanitizer, unit label (the parallel query
 #                  paths are what TSan is here for; the fuzz sweep under
 #                  TSan is slow and adds no thread coverage)
@@ -42,7 +42,8 @@ run_preset() {
 
 # Tier 1: the default build runs every registered test (unit, fuzz,
 # bench-smoke, lint-smoke, snapshot-smoke, gen-smoke, prop1-smoke,
-# flag-smoke, examples).
+# flag-smoke, output-smoke, examples).  output-smoke includes the
+# cross-process snapshot round trip (scripts/all_labels_paths_smoke.sh).
 run_preset build ""
 
 # The benchmark harness compiles against src/ directly; building it here
@@ -70,23 +71,6 @@ STCFA_FORCE_SCALAR=1 ./build/tests/stcfa_tests \
   --gtest_brief=1
 STCFA_FORCE_SCALAR=1 ./build/tests/stcfa_fuzz_tests \
   --gtest_filter='*DifferentialFuzzShapes*:DeltaFuzz*' --gtest_brief=1
-
-# Snapshot round trip across *processes*: one driver invocation writes a
-# snapshot, a second serves the same query from the mapped file, and the
-# outputs must be byte-identical (docs/SNAPSHOT.md).  The in-process
-# equivalence tests cannot catch a format field that only one process
-# interprets; this stage can.  The unit-tier snapshot tests also rerun
-# under the ASan/UBSan and TSan presets below.
-echo "=== snapshot cross-process round trip ==="
-SNAP_DIR=$(mktemp -d)
-trap 'rm -rf "${SNAP_DIR}"' EXIT
-./build/src/driver/stcfa --corpus=cubic:50 \
-  --save-snapshot="${SNAP_DIR}/cubic50.snap" --query=all-labels \
-  > "${SNAP_DIR}/write.out"
-./build/src/driver/stcfa --load-snapshot="${SNAP_DIR}/cubic50.snap" \
-  --query=all-labels > "${SNAP_DIR}/load.out"
-diff "${SNAP_DIR}/write.out" "${SNAP_DIR}/load.out"
-echo "snapshot round trip: outputs byte-identical across processes"
 
 # Daemon smoke: the real binary in --serve mode, driven through a pipe
 # (load -> query -> lint -> metrics -> shutdown, plus one garbage line
@@ -118,12 +102,14 @@ fi
 
 if [[ "${FAST}" == 0 ]]; then
   # serve-smoke rides along under ASan/UBSan so the daemon's line reader,
-  # fault fallbacks, and epoch teardown get leak/overflow coverage, and
-  # flag-smoke so every malformed flag value is parsed under UBSan; the
+  # fault fallbacks, and epoch teardown get leak/overflow coverage,
+  # flag-smoke so every malformed flag value is parsed under UBSan, and
+  # output-smoke so the streamed label-set output (its write-error exit
+  # and the cross-path snapshot byte check) runs under both; the
   # unit tier already includes the in-process serve tests, which is what
   # gives TSan its epoch-swap coverage.
   run_preset build-asan "-DSTCFA_SANITIZE=address,undefined" \
-    -L 'unit|fuzz|serve-smoke|slice-smoke|flag-smoke'
+    -L 'unit|fuzz|serve-smoke|slice-smoke|flag-smoke|output-smoke'
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
 fi
 

@@ -143,7 +143,7 @@ public:
   const uint32_t *outOffsets() const { return OutOffsets.data(); }
   const uint32_t *outTargets() const { return OutTargets.data(); }
   const uint32_t *inOffsets() const { return InOffsets.data(); }
-  const uint32_t *labelArray() const { return LabelAt.data(); }
+  const uint32_t *labelAtArray() const { return LabelAt.data(); }
 
   /// The abstraction label carried by node \p N, or `None`.
   uint32_t labelAt(uint32_t N) const { return LabelAt[N]; }

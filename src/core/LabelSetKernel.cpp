@@ -84,7 +84,7 @@ void LabelSetKernel::closeComponent(uint32_t Scc, uint64_t &WordOrs) {
   uint64_t *R = rowMut(Scc);
   const uint32_t *Off = F.outOffsets();
   const uint32_t *Tgt = F.outTargets();
-  const uint32_t *Lab = F.labelArray();
+  const uint32_t *Lab = F.labelAtArray();
   const uint32_t *SccOf = Cond->map().data();
   const uint32_t W = WordsPerSet;
   for (uint32_t I = SccNodeOffsets[Scc], E = SccNodeOffsets[Scc + 1]; I != E;

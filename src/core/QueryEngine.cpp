@@ -111,7 +111,7 @@ DenseBitset QueryEngine::labelsFromNode(Scratch &S, uint32_t Start) {
   bumpEpoch(S);
   const uint32_t *Off = F.outOffsets();
   const uint32_t *Tgt = F.outTargets();
-  const uint32_t *Lab = F.labelArray();
+  const uint32_t *Lab = F.labelAtArray();
   uint32_t *Stamp = S.Stamp.data();
   const uint32_t Epoch = S.Epoch;
   S.Stack.clear();

@@ -90,6 +90,14 @@ public:
   /// The cached kernel, or null if no eligible batch has run yet.
   const LabelSetKernel *kernel() const { return Kern.get(); }
 
+  /// The complete kernel when a batch of \p BatchSize items would
+  /// dispatch to it (running the closure first if needed), else null.  A
+  /// complete kernel is read-only, so its rows may be read without the
+  /// lock that serializes this engine's scratch.
+  const LabelSetKernel *completeKernel(size_t BatchSize) {
+    return dispatchKernel(BatchSize) ? Kern.get() : nullptr;
+  }
+
   /// Installs an externally built kernel — a snapshot's persisted row
   /// matrix — as the batched-query backend.  \p K must be `complete()`
   /// and built over this engine's frozen graph; eligible batches then

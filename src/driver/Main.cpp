@@ -40,6 +40,7 @@
 #include "serve/Server.h"
 #include "snapshot/Snapshot.h"
 #include "support/Metrics.h"
+#include "support/OutWriter.h"
 #include "support/ParseNumber.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -47,6 +48,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream> // the one tool entry point reads stdin
@@ -216,7 +218,8 @@ int usage(const char *Argv0) {
       "  --dump-graph           print every subtransitive edge\n"
       "  --run                  interpret the program\n"
       "exit codes (3-6 only under --timeout-ms/--close-budget/--degrade):\n"
-      "  0  success             1  input error        2  usage/flag error\n"
+      "  0  success             1  input or output error\n"
+      "  2  usage/flag error\n"
       "  3  deadline/cancelled  4  served by standard-cubic fallback\n"
       "  5  served by bounded partial answer\n"
       "  6  budget exhausted with no degradation permitted\n"
@@ -323,34 +326,37 @@ std::string loadInput(const Options &Opts, bool &Ok) {
                      std::istreambuf_iterator<char>());
 }
 
-/// How query output names an occurrence and a label: through the live
-/// `Module`, or through a loaded snapshot's persisted name tables.
-struct Names {
-  std::function<std::string(ExprId)> Expr;
-  std::function<std::string(uint32_t)> Label;
+/// How query output names occurrences and labels: through the live
+/// `Module`, where each label goes through `describeLabel` once per run,
+/// on first use, or through a loaded snapshot's persisted name tables.
+class Names {
+public:
+  explicit Names(const Module &M) : M(&M), LabelNames(M.numLabels()) {}
+  explicit Names(const LoadedSnapshot &Snap) : Snap(&Snap) {}
+
+  std::string_view label(uint32_t L) {
+    if (Snap)
+      return Snap->labelName(L);
+    std::string &Name = LabelNames[L]; // never empty once rendered
+    if (Name.empty())
+      Name = describeLabel(*M, LabelId(L));
+    return Name;
+  }
+  std::string_view label(LabelId L) { return label(L.index()); }
+  /// Valid until the next call.
+  std::string_view expr(ExprId E) {
+    if (Snap)
+      return Snap->exprName(E.index());
+    ExprName = describeExpr(*M, E);
+    return ExprName;
+  }
+
+private:
+  const Module *M = nullptr;
+  const LoadedSnapshot *Snap = nullptr;
+  std::vector<std::string> LabelNames;
+  std::string ExprName;
 };
-
-Names moduleNames(const Module &M) {
-  return {[&M](ExprId E) { return describeExpr(M, E); },
-          [&M](uint32_t L) { return describeLabel(M, LabelId(L)); }};
-}
-
-Names snapshotNames(const LoadedSnapshot &Snap) {
-  return {[&Snap](ExprId E) { return std::string(Snap.exprName(E.index())); },
-          [&Snap](uint32_t L) { return std::string(Snap.labelName(L)); }};
-}
-
-std::string renderSet(const Names &N, const DenseBitset &Set) {
-  std::string Out = "{";
-  bool First = true;
-  Set.forEach([&](uint32_t L) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += N.Label(L);
-  });
-  return Out + "}";
-}
 
 /// Uniform label-set access across the analyses.
 struct AnalysisResult {
@@ -408,23 +414,21 @@ std::string snapshotConfigString(const Options &O) {
 }
 
 /// `--query=labels|all-labels`, shared by the live pipeline and the
-/// snapshot paths.  `labels` prints the root's set; `all-labels` answers
+/// snapshot paths.  `labels` writes the root's set; `all-labels` answers
 /// every occurrence in one batch — through \p Engine, governed by \p D,
 /// or, when there is no engine (the graph-free analyses), through
-/// \p LabelSet — and prints the non-empty sets.  Returns 3 when the
-/// batch stopped early, else 0.
-int printLabelQuery(const Options &Opts, const Names &N, uint32_t NumExprs,
-                    ExprId Root, QueryEngine *Engine,
+/// \p LabelSet — and writes the non-empty sets to \p Out.  Returns 3 when
+/// the batch stopped early, else 0.
+int printLabelQuery(const Options &Opts, Names &N, OutWriter &Out,
+                    uint32_t NumExprs, ExprId Root, QueryEngine *Engine,
                     const std::function<DenseBitset(ExprId)> &LabelSet,
                     Deadline D) {
-  if (Opts.Query == "labels") {
-    DenseBitset Set = Engine ? Engine->labelsOf(Root) : LabelSet(Root);
-    std::printf("L(root) = %s\n", renderSet(N, Set).c_str());
-    return 0;
-  }
+  const bool RootOnly = Opts.Query == "labels";
   std::vector<DenseBitset> Sets;
   BatchOutcome Outcome;
-  if (Engine) {
+  if (RootOnly) {
+    Sets.push_back(Engine ? Engine->labelsOf(Root) : LabelSet(Root));
+  } else if (Engine) {
     std::vector<ExprId> Es;
     Es.reserve(NumExprs);
     for (uint32_t I = 0; I != NumExprs; ++I)
@@ -438,11 +442,26 @@ int printLabelQuery(const Options &Opts, const Names &N, uint32_t NumExprs,
       Sets.push_back(LabelSet(ExprId(I)));
     Outcome.Done.assign(NumExprs, 1);
   }
-  for (uint32_t I = 0; I != NumExprs; ++I) {
-    if (!Outcome.Done[I] || Sets[I].empty())
-      continue;
-    std::printf("%-18s %s\n", N.Expr(ExprId(I)).c_str(),
-                renderSet(N, Sets[I]).c_str());
+  {
+    Span RenderSpan("render");
+    auto LabelName = [&N](uint32_t L) { return N.label(L); };
+    uint64_t Lines = 0;
+    if (RootOnly) {
+      Out.put("L(root) = ");
+      writeLabelSet(Out, Sets[0], LabelName);
+      Out.put('\n');
+      Lines = 1;
+    } else {
+      for (uint32_t I = 0; I != NumExprs; ++I) {
+        if (!Outcome.Done[I] || Sets[I].empty())
+          continue;
+        writeLabelSetLine(Out, N.expr(ExprId(I)), Sets[I], LabelName);
+        ++Lines;
+      }
+    }
+    Out.flush();
+    RenderSpan.arg("bytes", Out.bytes());
+    RenderSpan.arg("lines", Lines);
   }
   if (Outcome.S.isOk())
     return 0;
@@ -450,6 +469,17 @@ int printLabelQuery(const Options &Opts, const Names &N, uint32_t NumExprs,
                Outcome.S.toString().c_str(),
                (unsigned long long)Outcome.Completed, NumExprs);
   return 3;
+}
+
+/// Ends the driver's query tail: \p Out's last bytes and stdout's own
+/// buffer go to the file.  A failed write anywhere in the tail — the
+/// writer's or a `printf`'s — wins over every other outcome: exit 1.
+int finishOutput(OutWriter &Out, int ExitCode) {
+  if (Out.finish())
+    return ExitCode;
+  std::fprintf(stderr, "error: writing output: %s\n",
+               std::strerror(Out.error()));
+  return 1;
 }
 
 /// Serves `--query=labels|all-labels` straight from a loaded snapshot:
@@ -474,11 +504,13 @@ int serveFromSnapshot(const Options &Opts, const LoadedSnapshot &Snap) {
   Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
                                    : Deadline::infinite();
   Timer QueryTimer;
-  int ExitCode = printLabelQuery(Opts, snapshotNames(Snap), F.numExprs(),
-                                 Snap.rootExpr(), &Engine, nullptr, D);
+  Names N(Snap);
+  OutWriter Out(stdout);
+  int ExitCode = printLabelQuery(Opts, N, Out, F.numExprs(), Snap.rootExpr(),
+                                 &Engine, nullptr, D);
   if (Opts.Stats)
     std::printf("queries: %.3f ms\n", QueryTimer.millis());
-  return ExitCode;
+  return finishOutput(Out, ExitCode);
 }
 
 /// The `--lint` tail, shared by the live pipeline and `--load-snapshot`
@@ -1451,10 +1483,14 @@ int main(int Argc, char **Argv) {
   if (Opts.sliceMode())
     return runSliceModes(Opts, *M, *R.frozen(), D, ExitCode);
 
+  // The query tail writes through one writer and one name table; the
+  // stats and --run lines below follow it on the same stdout.
   Timer QueryTimer;
+  Names N(*M);
+  OutWriter Out(stdout);
   if (Opts.Query == "labels" || Opts.Query == "all-labels") {
     if (int RC = printLabelQuery(
-            Opts, moduleNames(*M), M->numExprs(), M->root(), R.engine(),
+            Opts, N, Out, M->numExprs(), M->root(), R.engine(),
             [&R](ExprId E) { return R.labels(E); }, D))
       ExitCode = RC;
   } else if (Opts.Query == "effects") {
@@ -1465,10 +1501,10 @@ int main(int Argc, char **Argv) {
     }
     EffectsAnalysis Eff(*M, *F);
     Eff.run();
-    std::printf("%u side-effecting occurrences\n", Eff.numEffectful());
+    Out.write(Eff.numEffectful(), " side-effecting occurrences\n");
     for (uint32_t I = 0; I != M->numExprs(); ++I)
       if (Eff.isEffectful(ExprId(I)))
-        std::printf("  %s\n", describeExpr(*M, ExprId(I)).c_str());
+        Out.write("  ", N.expr(ExprId(I)), '\n');
   } else if (Opts.Query == "called-once") {
     const FrozenGraph *F = R.frozen();
     if (!F) {
@@ -1478,8 +1514,8 @@ int main(int Argc, char **Argv) {
     CalledOnceAnalysis CO(*M, *F);
     CO.run();
     for (LabelId L : CO.calledOnce())
-      std::printf("called once: %s at %s\n", describeLabel(*M, L).c_str(),
-                  describeExpr(*M, CO.uniqueCallSite(L)).c_str());
+      Out.write("called once: ", N.label(L), " at ",
+                N.expr(CO.uniqueCallSite(L)), '\n');
   } else if (Opts.Query == "callgraph") {
     QueryEngine *E = R.engine();
     if (!E) {
@@ -1491,27 +1527,25 @@ int main(int Argc, char **Argv) {
     for (uint32_t Caller = 0; Caller != CG.numCallers(); ++Caller) {
       if (CG.calleesOf(Caller).empty())
         continue;
-      std::string Name = Caller == CG.rootIndex()
-                             ? "<top-level>"
-                             : describeLabel(*M, LabelId(Caller));
-      std::printf("%s calls:", Name.c_str());
-      CG.calleesOf(Caller).forEach([&](uint32_t L) {
-        std::printf(" %s", describeLabel(*M, LabelId(L)).c_str());
-      });
-      std::printf("\n");
+      Out.write(Caller == CG.rootIndex() ? std::string_view("<top-level>")
+                                         : N.label(Caller),
+                " calls:");
+      CG.calleesOf(Caller).forEach(
+          [&](uint32_t L) { Out.write(' ', N.label(L)); });
+      Out.put('\n');
     }
     for (LabelId Dead : CG.deadFunctions())
-      std::printf("dead: %s\n", describeLabel(*M, Dead).c_str());
+      Out.write("dead: ", N.label(Dead), '\n');
   } else if (Opts.Query == "dead-code") {
     DeadCodeAwareCFA Dc(*M);
     Dc.run();
     uint32_t DeadExprs = 0;
     for (uint32_t I = 0; I != M->numExprs(); ++I)
       DeadExprs += !Dc.isLive(ExprId(I));
-    std::printf("%u of %u occurrences are dead code\n", DeadExprs,
-                M->numExprs());
+    Out.write(DeadExprs, " of ", M->numExprs(),
+              " occurrences are dead code\n");
     for (LabelId Dead : Dc.deadFunctions())
-      std::printf("never called: %s\n", describeLabel(*M, Dead).c_str());
+      Out.write("never called: ", N.label(Dead), '\n');
     // Cross-check against the frozen engine of a graph analysis: a
     // function the (over-approximating) subtransitive flow never calls must
     // also be dead under the liveness-gated analysis.
@@ -1526,13 +1560,12 @@ int main(int Argc, char **Argv) {
         (Dead ? Agree : Mismatch) += 1;
       }
       if (Mismatch)
-        std::printf("engine cross-check: %u never-called function(s) NOT "
-                    "dead-code-aware dead (unexpected)\n",
-                    Mismatch);
+        Out.write("engine cross-check: ", Mismatch,
+                  " never-called function(s) NOT dead-code-aware dead "
+                  "(unexpected)\n");
       else
-        std::printf("engine cross-check: %u never-called function(s) "
-                    "confirmed dead\n",
-                    Agree);
+        Out.write("engine cross-check: ", Agree,
+                  " never-called function(s) confirmed dead\n");
     }
   } else { // klimited:K
     const FrozenGraph *F = R.frozen();
@@ -1547,20 +1580,19 @@ int main(int Argc, char **Argv) {
       if (!A)
         continue;
       const LimitedSet &S = KL.ofCallSite(ExprId(I));
-      std::string Callees;
-      if (S.isMany()) {
-        Callees = "many";
-      } else {
-        for (uint32_t L : S.ids())
-          Callees += (Callees.empty() ? "" : ", ") +
-                     describeLabel(*M, LabelId(L));
-        if (Callees.empty())
-          Callees = "none";
-      }
-      std::printf("%-18s calls: %s\n", describeExpr(*M, ExprId(I)).c_str(),
-                  Callees.c_str());
+      Out.putPadded(N.expr(ExprId(I)), 18);
+      Out.put(" calls: ");
+      if (S.isMany())
+        Out.put("many");
+      else if (S.ids().empty())
+        Out.put("none");
+      else
+        for (size_t J = 0; J != S.ids().size(); ++J)
+          Out.write(J != 0 ? ", " : "", N.label(S.ids()[J]));
+      Out.put('\n');
     }
   }
+  Out.flush();
   if (Opts.Stats)
     std::printf("queries: %.3f ms\n", QueryTimer.millis());
 
@@ -1575,5 +1607,5 @@ int main(int Argc, char **Argv) {
       std::printf("aborted: %s\n", Run.Abort.c_str());
   }
 
-  return ExitCode;
+  return finishOutput(Out, ExitCode);
 }

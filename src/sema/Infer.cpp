@@ -6,6 +6,8 @@
 
 #include "sema/Infer.h"
 
+#include "support/Trace.h"
+
 #include <algorithm>
 #include <unordered_map>
 
@@ -543,8 +545,13 @@ TypeId InferCtx::primType(const PrimExpr *P) {
 }
 
 bool stcfa::inferTypes(Module &M, DiagnosticEngine &Diags) {
+  Span InferSpan("infer");
+  InferSpan.arg("exprs", M.numExprs());
   InferCtx Ctx(M, Diags);
-  return Ctx.run();
+  bool Typed = Ctx.run();
+  if (!Typed)
+    InferSpan.arg("status", "error");
+  return Typed;
 }
 
 TypeMetrics stcfa::computeTypeMetrics(const Module &M) {

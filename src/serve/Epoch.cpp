@@ -176,7 +176,19 @@ Status Epoch::occurrencesOf(LabelId L, const Deadline &D,
 Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
                         std::vector<char> &Done) {
   const uint32_t E = CanonExprs;
-  std::lock_guard<std::mutex> Lock(Mu);
+  std::unique_lock<std::mutex> Lock(Mu);
+  // A complete kernel is read-only: its rows are copied after Mu is
+  // released, so point queries do not wait behind a whole-program batch.
+  if (Q && !View.Frozen && D.isInfinite())
+    if (const LabelSetKernel *K = Q->completeKernel(E)) {
+      Lock.unlock();
+      Out.clear();
+      Out.reserve(E);
+      for (uint32_t I = 0; I != E; ++I)
+        Out.push_back(K->labelsOf(ExprId(I)));
+      Done.assign(E, 1);
+      return Status::ok();
+    }
   if (Q) {
     std::vector<ExprId> Es;
     Es.reserve(E);

@@ -118,7 +118,9 @@ public:
   Status occurrencesOf(LabelId L, const Deadline &D,
                        std::vector<ExprId> &Out);
   /// One set per occurrence; `Done[I]` false for slots a governed batch
-  /// left unanswered (status then says why).
+  /// left unanswered (status then says why).  An ungoverned call over a
+  /// complete kernel holds the mutex only to find the kernel and copies
+  /// its read-only rows unlocked.
   Status allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
                    std::vector<char> &Done);
 

@@ -8,6 +8,7 @@
 
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
+#include "support/OutWriter.h"
 #include "support/Timer.h"
 
 #include <cerrno>
@@ -38,17 +39,47 @@ void writeAll(int Fd, const char *Data, size_t Len) {
   }
 }
 
-JsonValue labelArray(const DenseBitset &Set) {
-  JsonValue Arr = JsonValue::array();
-  Set.forEach([&](uint32_t L) { Arr.push(JsonValue::number(int64_t(L))); });
-  return Arr;
+/// Writes the JSON array `[0,1,...,N-1]`: the universal answer of a
+/// degraded query.
+void writeIdRange(OutWriter &W, uint32_t N) {
+  W.put('[');
+  for (uint32_t I = 0; I != N; ++I)
+    W.write(I != 0 ? "," : "", I);
+  W.put(']');
 }
 
-JsonValue universalLabelArray(uint32_t NumLabels) {
-  JsonValue Arr = JsonValue::array();
-  for (uint32_t L = 0; L != NumLabels; ++L)
-    Arr.push(JsonValue::number(int64_t(L)));
-  return Arr;
+/// Writes the members of \p Set as a JSON array of ids.
+void writeIdArray(OutWriter &W, const DenseBitset &Set) {
+  W.put('[');
+  bool First = true;
+  Set.forEach([&](uint32_t Id) {
+    W.write(First ? "" : ",", Id);
+    First = false;
+  });
+  W.put(']');
+}
+
+/// An ok reply to a `query`, written straight into the reply line: the
+/// result object opens with the members every query reply shares —
+/// `epoch`, `engine`, and `degraded` when set — and \p Body continues it
+/// with `,"<key>":<value>` members.  The bytes equal `renderOkReply` over
+/// the same members built as a DOM (engine names are plain identifiers,
+/// so they need no escaping).
+template <typename BodyFn>
+std::string streamQueryReply(const JsonValue &Id, const Epoch &E,
+                             bool Degraded, BodyFn &&Body) {
+  std::string Line = "{\"id\":";
+  renderJson(Id, Line);
+  {
+    OutWriter W(Line);
+    W.write(",\"ok\":true,\"result\":{\"epoch\":", E.id(), ",\"engine\":\"",
+            Degraded ? "partial" : E.engine(),
+            Degraded ? "\",\"degraded\":true" : "\"");
+    Body(W);
+    W.put("}}");
+    W.flush();
+  }
+  return Line;
 }
 
 /// The ladder options shared by every live pipeline the daemon runs.
@@ -669,24 +700,23 @@ void Server::handleQuery(const ServeRequest &Req,
   ExprId Target = HasExpr ? ExprId(ExprIdx) : E->root();
   Deadline D = requestDeadline(Req);
 
-  JsonValue Result = JsonValue::object();
-  Result.set("epoch", JsonValue::number(int64_t(E->id())));
-  Result.set("engine",
-             JsonValue::string(Degraded ? "partial" : E->engine()));
-  if (Degraded)
-    Result.set("degraded", JsonValue::boolean(true));
-
+  // Every kind streams its payload straight into the reply line.
+  std::string Line;
   if (Kind == "labels") {
-    if (Degraded) {
-      Result.set("labels", universalLabelArray(E->numLabels()));
-    } else {
-      DenseBitset Set;
+    DenseBitset Set;
+    if (!Degraded) {
       if (Status S = E->labelsOf(Target, D, Set); !S.isOk()) {
         replyError(Req.Id, S);
         return;
       }
-      Result.set("labels", labelArray(Set));
     }
+    Line = streamQueryReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
+      W.put(",\"labels\":");
+      if (Degraded)
+        writeIdRange(W, E->numLabels());
+      else
+        writeIdArray(W, Set);
+    });
   } else if (Kind == "is-label-in") {
     if (!HasLabel) {
       replyError(Req.Id, Status::invalidArgument(
@@ -701,53 +731,63 @@ void Server::handleQuery(const ServeRequest &Req,
         return;
       }
     }
-    Result.set("value", JsonValue::boolean(Value));
+    Line = streamQueryReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
+      W.put(Value ? ",\"value\":true" : ",\"value\":false");
+    });
   } else if (Kind == "occurrences") {
     if (!HasLabel) {
       replyError(Req.Id, Status::invalidArgument(
                              "'occurrences' needs params.label"));
       return;
     }
-    JsonValue Arr = JsonValue::array();
-    if (Degraded) {
-      for (uint32_t I = 0, N = E->numExprs(); I != N; ++I)
-        Arr.push(JsonValue::number(int64_t(I)));
-    } else {
-      std::vector<ExprId> Occ;
+    std::vector<ExprId> Occ;
+    if (!Degraded) {
       if (Status S = E->occurrencesOf(LabelId(LabelIdx), D, Occ);
           !S.isOk()) {
         replyError(Req.Id, S);
         return;
       }
-      for (ExprId Id : Occ)
-        Arr.push(JsonValue::number(int64_t(Id.index())));
     }
-    Result.set("exprs", std::move(Arr));
+    Line = streamQueryReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
+      W.put(",\"exprs\":");
+      if (Degraded) {
+        writeIdRange(W, E->numExprs());
+        return;
+      }
+      W.put('[');
+      for (size_t I = 0; I != Occ.size(); ++I)
+        W.write(I != 0 ? "," : "", Occ[I].index());
+      W.put(']');
+    });
   } else if (Kind == "all-labels") {
-    if (Degraded) {
-      // Bounded degraded answer: one universal set stands for every
-      // occurrence instead of materializing exprs x labels ids.
-      Result.set("universal", JsonValue::boolean(true));
-      Result.set("labels", universalLabelArray(E->numLabels()));
-    } else {
-      std::vector<DenseBitset> Sets;
-      std::vector<char> Done;
-      Status S = E->allLabels(D, Sets, Done);
-      if (!S.isOk()) {
+    std::vector<DenseBitset> Sets;
+    std::vector<char> Done;
+    if (!Degraded) {
+      if (Status S = E->allLabels(D, Sets, Done); !S.isOk()) {
         replyError(Req.Id, S);
         return;
       }
-      JsonValue Arr = JsonValue::array();
+    }
+    Line = streamQueryReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
+      if (Degraded) {
+        // Bounded degraded answer: one universal set stands for every
+        // occurrence instead of materializing exprs x labels ids.
+        W.put(",\"universal\":true,\"labels\":");
+        writeIdRange(W, E->numLabels());
+        return;
+      }
+      W.put(",\"sets\":[");
+      bool First = true;
       for (uint32_t I = 0, N = E->numExprs(); I != N; ++I) {
         if (!Done[I] || Sets[I].empty())
           continue;
-        JsonValue Row = JsonValue::object();
-        Row.set("expr", JsonValue::number(int64_t(I)));
-        Row.set("labels", labelArray(Sets[I]));
-        Arr.push(std::move(Row));
+        W.write(First ? "{\"expr\":" : ",{\"expr\":", I, ",\"labels\":");
+        First = false;
+        writeIdArray(W, Sets[I]);
+        W.put('}');
       }
-      Result.set("sets", std::move(Arr));
-    }
+      W.put(']');
+    });
   } else {
     replyError(Req.Id,
                Status::invalidArgument(
@@ -755,7 +795,7 @@ void Server::handleQuery(const ServeRequest &Req,
                    "' (labels|all-labels|is-label-in|occurrences)"));
     return;
   }
-  reply(renderOkReply(Req.Id, Result));
+  reply(std::move(Line));
   Millis.observe(static_cast<uint64_t>(T.millis()));
 }
 
@@ -892,7 +932,7 @@ void Server::handleSlice(const ServeRequest &Req,
 // Reply path
 //===----------------------------------------------------------------------===//
 
-void Server::reply(const std::string &Line) {
+void Server::reply(std::string Line) {
   static Counter &Replies = counter("serve.replies");
   Replies.inc();
   // The reply-write fault: serialization failed after the work was done.
@@ -907,10 +947,9 @@ void Server::reply(const std::string &Line) {
     writeAll(OutFd, Fallback, sizeof(Fallback) - 1);
     return;
   }
-  std::string Out = Line;
-  Out += '\n';
+  Line += '\n';
   std::lock_guard<std::mutex> Lock(WriteMu);
-  writeAll(OutFd, Out.data(), Out.size());
+  writeAll(OutFd, Line.data(), Line.size());
 }
 
 void Server::replyError(const JsonValue &Id, const Status &S) {

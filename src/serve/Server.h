@@ -146,7 +146,7 @@ private:
   Status installFullEpoch(const std::string &Source, const Deadline &D,
                           std::shared_ptr<Epoch> &Out);
   Deadline requestDeadline(const ServeRequest &Req) const;
-  void reply(const std::string &Line);
+  void reply(std::string Line);
   void replyError(const JsonValue &Id, const Status &S);
   void enqueue(std::function<void()> Job);
   void drainWorkers();

@@ -26,6 +26,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -680,6 +681,189 @@ TEST(Serve, AdmissionDegradesBetweenSoftAndHardBudget) {
   EXPECT_EQ(ServeHarness::errorCodeOf(H.recv()), "resource-exhausted");
   H.send(R"({"id":4,"verb":"slice"})");
   EXPECT_EQ(ServeHarness::errorCodeOf(H.recv()), "resource-exhausted");
+  H.shutdown();
+}
+
+//===----------------------------------------------------------------------===//
+// Streamed query replies
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+JsonValue idArray(const std::vector<uint32_t> &Ids) {
+  JsonValue Arr = JsonValue::array();
+  for (uint32_t Id : Ids)
+    Arr.push(JsonValue::number(int64_t(Id)));
+  return Arr;
+}
+
+JsonValue idRange(uint32_t N) {
+  std::vector<uint32_t> Ids(N);
+  for (uint32_t I = 0; I != N; ++I)
+    Ids[I] = I;
+  return idArray(Ids);
+}
+
+/// Sends every `query` kind to \p H and checks each reply line, byte for
+/// byte, against `renderOkReply` over the DOM the daemon built before its
+/// query replies were streamed: `epoch`, `engine`, `degraded` (when set),
+/// then the payload.
+void expectQueryRepliesMatchDom(ServeHarness &H, const std::string &Source,
+                                int64_t EpochId, const std::string &Engine,
+                                bool Degraded) {
+  Reference Ref(Source);
+  const uint32_t NumLabels = Ref.M->numLabels();
+  const uint32_t NumExprs = Ref.M->numExprs();
+  int64_t Id = 100;
+  auto expect = [&](const std::string &Params, const char *Key,
+                    JsonValue Payload, const char *Key2 = nullptr,
+                    JsonValue Payload2 = JsonValue::null()) {
+    // A worker releases its admission units just after writing its
+    // reply, so in the degraded band (where one request fills the budget)
+    // the next request can be shed for a moment: retry it.
+    std::string Line;
+    for (int Try = 0; Try != 1000; ++Try) {
+      H.send("{\"id\":" + std::to_string(Id) +
+             ",\"verb\":\"query\",\"params\":" + Params + "}");
+      Line = H.recvLine();
+      if (Line.find("\"resource-exhausted\"") == std::string::npos)
+        break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    JsonValue Result = JsonValue::object();
+    Result.set("epoch", JsonValue::number(EpochId));
+    Result.set("engine", JsonValue::string(Degraded ? "partial" : Engine));
+    if (Degraded)
+      Result.set("degraded", JsonValue::boolean(true));
+    Result.set(Key, std::move(Payload));
+    if (Key2)
+      Result.set(Key2, std::move(Payload2));
+    EXPECT_EQ(Line, renderOkReply(JsonValue::number(Id), Result)) << Params;
+    ++Id;
+  };
+
+  for (uint32_t E : {Ref.M->root().index(), 0u, NumExprs - 1}) {
+    std::string Params =
+        R"({"kind":"labels","expr":)" + std::to_string(E) + "}";
+    expect(Params, "labels",
+           Degraded ? idRange(NumLabels) : idArray(Ref.labelsOf(ExprId(E))));
+  }
+  for (uint32_t L = 0; L != NumLabels; ++L) {
+    std::vector<uint32_t> Occ;
+    if (Degraded) {
+      for (uint32_t I = 0; I != NumExprs; ++I)
+        Occ.push_back(I);
+    } else {
+      for (ExprId E : Ref.Hybrid->queryEngine()->occurrencesOf(LabelId(L)))
+        Occ.push_back(E.index());
+    }
+    expect(R"({"kind":"occurrences","label":)" + std::to_string(L) + "}",
+           "exprs", idArray(Occ));
+    bool In = true;
+    if (!Degraded) {
+      std::vector<uint32_t> Root = Ref.labelsOf(Ref.M->root());
+      In = std::find(Root.begin(), Root.end(), L) != Root.end();
+    }
+    expect(R"({"kind":"is-label-in","label":)" + std::to_string(L) + "}",
+           "value", JsonValue::boolean(In));
+  }
+  if (Degraded) {
+    expect(R"({"kind":"all-labels"})", "universal", JsonValue::boolean(true),
+           "labels", idRange(NumLabels));
+  } else {
+    JsonValue Sets = JsonValue::array();
+    for (uint32_t I = 0; I != NumExprs; ++I) {
+      std::vector<uint32_t> Ids = Ref.labelsOf(ExprId(I));
+      if (Ids.empty())
+        continue;
+      JsonValue Row = JsonValue::object();
+      Row.set("expr", JsonValue::number(int64_t(I)));
+      Row.set("labels", idArray(Ids));
+      Sets.push(std::move(Row));
+    }
+    expect(R"({"kind":"all-labels"})", "sets", std::move(Sets));
+  }
+}
+
+} // namespace
+
+TEST(Serve, StreamedQueryRepliesMatchTheDomBytes) {
+  const std::string Source = makeCubicFamily(3);
+  int64_t Nodes = 0;
+  {
+    ServeHarness H{ServeOptions{}};
+    H.send(loadRequest(1, Source));
+    JsonValue Load = H.recv();
+    ASSERT_TRUE(ServeHarness::okOf(Load)) << renderJson(Load);
+    const JsonValue *LR = ServeHarness::resultOf(Load);
+    Nodes = LR->field("nodes")->asInt();
+    expectQueryRepliesMatchDom(H, Source, LR->field("epoch")->asInt(),
+                               LR->field("engine")->asString(), false);
+    H.shutdown();
+  }
+  // Soft budget = cost-1: every query lands in the degraded band.
+  ServeOptions O;
+  O.MaxInflightCost = static_cast<uint64_t>(Nodes - 1);
+  ServeHarness H{O};
+  H.send(loadRequest(1, Source));
+  JsonValue Load = H.recv();
+  ASSERT_TRUE(ServeHarness::okOf(Load));
+  const JsonValue *LR = ServeHarness::resultOf(Load);
+  expectQueryRepliesMatchDom(H, Source, LR->field("epoch")->asInt(),
+                             LR->field("engine")->asString(), true);
+  H.shutdown();
+}
+
+TEST(Serve, AllLabelsOverlappingPointQueriesStayBitExact) {
+  // `all-labels` copies the finished kernel's rows outside the epoch
+  // mutex; a burst on two workers overlaps those copies with point
+  // queries on the same epoch (a race TSan would report), and every
+  // answer must still match the batch reference.
+  ServeOptions O;
+  O.Threads = 2;
+  ServeHarness H{O};
+  const std::string Source = makeCubicFamily(6);
+  H.send(loadRequest(0, Source));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  Reference Ref(Source);
+  const uint32_t NumExprs = Ref.M->numExprs();
+
+  std::string Burst;
+  const int N = 60;
+  for (int I = 1; I <= N; ++I) {
+    std::string Params =
+        I % 3 == 1 ? R"({"kind":"all-labels"})"
+                   : R"({"kind":"labels","expr":)" +
+                         std::to_string((I * 7) % NumExprs) + "}";
+    Burst += R"({"id":)" + std::to_string(I) +
+             R"(,"verb":"query","params":)" + Params + "}\n";
+  }
+  H.sendRaw(Burst);
+  for (int K = 0; K != N; ++K) {
+    JsonValue R = H.recv();
+    ASSERT_TRUE(ServeHarness::okOf(R)) << renderJson(R);
+    const int I = static_cast<int>(R.field("id")->asInt());
+    const JsonValue *Result = ServeHarness::resultOf(R);
+    if (I % 3 != 1) {
+      EXPECT_EQ(labelIdsOf(R), Ref.labelsOf(ExprId((I * 7) % NumExprs)))
+          << "request " << I;
+      continue;
+    }
+    uint32_t Rows = 0;
+    for (const JsonValue &Row : Result->field("sets")->items()) {
+      std::vector<uint32_t> Ids;
+      for (const JsonValue &L : Row.field("labels")->items())
+        Ids.push_back(static_cast<uint32_t>(L.asInt()));
+      EXPECT_EQ(Ids, Ref.labelsOf(ExprId(
+                         static_cast<uint32_t>(Row.field("expr")->asInt()))))
+          << "request " << I;
+      ++Rows;
+    }
+    uint32_t NonEmpty = 0;
+    for (uint32_t E = 0; E != NumExprs; ++E)
+      NonEmpty += !Ref.labelsOf(ExprId(E)).empty();
+    EXPECT_EQ(Rows, NonEmpty) << "request " << I;
+  }
   H.shutdown();
 }
 
