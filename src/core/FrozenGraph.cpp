@@ -21,20 +21,22 @@ FrozenGraph::FrozenGraph(const SubtransitiveGraph &G)
   assert(!G.aborted() && "an aborted graph must not be frozen");
 }
 
-FrozenGraph::FrozenGraph(const SubtransitiveGraph &G, const Deadline &D) {
+FrozenGraph::FrozenGraph(const SubtransitiveGraph &G, const Deadline &D,
+                         const IdOrders *Orders) {
   const Module &M = G.module();
-  NumExprs = M.numExprs();
-  NumVars = M.numVars();
-  NumLabels = M.numLabels();
-  FreezeStatus = init(G, D);
+  NumExprs = Orders ? uint32_t(Orders->Exprs.size()) : M.numExprs();
+  NumVars = Orders ? uint32_t(Orders->Vars.size()) : M.numVars();
+  NumLabels = Orders ? uint32_t(Orders->Labels.size()) : M.numLabels();
+  FreezeStatus = init(G, D, Orders);
   if (!FreezeStatus.isOk())
     resetToInert();
 }
 
 std::unique_ptr<FrozenGraph> FrozenGraph::freeze(const SubtransitiveGraph &G,
                                                  Status &Out,
-                                                 const Deadline &D) {
-  auto F = std::unique_ptr<FrozenGraph>(new FrozenGraph(G, D));
+                                                 const Deadline &D,
+                                                 const IdOrders *Orders) {
+  auto F = std::unique_ptr<FrozenGraph>(new FrozenGraph(G, D, Orders));
   Out = F->status();
   if (!Out.isOk())
     F.reset();
@@ -115,7 +117,8 @@ void FrozenGraph::resetToInert() {
   RanOf = RanOfStore;
 }
 
-Status FrozenGraph::init(const SubtransitiveGraph &G, const Deadline &D) {
+Status FrozenGraph::init(const SubtransitiveGraph &G, const Deadline &D,
+                         const IdOrders *Orders) {
   Span FreezeSpan("freeze");
   static Counter &Freezes = counter("freeze.count");
   static Counter &FreezeAborts = counter("freeze.aborts");
@@ -194,30 +197,44 @@ Status FrozenGraph::init(const SubtransitiveGraph &G, const Deadline &D) {
   if (Status S = checkpoint(); !S.isOk())
     return fail(std::move(S));
 
+  // The source id behind each snapshot id: identity, or the orders.
+  auto exprAt = [&](uint32_t I) { return Orders ? Orders->Exprs[I] : I; };
+  auto varAt = [&](uint32_t I) { return Orders ? Orders->Vars[I] : I; };
+  auto labelAt = [&](uint32_t I) { return Orders ? Orders->Labels[I] : I; };
+  std::vector<uint32_t> LabelOfSource; // inverse of `Orders->Labels`
+  if (Orders) {
+    LabelOfSource.assign(G.module().numLabels(), None);
+    for (uint32_t L = 0; L != NumLabels; ++L)
+      LabelOfSource[Orders->Labels[L]] = L;
+  }
+
   // Labels and ops hoisted into flat arrays.
   LabelAtStore.resize(NumNodes);
   OpStore.resize(NumNodes);
   for (uint32_t N = 0; N != NumNodes; ++N) {
     LabelId L = G.labelOf(NodeId(N));
-    LabelAtStore[N] = L.isValid() ? L.index() : None;
+    LabelAtStore[N] = !L.isValid() ? None
+                      : Orders     ? LabelOfSource[L.index()]
+                                   : L.index();
     OpStore[N] = G.op(NodeId(N));
   }
 
   // Flat occurrence/binder -> node maps and per-label reverse roots.
   NodeOfExprStore.resize(NumExprs);
   for (uint32_t I = 0; I != NumExprs; ++I) {
-    NodeId N = G.lookupExprNode(ExprId(I));
+    NodeId N = G.lookupExprNode(ExprId(exprAt(I)));
     NodeOfExprStore[I] = N.isValid() ? N.index() : None;
   }
   NodeOfVarStore.resize(NumVars);
   for (uint32_t I = 0; I != NumVars; ++I) {
-    NodeId N = G.lookupVarNode(VarId(I));
+    NodeId N = G.lookupVarNode(VarId(varAt(I)));
     NodeOfVarStore[I] = N.isValid() ? N.index() : None;
   }
   LabelRootsStore.assign(2 * size_t(NumLabels), None);
   for (uint32_t L = 0; L != NumLabels; ++L) {
-    NodeId Lam = G.lookupExprNode(G.module().lamOfLabel(LabelId(L)));
-    NodeId Carrier = G.lookupLabelNode(LabelId(L));
+    LabelId Src(labelAt(L));
+    NodeId Lam = G.lookupExprNode(G.module().lamOfLabel(Src));
+    NodeId Carrier = G.lookupLabelNode(Src);
     LabelRootsStore[2 * L] = Lam.isValid() ? Lam.index() : None;
     LabelRootsStore[2 * L + 1] = Carrier.isValid() ? Carrier.index() : None;
   }

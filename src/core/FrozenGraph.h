@@ -89,6 +89,15 @@ public:
     uint32_t NumSccs = 0;
   };
 
+  /// A renumbering applied while freezing: entry I of each order is the
+  /// source graph's id for the snapshot's id I.  The snapshot's counts
+  /// are the orders' sizes, so source exprs, binders and labels no order
+  /// names (garbage the delta layer keeps in its arena) are invisible:
+  /// such a label freezes as `None`.  Node ids are not renumbered.
+  struct IdOrders {
+    std::span<const uint32_t> Exprs, Vars, Labels;
+  };
+
   /// Freezes \p G.  Requires `G.closed() && !G.aborted()` (debug
   /// assert); in release builds a violation produces an empty, inert
   /// snapshot with `status()` set instead of UB.
@@ -97,15 +106,18 @@ public:
   /// Governed freeze: like the constructor, but a wall-clock deadline
   /// covers the compaction and nothing is asserted — precondition
   /// violations, deadline expiry, and injected faults all land in
-  /// `status()` with the snapshot left empty and inert.
-  FrozenGraph(const SubtransitiveGraph &G, const Deadline &D);
+  /// `status()` with the snapshot left empty and inert.  \p Orders, when
+  /// given, renumbers exprs, binders and labels (see `IdOrders`).
+  FrozenGraph(const SubtransitiveGraph &G, const Deadline &D,
+              const IdOrders *Orders = nullptr);
 
   /// Factory for the governed pipeline: returns the snapshot, or null
   /// with \p Out explaining why (`FailedPrecondition` for an unclosed or
   /// aborted graph, `DeadlineExceeded`, or an injected fault's code).
   static std::unique_ptr<FrozenGraph> freeze(const SubtransitiveGraph &G,
                                              Status &Out,
-                                             const Deadline &D = {});
+                                             const Deadline &D = {},
+                                             const IdOrders *Orders = nullptr);
 
   /// Wraps externally owned tables — the snapshot loader's mmap — with
   /// zero copying; \p T's storage must outlive the returned snapshot.
@@ -188,7 +200,8 @@ public:
 private:
   FrozenGraph() = default; // the `fromTables` view path
 
-  Status init(const SubtransitiveGraph &G, const Deadline &D);
+  Status init(const SubtransitiveGraph &G, const Deadline &D,
+              const IdOrders *Orders);
   void resetToInert();
 
   uint32_t NumNodes = 0, NumExprs = 0, NumVars = 0, NumLabels = 0;

@@ -17,7 +17,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace stcfa;
 
@@ -245,6 +244,7 @@ void DeltaSession::destroyShadowState() {
   for (DefRecord *D : std::vector<DefRecord *>{&Body}) {
     D->Exprs.clear();
     D->Labels.clear();
+    D->Vars.clear();
     D->ExternalRefs.clear();
     D->BaseEdges.clear();
   }
@@ -254,9 +254,23 @@ void DeltaSession::destroyShadowState() {
     D.Spine = ExprId::invalid();
     D.Exprs.clear();
     D.Labels.clear();
+    D.Vars.clear();
     D.ExternalRefs.clear();
     D.BaseEdges.clear();
   }
+}
+
+void DeltaSession::recordIds(DefRecord &D, const IdMarks &From) const {
+  D.Exprs.clear();
+  D.Labels.clear();
+  D.Vars.clear();
+  for (uint32_t E = From.Exprs; E != M->numExprs(); ++E)
+    D.Exprs.push_back(E);
+  for (uint32_t L = From.Labels; L != M->numLabels(); ++L)
+    D.Labels.push_back(L);
+  for (uint32_t V = From.Vars; V != M->numVars(); ++V)
+    if (V != D.Binder.index())
+      D.Vars.push_back(V);
 }
 
 std::vector<std::pair<Symbol, VarId>>
@@ -309,7 +323,7 @@ Status DeltaSession::initFromTexts() {
   DiagnosticEngine Diags;
   for (size_t K = 0; K != Defs.size(); ++K) {
     DefRecord &D = Defs[K];
-    const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+    const IdMarks Marks = marks();
     FragmentDef FD;
     if (!parseTopDefFragment(*M, D.Text, envBefore(K), Diags, FD))
       return Status::invalidArgument("definition '" + D.Name +
@@ -319,24 +333,18 @@ Status DeltaSession::initFromTexts() {
     D.IsRec = FD.IsRec;
     D.Binder = FD.Binder;
     D.Init = FD.Init;
-    for (uint32_t E = E0; E != M->numExprs(); ++E)
-      D.Exprs.push_back(E);
-    for (uint32_t L = L0; L != M->numLabels(); ++L)
-      D.Labels.push_back(L);
+    recordIds(D, Marks);
     collectExternalRefs(D, D.Init, D.ExternalRefs);
   }
   {
-    const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+    const IdMarks Marks = marks();
     ExprId B = parseExprFragment(*M, Body.Text, envBefore(Defs.size()), Diags);
     if (!B.isValid())
       return Status::invalidArgument("program body failed to parse: " +
                                      renderDiags(Diags));
     Body.Init = B;
     Body.Binder = VarId::invalid();
-    for (uint32_t E = E0; E != M->numExprs(); ++E)
-      Body.Exprs.push_back(E);
-    for (uint32_t L = L0; L != M->numLabels(); ++L)
-      Body.Labels.push_back(L);
+    recordIds(Body, Marks);
     collectExternalRefs(Body, Body.Init, Body.ExternalRefs);
   }
   relinkSpine();
@@ -635,7 +643,7 @@ Status DeltaSession::applyTextOnly(const EditRequest &R, size_t Idx,
 Status DeltaSession::editReplace(const EditRequest &R, size_t Idx,
                                  ApplyResult &Res) {
   DefRecord &D = Defs[Idx];
-  const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+  const IdMarks Marks = marks();
   DiagnosticEngine Diags;
   FragmentDef FD;
   if (!parseTopDefFragment(*M, R.Text, envBefore(Idx), Diags, FD, D.Binder))
@@ -653,12 +661,7 @@ Status DeltaSession::editReplace(const EditRequest &R, size_t Idx,
   std::vector<std::pair<NodeId, NodeId>> OldEdges = std::move(D.BaseEdges);
   D.BaseEdges.clear();
   D.Init = FD.Init;
-  D.Exprs.clear();
-  D.Labels.clear();
-  for (uint32_t E = E0; E != M->numExprs(); ++E)
-    D.Exprs.push_back(E);
-  for (uint32_t L = L0; L != M->numLabels(); ++L)
-    D.Labels.push_back(L);
+  recordIds(D, Marks);
   collectExternalRefs(D, D.Init, D.ExternalRefs);
 
   if (faultFires(fault::DeltaDiffAlloc)) {
@@ -696,7 +699,7 @@ Status DeltaSession::editInsert(const EditRequest &R, ApplyResult &Res) {
                                      "' to insert before");
   }
 
-  const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+  const IdMarks Marks = marks();
   DiagnosticEngine Diags;
   FragmentDef FD;
   if (!parseTopDefFragment(*M, R.Text, envBefore(P), Diags, FD))
@@ -709,10 +712,7 @@ Status DeltaSession::editInsert(const EditRequest &R, ApplyResult &Res) {
   D.IsRec = FD.IsRec;
   D.Binder = FD.Binder;
   D.Init = FD.Init;
-  for (uint32_t E = E0; E != M->numExprs(); ++E)
-    D.Exprs.push_back(E);
-  for (uint32_t L = L0; L != M->numLabels(); ++L)
-    D.Labels.push_back(L);
+  recordIds(D, Marks);
   collectExternalRefs(D, D.Init, D.ExternalRefs);
 
   // Committed from here on.
@@ -787,7 +787,7 @@ Status DeltaSession::editDelete(size_t Idx, ApplyResult &Res) {
 }
 
 Status DeltaSession::editReplaceBody(const EditRequest &R, ApplyResult &Res) {
-  const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+  const IdMarks Marks = marks();
   DiagnosticEngine Diags;
   ExprId NewBody =
       parseExprFragment(*M, R.Text, envBefore(Defs.size()), Diags);
@@ -800,12 +800,7 @@ Status DeltaSession::editReplaceBody(const EditRequest &R, ApplyResult &Res) {
   std::vector<std::pair<NodeId, NodeId>> OldEdges = std::move(Body.BaseEdges);
   Body.BaseEdges.clear();
   Body.Init = NewBody;
-  Body.Exprs.clear();
-  Body.Labels.clear();
-  for (uint32_t E = E0; E != M->numExprs(); ++E)
-    Body.Exprs.push_back(E);
-  for (uint32_t L = L0; L != M->numLabels(); ++L)
-    Body.Labels.push_back(L);
+  recordIds(Body, Marks);
   collectExternalRefs(Body, Body.Init, Body.ExternalRefs);
 
   if (faultFires(fault::DeltaDiffAlloc)) {
@@ -980,44 +975,40 @@ Status DeltaSession::freezeView(DeltaView &Out) {
   if (TextOnly || !G)
     return Status::failedPrecondition(
         "session has no incremental state; rebuild via the full pipeline");
-  Status FS = Status::ok();
-  std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(*G, FS);
-  if (!F)
-    return FS;
-  // A frozen graph keeps no reference to its source, so queries against
-  // this view never race the next edit's graph surgery (the serve layer
-  // shares views across worker threads).
-  Out.Frozen = std::move(F);
-
   // Canonical numbering, in fresh-parse creation order: each definition's
   // init subtree, then the body subtree, then the spine lets innermost
   // (last definition) first — the root is always the last canonical id.
-  Out.NumExprs = numExprs();
-  Out.NumLabels = numLabels();
-  Out.ExprToShadow.clear();
-  Out.LabelToShadow.clear();
-  Out.ExprToShadow.reserve(Out.NumExprs);
-  Out.LabelToShadow.reserve(Out.NumLabels);
+  // A `letrec` binder precedes its init's binders, a `let` binder follows
+  // them; the spine lets create none.
+  std::vector<uint32_t> Exprs, Vars, Labels;
+  Exprs.reserve(numExprs());
+  Vars.reserve(M->numVars());
+  Labels.reserve(numLabels());
   for (const DefRecord &D : Defs) {
-    Out.ExprToShadow.insert(Out.ExprToShadow.end(), D.Exprs.begin(),
-                            D.Exprs.end());
-    Out.LabelToShadow.insert(Out.LabelToShadow.end(), D.Labels.begin(),
-                             D.Labels.end());
+    Exprs.insert(Exprs.end(), D.Exprs.begin(), D.Exprs.end());
+    Labels.insert(Labels.end(), D.Labels.begin(), D.Labels.end());
+    if (D.IsRec)
+      Vars.push_back(D.Binder.index());
+    Vars.insert(Vars.end(), D.Vars.begin(), D.Vars.end());
+    if (!D.IsRec)
+      Vars.push_back(D.Binder.index());
   }
-  Out.ExprToShadow.insert(Out.ExprToShadow.end(), Body.Exprs.begin(),
-                          Body.Exprs.end());
-  Out.LabelToShadow.insert(Out.LabelToShadow.end(), Body.Labels.begin(),
-                           Body.Labels.end());
+  Exprs.insert(Exprs.end(), Body.Exprs.begin(), Body.Exprs.end());
+  Labels.insert(Labels.end(), Body.Labels.begin(), Body.Labels.end());
+  Vars.insert(Vars.end(), Body.Vars.begin(), Body.Vars.end());
   for (size_t K = Defs.size(); K-- != 0;)
-    Out.ExprToShadow.push_back(Defs[K].Spine.index());
-  assert(Out.ExprToShadow.size() == Out.NumExprs && "expr map out of sync");
-  assert(Out.LabelToShadow.size() == Out.NumLabels && "label map out of sync");
+    Exprs.push_back(Defs[K].Spine.index());
 
-  Out.ExprFromShadow.assign(M->numExprs(), ~0u);
-  for (uint32_t C = 0; C != Out.NumExprs; ++C)
-    Out.ExprFromShadow[Out.ExprToShadow[C]] = C;
-  Out.LabelFromShadow.assign(M->numLabels(), ~0u);
-  for (uint32_t C = 0; C != Out.NumLabels; ++C)
-    Out.LabelFromShadow[Out.LabelToShadow[C]] = C;
+  // The frozen graph keeps no reference to its source, so queries against
+  // this view never race the next edit's graph surgery (the serve layer
+  // shares views across worker threads).
+  const FrozenGraph::IdOrders Orders{Exprs, Vars, Labels};
+  Status FS = Status::ok();
+  std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(*G, FS, {}, &Orders);
+  if (!F)
+    return FS;
+  Out.Frozen = std::move(F);
+  Out.NumExprs = static_cast<uint32_t>(Exprs.size());
+  Out.NumLabels = static_cast<uint32_t>(Labels.size());
   return Status::ok();
 }

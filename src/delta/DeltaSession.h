@@ -23,14 +23,15 @@
 /// subtree as unreachable garbage (expression arenas have no free lists,
 /// and node ids must stay stable because the graph's nodes reference
 /// them).  Clients, however, speak *canonical* ids — the ids a fresh
-/// parse of the current source text would assign.  The session maintains
-/// the canonical<->shadow renumbering (a per-definition prefix-sum over
-/// subtree sizes; fragment re-parses reproduce `parseProgram`'s relative
-/// creation order, which the parser documents as a contract), and every
-/// published `DeltaView` carries it so the serve layer can translate at
-/// the epoch boundary.  When the shadow arena outgrows the canonical
-/// program by `Options::MaxBloat`, the session compacts by rebuilding
-/// from source (counted as `delta.compactions`).
+/// parse of the current source text would assign.  The session keeps
+/// each definition's shadow expr, binder and label ids in creation order
+/// (fragment re-parses reproduce `parseProgram`'s relative creation
+/// order, which the parser documents as a contract); `freezeView`
+/// concatenates them into canonical->shadow orders and applies them while
+/// freezing, so a published `DeltaView` speaks canonical ids only and the
+/// serve layer never translates.  When the shadow arena outgrows the
+/// canonical program by `Options::MaxBloat`, the session compacts by
+/// rebuilding from source (counted as `delta.compactions`).
 ///
 /// ## Base-edge refcounts and the retraction cone
 ///
@@ -88,25 +89,15 @@ namespace stcfa {
 /// A self-contained, immutable view of one edit epoch, ready to be
 /// installed by the serve layer: the frozen snapshot keeps no reference
 /// to the session's live graph (queries never race the next edit's graph
-/// surgery), and the id maps translate between the canonical numbering
-/// clients speak and the shadow numbering the snapshot uses.
+/// surgery), and it is already in canonical numbering — its exprs,
+/// binders and labels are the ids a fresh parse of the current source
+/// assigns, and garbage shadow ids are not in it at all.
 struct DeltaView {
   std::unique_ptr<FrozenGraph> Frozen;
 
   /// Canonical program shape (what a fresh parse would report).
   uint32_t NumExprs = 0;
   uint32_t NumLabels = 0;
-
-  /// Canonical -> shadow id maps; every canonical id maps to a live
-  /// shadow id (`size() == NumExprs` / `NumLabels`).
-  std::vector<uint32_t> ExprToShadow;
-  std::vector<uint32_t> LabelToShadow;
-
-  /// Shadow -> canonical inverse maps, `~0u` for garbage shadow ids
-  /// (subtrees orphaned by replace/delete edits).  Sized to the shadow
-  /// module's counts at freeze time.
-  std::vector<uint32_t> ExprFromShadow;
-  std::vector<uint32_t> LabelFromShadow;
 };
 
 /// One incremental edit request, addressed by definition name or by the
@@ -234,11 +225,24 @@ private:
     /// Shadow ids of the init subtree, in creation (= canonical) order.
     std::vector<uint32_t> Exprs;
     std::vector<uint32_t> Labels;
+    /// Shadow binders the subtree's parse created, in creation order;
+    /// `Binder` itself is not among them (`freezeView` places it).
+    std::vector<uint32_t> Vars;
     /// Binders of *other* definitions this subtree references.
     std::vector<uint32_t> ExternalRefs;
     /// Journaled `addEdge` attempts owned by this definition.
     std::vector<std::pair<NodeId, NodeId>> BaseEdges;
   };
+
+  /// The shadow module's expr/label/binder counts before a fragment parse.
+  struct IdMarks {
+    uint32_t Exprs, Labels, Vars;
+  };
+  IdMarks marks() const {
+    return {M->numExprs(), M->numLabels(), M->numVars()};
+  }
+  /// Records the ids a fragment parse created since \p From as \p D's.
+  void recordIds(DefRecord &D, const IdMarks &From) const;
 
   // Construction / rebuild.
   Status initFromTexts();

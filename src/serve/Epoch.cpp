@@ -11,8 +11,8 @@
 #include "sema/Infer.h"
 #include "support/Diagnostics.h"
 #include "support/Metrics.h"
+#include "support/Trace.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace stcfa;
@@ -61,8 +61,6 @@ Epoch::Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
              size_t KernelThreshold)
     : EpochId(Id), View(std::move(V)), DeltaSource(std::move(Source)) {
   assert(View.Frozen && "delta epoch needs a frozen view");
-  DeltaOpts.Threads = Threads;
-  DeltaOpts.KernelThreshold = KernelThreshold;
   MappedEngine = std::make_unique<QueryEngine>(*View.Frozen, Threads);
   MappedEngine->setKernelThreshold(KernelThreshold);
   Q = MappedEngine.get();
@@ -98,24 +96,10 @@ uint64_t Epoch::cost() const {
   return C ? C : 1;
 }
 
-DenseBitset Epoch::translateRow(const DenseBitset &ShadowRow) const {
-  DenseBitset Out(CanonLabels);
-  ShadowRow.forEach([&](uint32_t ShadowL) {
-    uint32_t C = View.LabelFromShadow[ShadowL];
-    if (C != ~0u)
-      Out.insert(C);
-  });
-  return Out;
-}
-
 Status Epoch::labelsOf(ExprId E, const Deadline &D, DenseBitset &Out) {
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
   std::lock_guard<std::mutex> Lock(Mu);
-  if (View.Frozen) {
-    Out = translateRow(Q->labelsOf(ExprId(View.ExprToShadow[E.index()])));
-    return Status::ok();
-  }
   if (Q) {
     Out = Q->labelsOf(E);
     return Status::ok();
@@ -128,11 +112,6 @@ Status Epoch::isLabelIn(ExprId E, LabelId L, const Deadline &D, bool &Out) {
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
   std::lock_guard<std::mutex> Lock(Mu);
-  if (View.Frozen) {
-    Out = Q->isLabelIn(ExprId(View.ExprToShadow[E.index()]),
-                       LabelId(View.LabelToShadow[L.index()]));
-    return Status::ok();
-  }
   if (Q) {
     Out = Q->isLabelIn(E, L);
     return Status::ok();
@@ -146,18 +125,6 @@ Status Epoch::occurrencesOf(LabelId L, const Deadline &D,
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
   std::lock_guard<std::mutex> Lock(Mu);
-  if (View.Frozen) {
-    Out.clear();
-    for (ExprId Shadow :
-         Q->occurrencesOf(LabelId(View.LabelToShadow[L.index()]))) {
-      uint32_t C = View.ExprFromShadow[Shadow.index()];
-      if (C != ~0u)
-        Out.push_back(ExprId(C));
-    }
-    std::sort(Out.begin(), Out.end(),
-              [](ExprId A, ExprId B) { return A.index() < B.index(); });
-    return Status::ok();
-  }
   if (Q) {
     Out = Q->occurrencesOf(L);
     return Status::ok();
@@ -179,7 +146,7 @@ Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
   std::unique_lock<std::mutex> Lock(Mu);
   // A complete kernel is read-only: its rows are copied after Mu is
   // released, so point queries do not wait behind a whole-program batch.
-  if (Q && !View.Frozen && D.isInfinite())
+  if (Q && D.isInfinite())
     if (const LabelSetKernel *K = Q->completeKernel(E)) {
       Lock.unlock();
       Out.clear();
@@ -192,10 +159,8 @@ Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
   if (Q) {
     std::vector<ExprId> Es;
     Es.reserve(E);
-    // A delta epoch batches over shadow ids in canonical order, so the
-    // result and `Done` slots line up with canonical ids as-is.
     for (uint32_t I = 0; I != E; ++I)
-      Es.push_back(View.Frozen ? ExprId(View.ExprToShadow[I]) : ExprId(I));
+      Es.push_back(ExprId(I));
     Status BS = Status::ok();
     if (D.isInfinite()) {
       Out = Q->labelsOfBatch(Es);
@@ -208,9 +173,6 @@ Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
       Done = std::move(Outcome.Done);
       BS = Outcome.S;
     }
-    if (View.Frozen)
-      for (DenseBitset &Row : Out)
-        Row = translateRow(Row);
     return BS;
   }
   Out.clear();
@@ -234,12 +196,9 @@ Status Epoch::lint(const std::vector<std::string> &Passes, const Deadline &D,
   LO.D = D;
   LO.Threads = Threads;
   std::lock_guard<std::mutex> Lock(Mu);
-  // A delta epoch lints the spliced source through the lazy full
-  // pipeline, so the findings are bit-exact with a fresh full load of the
-  // same text (tests/serve_edit_test.cpp proves it).
   const Module *LM = nullptr;
   const FrozenGraph *LF = nullptr;
-  if (Status S = sliceSubstrate(D, LM, LF); !S.isOk())
+  if (Status S = sliceSubstrate(LM, LF); !S.isOk())
     return S;
   Out = LintEngine(*LM, *LF).run(LO);
   return Status::ok();
@@ -267,37 +226,32 @@ Status LivePipeline::solve(const HybridOptions &HO) {
   return Status::ok();
 }
 
-Status Epoch::sliceSubstrate(const Deadline &D, const Module *&OutM,
-                             const FrozenGraph *&OutF) {
-  if (View.Frozen) {
-    if (!Delta.H) {
-      LivePipeline P; // published only once solved: failures retry
-      HybridOptions HO = DeltaOpts;
-      HO.D = D;
-      if (Status S = P.parse(DeltaSource); !S.isOk())
-        return S;
-      if (Status S = P.solve(HO); !S.isOk())
-        return S;
-      Delta = std::move(P);
-    }
-    const FrozenGraph *F = Delta.H->frozen();
-    if (!F || !F->status().isOk())
-      return Status::failedPrecondition(
-          "this pass requires the subtransitive engine; the delta epoch's "
-          "full pipeline degraded to " +
-          std::string(engineName(Delta.H->engine())));
-    // The lazy pipeline reparses the spliced source, so its module ids
-    // are exactly the canonical numbering clients already speak.
-    OutM = Delta.M.get();
-    OutF = F;
-    return Status::ok();
-  }
+Status Epoch::sliceSubstrate(const Module *&OutM, const FrozenGraph *&OutF) {
   const FrozenGraph *F = frozen();
   if (!F || !F->status().isOk())
     return Status::failedPrecondition(
         "this pass requires the subtransitive engine; this epoch degraded "
         "to " +
         std::string(engine()));
+  if (!M) {
+    // A delta epoch's first lint or slice: its view is already canonical,
+    // so the module only has to supply expression kinds, ranges and
+    // names.  A fresh parse of the spliced source numbers them exactly as
+    // the view does.
+    static Counter &Parses = counter("delta.epoch_parses");
+    Span ParseSpan("serve.epoch_parse");
+    Parses.inc();
+    DiagnosticEngine Diags;
+    std::unique_ptr<Module> Parsed = parseProgram(DeltaSource, Diags);
+    if (!Parsed || Parsed->numExprs() != F->numExprs() ||
+        Parsed->numVars() != F->numVars() ||
+        Parsed->numLabels() != F->numLabels())
+      return Status::internal(
+          "delta epoch source does not match its frozen view");
+    ParseSpan.arg("exprs", Parsed->numExprs());
+    M = std::move(Parsed);
+    std::string().swap(DeltaSource);
+  }
   OutM = M.get();
   OutF = F;
   return Status::ok();
@@ -310,7 +264,7 @@ Status Epoch::dependenceGraph(const Deadline &D, const DependenceGraph *&Out) {
   }
   const Module *SM = nullptr;
   const FrozenGraph *SF = nullptr;
-  if (Status S = sliceSubstrate(D, SM, SF); !S.isOk())
+  if (Status S = sliceSubstrate(SM, SF); !S.isOk())
     return S;
   DependenceGraph::Options DO;
   DO.D = D;

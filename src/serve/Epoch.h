@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An `Epoch` is one immutable loaded analysis: the parsed module plus
-/// either a live hybrid pipeline (cache miss — the degradation ladder
-/// decides which engine serves) or an mmap-backed snapshot with its
-/// query engine (cache hit — the crash-safe warm-restart path).  Epochs
+/// An `Epoch` is one immutable loaded analysis: a frozen graph in the
+/// canonical numbering clients speak, the query engine over it, and the
+/// parsed module lint and slice walk.  Three sources publish one: a live
+/// hybrid pipeline (cache miss — the degradation ladder decides which
+/// engine serves), an mmap-backed snapshot (cache hit — the crash-safe
+/// warm-restart path), or an incremental `edit` (a `DeltaView`, whose
+/// module is parsed on the first `lint` or `slice`).  Epochs
 /// are reference-counted via `shared_ptr`: a `load` installs a new epoch
 /// while requests already dispatched keep answering against the one they
 /// resolved at accept time; the old mapping is unmapped when the last
@@ -42,9 +45,9 @@
 namespace stcfa {
 namespace serve {
 
-/// The one live pipeline the daemon runs — behind a full `load`, a
-/// full-pipeline `edit`, and a delta epoch's lazy lint/slice substrate:
-/// parse, infer (untyped programs still analyze), then solve the hybrid
+/// The one live pipeline the daemon runs — behind a full `load` and a
+/// full-pipeline `edit`: parse, infer (untyped programs still analyze),
+/// then solve the hybrid
 /// ladder.  Two steps, so a `load` can consult the snapshot cache with
 /// the parsed module before paying for the solve.
 struct LivePipeline {
@@ -61,7 +64,8 @@ struct LivePipeline {
 };
 
 /// One loaded program at one version.  Immutable after construction
-/// apart from the engine's internal scratch (guarded by `Mu`).
+/// apart from the engine's internal scratch, a delta epoch's lazily
+/// parsed module and the cached dependence graph (all guarded by `Mu`).
 class Epoch {
 public:
   /// Live-pipeline epoch: \p H has been solved (some rung served).
@@ -75,12 +79,11 @@ public:
         size_t KernelThreshold);
 
   /// Delta epoch: published by an incremental `edit`.  The view's frozen
-  /// snapshot uses the edit session's internal (shadow) numbering;
-  /// queries translate between it and the canonical ids clients speak
-  /// through the view's id maps.  \p Source is the session's current
-  /// (spliced) source text: there is no module up front, but `lint` and
-  /// `slice` lazily run the full pipeline over it on first demand — the
-  /// answers are then bit-exact with a fresh full load of the same text.
+  /// snapshot is already in canonical numbering, so it serves queries
+  /// like any other.  \p Source is the session's current (spliced)
+  /// source text: the first `lint` or `slice` parses it into the module
+  /// those walk (no inference, no solve — they read only kinds, ranges
+  /// and names), so their answers match a fresh load of the same text.
   Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
         size_t KernelThreshold);
 
@@ -90,6 +93,8 @@ public:
   Epoch &operator=(const Epoch &) = delete;
 
   uint64_t id() const { return EpochId; }
+  /// The parsed module; a delta epoch has one only after its first
+  /// `lint` or `slice`.
   const Module &module() const { return *M; }
 
   /// The serving engine: "snapshot" for a mapped epoch, else the hybrid
@@ -106,7 +111,7 @@ public:
   uint64_t cost() const;
 
   /// Canonical program shape (what clients address); for a delta epoch
-  /// these come from the view, not a module.
+  /// these come from the view, not the (lazily parsed) module.
   uint32_t numExprs() const { return CanonExprs; }
   uint32_t numLabels() const { return CanonLabels; }
   ExprId root() const { return RootId; }
@@ -140,43 +145,33 @@ public:
 
   /// Demand-driven slice from \p Target over the epoch's dependence
   /// graph (built lazily, cached for the epoch's lifetime).  Same
-  /// precondition as `lint`; delta epochs answer through the lazy full
-  /// pipeline.  A governed abort mid-traversal returns Ok with
-  /// `Out.Partial` set (slices are usable under-approximations).
+  /// precondition as `lint`.  A governed abort mid-traversal returns Ok
+  /// with `Out.Partial` set (slices are usable under-approximations).
   Status slice(ExprId Target, SliceDirection Dir, bool Witness,
                const Deadline &D, SliceReply &Out);
 
 private:
-  /// Translates a shadow-numbered label row into canonical numbering.
-  DenseBitset translateRow(const DenseBitset &ShadowRow) const;
-
   /// The (module, frozen graph) pair `lint` and the slice subsystem
   /// consume; `FailedPrecondition` explaining why when the epoch has no
-  /// usable frozen tables.  A delta epoch runs its lazy full pipeline
-  /// over the spliced source on first demand; a governed failure there
-  /// is not latched — a later request with a longer deadline retries.
-  /// Caller holds `Mu`.
-  Status sliceSubstrate(const Deadline &D, const Module *&OutM,
-                        const FrozenGraph *&OutF);
+  /// usable frozen tables.  A delta epoch parses its spliced source here
+  /// on first demand.  Caller holds `Mu`.
+  Status sliceSubstrate(const Module *&OutM, const FrozenGraph *&OutF);
 
   /// Builds (or returns the cached) dependence graph.  Caller holds `Mu`.
   Status dependenceGraph(const Deadline &D, const DependenceGraph *&Out);
 
   uint64_t EpochId;
-  std::unique_ptr<Module> M; ///< null for a delta epoch
+  /// Null for a delta epoch until its first lint/slice (set under `Mu`).
+  std::unique_ptr<Module> M;
   // Live path (cache miss): the ladder owns graph/frozen/engine.
   std::unique_ptr<HybridCFA> Hybrid;
-  // Mapped path (cache hit): the snapshot owns the tables, Q queries it.
+  // Mapped and delta paths: the snapshot or the view owns the tables,
+  // `MappedEngine` queries them.  `DeltaSource` is the text the delta
+  // epoch's module is parsed from (released once parsed).
   std::unique_ptr<LoadedSnapshot> Snap;
-  std::unique_ptr<QueryEngine> MappedEngine;
-  // Delta path (edit): the view owns the frozen tables and the
-  // canonical<->shadow id maps.  `DeltaSource` feeds the lazy full
-  // pipeline (`Delta`, solved under `DeltaOpts`) that serves lint and
-  // slice.
   DeltaView View;
   std::string DeltaSource;
-  HybridOptions DeltaOpts;
-  LivePipeline Delta;
+  std::unique_ptr<QueryEngine> MappedEngine;
 
   // Slice subsystem (all flavours): dependence graph cached on first
   // successful build.

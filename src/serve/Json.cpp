@@ -308,7 +308,14 @@ private:
   size_t Pos = 0;
 };
 
-void renderString(std::string_view S, std::string &Out) {
+} // namespace
+
+Status stcfa::serve::parseJson(std::string_view Text, JsonValue &Out,
+                               const JsonLimits &Limits) {
+  return Parser(Text, Limits).run(Out);
+}
+
+void stcfa::serve::renderJsonString(std::string_view S, std::string &Out) {
   Out += '"';
   for (unsigned char C : S) {
     switch (C) {
@@ -346,13 +353,6 @@ void renderString(std::string_view S, std::string &Out) {
   Out += '"';
 }
 
-} // namespace
-
-Status stcfa::serve::parseJson(std::string_view Text, JsonValue &Out,
-                               const JsonLimits &Limits) {
-  return Parser(Text, Limits).run(Out);
-}
-
 void stcfa::serve::renderJson(const JsonValue &V, std::string &Out) {
   switch (V.kind()) {
   case JsonValue::Kind::Null:
@@ -371,7 +371,7 @@ void stcfa::serve::renderJson(const JsonValue &V, std::string &Out) {
     }
     return;
   case JsonValue::Kind::String:
-    renderString(V.asString(), Out);
+    renderJsonString(V.asString(), Out);
     return;
   case JsonValue::Kind::Array: {
     Out += '[';
@@ -392,7 +392,7 @@ void stcfa::serve::renderJson(const JsonValue &V, std::string &Out) {
       if (!First)
         Out += ',';
       First = false;
-      renderString(Key, Out);
+      renderJsonString(Key, Out);
       Out += ':';
       renderJson(Val, Out);
     }

@@ -143,6 +143,9 @@ Status parseJson(std::string_view Text, JsonValue &Out,
 /// newline-delimited whatever the payload holds.
 std::string renderJson(const JsonValue &V);
 void renderJson(const JsonValue &V, std::string &Out);
+/// Appends \p S as a quoted, escaped JSON string, as `renderJson` writes
+/// a string value.
+void renderJsonString(std::string_view S, std::string &Out);
 
 } // namespace serve
 } // namespace stcfa

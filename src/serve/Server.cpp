@@ -59,15 +59,23 @@ void writeIdArray(OutWriter &W, const DenseBitset &Set) {
   W.put(']');
 }
 
-/// An ok reply to a `query`, written straight into the reply line: the
-/// result object opens with the members every query reply shares —
-/// `epoch`, `engine`, and `degraded` when set — and \p Body continues it
-/// with `,"<key>":<value>` members.  The bytes equal `renderOkReply` over
-/// the same members built as a DOM (engine names are plain identifiers,
-/// so they need no escaping).
+/// Writes \p S as a quoted, escaped JSON string; \p Scratch is reused
+/// across calls.
+void writeJsonString(OutWriter &W, std::string_view S, std::string &Scratch) {
+  Scratch.clear();
+  renderJsonString(S, Scratch);
+  W.put(Scratch);
+}
+
+/// An ok reply to a `query`, `lint` or `slice`, written straight into the
+/// reply line: the result object opens with the members every such reply
+/// shares — `epoch`, `engine`, and `degraded` when set — and \p Body
+/// continues it with `,"<key>":<value>` members.  The bytes equal
+/// `renderOkReply` over the same members built as a DOM (engine names are
+/// plain identifiers, so they need no escaping).
 template <typename BodyFn>
-std::string streamQueryReply(const JsonValue &Id, const Epoch &E,
-                             bool Degraded, BodyFn &&Body) {
+std::string streamOkReply(const JsonValue &Id, const Epoch &E, bool Degraded,
+                          BodyFn &&Body) {
   std::string Line = "{\"id\":";
   renderJson(Id, Line);
   {
@@ -710,7 +718,7 @@ void Server::handleQuery(const ServeRequest &Req,
         return;
       }
     }
-    Line = streamQueryReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
+    Line = streamOkReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
       W.put(",\"labels\":");
       if (Degraded)
         writeIdRange(W, E->numLabels());
@@ -731,7 +739,7 @@ void Server::handleQuery(const ServeRequest &Req,
         return;
       }
     }
-    Line = streamQueryReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
+    Line = streamOkReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
       W.put(Value ? ",\"value\":true" : ",\"value\":false");
     });
   } else if (Kind == "occurrences") {
@@ -748,7 +756,7 @@ void Server::handleQuery(const ServeRequest &Req,
         return;
       }
     }
-    Line = streamQueryReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
+    Line = streamOkReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
       W.put(",\"exprs\":");
       if (Degraded) {
         writeIdRange(W, E->numExprs());
@@ -768,7 +776,7 @@ void Server::handleQuery(const ServeRequest &Req,
         return;
       }
     }
-    Line = streamQueryReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
+    Line = streamOkReply(Req.Id, *E, Degraded, [&](OutWriter &W) {
       if (Degraded) {
         // Bounded degraded answer: one universal set stands for every
         // occurrence instead of materializing exprs x labels ids.
@@ -835,27 +843,26 @@ void Server::handleLint(const ServeRequest &Req,
     return;
   }
 
-  JsonValue Findings = JsonValue::array();
-  for (const LintPassReport &R : LR.Reports)
-    for (const LintDiagnostic &Diag : R.Findings) {
-      JsonValue F = JsonValue::object();
-      F.set("pass", JsonValue::string(Diag.RuleId));
-      F.set("severity",
-            JsonValue::string(lintSeverityName(Diag.Severity)));
-      F.set("message", JsonValue::string(Diag.Message));
-      F.set("line", JsonValue::number(int64_t(Diag.Range.Begin.Line)));
-      F.set("col", JsonValue::number(int64_t(Diag.Range.Begin.Col)));
-      Findings.push(std::move(F));
-    }
-  JsonValue Result = JsonValue::object();
-  Result.set("epoch", JsonValue::number(int64_t(E->id())));
-  Result.set("engine", JsonValue::string(E->engine()));
-  Result.set("findings", std::move(Findings));
-  Result.set("errors", JsonValue::number(int64_t(LR.NumErrors)));
-  Result.set("warnings", JsonValue::number(int64_t(LR.NumWarnings)));
-  Result.set("notes", JsonValue::number(int64_t(LR.NumNotes)));
-  Result.set("partial", JsonValue::boolean(LR.anyPartial()));
-  reply(renderOkReply(Req.Id, Result));
+  std::string Line = streamOkReply(Req.Id, *E, false, [&](OutWriter &W) {
+    std::string Scratch;
+    W.put(",\"findings\":[");
+    bool First = true;
+    for (const LintPassReport &R : LR.Reports)
+      for (const LintDiagnostic &Diag : R.Findings) {
+        W.put(First ? "{\"pass\":" : ",{\"pass\":");
+        First = false;
+        writeJsonString(W, Diag.RuleId, Scratch);
+        W.write(",\"severity\":\"", lintSeverityName(Diag.Severity),
+                "\",\"message\":");
+        writeJsonString(W, Diag.Message, Scratch);
+        W.write(",\"line\":", Diag.Range.Begin.Line,
+                ",\"col\":", Diag.Range.Begin.Col, '}');
+      }
+    W.write("],\"errors\":", LR.NumErrors, ",\"warnings\":", LR.NumWarnings,
+            ",\"notes\":", LR.NumNotes,
+            LR.anyPartial() ? ",\"partial\":true" : ",\"partial\":false");
+  });
+  reply(std::move(Line));
   Millis.observe(static_cast<uint64_t>(T.millis()));
 }
 
@@ -906,25 +913,23 @@ void Server::handleSlice(const ServeRequest &Req,
     return;
   }
 
-  JsonValue Exprs = JsonValue::array();
-  for (ExprId Member : SR.Members)
-    Exprs.push(JsonValue::number(int64_t(Member.index())));
-  JsonValue Result = JsonValue::object();
-  Result.set("epoch", JsonValue::number(int64_t(E->id())));
-  Result.set("engine", JsonValue::string(E->engine()));
-  Result.set("target", JsonValue::number(int64_t(Target.index())));
-  Result.set("dir", JsonValue::string(Dir == SliceDirection::Forward
-                                          ? "fwd"
-                                          : "back"));
-  Result.set("exprs", std::move(Exprs));
-  Result.set("partial", JsonValue::boolean(SR.Partial));
-  if (Witness) {
-    JsonValue Chains = JsonValue::array();
-    for (const std::string &Chain : SR.Witnesses)
-      Chains.push(JsonValue::string(Chain));
-    Result.set("witnesses", std::move(Chains));
-  }
-  reply(renderOkReply(Req.Id, Result));
+  std::string Line = streamOkReply(Req.Id, *E, false, [&](OutWriter &W) {
+    W.write(",\"target\":", Target.index(), ",\"dir\":\"",
+            Dir == SliceDirection::Forward ? "fwd" : "back", "\",\"exprs\":[");
+    for (size_t I = 0; I != SR.Members.size(); ++I)
+      W.write(I != 0 ? "," : "", SR.Members[I].index());
+    W.put(SR.Partial ? "],\"partial\":true" : "],\"partial\":false");
+    if (Witness) {
+      std::string Scratch;
+      W.put(",\"witnesses\":[");
+      for (size_t I = 0; I != SR.Witnesses.size(); ++I) {
+        W.put(I != 0 ? "," : "");
+        writeJsonString(W, SR.Witnesses[I], Scratch);
+      }
+      W.put(']');
+    }
+  });
+  reply(std::move(Line));
   Millis.observe(static_cast<uint64_t>(T.millis()));
 }
 

@@ -10,7 +10,10 @@
 /// 12-step random edit script (replace / insert / delete / replace-body
 /// / rename), and after *every* step the session's published view must
 /// be bit-identical to a from-scratch parse -> close -> freeze of the
-/// session's current source (`tests/DeltaTestUtil.h`).  Every ~5th step
+/// session's current source, and the view installed as a serve epoch
+/// must lint and slice (backward and forward, from every expression)
+/// exactly as an epoch loaded fresh from that source
+/// (`tests/DeltaTestUtil.h`).  Every ~5th step
 /// verifies through `labelsOfBatch` with the kernel threshold forced to
 /// zero, so under `STCFA_FORCE_SCALAR=1` (the ci.sh scalar lane) the
 /// kernel's forced-scalar twin is differentially tested too.
@@ -169,6 +172,7 @@ void runScript(CondShape Shape, uint64_t ProgSeed) {
   ASSERT_TRUE(Sess->incremental())
       << TagBase << ": shape program left the exactness envelope";
   EXPECT_EQ("", compareDeltaToFreshRebuild(*Sess, TagBase + " step=init"));
+  EXPECT_EQ("", compareDeltaEpochToFreshLoad(*Sess, TagBase + " step=init"));
 
   Rng R(EditSeed);
   for (int Step = 0; Step != EditsPerProgram; ++Step) {
@@ -209,6 +213,7 @@ void runScript(CondShape Shape, uint64_t ProgSeed) {
           << Tag << ": rejected edit changed the source";
       if (Sess->incremental()) {
         EXPECT_EQ("", compareDeltaToFreshRebuild(*Sess, Tag + " (no-op)"));
+        EXPECT_EQ("", compareDeltaEpochToFreshLoad(*Sess, Tag + " (no-op)"));
       }
       continue;
     }
@@ -231,6 +236,7 @@ void runScript(CondShape Shape, uint64_t ProgSeed) {
     // forced-scalar CI lane differentially tests the scalar twin.
     const bool UseBatch = (Step % 5) == 4;
     EXPECT_EQ("", compareDeltaToFreshRebuild(*Sess, Tag, UseBatch));
+    EXPECT_EQ("", compareDeltaEpochToFreshLoad(*Sess, Tag));
     if (::testing::Test::HasFailure())
       return; // first divergence is the reproducer; don't bury it
   }

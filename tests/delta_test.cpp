@@ -16,6 +16,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "delta/DeltaSession.h"
+#include "support/Metrics.h"
+#include "support/Trace.h"
 #include "testgen/ShapeGen.h"
 
 #include "DeltaTestUtil.h"
@@ -82,21 +84,51 @@ TEST(DeltaSession, PureBodyProgramHasNoDefs) {
   EXPECT_EQ(compareToFreshRebuild(*Sess, "pure-body"), "");
 }
 
-TEST(DeltaSession, ViewMapsAreConsistentInverses) {
+TEST(DeltaSession, ViewIsCanonicallyNumbered) {
   auto Sess = makeSession(shapeProgram("diamond:3"));
   ASSERT_TRUE(Sess);
+  // Grow garbage in the shadow arena first (a replace orphans the old
+  // subtree, a letrec replace moves the binder before the init's
+  // binders), so the view has shadow ids to leave out.
+  ApplyResult Res;
+  ASSERT_TRUE(
+      Sess->apply(replaceEdit("l2", "letrec l2 = fn x => l2 (m0 x);"), Res)
+          .isOk());
+  ASSERT_TRUE(
+      Sess->apply(replaceEdit("m0", "let m0 = fn y => fn z => y;"), Res)
+          .isOk());
   DeltaView V;
   ASSERT_TRUE(Sess->freezeView(V).isOk());
-  ASSERT_EQ(V.ExprToShadow.size(), V.NumExprs);
-  ASSERT_EQ(V.LabelToShadow.size(), V.NumLabels);
-  for (uint32_t C = 0; C != V.NumExprs; ++C)
-    EXPECT_EQ(V.ExprFromShadow[V.ExprToShadow[C]], C);
-  for (uint32_t C = 0; C != V.NumLabels; ++C)
-    EXPECT_EQ(V.LabelFromShadow[V.LabelToShadow[C]], C);
-  // The canonical root is the last expression a fresh parse creates.
   std::unique_ptr<Module> M = parseOrDie(Sess->currentSource());
   ASSERT_TRUE(M);
+  const FrozenGraph &F = *V.Frozen;
+  EXPECT_EQ(V.NumExprs, M->numExprs());
+  EXPECT_EQ(V.NumLabels, M->numLabels());
+  EXPECT_EQ(F.numExprs(), M->numExprs());
+  EXPECT_EQ(F.numVars(), M->numVars());
+  EXPECT_EQ(F.numLabels(), M->numLabels());
+  // The canonical root is the last expression a fresh parse creates.
   EXPECT_EQ(M->root().index(), V.NumExprs - 1);
+  // Every canonical occurrence and binder has its own node, and each
+  // abstraction's node carries exactly its canonical label.
+  for (uint32_t E = 0; E != M->numExprs(); ++E)
+    EXPECT_NE(F.nodeOfExpr(ExprId(E)), FrozenGraph::None) << "expr " << E;
+  for (uint32_t X = 0; X != M->numVars(); ++X)
+    EXPECT_NE(F.nodeOfVar(VarId(X)), FrozenGraph::None) << "binder " << X;
+  for (uint32_t L = 0; L != M->numLabels(); ++L) {
+    uint32_t Lam = F.nodeOfExpr(M->lamOfLabel(LabelId(L)));
+    EXPECT_EQ(F.labelRoots(LabelId(L)).first, Lam) << "label " << L;
+    EXPECT_EQ(F.labelAt(Lam), L) << "label " << L;
+  }
+  // Garbage shadow labels freeze as "no label": every labelled node
+  // carries a canonical label.
+  for (uint32_t N = 0; N != F.numNodes(); ++N) {
+    if (F.labelAt(N) != FrozenGraph::None) {
+      EXPECT_LT(F.labelAt(N), M->numLabels()) << "node " << N;
+    }
+  }
+  EXPECT_EQ(compareToFreshRebuild(*Sess, "canonical-view"), "");
+  EXPECT_EQ(compareDeltaEpochToFreshLoad(*Sess, "canonical-view"), "");
 }
 
 //===----------------------------------------------------------------------===//
@@ -352,6 +384,64 @@ TEST(DeltaSession, SequencedEditsStayExact) {
   Ren.NewName = "leftone";
   ASSERT_TRUE(Sess->apply(Ren, Res).isOk());
   EXPECT_EQ(compareToFreshRebuild(*Sess, "sequence(diamond:4)"), "");
+  EXPECT_EQ(compareDeltaEpochToFreshLoad(*Sess, "sequence(diamond:4)"), "");
+}
+
+//===----------------------------------------------------------------------===//
+// Delta epochs
+//===----------------------------------------------------------------------===//
+
+TEST(DeltaEpoch, ParsesItsSourceOnceForLintAndSlice) {
+  auto Sess = makeSession(shapeProgram("deep:6"));
+  ASSERT_TRUE(Sess);
+  ApplyResult Res;
+  ASSERT_TRUE(
+      Sess->apply(replaceEdit("f3", "let f3 = fn x => f2 (f2 x);"), Res)
+          .isOk());
+  DeltaView V;
+  ASSERT_TRUE(Sess->freezeView(V).isOk());
+  const uint32_t NumExprs = V.NumExprs;
+  serve::Epoch E(2, std::move(V), Sess->currentSource(), 1,
+                 QueryEngine::DefaultKernelThreshold);
+  EXPECT_STREQ(E.engine(), "delta");
+
+  const bool Traced = tracingCompiledIn();
+  setTracingEnabled(Traced);
+  clearTraceEvents();
+  const uint64_t Before = counter("delta.epoch_parses").value();
+  const Deadline D = Deadline::infinite();
+  LintResult LR;
+  serve::Epoch::SliceReply SR;
+  ASSERT_TRUE(E.lint({}, D, 1, LR).isOk());
+  ASSERT_TRUE(E.slice(E.root(), SliceDirection::Backward, true, D, SR).isOk());
+  ASSERT_TRUE(E.lint({}, D, 1, LR).isOk());
+  ASSERT_TRUE(E.slice(ExprId(0), SliceDirection::Forward, false, D, SR).isOk());
+  EXPECT_EQ(counter("delta.epoch_parses").value(), Before + 1);
+  EXPECT_EQ(E.module().numExprs(), NumExprs);
+
+  std::vector<TraceEventView> Evs = snapshotTraceEvents();
+  setTracingEnabled(false);
+  clearTraceEvents();
+  if (!Traced)
+    return;
+  const TraceEventView *EpochParse = nullptr;
+  int EpochParses = 0;
+  for (const TraceEventView &Ev : Evs)
+    if (Ev.Name == "serve.epoch_parse") {
+      EpochParse = &Ev;
+      ++EpochParses;
+    }
+  ASSERT_EQ(EpochParses, 1);
+  ASSERT_EQ(EpochParse->Args.size(), 1u);
+  EXPECT_EQ(EpochParse->Args[0].first, "exprs");
+  EXPECT_EQ(EpochParse->Args[0].second, NumExprs);
+  // The parser's own span nests inside; no inference runs.
+  int NestedParses = 0;
+  for (const TraceEventView &Ev : Evs) {
+    NestedParses += Ev.Name == "parse" && Ev.Parent == EpochParse->Seq;
+    EXPECT_NE(Ev.Name, "infer");
+  }
+  EXPECT_EQ(NestedParses, 1);
 }
 
 } // namespace

@@ -1170,8 +1170,9 @@ TEST(ServeEdit, DeltaEditInstallsNewEpochBitExact) {
     EXPECT_EQ(Ids, Ref.labelsOf(ExprId(Ex))) << "expr " << Ex;
   }
 
-  // Lint serves from the delta epoch via the lazy full pipeline over the
-  // spliced source — findings identical to a fresh load of kItemsEdited.
+  // Lint serves from the delta epoch's own canonical tables, with the
+  // module parsed from the spliced source — findings identical to a
+  // fresh load of kItemsEdited.
   H.send(R"({"id":4,"verb":"lint"})");
   JsonValue Lint = H.recv();
   ASSERT_TRUE(ServeHarness::okOf(Lint)) << renderJson(Lint);
@@ -1243,6 +1244,190 @@ TEST(ServeEdit, EditDuringQueryBurstKeepsBoundEpochAnswers) {
   EXPECT_EQ(ServeHarness::resultOf(*Q2)->field("epoch")->asInt(), 2);
   EXPECT_EQ(labelIdsOf(*Q2),
             Reference(kItemsEdited).labelsOf(Reference(kItemsEdited).M->root()));
+  H.shutdown();
+}
+
+/// A chain of \p N one-line definitions `f0 .. f<N-1>`, each wrapping the
+/// previous one, with a body applying the last: large enough that a
+/// `lint` or `slice` on a worker overlaps the reader thread's next edit.
+std::string chainProgram(int N) {
+  std::string Src = "let f0 = fn x => x;\n";
+  for (int I = 1; I != N; ++I)
+    Src += "let f" + std::to_string(I) + " = fn x => f" +
+           std::to_string(I - 1) + " (x);\n";
+  return Src + "f" + std::to_string(N - 1) + " (fn y => y)\n";
+}
+
+/// The `lint` and `slice` reply lines a fresh full load of \p Source
+/// gives, rendered as DOMs through `renderOkReply` and stamped with the
+/// epoch id and engine the reply under test reports.
+struct FreshReplies {
+  std::unique_ptr<Epoch> E;
+
+  explicit FreshReplies(const std::string &Source) {
+    LivePipeline P;
+    EXPECT_TRUE(P.parse(Source).isOk());
+    EXPECT_TRUE(P.solve(HybridOptions{}).isOk());
+    E = std::make_unique<Epoch>(1, std::move(P.M), std::move(P.H));
+  }
+
+  std::string lint(const JsonValue &Id, int64_t EpochId,
+                   const std::string &Engine) {
+    LintResult LR;
+    EXPECT_TRUE(E->lint({}, Deadline::infinite(), 1, LR).isOk());
+    JsonValue Findings = JsonValue::array();
+    for (const LintPassReport &R : LR.Reports)
+      for (const LintDiagnostic &D : R.Findings) {
+        JsonValue F = JsonValue::object();
+        F.set("pass", JsonValue::string(D.RuleId));
+        F.set("severity", JsonValue::string(lintSeverityName(D.Severity)));
+        F.set("message", JsonValue::string(D.Message));
+        F.set("line", JsonValue::number(int64_t(D.Range.Begin.Line)));
+        F.set("col", JsonValue::number(int64_t(D.Range.Begin.Col)));
+        Findings.push(std::move(F));
+      }
+    JsonValue Result = JsonValue::object();
+    Result.set("epoch", JsonValue::number(EpochId));
+    Result.set("engine", JsonValue::string(Engine));
+    Result.set("findings", std::move(Findings));
+    Result.set("errors", JsonValue::number(int64_t(LR.NumErrors)));
+    Result.set("warnings", JsonValue::number(int64_t(LR.NumWarnings)));
+    Result.set("notes", JsonValue::number(int64_t(LR.NumNotes)));
+    Result.set("partial", JsonValue::boolean(LR.anyPartial()));
+    return renderOkReply(Id, Result);
+  }
+
+  std::string slice(const JsonValue &Id, int64_t EpochId,
+                    const std::string &Engine, ExprId Target,
+                    SliceDirection Dir, bool Witness) {
+    Epoch::SliceReply SR;
+    EXPECT_TRUE(
+        E->slice(Target, Dir, Witness, Deadline::infinite(), SR).isOk());
+    JsonValue Exprs = JsonValue::array();
+    for (ExprId M : SR.Members)
+      Exprs.push(JsonValue::number(int64_t(M.index())));
+    JsonValue Result = JsonValue::object();
+    Result.set("epoch", JsonValue::number(EpochId));
+    Result.set("engine", JsonValue::string(Engine));
+    Result.set("target", JsonValue::number(int64_t(Target.index())));
+    Result.set("dir", JsonValue::string(
+                          Dir == SliceDirection::Forward ? "fwd" : "back"));
+    Result.set("exprs", std::move(Exprs));
+    Result.set("partial", JsonValue::boolean(SR.Partial));
+    if (Witness) {
+      JsonValue Chains = JsonValue::array();
+      for (const std::string &C : SR.Witnesses)
+        Chains.push(JsonValue::string(C));
+      Result.set("witnesses", std::move(Chains));
+    }
+    return renderOkReply(Id, Result);
+  }
+};
+
+TEST(ServeEdit, StreamedLintAndSliceRepliesMatchTheDomBytes) {
+  // Both epoch flavours — the fresh load, then a delta edit — answer
+  // `lint` and `slice` (both directions, with and without witnesses)
+  // with exactly the bytes `renderOkReply` gives over a fresh load's DOM.
+  ServeHarness H{ServeOptions{}};
+  H.send(loadRequest(1, kItems));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  int64_t Id = 10;
+  auto check = [&](const std::string &Source, int64_t EpochId,
+                   const std::string &Engine) {
+    FreshReplies Want(Source);
+    H.send("{\"id\":" + std::to_string(Id) + ",\"verb\":\"lint\"}");
+    EXPECT_EQ(H.recvLine(),
+              Want.lint(JsonValue::number(Id), EpochId, Engine));
+    ++Id;
+    for (uint32_t T = 0; T != Want.E->numExprs(); ++T)
+      for (SliceDirection Dir :
+           {SliceDirection::Backward, SliceDirection::Forward}) {
+        const bool Witness = T % 2 == 0;
+        H.send("{\"id\":" + std::to_string(Id) +
+               ",\"verb\":\"slice\",\"params\":{\"expr\":" +
+               std::to_string(T) + ",\"dir\":\"" +
+               (Dir == SliceDirection::Forward ? "fwd" : "back") +
+               "\",\"witness\":" + (Witness ? "true" : "false") + "}}");
+        EXPECT_EQ(H.recvLine(), Want.slice(JsonValue::number(Id), EpochId,
+                                           Engine, ExprId(T), Dir, Witness))
+            << "slice from " << T;
+        ++Id;
+      }
+  };
+  check(kItems, 1, "subtransitive");
+  H.send(editRequest(2, kReplaceF1Params));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  check(kItemsEdited, 2, "delta");
+  H.shutdown();
+}
+
+TEST(ServeEdit, LintAndSliceBoundToEpochSurviveTheNextEditsInstall) {
+  // Two workers run `lint` and a witnessed `slice` bound to delta epoch
+  // N while the reader thread applies edit N+1 and installs its epoch:
+  // each reply must be the one a fresh load of epoch N's source gives
+  // (TSan food: the lazy parse, the dependence graph and the next
+  // edit's graph surgery all overlap).
+  ServeOptions O;
+  O.Threads = 2;
+  ServeHarness H{O};
+  const int Defs = 60;
+  const std::string A = chainProgram(Defs);
+  const std::string Mid = "f" + std::to_string(Defs / 2);
+  const std::string Prev = "f" + std::to_string(Defs / 2 - 1);
+  const std::string OrigText = "let " + Mid + " = fn x => " + Prev + " (x);";
+  const std::string EditText =
+      "let " + Mid + " = fn x => " + Prev + " (" + Prev + " (x));";
+  std::string B = A;
+  B.replace(B.find(OrigText), OrigText.size(), EditText);
+  auto replaceMid = [&](int ReqId, const std::string &Text) {
+    return editRequest(ReqId, R"({"op":"replace","name":")" + Mid +
+                                  R"(","text":")" + Text + "\"}");
+  };
+
+  H.send(loadRequest(1, A));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  H.send(replaceMid(2, EditText)); // epoch 2: the first delta epoch, B
+  JsonValue First = H.recv();
+  ASSERT_TRUE(ServeHarness::okOf(First)) << renderJson(First);
+  ASSERT_STREQ(
+      ServeHarness::resultOf(First)->field("engine")->asString().c_str(),
+      "delta");
+
+  FreshReplies WantA(A), WantB(B);
+  int64_t Id = 100;
+  for (int Round = 0; Round != 12; ++Round) {
+    // Epoch 2 + Round holds B on even rounds, A on odd ones; this
+    // round's edit flips it.
+    const int64_t Bound = 2 + Round;
+    FreshReplies &Want = Round % 2 == 0 ? WantB : WantA;
+    const int64_t LintId = Id++, SliceId = Id++, EditId = Id++;
+    H.sendRaw("{\"id\":" + std::to_string(LintId) + ",\"verb\":\"lint\"}\n" +
+              "{\"id\":" + std::to_string(SliceId) +
+              ",\"verb\":\"slice\",\"params\":{\"witness\":true}}\n" +
+              replaceMid(int(EditId), Round % 2 == 0 ? OrigText : EditText) +
+              "\n");
+    std::string LintLine, SliceLine;
+    for (int K = 0; K != 3; ++K) {
+      std::string Line = H.recvLine();
+      JsonValue R;
+      ASSERT_TRUE(parseJson(Line, R).isOk()) << Line;
+      ASSERT_TRUE(ServeHarness::okOf(R)) << Line;
+      const int64_t Got = R.field("id")->asInt();
+      if (Got == LintId)
+        LintLine = Line;
+      else if (Got == SliceId)
+        SliceLine = Line;
+      else
+        EXPECT_EQ(ServeHarness::resultOf(R)->field("epoch")->asInt(),
+                  Bound + 1);
+    }
+    EXPECT_EQ(LintLine, Want.lint(JsonValue::number(LintId), Bound, "delta"))
+        << "round " << Round;
+    EXPECT_EQ(SliceLine,
+              Want.slice(JsonValue::number(SliceId), Bound, "delta",
+                         Want.E->root(), SliceDirection::Backward, true))
+        << "round " << Round;
+  }
   H.shutdown();
 }
 
