@@ -18,6 +18,11 @@
 ///   * Table 5 — the kernel over the condensation-shape stress corpus
 ///     (wide/deep/diamond/skewed, src/testgen), with the component
 ///     count and the active SIMD path per row.
+///   * Every kernel row also records the interning: distinct rows, the
+///     pass-through share, and the old padded matrix's bytes against the
+///     pool's; a last `driver_all_labels` row runs the real driver on
+///     `wide:16384 --query=all-labels` (output to /dev/null) for its
+///     peak RSS and its kernel and render spans.
 ///
 /// Every timed cell is min-of-N after untimed warm-up reps (see
 /// `bestMillis`), and every report leads with a `cpu` record (model,
@@ -45,7 +50,15 @@
 #include "support/TablePrinter.h"
 #include "testgen/ShapeGen.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <fcntl.h>
+#include <fstream>
+#include <iterator>
+#include <spawn.h>
 #include <string_view>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <thread>
 
 using namespace stcfa;
@@ -72,6 +85,11 @@ std::vector<Workload> workloads() {
 /// that was pure cold-start noise in the first-measured cell.)
 constexpr int WarmupReps = 2;
 
+/// Timed repetitions of a kernel closure cell.  A closure costs ~0.1 ms,
+/// so on a shared host min-of-9 still carried scheduler noise; min-of-51
+/// is cheap and steady.
+constexpr int KernelReps = 51;
+
 /// Best-of-\p Reps wall time of \p Fn after `WarmupReps` untimed runs,
 /// in milliseconds (minimum, not mean: on a loaded machine the minimum
 /// tracks the cost of the code rather than of the scheduler).
@@ -87,6 +105,82 @@ template <typename FnT> double bestMillis(int Reps, FnT Fn) {
       Best = Ms;
   }
   return Best;
+}
+
+/// The interning of \p F's closed kernel next to the matrix it replaced:
+/// distinct rows, the share of components closed without an OR, and the
+/// bytes of the old one-row-per-component matrix (rows padded to whole
+/// cache lines) against the pool's.
+void addInterning(JsonReport::Record &R, const FrozenGraph &F) {
+  LabelSetKernel K(F);
+  if (!K.run().isOk())
+    std::abort();
+  const uint64_t Sccs = F.condensation().numSccs();
+  const uint64_t PaddedWords = (K.pool().wordsPerRow() + 7) & ~7u;
+  R.add("distinct_rows", K.pool().size())
+      .add("passthrough_share", Sccs ? double(K.passThroughs()) / Sccs : 0)
+      .add("matrix_bytes", Sccs * PaddedWords * sizeof(uint64_t))
+      .add("pool_bytes", uint64_t(K.pool().bytes()));
+}
+
+/// Sums the `dur` (microseconds) of every span named \p Name in a
+/// `--trace-json` file, in milliseconds.
+double spanMillis(const std::string &Trace, const std::string &Name) {
+  const std::string Key = "\"name\": \"" + Name + "\"";
+  double Us = 0;
+  for (size_t At = Trace.find(Key); At != std::string::npos;
+       At = Trace.find(Key, At + 1)) {
+    size_t Dur = Trace.find("\"dur\": ", At);
+    if (Dur != std::string::npos)
+      Us += std::strtod(Trace.c_str() + Dur + 8, nullptr);
+  }
+  return Us / 1e3;
+}
+
+/// Runs the driver, `stcfa --corpus=<Spec> --query=all-labels`, as its
+/// own process with stdout sent to /dev/null, and records its peak RSS
+/// and the kernel and render spans of its trace.  The driver path comes
+/// from the build (`STCFA_DRIVER_PATH`).
+void driverAllLabels(JsonReport &Report, const std::string &Spec) {
+  const std::string Trace = "bench_parallel_driver_trace.json";
+  const std::string Corpus = "--corpus=" + Spec;
+  const std::string TraceFlag = "--trace-json=" + Trace;
+  char *Argv[] = {const_cast<char *>(STCFA_DRIVER_PATH),
+                  const_cast<char *>(Corpus.c_str()),
+                  const_cast<char *>("--query=all-labels"),
+                  const_cast<char *>(TraceFlag.c_str()), nullptr};
+  posix_spawn_file_actions_t Actions;
+  posix_spawn_file_actions_init(&Actions);
+  posix_spawn_file_actions_addopen(&Actions, 1, "/dev/null", O_WRONLY, 0);
+  pid_t Pid = 0;
+  Timer T;
+  int Err = posix_spawn(&Pid, Argv[0], &Actions, nullptr, Argv, environ);
+  posix_spawn_file_actions_destroy(&Actions);
+  int WStatus = 0;
+  struct rusage Use = {};
+  if (Err != 0 || wait4(Pid, &WStatus, 0, &Use) != Pid ||
+      !WIFEXITED(WStatus) || WEXITSTATUS(WStatus) != 0) {
+    std::fprintf(stderr, "bench_parallel: driver run on %s failed\n",
+                 Spec.c_str());
+    return;
+  }
+  const double WallMs = T.millis();
+  std::ifstream In(Trace);
+  const std::string Json((std::istreambuf_iterator<char>(In)),
+                         std::istreambuf_iterator<char>());
+  std::remove(Trace.c_str());
+  const double RssMb = double(Use.ru_maxrss) / 1024;
+  const double KernelMs = spanMillis(Json, "kernel.run");
+  const double RenderMs = spanMillis(Json, "render");
+  std::printf("driver all-labels on %s: %.1f MB peak RSS, kernel %.2f ms, "
+              "render %.2f ms, wall %.1f ms\n\n",
+              Spec.c_str(), RssMb, KernelMs, RenderMs, WallMs);
+  Report.record("driver_all_labels")
+      .add("program", Spec)
+      .add("peak_rss_mb", RssMb)
+      .add("kernel_ms", KernelMs)
+      .add("render_ms", RenderMs)
+      .add("wall_ms", WallMs);
 }
 
 void printPaperTables() {
@@ -166,7 +260,7 @@ void printKernelTables() {
 
     // A fresh kernel per rep: the cell prices schedule build plus the
     // full closure, the work a cold batched query pays once.
-    double KernelMs = bestMillis(Reps, [&] {
+    double KernelMs = bestMillis(KernelReps, [&] {
       LabelSetKernel K(F);
       if (!K.run().isOk())
         std::abort();
@@ -177,12 +271,13 @@ void printKernelTables() {
     T3.addRow({W.Name, std::to_string(M->numExprs()),
                TablePrinter::num(BfsMs), TablePrinter::num(KernelMs),
                TablePrinter::num(VsBfs, 2)});
-    Report.record("kernel_all_labels")
-        .add("program", std::string(W.Name))
-        .add("exprs", M->numExprs())
-        .add("bfs_ms", BfsMs)
-        .add("kernel_ms", KernelMs)
-        .add("speedup_vs_bfs", VsBfs);
+    addInterning(Report.record("kernel_all_labels")
+                     .add("program", std::string(W.Name))
+                     .add("exprs", M->numExprs())
+                     .add("bfs_ms", BfsMs)
+                     .add("kernel_ms", KernelMs)
+                     .add("speedup_vs_bfs", VsBfs),
+                 F);
   }
   std::printf("%s\n", T3.render().c_str());
 
@@ -227,17 +322,18 @@ void printKernelTables() {
                TablePrinter::num(VsBfs, 2),
                TablePrinter::num(Ms[1] > 0 ? Ms[0] / Ms[1] : 0, 2),
                TablePrinter::num(Ms[2] > 0 ? Ms[0] / Ms[2] : 0, 2)});
-    Report.record("kernel_batched")
-        .add("program", std::string(W.Name))
-        .add("queries", uint64_t(Queries.size()))
-        .add("hardware_threads", HwThreads)
-        .add("bfs_batch_ms", BfsMs)
-        .add("lanes1_ms", Ms[0])
-        .add("lanes2_ms", Ms[1])
-        .add("lanes4_ms", Ms[2])
-        .add("speedup_vs_bfs", VsBfs)
-        .add("scaling2", Ms[1] > 0 ? Ms[0] / Ms[1] : 0)
-        .add("scaling4", Ms[2] > 0 ? Ms[0] / Ms[2] : 0);
+    addInterning(Report.record("kernel_batched")
+                     .add("program", std::string(W.Name))
+                     .add("queries", uint64_t(Queries.size()))
+                     .add("hardware_threads", HwThreads)
+                     .add("bfs_batch_ms", BfsMs)
+                     .add("lanes1_ms", Ms[0])
+                     .add("lanes2_ms", Ms[1])
+                     .add("lanes4_ms", Ms[2])
+                     .add("speedup_vs_bfs", VsBfs)
+                     .add("scaling2", Ms[1] > 0 ? Ms[0] / Ms[1] : 0)
+                     .add("scaling4", Ms[2] > 0 ? Ms[0] / Ms[2] : 0),
+                 F);
   }
   std::printf("%s\n", T4.render().c_str());
 
@@ -259,8 +355,7 @@ void printKernelTables() {
     FrozenGraph F(*G.Graph);
     F.condensation();
 
-    constexpr int Reps = 9;
-    double KernelMs = bestMillis(Reps, [&] {
+    double KernelMs = bestMillis(KernelReps, [&] {
       LabelSetKernel K(F);
       if (!K.run().isOk())
         std::abort();
@@ -270,14 +365,19 @@ void printKernelTables() {
     T5.addRow({Name, std::to_string(M->numExprs()),
                std::to_string(F.condensation().numSccs()),
                TablePrinter::num(KernelMs)});
-    Report.record("kernel_shape_scaling")
-        .add("shape", Name)
-        .add("exprs", M->numExprs())
-        .add("sccs", F.condensation().numSccs())
-        .add("simd_path", std::string(simd::activePathName()))
-        .add("kernel_ms", KernelMs);
+    addInterning(Report.record("kernel_shape_scaling")
+                     .add("shape", Name)
+                     .add("exprs", M->numExprs())
+                     .add("sccs", F.condensation().numSccs())
+                     .add("simd_path", std::string(simd::activePathName()))
+                     .add("kernel_ms", KernelMs),
+                 F);
   }
   std::printf("%s\n", T5.render().c_str());
+
+  // The end-to-end case the interning exists for: the driver's whole
+  // all-labels answer on a program whose old matrix ran to ~1.1 GB.
+  driverAllLabels(Report, "wide:16384");
 
   Report.record("metrics_snapshot")
       .addRaw("metrics", snapshotMetrics().toJson(2));

@@ -20,7 +20,6 @@
 
 #include "BenchUtil.h"
 
-#include "core/Compression.h"
 #include "core/FrozenGraph.h"
 #include "core/QueryEngine.h"
 #include "gen/Generators.h"
@@ -95,41 +94,6 @@ void printPaperTables() {
         .add("all_ms", AllMs);
   }
   std::printf("%s\n", Table.render().c_str());
-
-  // Section 10's suggested improvement: chain compression of the query
-  // graph ("many nodes have only one outgoing edge").
-  std::printf("== Chain compression of the query graph ==\n");
-  TablePrinter T2({"bindings", "nodes", "kept", "ratio", "L(e) raw(us)",
-                   "L(e) compressed(us)"});
-  for (int N : {100, 400, 800}) {
-    auto M = mustParse(workload(N));
-    GraphRun G = runGraph(*M);
-    Reachability R(*G.Graph);
-    CompressedGraph CG(*G.Graph);
-    constexpr int Reps = 50;
-    Timer T;
-    for (int I = 0; I != Reps; ++I)
-      benchmark::DoNotOptimize(R.labelsOf(M->root()).count());
-    double RawUs = T.millis() * 1000 / Reps;
-    T.reset();
-    for (int I = 0; I != Reps; ++I)
-      benchmark::DoNotOptimize(CG.labelsOf(M->root()).count());
-    double CompUs = T.millis() * 1000 / Reps;
-    T2.addRow({std::to_string(N),
-               TablePrinter::num(uint64_t(CG.numOriginalNodes())),
-               TablePrinter::num(uint64_t(CG.numKeptNodes())),
-               TablePrinter::num(double(CG.numKeptNodes()) /
-                                     CG.numOriginalNodes(),
-                                 2),
-               TablePrinter::num(RawUs), TablePrinter::num(CompUs)});
-    Report.record("compression")
-        .add("bindings", N)
-        .add("nodes", uint64_t(CG.numOriginalNodes()))
-        .add("kept", uint64_t(CG.numKeptNodes()))
-        .add("labels_of_raw_us", RawUs)
-        .add("labels_of_compressed_us", CompUs);
-  }
-  std::printf("%s\n", T2.render().c_str());
 }
 
 void BM_Query_IsLabelIn(benchmark::State &State) {

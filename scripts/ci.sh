@@ -60,14 +60,16 @@ run_preset build-release "-DCMAKE_BUILD_TYPE=Release"
 # The SIMD seam: the kernel/bitset/generator tests rerun with the row-OR
 # dispatch pinned to the scalar path (STCFA_FORCE_SCALAR=1), so a vector
 # kernel bug shows up as a native-vs-scalar split instead of green CI on
-# machines that happen to lack AVX.  The differential fuzzes ride along —
+# machines that happen to lack AVX.  The interning cases (Compression*,
+# the pool checks inside LabelSetKernel.*) and the snapshot suites that
+# persist and adopt the kernel's pool rerun with them.  The differential fuzzes ride along —
 # the shape fuzz crosses the kernel against StandardCFA, and the delta
 # edit-sequence fuzz crosses incremental views against from-scratch
 # rebuilds (with its batch steps forced through the kernel) — so this is
 # the bit-exactness proof for whichever path the hardware dispatched.
 echo "=== forced-scalar rerun (STCFA_FORCE_SCALAR=1) ==="
 STCFA_FORCE_SCALAR=1 ./build/tests/stcfa_tests \
-  --gtest_filter='SimdOps.*:LabelSetKernel.*:QueryEngineKernel.*:ShapeGen.*' \
+  --gtest_filter='SimdOps.*:LabelSetKernel.*:QueryEngineKernel.*:ShapeGen.*:Compression.*:*CompressionEquivalence.*:SnapshotRoundTrip.*:SnapshotDamage.*' \
   --gtest_brief=1
 STCFA_FORCE_SCALAR=1 ./build/tests/stcfa_fuzz_tests \
   --gtest_filter='*DifferentialFuzzShapes*:DeltaFuzz*' --gtest_brief=1

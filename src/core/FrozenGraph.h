@@ -155,6 +155,7 @@ public:
   const uint32_t *outOffsets() const { return OutOffsets.data(); }
   const uint32_t *outTargets() const { return OutTargets.data(); }
   const uint32_t *inOffsets() const { return InOffsets.data(); }
+  const uint32_t *inTargets() const { return InTargets.data(); }
   const uint32_t *labelAtArray() const { return LabelAt.data(); }
 
   /// The abstraction label carried by node \p N, or `None`.

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 
 using namespace stcfa;
 
@@ -31,17 +32,13 @@ void QueryEngine::adoptKernel(std::unique_ptr<LabelSetKernel> K) {
   Kern = std::move(K);
 }
 
-LabelSetKernel &QueryEngine::kernelRef() {
-  if (!Kern)
-    Kern = std::make_unique<LabelSetKernel>(F);
-  return *Kern;
-}
-
 bool QueryEngine::dispatchKernel(size_t BatchSize, const Deadline &D,
                                  const CancellationToken &Token) {
   if (!kernelEligible(BatchSize))
     return false;
-  Status S = kernelRef().run({D, Token});
+  if (!Kern)
+    Kern = std::make_unique<LabelSetKernel>(F);
+  Status S = Kern->run({D, Token});
   static Counter &KernelDispatch = counter("query.batch.kernel_dispatch");
   static Counter &Fallbacks = counter("query.batch.kernel_fallback");
   if (S.isOk()) {
@@ -83,101 +80,101 @@ void QueryEngine::bumpEpoch(Scratch &S) {
   }
 }
 
-template <typename FnT>
-void QueryEngine::forEachReachable(Scratch &S, uint32_t Start, FnT Fn) {
+/// The one stamped DFS behind every BFS answer: visits each node
+/// reachable from \p Roots over the CSR (\p Off, \p Tgt) — the forward
+/// edges or the reverse ones — exactly once, calling `Visit(N)`; a false
+/// return stops the walk.  Raw hoisted arrays, no per-row spans.
+template <typename VisitFn>
+void QueryEngine::walk(Scratch &S, const uint32_t *Off, const uint32_t *Tgt,
+                       std::initializer_list<uint32_t> Roots, VisitFn Visit) {
   bumpEpoch(S);
-  S.Stack.clear();
-  S.Stack.push_back(Start);
-  S.Stamp[Start] = S.Epoch;
-  while (!S.Stack.empty()) {
-    uint32_t N = S.Stack.back();
-    S.Stack.pop_back();
-    ++S.Visited;
-    if (!Fn(N))
-      return;
-    for (uint32_t Succ : F.succs(N)) {
-      if (S.Stamp[Succ] == S.Epoch)
-        continue;
-      S.Stamp[Succ] = S.Epoch;
-      S.Stack.push_back(Succ);
-    }
-  }
-}
-
-DenseBitset QueryEngine::labelsFromNode(Scratch &S, uint32_t Start) {
-  // The labelsOfBatch hot path: a hand-unrolled DFS over
-  // raw CSR arrays (hoisted pointers, no per-row span construction).
-  DenseBitset Out(F.numLabels());
-  bumpEpoch(S);
-  const uint32_t *Off = F.outOffsets();
-  const uint32_t *Tgt = F.outTargets();
-  const uint32_t *Lab = F.labelAtArray();
   uint32_t *Stamp = S.Stamp.data();
   const uint32_t Epoch = S.Epoch;
   S.Stack.clear();
-  S.Stack.push_back(Start);
-  Stamp[Start] = Epoch;
+  for (uint32_t R : Roots)
+    if (R != FrozenGraph::None && Stamp[R] != Epoch) {
+      Stamp[R] = Epoch;
+      S.Stack.push_back(R);
+    }
   uint64_t Visited = 0;
   while (!S.Stack.empty()) {
     uint32_t N = S.Stack.back();
     S.Stack.pop_back();
     ++Visited;
-    if (uint32_t L = Lab[N]; L != FrozenGraph::None)
-      Out.insert(L);
-    for (uint32_t I = Off[N], End = Off[N + 1]; I != End; ++I) {
-      uint32_t Succ = Tgt[I];
-      if (Stamp[Succ] != Epoch) {
-        Stamp[Succ] = Epoch;
-        S.Stack.push_back(Succ);
+    if (!Visit(N))
+      break;
+    for (uint32_t I = Off[N], End = Off[N + 1]; I != End; ++I)
+      if (uint32_t Next = Tgt[I]; Stamp[Next] != Epoch) {
+        Stamp[Next] = Epoch;
+        S.Stack.push_back(Next);
       }
-    }
   }
   S.Visited += Visited;
+}
+
+DenseBitset QueryEngine::labelsFromNode(Scratch &S, uint32_t Start) {
+  DenseBitset Out(F.numLabels());
+  const uint32_t *Lab = F.labelAtArray();
+  walk(S, F.outOffsets(), F.outTargets(), {Start}, [&](uint32_t N) {
+    if (uint32_t L = Lab[N]; L != FrozenGraph::None)
+      Out.insert(L);
+    return true;
+  });
   return Out;
 }
 
 bool QueryEngine::labelReachableFrom(Scratch &S, uint32_t Start,
                                      uint32_t Label) {
   bool Found = false;
-  forEachReachable(S, Start, [&](uint32_t N) {
-    if (F.labelAt(N) == Label) {
-      Found = true;
-      return false; // stop the search
-    }
-    return true;
+  const uint32_t *Lab = F.labelAtArray();
+  walk(S, F.outOffsets(), F.outTargets(), {Start}, [&](uint32_t N) {
+    Found = Lab[N] == Label;
+    return !Found; // stop at the first carrier
   });
   return Found;
+}
+
+/// Counts \p N more reverse queries; once they would have paid for it in
+/// scans, builds the node -> occurrences index (CSR).  An engine that
+/// answers a handful (a delta epoch) keeps scanning; a serving epoch
+/// gathers.  Call before any lane runs.
+void QueryEngine::noteReverseQueries(size_t N) {
+  if (!ExprsAtOffsets.empty() || (ReverseQueries += N) < 8)
+    return;
+  ExprsAtOffsets.assign(size_t(F.numNodes()) + 1, 0);
+  for (uint32_t I = 0, E = F.numExprs(); I != E; ++I)
+    if (uint32_t Node = F.nodeOfExpr(ExprId(I)); Node != FrozenGraph::None)
+      ++ExprsAtOffsets[Node + 1];
+  for (uint32_t Node = 0; Node != F.numNodes(); ++Node)
+    ExprsAtOffsets[Node + 1] += ExprsAtOffsets[Node];
+  ExprsAt.resize(ExprsAtOffsets.back());
+  std::vector<uint32_t> Fill(ExprsAtOffsets.begin(), ExprsAtOffsets.end() - 1);
+  for (uint32_t I = 0, E = F.numExprs(); I != E; ++I)
+    if (uint32_t Node = F.nodeOfExpr(ExprId(I)); Node != FrozenGraph::None)
+      ExprsAt[Fill[Node]++] = ExprId(I);
 }
 
 void QueryEngine::markOccurrences(Scratch &S, LabelId L,
                                   std::vector<ExprId> &Out) {
   // Reverse reachability from the abstraction node and (polyvariant
   // instantiation) the label-carrier node.
-  bumpEpoch(S);
-  S.Stack.clear();
   auto [Lam, Carrier] = F.labelRoots(L);
-  for (uint32_t Root : {Lam, Carrier}) {
-    if (Root == FrozenGraph::None)
-      continue;
-    S.Stack.push_back(Root);
-    S.Stamp[Root] = S.Epoch;
-  }
-  if (S.Stack.empty())
-    return;
-  while (!S.Stack.empty()) {
-    uint32_t N = S.Stack.back();
-    S.Stack.pop_back();
-    ++S.Visited;
-    for (uint32_t P : F.preds(N)) {
-      if (S.Stamp[P] == S.Epoch)
-        continue;
-      S.Stamp[P] = S.Epoch;
-      S.Stack.push_back(P);
-    }
-  }
+  const bool Indexed = !ExprsAtOffsets.empty();
+  walk(S, F.inOffsets(), F.inTargets(), {Lam, Carrier}, [&](uint32_t N) {
+    if (Indexed)
+      Out.insert(Out.end(), ExprsAt.begin() + ExprsAtOffsets[N],
+                 ExprsAt.begin() + ExprsAtOffsets[N + 1]);
+    return true;
+  });
 
   // A congruence summary node may stand for many occurrences, so map
-  // expressions to their canonical nodes rather than the reverse.
+  // nodes to the occurrences they stand for: through the index (then
+  // sort into id order), or by one scan in id order.
+  if (Indexed) {
+    std::sort(Out.begin(), Out.end(),
+              [](ExprId A, ExprId B) { return A.index() < B.index(); });
+    return;
+  }
   for (uint32_t I = 0, E = F.numExprs(); I != E; ++I) {
     uint32_t N = F.nodeOfExpr(ExprId(I));
     if (N != FrozenGraph::None && S.Stamp[N] == S.Epoch)
@@ -210,11 +207,8 @@ DenseBitset QueryEngine::labelsOfVar(VarId V) {
   return labelsFromNode(Lanes[0], Start);
 }
 
-DenseBitset QueryEngine::labelsOfNode(uint32_t N) {
-  return labelsFromNode(Lanes[0], N);
-}
-
 std::vector<ExprId> QueryEngine::occurrencesOf(LabelId L) {
+  noteReverseQueries(1);
   std::vector<ExprId> Out;
   markOccurrences(Lanes[0], L, Out);
   return Out;
@@ -239,140 +233,6 @@ inline Shard shardOf(size_t N, size_t NumShards, size_t Index) {
 
 } // namespace
 
-std::vector<DenseBitset>
-QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es) {
-  Span BatchSpan("query.batch.labels");
-  BatchSpan.arg("items", Es.size());
-  BatchSpan.arg("lanes", NumThreads);
-  // Above the threshold, one kernel closure is amortised across the
-  // whole batch and each answer is a row copy.  A kernel abort (only
-  // possible through injected faults on this ungoverned path) falls
-  // through to the per-query BFS below.
-  if (dispatchKernel(Es.size())) {
-    BatchSpan.arg("dispatch", "kernel");
-    const LabelSetKernel &K = *Kern;
-    std::vector<DenseBitset> Out(Es.size());
-    auto CopyShard = [&](unsigned Lane, size_t Index) {
-      Shard Sh = shardOf(Es.size(), NumThreads, Index);
-      Span LaneSpan("query.lane");
-      LaneSpan.arg("lane", Lane);
-      LaneSpan.arg("items", Sh.End - Sh.Begin);
-      for (size_t I = Sh.Begin; I != Sh.End; ++I)
-        Out[I] = K.labelsOf(Es[I]);
-    };
-    if (Pool)
-      Pool->parallelFor(NumThreads, CopyShard);
-    else
-      CopyShard(0, 0);
-    return Out;
-  }
-
-  BatchSpan.arg("dispatch", "bfs");
-  static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
-  BfsDispatch.inc();
-  std::vector<DenseBitset> Out(Es.size());
-  auto RunShard = [&](unsigned Lane, size_t Index) {
-    Scratch &S = Lanes[Lane];
-    Shard Sh = shardOf(Es.size(), NumThreads, Index);
-    Span LaneSpan("query.lane");
-    LaneSpan.arg("lane", Lane);
-    LaneSpan.arg("items", Sh.End - Sh.Begin);
-    for (size_t I = Sh.Begin; I != Sh.End; ++I) {
-      uint32_t Start = F.nodeOfExpr(Es[I]);
-      Out[I] = Start == FrozenGraph::None ? DenseBitset(F.numLabels())
-                                          : labelsFromNode(S, Start);
-    }
-  };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
-  return Out;
-}
-
-std::vector<char>
-QueryEngine::isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs) {
-  std::vector<char> Out(Qs.size(), 0);
-  Span BatchSpan("query.batch.members");
-  BatchSpan.arg("items", Qs.size());
-  BatchSpan.arg("lanes", NumThreads);
-  // Membership batches never *build* the closure (a single bit each is
-  // too cheap to justify it), but once an earlier batch completed the
-  // kernel, every membership test is one O(1) bit probe.
-  const LabelSetKernel *K =
-      (KernelThreshold != 0 && Kern && Kern->complete()) ? Kern.get()
-                                                         : nullptr;
-  BatchSpan.arg("dispatch", K ? "kernel" : "bfs");
-  auto RunShard = [&](unsigned Lane, size_t Index) {
-    Scratch &S = Lanes[Lane];
-    Shard Sh = shardOf(Qs.size(), NumThreads, Index);
-    Span LaneSpan("query.lane");
-    LaneSpan.arg("lane", Lane);
-    LaneSpan.arg("items", Sh.End - Sh.Begin);
-    for (size_t I = Sh.Begin; I != Sh.End; ++I) {
-      uint32_t Start = F.nodeOfExpr(Qs[I].first);
-      Out[I] = Start != FrozenGraph::None &&
-               (K ? K->hasLabel(Start, Qs[I].second.index())
-                  : labelReachableFrom(S, Start, Qs[I].second.index()));
-    }
-  };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
-  return Out;
-}
-
-std::vector<std::vector<ExprId>>
-QueryEngine::occurrencesOfBatch(const std::vector<LabelId> &Ls) {
-  std::vector<std::vector<ExprId>> Out(Ls.size());
-  Span BatchSpan("query.batch.occurrences");
-  BatchSpan.arg("items", Ls.size());
-  BatchSpan.arg("lanes", NumThreads);
-  // Kernel path (find_callers batches): one forward closure, then one
-  // bit probe per (label, occurrence) pair via the forward/reverse
-  // duality — instead of one reverse BFS per label.
-  if (dispatchKernel(Ls.size())) {
-    BatchSpan.arg("dispatch", "kernel");
-    const LabelSetKernel &K = *Kern;
-    auto ProbeShard = [&](unsigned Lane, size_t Index) {
-      Shard Sh = shardOf(Ls.size(), NumThreads, Index);
-      Span LaneSpan("query.lane");
-      LaneSpan.arg("lane", Lane);
-      LaneSpan.arg("items", Sh.End - Sh.Begin);
-      for (size_t I = Sh.Begin; I != Sh.End; ++I)
-        occurrencesFromKernel(K, Ls[I], Out[I]);
-    };
-    if (Pool)
-      Pool->parallelFor(NumThreads, ProbeShard);
-    else
-      ProbeShard(0, 0);
-    return Out;
-  }
-
-  BatchSpan.arg("dispatch", "bfs");
-  static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
-  BfsDispatch.inc();
-  auto RunShard = [&](unsigned Lane, size_t Index) {
-    Scratch &S = Lanes[Lane];
-    Shard Sh = shardOf(Ls.size(), NumThreads, Index);
-    Span LaneSpan("query.lane");
-    LaneSpan.arg("lane", Lane);
-    LaneSpan.arg("items", Sh.End - Sh.Begin);
-    for (size_t I = Sh.Begin; I != Sh.End; ++I)
-      markOccurrences(S, Ls[I], Out[I]);
-  };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Governed batched queries
-//===----------------------------------------------------------------------===//
-
 template <typename ItemFn>
 void QueryEngine::runGoverned(size_t N, const BatchControl &C,
                               BatchOutcome &Out, ItemFn Item) {
@@ -384,6 +244,9 @@ void QueryEngine::runGoverned(size_t N, const BatchControl &C,
   // the first failure is the one reported and no lock is needed.
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Completed{0};
+  // Controls that can never fire (an ungoverned batch) skip the polls.
+  const bool Polled =
+      !C.D.isInfinite() || C.Token.armed() || anyFaultArmed();
   auto fail = [&](Status S) {
     bool Expected = false;
     if (Stop.compare_exchange_strong(Expected, true))
@@ -395,18 +258,24 @@ void QueryEngine::runGoverned(size_t N, const BatchControl &C,
     Span LaneSpan("query.lane");
     LaneSpan.arg("lane", Lane);
     LaneSpan.arg("items", Sh.End - Sh.Begin);
-    for (size_t I = Sh.Begin; I != Sh.End; ++I) {
-      if (Stop.load(std::memory_order_relaxed))
-        return;
-      if (C.Token.cancelled() || faultFires(fault::QueryBatchCancel))
-        return fail(Status::cancelled("batched query cancelled"));
-      if (C.D.expired() || faultFires(fault::QueryBatchDeadline))
-        return fail(
-            Status::deadlineExceeded("batched query exceeded its deadline"));
+    size_t I = Sh.Begin;
+    for (; I != Sh.End; ++I) {
+      if (Polled) {
+        if (Stop.load(std::memory_order_relaxed))
+          break;
+        if (C.Token.cancelled() || faultFires(fault::QueryBatchCancel)) {
+          fail(Status::cancelled("batched query cancelled"));
+          break;
+        }
+        if (C.D.expired() || faultFires(fault::QueryBatchDeadline)) {
+          fail(Status::deadlineExceeded("batched query exceeded its deadline"));
+          break;
+        }
+      }
       Item(S, I);
       Out.Done[I] = 1;
-      Completed.fetch_add(1, std::memory_order_relaxed);
     }
+    Completed.fetch_add(I - Sh.Begin, std::memory_order_relaxed);
   };
   if (Pool)
     Pool->parallelFor(NumThreads, RunShard);
@@ -423,33 +292,75 @@ void QueryEngine::runGoverned(size_t N, const BatchControl &C,
 std::vector<DenseBitset>
 QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es,
                            const BatchControl &C, BatchOutcome &Outcome) {
-  std::vector<DenseBitset> Out(Es.size(), DenseBitset(F.numLabels()));
+  std::vector<DenseBitset> Out(Es.size());
+  // Unanswered slots become empty sets over the label universe.
+  auto FillUnanswered = [&] {
+    for (size_t I = 0; I != Out.size(); ++I)
+      if (!Outcome.Done[I])
+        Out[I] = DenseBitset(F.numLabels());
+    return std::move(Out);
+  };
   Span BatchSpan("query.batch.labels");
   BatchSpan.arg("items", Es.size());
   BatchSpan.arg("lanes", NumThreads);
   // Kernel path: run the closure under the batch's own controls, then
-  // materialise answers through `runGoverned`, so per-item governor
-  // semantics (poll-between-items, prefix Done flags, the query.batch-*
-  // fault sites) are identical to the BFS path.  If the kernel aborts —
-  // real deadline/cancel or an injected kernel fault — fall through to
-  // the governed per-query BFS: a real trigger re-fires on its first
-  // poll there (canonical partial result), an injected kernel fault
-  // degrades to the slow path and the batch still completes.
+  // read each answer's pooled row through `runGoverned`, so per-item
+  // governor semantics (poll-between-items, prefix Done flags, the
+  // query.batch-* fault sites) are identical to the BFS path.  If the
+  // kernel aborts — real deadline/cancel or an injected kernel fault —
+  // fall through to the governed per-query BFS: a real trigger re-fires
+  // on its first poll there (canonical partial result), an injected
+  // kernel fault degrades to the slow path and the batch still completes.
   if (dispatchKernel(Es.size(), C.D, C.Token)) {
     BatchSpan.arg("dispatch", "kernel");
     const LabelSetKernel &K = *Kern;
     runGoverned(Es.size(), C, Outcome,
                 [&](Scratch &, size_t I) { Out[I] = K.labelsOf(Es[I]); });
-    return Out;
+    return FillUnanswered();
   }
   BatchSpan.arg("dispatch", "bfs");
   static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
   BfsDispatch.inc();
   runGoverned(Es.size(), C, Outcome, [&](Scratch &S, size_t I) {
     uint32_t Start = F.nodeOfExpr(Es[I]);
-    if (Start != FrozenGraph::None)
-      Out[I] = labelsFromNode(S, Start);
+    Out[I] = Start == FrozenGraph::None ? DenseBitset(F.numLabels())
+                                        : labelsFromNode(S, Start);
   });
+  return FillUnanswered();
+}
+
+InternedLabelSets QueryEngine::allLabelSets(const BatchControl &C,
+                                            BatchOutcome &Outcome) {
+  const uint32_t N = F.numExprs();
+  Span BatchSpan("query.batch.labels");
+  BatchSpan.arg("items", N);
+  BatchSpan.arg("lanes", NumThreads);
+  // Same governor semantics as `labelsOfBatch`; the kernel path reads one
+  // row id per occurrence and builds no set.
+  if (dispatchKernel(N, C.D, C.Token)) {
+    BatchSpan.arg("dispatch", "kernel");
+    const LabelSetKernel &K = *Kern;
+    InternedLabelSets Out(K.pool(), N);
+    runGoverned(N, C, Outcome, [&](Scratch &, size_t I) {
+      Out.RowOf[I] = K.rowOfExpr(ExprId(static_cast<uint32_t>(I)));
+    });
+    Out.Done = Outcome.Done;
+    return Out;
+  }
+  BatchSpan.arg("dispatch", "bfs");
+  static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
+  BfsDispatch.inc();
+  InternedLabelSets Out(F.numLabels(), N);
+  std::mutex PoolMu; // the lanes share one pool
+  runGoverned(N, C, Outcome, [&](Scratch &S, size_t I) {
+    uint32_t Start = F.nodeOfExpr(ExprId(static_cast<uint32_t>(I)));
+    if (Start == FrozenGraph::None)
+      return; // row 0, the empty set
+    DenseBitset Set = labelsFromNode(S, Start);
+    std::lock_guard<std::mutex> Lock(PoolMu);
+    Out.set(static_cast<uint32_t>(I), Set);
+  });
+  Out.Done = Outcome.Done;
   return Out;
 }
 
@@ -460,8 +371,9 @@ QueryEngine::isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs,
   Span BatchSpan("query.batch.members");
   BatchSpan.arg("items", Qs.size());
   BatchSpan.arg("lanes", NumThreads);
-  // Same policy as the ungoverned overload: probe the kernel only if an
-  // earlier batch already completed it.
+  // Membership batches never *build* the closure (a single bit each is
+  // too cheap to justify it), but once an earlier batch completed the
+  // kernel, every membership test is one O(1) bit probe.
   const LabelSetKernel *K =
       (KernelThreshold != 0 && Kern && Kern->complete()) ? Kern.get()
                                                          : nullptr;
@@ -482,8 +394,9 @@ QueryEngine::occurrencesOfBatch(const std::vector<LabelId> &Ls,
   Span BatchSpan("query.batch.occurrences");
   BatchSpan.arg("items", Ls.size());
   BatchSpan.arg("lanes", NumThreads);
-  // Mirrors governed labelsOfBatch: kernel closure under the batch
-  // controls, canonical per-item materialisation, BFS fallback on abort.
+  // Kernel path (find_callers batches): one forward closure, then one
+  // bit probe per (label, occurrence) pair via the forward/reverse
+  // duality — instead of one reverse BFS per label.
   if (dispatchKernel(Ls.size(), C.D, C.Token)) {
     BatchSpan.arg("dispatch", "kernel");
     const LabelSetKernel &K = *Kern;
@@ -495,6 +408,7 @@ QueryEngine::occurrencesOfBatch(const std::vector<LabelId> &Ls,
   BatchSpan.arg("dispatch", "bfs");
   static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
   BfsDispatch.inc();
+  noteReverseQueries(Ls.size());
   runGoverned(Ls.size(), C, Outcome, [&](Scratch &S, size_t I) {
     markOccurrences(S, Ls[I], Out[I]);
   });

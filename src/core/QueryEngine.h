@@ -32,6 +32,7 @@
 #include "support/Status.h"
 #include "support/ThreadPool.h"
 
+#include <initializer_list>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -77,7 +78,7 @@ public:
   // independent BFS walks.  The kernel is built lazily on first eligible
   // batch and cached; point queries never touch it, and it never uses
   // this engine's thread pool (the lanes serve BFS batches and row
-  // copies).  An aborted kernel run (injected fault, deadline) falls
+  // lookups).  An aborted kernel run (injected fault, deadline) falls
   // back to the BFS path transparently.
 
   /// Default batch size above which batches use the kernel.
@@ -98,8 +99,8 @@ public:
     return dispatchKernel(BatchSize) ? Kern.get() : nullptr;
   }
 
-  /// Installs an externally built kernel — a snapshot's persisted row
-  /// matrix — as the batched-query backend.  \p K must be `complete()`
+  /// Installs an externally built kernel — a snapshot's persisted
+  /// interning — as the batched-query backend.  \p K must be `complete()`
   /// and built over this engine's frozen graph; eligible batches then
   /// dispatch to it without ever running the closure.
   void adoptKernel(std::unique_ptr<LabelSetKernel> K);
@@ -116,33 +117,39 @@ public:
   /// All labels reachable from the binder \p V.
   DenseBitset labelsOfVar(VarId V);
 
-  /// All labels reachable from graph node \p N.
-  DenseBitset labelsOfNode(uint32_t N);
-
   /// All expression occurrences whose label set contains \p L.
   std::vector<ExprId> occurrencesOf(LabelId L);
 
   //===--- batched queries (sharded across the pool) ----------------------//
+  //
+  // Each runs its governed overload below under controls that never fire.
 
   /// `labelsOf` for every query in \p Es, in order.
-  std::vector<DenseBitset> labelsOfBatch(const std::vector<ExprId> &Es);
+  std::vector<DenseBitset> labelsOfBatch(const std::vector<ExprId> &Es) {
+    BatchOutcome Out;
+    return labelsOfBatch(Es, {}, Out);
+  }
 
   /// `isLabelIn` for every (occurrence, label) pair, in order.
   std::vector<char>
-  isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs);
+  isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs) {
+    BatchOutcome Out;
+    return isLabelInBatch(Qs, {}, Out);
+  }
 
   /// `occurrencesOf` for every label in \p Ls, in order.
   std::vector<std::vector<ExprId>>
-  occurrencesOfBatch(const std::vector<LabelId> &Ls);
+  occurrencesOfBatch(const std::vector<LabelId> &Ls) {
+    BatchOutcome Out;
+    return occurrencesOfBatch(Ls, {}, Out);
+  }
 
   //===--- governed batched queries ----------------------------------------//
   //
   // Same sharding as above, but every lane polls the deadline and
   // cancellation token *between* items — individual DFS traversals stay
   // check-free, so overrun is bounded by one query per lane.  A stopped
-  // batch returns partial results with \p Out explaining why; the
-  // ungoverned overloads above compile to the same hot loops with zero
-  // polling.
+  // batch returns partial results with \p Out explaining why.
 
   /// Governed `labelsOfBatch`: unanswered slots are empty sets.
   std::vector<DenseBitset> labelsOfBatch(const std::vector<ExprId> &Es,
@@ -153,6 +160,13 @@ public:
   std::vector<char>
   isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs,
                  const BatchControl &C, BatchOutcome &Out);
+
+  /// "All label sets": every occurrence's set, interned.  Above the
+  /// kernel threshold this is the complete kernel's own pool and one row
+  /// id per occurrence — no set is built; otherwise each occurrence's BFS
+  /// set is interned into a fresh pool.  Unanswered occurrences read row
+  /// 0 and have `Done` clear.
+  InternedLabelSets allLabelSets(const BatchControl &C, BatchOutcome &Out);
 
   /// Governed `occurrencesOfBatch`: unanswered slots are empty lists.
   std::vector<std::vector<ExprId>>
@@ -186,12 +200,10 @@ private:
     return KernelThreshold != 0 && BatchSize >= KernelThreshold &&
            F.numNodes() != 0;
   }
-  /// The lazily-built kernel.
-  LabelSetKernel &kernelRef();
-  /// Runs the kernel for an eligible batch under the given controls
-  /// (defaults never fire).  Counts the dispatch; on a governed kernel
-  /// abort, counts the fallback, records the cause, and returns false so
-  /// the caller takes the per-query BFS path.
+  /// Runs the kernel (built on first use) for an eligible batch under
+  /// the given controls (defaults never fire).  Counts the dispatch; on a
+  /// governed kernel abort, counts the fallback, records the cause, and
+  /// returns false so the caller takes the per-query BFS path.
   bool dispatchKernel(size_t BatchSize, const Deadline &D = Deadline(),
                       const CancellationToken &Token = CancellationToken());
   void occurrencesFromKernel(const LabelSetKernel &K, LabelId L,
@@ -201,10 +213,12 @@ private:
   template <typename ItemFn>
   void runGoverned(size_t N, const BatchControl &C, BatchOutcome &Out,
                    ItemFn Item);
-  template <typename FnT>
-  void forEachReachable(Scratch &S, uint32_t Start, FnT Fn);
+  template <typename VisitFn>
+  void walk(Scratch &S, const uint32_t *Off, const uint32_t *Tgt,
+            std::initializer_list<uint32_t> Roots, VisitFn Visit);
   DenseBitset labelsFromNode(Scratch &S, uint32_t Start);
   bool labelReachableFrom(Scratch &S, uint32_t Start, uint32_t Label);
+  void noteReverseQueries(size_t N);
   void markOccurrences(Scratch &S, LabelId L, std::vector<ExprId> &Out);
 
   const FrozenGraph &F;
@@ -213,6 +227,11 @@ private:
   std::vector<Scratch> Lanes;       // one per worker lane
   size_t KernelThreshold = DefaultKernelThreshold;
   std::unique_ptr<LabelSetKernel> Kern; // built on first eligible batch
+  // Occurrences by node (CSR, ascending within a node), built once the
+  // engine has answered enough reverse queries to amortise it.
+  uint64_t ReverseQueries = 0;
+  std::vector<uint32_t> ExprsAtOffsets;
+  std::vector<ExprId> ExprsAt;
 };
 
 } // namespace stcfa

@@ -188,7 +188,7 @@ int usage(const char *Argv0) {
       "                         hybrid degradation ladder (hybrid only;\n"
       "                         'off' conflicts with --timeout-ms)\n"
       "  --save-snapshot=<file> persist the frozen graph (plus name tables\n"
-      "                         and the label-set kernel matrix) to an\n"
+      "                         and the label-set kernel's rows) to an\n"
       "                         mmap-able snapshot\n"
       "  --load-snapshot=<file> serve --query=labels|all-labels straight\n"
       "                         from a snapshot: no parse, no close, no\n"
@@ -415,53 +415,56 @@ std::string snapshotConfigString(const Options &O) {
 
 /// `--query=labels|all-labels`, shared by the live pipeline and the
 /// snapshot paths.  `labels` writes the root's set; `all-labels` answers
-/// every occurrence in one batch — through \p Engine, governed by \p D,
-/// or, when there is no engine (the graph-free analyses), through
-/// \p LabelSet — and writes the non-empty sets to \p Out.  Returns 3 when
-/// the batch stopped early, else 0.
+/// every occurrence as one interned batch — through \p Engine, governed
+/// by \p D, or, when there is no engine (the graph-free analyses),
+/// through \p LabelSet — and writes the non-empty sets to \p Out, each
+/// distinct set's text rendered once.  Returns 3 when the batch stopped
+/// early, else 0.
 int printLabelQuery(const Options &Opts, Names &N, OutWriter &Out,
-                    uint32_t NumExprs, ExprId Root, QueryEngine *Engine,
+                    uint32_t NumExprs, uint32_t NumLabels, ExprId Root,
+                    QueryEngine *Engine,
                     const std::function<DenseBitset(ExprId)> &LabelSet,
                     Deadline D) {
   const bool RootOnly = Opts.Query == "labels";
-  std::vector<DenseBitset> Sets;
+  InternedLabelSets Sets(NumLabels, RootOnly ? 1 : NumExprs);
   BatchOutcome Outcome;
   if (RootOnly) {
-    Sets.push_back(Engine ? Engine->labelsOf(Root) : LabelSet(Root));
+    Sets.set(0, Engine ? Engine->labelsOf(Root) : LabelSet(Root));
   } else if (Engine) {
-    std::vector<ExprId> Es;
-    Es.reserve(NumExprs);
-    for (uint32_t I = 0; I != NumExprs; ++I)
-      Es.push_back(ExprId(I));
     BatchControl BC;
     BC.D = D;
-    Sets = Engine->labelsOfBatch(Es, BC, Outcome);
+    Sets = Engine->allLabelSets(BC, Outcome);
   } else {
-    Sets.reserve(NumExprs);
     for (uint32_t I = 0; I != NumExprs; ++I)
-      Sets.push_back(LabelSet(ExprId(I)));
-    Outcome.Done.assign(NumExprs, 1);
+      Sets.set(I, LabelSet(ExprId(I)));
   }
   {
     Span RenderSpan("render");
     auto LabelName = [&N](uint32_t L) { return N.label(L); };
+    const LabelRowPool &Pool = Sets.pool();
+    RenderOnce Rows(Pool.size());
+    auto SetLine = [&](uint32_t Id) {
+      return Rows.text(Id, [&](OutWriter &T) {
+        writeLabelSet(T, Pool.set(Id), LabelName);
+        T.put('\n');
+      });
+    };
     uint64_t Lines = 0;
     if (RootOnly) {
       Out.put("L(root) = ");
-      writeLabelSet(Out, Sets[0], LabelName);
-      Out.put('\n');
+      Out.put(SetLine(Sets.RowOf[0]));
       Lines = 1;
-    } else {
-      for (uint32_t I = 0; I != NumExprs; ++I) {
-        if (!Outcome.Done[I] || Sets[I].empty())
-          continue;
-        writeLabelSetLine(Out, N.expr(ExprId(I)), Sets[I], LabelName);
+    }
+    for (uint32_t I = 0; !RootOnly && I != NumExprs; ++I) {
+      if (const uint32_t Id = Sets.RowOf[I]; Id != 0) {
+        writeLabelSetLine(Out, N.expr(ExprId(I)), SetLine(Id));
         ++Lines;
-      }
+      } // row 0: empty, or left unanswered by the governor
     }
     Out.flush();
     RenderSpan.arg("bytes", Out.bytes());
     RenderSpan.arg("lines", Lines);
+    RenderSpan.arg("distinct_rows", Rows.rendered());
   }
   if (Outcome.S.isOk())
     return 0;
@@ -506,8 +509,8 @@ int serveFromSnapshot(const Options &Opts, const LoadedSnapshot &Snap) {
   Timer QueryTimer;
   Names N(Snap);
   OutWriter Out(stdout);
-  int ExitCode = printLabelQuery(Opts, N, Out, F.numExprs(), Snap.rootExpr(),
-                                 &Engine, nullptr, D);
+  int ExitCode = printLabelQuery(Opts, N, Out, F.numExprs(), F.numLabels(),
+                                 Snap.rootExpr(), &Engine, nullptr, D);
   if (Opts.Stats)
     std::printf("queries: %.3f ms\n", QueryTimer.millis());
   return finishOutput(Out, ExitCode);
@@ -1397,7 +1400,7 @@ int main(int Argc, char **Argv) {
   }
 
   // `--save-snapshot` / the `--snapshot-cache` miss fill: persist the
-  // fresh frozen graph (and its complete kernel matrix) for later warm
+  // fresh frozen graph (and its complete kernel's rows) for later warm
   // loads.  Flag validation admits both only for subtransitive/poly, so
   // R.Snapshot is set.
   if (!Opts.SaveSnapshot.empty() || (Opts.SnapshotCache && !CachePath.empty())) {
@@ -1490,7 +1493,7 @@ int main(int Argc, char **Argv) {
   OutWriter Out(stdout);
   if (Opts.Query == "labels" || Opts.Query == "all-labels") {
     if (int RC = printLabelQuery(
-            Opts, N, Out, M->numExprs(), M->root(), R.engine(),
+            Opts, N, Out, M->numExprs(), M->numLabels(), M->root(), R.engine(),
             [&R](ExprId E) { return R.labels(E); }, D))
       ExitCode = RC;
   } else if (Opts.Query == "effects") {

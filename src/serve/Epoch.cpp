@@ -140,53 +140,48 @@ Status Epoch::occurrencesOf(LabelId L, const Deadline &D,
   return Status::ok();
 }
 
-Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
-                        std::vector<char> &Done) {
+Status Epoch::allLabels(const Deadline &D, InternedLabelSets &Out) {
   const uint32_t E = CanonExprs;
   std::unique_lock<std::mutex> Lock(Mu);
-  // A complete kernel is read-only: its rows are copied after Mu is
+  // A complete kernel is read-only: its row ids are read after Mu is
   // released, so point queries do not wait behind a whole-program batch.
   if (Q && D.isInfinite())
     if (const LabelSetKernel *K = Q->completeKernel(E)) {
       Lock.unlock();
-      Out.clear();
-      Out.reserve(E);
-      for (uint32_t I = 0; I != E; ++I)
-        Out.push_back(K->labelsOf(ExprId(I)));
-      Done.assign(E, 1);
+      Out = K->allLabelSets();
       return Status::ok();
     }
   if (Q) {
-    std::vector<ExprId> Es;
-    Es.reserve(E);
-    for (uint32_t I = 0; I != E; ++I)
-      Es.push_back(ExprId(I));
-    Status BS = Status::ok();
-    if (D.isInfinite()) {
-      Out = Q->labelsOfBatch(Es);
-      Done.assign(E, 1);
-    } else {
-      BatchControl BC;
-      BC.D = D;
-      BatchOutcome Outcome;
-      Out = Q->labelsOfBatch(Es, BC, Outcome);
-      Done = std::move(Outcome.Done);
-      BS = Outcome.S;
-    }
-    return BS;
+    BatchControl BC;
+    BC.D = D;
+    BatchOutcome Outcome;
+    Out = Q->allLabelSets(BC, Outcome);
+    return Outcome.S;
   }
-  Out.clear();
-  Out.reserve(E);
-  Done.assign(E, 0);
+  // Degraded rungs: one table read per occurrence, interned.
+  Out = InternedLabelSets(CanonLabels, E);
   for (uint32_t I = 0; I != E; ++I) {
     if ((I & 255u) == 0 && D.expired()) {
-      Out.resize(E);
+      Out.Done.assign(I, 1); // the answered prefix
+      Out.Done.resize(E, 0);
       return Status::deadlineExceeded("all-labels sweep exceeded deadline");
     }
-    Out.push_back(Hybrid->labelSet(ExprId(I)));
-    Done[I] = 1;
+    Out.set(I, Hybrid->labelSet(ExprId(I)));
   }
   return Status::ok();
+}
+
+Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
+                        std::vector<char> &Done) {
+  InternedLabelSets Sets;
+  Status S = allLabels(D, Sets);
+  Out.clear();
+  Done.clear();
+  for (uint32_t I = 0; I != Sets.RowOf.size(); ++I) {
+    Out.push_back(Sets.pool().set(Sets.RowOf[I]));
+    Done.push_back(Sets.Done.empty() || Sets.Done[I]);
+  }
+  return S;
 }
 
 Status Epoch::lint(const std::vector<std::string> &Passes, const Deadline &D,

@@ -122,10 +122,14 @@ public:
   Status isLabelIn(ExprId E, LabelId L, const Deadline &D, bool &Out);
   Status occurrencesOf(LabelId L, const Deadline &D,
                        std::vector<ExprId> &Out);
-  /// One set per occurrence; `Done[I]` false for slots a governed batch
-  /// left unanswered (status then says why).  An ungoverned call over a
-  /// complete kernel holds the mutex only to find the kernel and copies
-  /// its read-only rows unlocked.
+  /// Every occurrence's set, interned; a governed batch's unanswered
+  /// occurrences read the empty row (status says why).  Over a complete
+  /// kernel the mutex is held only to find it: row ids are read unlocked
+  /// and the result borrows its pool, so it must not outlive the epoch.
+  Status allLabels(const Deadline &D, InternedLabelSets &Out);
+
+  /// `allLabels` materialised: one set per occurrence, `Done[I]` false
+  /// for slots a governed batch left unanswered.
   Status allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
                    std::vector<char> &Done);
 

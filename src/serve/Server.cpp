@@ -768,10 +768,9 @@ void Server::handleQuery(const ServeRequest &Req,
       W.put(']');
     });
   } else if (Kind == "all-labels") {
-    std::vector<DenseBitset> Sets;
-    std::vector<char> Done;
+    InternedLabelSets Sets;
     if (!Degraded) {
-      if (Status S = E->allLabels(D, Sets, Done); !S.isOk()) {
+      if (Status S = E->allLabels(D, Sets); !S.isOk()) {
         replyError(Req.Id, S);
         return;
       }
@@ -784,15 +783,23 @@ void Server::handleQuery(const ServeRequest &Req,
         writeIdRange(W, E->numLabels());
         return;
       }
+      // Each distinct row's `,"labels":[...]}` is rendered once and
+      // copied per occurrence; row 0 (empty) prints nothing.
+      const LabelRowPool &Pool = Sets.pool();
+      RenderOnce Rows(Pool.size());
       W.put(",\"sets\":[");
       bool First = true;
-      for (uint32_t I = 0, N = E->numExprs(); I != N; ++I) {
-        if (!Done[I] || Sets[I].empty())
+      for (uint32_t I = 0; I != Sets.RowOf.size(); ++I) {
+        const uint32_t Id = Sets.RowOf[I];
+        if (Id == 0)
           continue;
-        W.write(First ? "{\"expr\":" : ",{\"expr\":", I, ",\"labels\":");
+        W.write(First ? "{\"expr\":" : ",{\"expr\":", I);
         First = false;
-        writeIdArray(W, Sets[I]);
-        W.put('}');
+        W.put(Rows.text(Id, [&](OutWriter &T) {
+          T.put(",\"labels\":");
+          writeIdArray(T, Pool.set(Id));
+          T.put('}');
+        }));
       }
       W.put(']');
     });

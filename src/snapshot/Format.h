@@ -51,8 +51,10 @@ inline constexpr char SnapshotMagic[8] = {'S', 'T', 'C', 'F',
 /// Bumped on any layout change; mismatches are rejected, never migrated.
 /// Version 2 added the `RanOf` section (the flat ran-port map the
 /// effects analysis reads, like every other consumer, from the frozen
-/// tables alone).
-inline constexpr uint32_t SnapshotFormatVersion = 2;
+/// tables alone).  Version 3 replaced the one-row-per-component kernel
+/// matrix with the kernel's interning: a row id per component
+/// (`KernelRowOf`) into a pool of distinct rows (`KernelPool`).
+inline constexpr uint32_t SnapshotFormatVersion = 3;
 
 /// Written as-is by the host; a foreign-endian reader sees it permuted.
 inline constexpr uint32_t SnapshotEndianTag = 0x01020304;
@@ -64,8 +66,8 @@ inline constexpr uint64_t SnapshotSectionAlign = 64;
 
 /// Header flag bits.
 enum SnapshotFlags : uint64_t {
-  /// The `KernelRows` section holds the complete label-set kernel
-  /// matrix (one tight row of `KernelWordsPerSet` words per SCC).
+  /// The `KernelRowOf` and `KernelPool` sections hold the complete
+  /// label-set kernel's interning.
   SnapshotHasKernelRows = 1u << 0,
 };
 
@@ -83,16 +85,18 @@ enum class SnapshotSectionId : uint32_t {
   NodeOfVar = 8,        ///< uint32[NumVars]
   LabelRoots = 9,       ///< uint32[2 * NumLabels]
   SccOf = 10,           ///< uint32[NumNodes] (Tarjan condensation map)
-  KernelRows = 11,      ///< uint64[NumSccs * KernelWordsPerSet] (optional)
+  KernelRowOf = 11,     ///< uint32[NumSccs]: pool row id (optional)
   StringBlob = 12,      ///< concatenated pre-rendered names (no NULs)
   ExprNameOffsets = 13, ///< uint32[NumExprs + 1], offsets into StringBlob
   LabelNameOffsets = 14,///< uint32[NumLabels + 1], offsets into StringBlob
   SourceRanges = 15,    ///< uint32[4 * NumExprs]: begin/end line/col
   RanOf = 16,           ///< uint32[NumNodes]: ran-port node or None
+  KernelPool = 17,      ///< uint64[KernelPoolRows * KernelWordsPerSet]
+                        ///< distinct rows, row 0 empty (optional)
 };
 
 /// Number of distinct section ids defined by this format version.
-inline constexpr uint32_t SnapshotNumSectionIds = 17;
+inline constexpr uint32_t SnapshotNumSectionIds = 18;
 
 /// The 64-byte file header.  `HeaderChecksum` covers bytes [0, 56).
 struct SnapshotHeader {
@@ -129,8 +133,8 @@ struct SnapshotMeta {
   uint32_t NumLabels;
   uint32_t NumSccs;          ///< rows of `SccOf` condensation image
   uint32_t RootExpr;         ///< the module root's ExprId
-  uint32_t KernelWordsPerSet;///< words per `KernelRows` row (0 = none)
-  uint32_t Reserved0;        ///< zero
+  uint32_t KernelWordsPerSet;///< words per `KernelPool` row (0 = none)
+  uint32_t KernelPoolRows;   ///< rows in `KernelPool` (0 = none)
   uint64_t NumEdges;         ///< length of OutTargets / InTargets
 };
 static_assert(sizeof(SnapshotMeta) == 40, "meta is 40 bytes on disk");

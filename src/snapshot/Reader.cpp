@@ -23,6 +23,7 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -249,14 +250,37 @@ std::unique_ptr<LoadedSnapshot> LoadedSnapshot::load(const std::string &Path,
   if (Meta.NumExprs != 0 && Meta.RootExpr >= Meta.NumExprs)
     return reject("root occurrence out of range");
 
-  const SnapshotSectionEntry *Rows = nullptr;
+  // The kernel's interning: every row id must name a pool row, row 0
+  // must be the empty set, and no row may set a bit past the label
+  // universe — so no later read can leave the pool or the name table.
+  const SnapshotSectionEntry *RowOfE = nullptr, *PoolE = nullptr;
   if (H.Flags & SnapshotHasKernelRows) {
-    if (Meta.KernelWordsPerSet == 0)
-      return reject("kernel-rows flag set but words-per-set is zero");
-    Rows = checkArray(SnapshotSectionId::KernelRows,
-                      uint64_t(Meta.NumSccs) * Meta.KernelWordsPerSet, 8);
-    if (!Rows)
-      return reject("kernel-rows section missing or mis-sized");
+    const uint32_t W = Meta.KernelWordsPerSet;
+    if (W == 0 || W != (uint64_t(Meta.NumLabels) + 63) / 64 ||
+        Meta.KernelPoolRows == 0)
+      return reject("kernel pool shape does not fit the label count");
+    RowOfE = checkArray(SnapshotSectionId::KernelRowOf, Meta.NumSccs, 4);
+    if (!RowOfE)
+      return reject("kernel row-id section missing or mis-sized");
+    PoolE = checkArray(SnapshotSectionId::KernelPool,
+                       uint64_t(Meta.KernelPoolRows) * W, 8);
+    if (!PoolE)
+      return reject("kernel pool section missing or mis-sized");
+    std::span<const uint32_t> RowOf = sectionSpan<uint32_t>(Base, *RowOfE);
+    for (size_t S = 0; S != RowOf.size(); ++S)
+      if (RowOf[S] >= Meta.KernelPoolRows)
+        return reject("kernel row id of component " + std::to_string(S) +
+                      " is outside the pool");
+    std::span<const uint64_t> Pool = sectionSpan<uint64_t>(Base, *PoolE);
+    const uint64_t Tail =
+        Meta.NumLabels % 64 ? ~uint64_t(0) << (Meta.NumLabels % 64) : 0;
+    if (std::any_of(Pool.begin(), Pool.begin() + W,
+                    [](uint64_t Word) { return Word != 0; }))
+      return reject("kernel pool row 0 is not the empty set");
+    for (size_t Row = 0; Row != Meta.KernelPoolRows; ++Row)
+      if (Pool[Row * W + W - 1] & Tail)
+        return reject("kernel pool row " + std::to_string(Row) +
+                      " has a label past the label universe");
   }
 
   //===--- string-table coherence -----------------------------------------//
@@ -295,26 +319,27 @@ std::unique_ptr<LoadedSnapshot> LoadedSnapshot::load(const std::string &Path,
   Snap->Map = std::move(Map);
   Snap->ContentHash = H.ContentHash;
   Snap->RootExpr = Meta.RootExpr;
-  Snap->KernelWordsPerSet = Rows ? Meta.KernelWordsPerSet : 0;
   Snap->StringBlob = sectionSpan<char>(Base, *BlobE);
   Snap->ExprNameOffsets = sectionSpan<uint32_t>(Base, *EOffs);
   Snap->LabelNameOffsets = sectionSpan<uint32_t>(Base, *LOffs);
   Snap->SourceRanges = sectionSpan<uint32_t>(Base, *SrcR);
-  if (Rows)
-    Snap->KernelRows = sectionSpan<uint64_t>(Base, *Rows);
+  if (RowOfE) {
+    Snap->KernelRowOf = sectionSpan<uint32_t>(Base, *RowOfE);
+    Snap->KernelPool = sectionSpan<uint64_t>(Base, *PoolE);
+  }
 
   Millis.observe(static_cast<uint64_t>(T.millis()));
   LoadSpan.arg("bytes", Snap->Map.size());
   LoadSpan.arg("nodes", Meta.NumNodes);
   LoadSpan.arg("edges", Meta.NumEdges);
-  LoadSpan.arg("kernel_rows", Rows ? Meta.NumSccs : 0);
+  LoadSpan.arg("kernel_rows", RowOfE ? Meta.KernelPoolRows : 0);
   LoadSpan.arg("status", statusCodeName(StatusCode::Ok));
   Out = Status::ok();
   return Snap;
 }
 
 std::unique_ptr<LabelSetKernel> LoadedSnapshot::adoptKernel() const {
-  if (KernelRows.empty() || KernelWordsPerSet == 0)
+  if (!hasKernelRows())
     return nullptr;
-  return std::make_unique<LabelSetKernel>(*F, KernelRows, KernelWordsPerSet);
+  return std::make_unique<LabelSetKernel>(*F, KernelRowOf, KernelPool);
 }

@@ -15,7 +15,7 @@
 ///
 ///   * `writeSnapshot` — serializes a frozen graph (plus pre-rendered
 ///     name tables, source ranges, the condensation, and optionally the
-///     complete label-set kernel matrix) and renames it into place
+///     complete label-set kernel's interned rows) and renames it into place
 ///     atomically.
 ///   * `LoadedSnapshot` — owns the mapping and the span-backed
 ///     `FrozenGraph` view; exposes the persisted names so the driver can
@@ -60,7 +60,7 @@ struct SnapshotWriteOptions {
   /// header so a loader can verify the snapshot matches its input.
   /// 0 = unknown/unchecked.
   uint64_t ContentHash = 0;
-  /// A *complete* label-set kernel whose row matrix should be persisted
+  /// A *complete* label-set kernel whose interned rows should be persisted
   /// (warm loads then adopt it and skip the closure). Null = omit.
   const LabelSetKernel *Kernel = nullptr;
 };
@@ -128,7 +128,7 @@ public:
 
   /// Header fields.
   uint64_t contentHash() const { return ContentHash; }
-  bool hasKernelRows() const { return KernelWordsPerSet != 0 || !KernelRows.empty(); }
+  bool hasKernelRows() const { return !KernelPool.empty(); }
 
   /// The module root occurrence, for the default `labels` query.
   ExprId rootExpr() const { return ExprId(RootExpr); }
@@ -149,8 +149,8 @@ public:
     return {{R[0], R[1]}, {R[2], R[3]}};
   }
 
-  /// Builds a born-complete kernel over the persisted row matrix, or
-  /// null when the snapshot carries none.  The caller typically hands it
+  /// Builds a born-complete kernel over the persisted row ids and pool,
+  /// or null when the snapshot carries none.  The caller typically hands it
   /// to `QueryEngine::adoptKernel`; it borrows this snapshot's mapping.
   std::unique_ptr<LabelSetKernel> adoptKernel() const;
 
@@ -161,10 +161,10 @@ private:
   std::unique_ptr<FrozenGraph> F;
   uint64_t ContentHash = 0;
   uint32_t RootExpr = 0;
-  uint32_t KernelWordsPerSet = 0;
   std::span<const char> StringBlob;
   std::span<const uint32_t> ExprNameOffsets, LabelNameOffsets, SourceRanges;
-  std::span<const uint64_t> KernelRows;
+  std::span<const uint32_t> KernelRowOf;
+  std::span<const uint64_t> KernelPool;
 };
 
 //===----------------------------------------------------------------------===//

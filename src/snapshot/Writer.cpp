@@ -88,18 +88,10 @@ Status stcfa::writeSnapshot(const std::string &Path, const FrozenGraph &F,
     Ranges[4 * I + 3] = R.End.Col;
   }
 
-  // The kernel matrix, rows re-packed tight (the in-memory rows are
-  // cache-line padded; on disk every byte is checksummed, so no padding).
-  std::vector<uint64_t> KernelRows;
-  uint32_t KernelWords = 0;
-  if (Opts.Kernel && Opts.Kernel->wordsPerSet() != 0 && Tb.NumSccs != 0) {
-    KernelWords = Opts.Kernel->wordsPerSet();
-    KernelRows.reserve(size_t(Tb.NumSccs) * KernelWords);
-    for (uint32_t Scc = 0; Scc != Tb.NumSccs; ++Scc) {
-      std::span<const uint64_t> Row = Opts.Kernel->rowSpan(Scc);
-      KernelRows.insert(KernelRows.end(), Row.begin(), Row.end());
-    }
-  }
+  // The kernel's interning, persisted as it sits in memory: the row id
+  // of every component and the pool of distinct rows.
+  const bool WithKernel =
+      Opts.Kernel && F.numLabels() != 0 && Tb.NumSccs != 0;
 
   SnapshotMeta Meta = {};
   Meta.NumNodes = Tb.NumNodes;
@@ -108,7 +100,10 @@ Status stcfa::writeSnapshot(const std::string &Path, const FrozenGraph &F,
   Meta.NumLabels = Tb.NumLabels;
   Meta.NumSccs = Tb.NumSccs;
   Meta.RootExpr = M.root().index();
-  Meta.KernelWordsPerSet = KernelWords;
+  if (WithKernel) {
+    Meta.KernelWordsPerSet = Opts.Kernel->pool().wordsPerRow();
+    Meta.KernelPoolRows = Opts.Kernel->pool().size();
+  }
   Meta.NumEdges = Tb.OutTargets.size();
 
   auto bytesOf = [](const auto &V) -> uint64_t {
@@ -141,9 +136,13 @@ Status stcfa::writeSnapshot(const std::string &Path, const FrozenGraph &F,
        bytesOf(LabelOffs)},
       {SnapshotSectionId::SourceRanges, Ranges.data(), bytesOf(Ranges)},
   };
-  if (KernelWords != 0)
-    Secs.push_back({SnapshotSectionId::KernelRows, KernelRows.data(),
-                    bytesOf(KernelRows)});
+  if (WithKernel) {
+    std::span<const uint32_t> RowOf = Opts.Kernel->rowIds();
+    std::span<const uint64_t> Rows = Opts.Kernel->pool().rows();
+    Secs.push_back(
+        {SnapshotSectionId::KernelRowOf, RowOf.data(), bytesOf(RowOf)});
+    Secs.push_back({SnapshotSectionId::KernelPool, Rows.data(), bytesOf(Rows)});
+  }
 
   // Layout: header, section table, then 64-byte-aligned payloads in table
   // order.  Padding bytes are zero, so identical tables always produce
@@ -180,7 +179,7 @@ Status stcfa::writeSnapshot(const std::string &Path, const FrozenGraph &F,
   std::memcpy(H.Magic, SnapshotMagic, sizeof(SnapshotMagic));
   H.Version = SnapshotFormatVersion;
   H.Endian = SnapshotEndianTag;
-  H.Flags = KernelWords != 0 ? uint64_t(SnapshotHasKernelRows) : 0;
+  H.Flags = WithKernel ? uint64_t(SnapshotHasKernelRows) : 0;
   H.FileSize = FileSize;
   H.ContentHash = Opts.ContentHash;
   H.NumSections = static_cast<uint32_t>(Secs.size());
@@ -231,7 +230,7 @@ Status stcfa::writeSnapshot(const std::string &Path, const FrozenGraph &F,
   WriteSpan.arg("sections", Secs.size());
   WriteSpan.arg("nodes", Tb.NumNodes);
   WriteSpan.arg("edges", Meta.NumEdges);
-  WriteSpan.arg("kernel_rows", KernelWords != 0 ? Tb.NumSccs : 0);
+  WriteSpan.arg("kernel_rows", Meta.KernelPoolRows);
   WriteSpan.arg("status", statusCodeName(StatusCode::Ok));
   return Status::ok();
 }

@@ -21,6 +21,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace stcfa {
@@ -53,18 +54,10 @@ public:
     return (Words[I / 64] >> (I % 64)) & 1;
   }
 
-  /// Bulk-unions \p Other into this set (straight word-wise OR, no
-  /// change count — the label-set kernel's materialisation path).
-  void orWords(const DenseBitset &Other) {
-    assert(Universe == Other.Universe && "universe mismatch");
-    orWords(Other.Words.data(), Other.Words.size());
-  }
-
   /// Bulk-unions \p N raw 64-bit words into this set.  Source bits at or
-  /// beyond the universe are masked off, so OR-ing from a buffer padded
-  /// past the universe (the kernel's cache-line-padded rows) can never
-  /// plant ghost bits in the tail word.  Runs on the dispatched SIMD
-  /// path (see support/SimdOps.h).
+  /// beyond the universe are masked off, so OR-ing from a buffer wider
+  /// than the universe can never plant ghost bits in the tail word.  Runs
+  /// on the dispatched SIMD path (see support/SimdOps.h).
   void orWords(const uint64_t *Src, size_t N) {
     simd::orWords(Words.data(), Src, N < Words.size() ? N : Words.size());
     if (uint32_t Rem = Universe % 64; Rem != 0 && !Words.empty())
@@ -110,6 +103,9 @@ public:
       }
     }
   }
+
+  /// The backing `⌈universe/64⌉` words; bits past the universe are zero.
+  std::span<const uint64_t> words() const { return Words; }
 
   friend bool operator==(const DenseBitset &A, const DenseBitset &B) {
     return A.Universe == B.Universe && A.Words == B.Words;

@@ -115,6 +115,10 @@ void stcfa::disarmFaults() {
   Armed.store(nullptr, std::memory_order_release);
 }
 
+bool stcfa::anyFaultArmed() {
+  return Armed.load(std::memory_order_acquire) != nullptr;
+}
+
 bool stcfa::faultFires(std::string_view Name) {
   const FaultSite *S = Armed.load(std::memory_order_acquire);
   if (!S || S->Name != Name)

@@ -125,11 +125,15 @@ void disarmFaults();
 /// exhausted.  Threads may poll concurrently.
 bool faultFires(std::string_view Name);
 
+/// True while some site is armed.
+bool anyFaultArmed();
+
 #else
 
 inline bool armFault(std::string_view, uint64_t = 0) { return false; }
 inline void disarmFaults() {}
 inline constexpr bool faultFires(std::string_view) { return false; }
+inline constexpr bool anyFaultArmed() { return false; }
 
 #endif // STCFA_FAULT_INJECTION
 

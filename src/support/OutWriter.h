@@ -13,7 +13,9 @@
 /// are dropped, so a caller checks once at the end.
 ///
 /// `writeLabelSetLine` is the driver's label-set line on top of it,
-/// byte-identical to `printf("%-18s {n1, n2, ...}\n", ...)`.
+/// byte-identical to `printf("%-18s {n1, n2, ...}\n", ...)`, and
+/// `RenderOnce` lets an `all-labels` renderer write each distinct row's
+/// text once and replay it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace stcfa {
 
@@ -141,15 +144,41 @@ void writeLabelSet(OutWriter &W, const DenseBitset &Set, NameFn &&LabelName) {
 }
 
 /// The driver's label-set line, `%-18s {n1, n2, ...}\n`: \p ExprName
-/// padded to 18 columns when it is shorter, then the set.
-template <typename NameFn>
-void writeLabelSetLine(OutWriter &W, std::string_view ExprName,
-                       const DenseBitset &Set, NameFn &&LabelName) {
+/// padded to 18 columns when it is shorter, a space, then \p SetLine —
+/// the set as `writeLabelSet` renders it, newline included.
+inline void writeLabelSetLine(OutWriter &W, std::string_view ExprName,
+                              std::string_view SetLine) {
   W.putPadded(ExprName, 18);
   W.put(' ');
-  writeLabelSet(W, Set, LabelName);
-  W.put('\n');
+  W.put(SetLine);
 }
+
+/// Text rendered once per id and replayed: the `all-labels` renderers
+/// write each distinct label-set row's text once per reply and copy it
+/// for every occurrence that shares the row.
+class RenderOnce {
+public:
+  explicit RenderOnce(uint32_t NumIds) : Texts(NumIds) {}
+
+  /// The text of \p Id, written by `Render(OutWriter &)` on first use.
+  template <typename RenderFn>
+  std::string_view text(uint32_t Id, RenderFn &&Render) {
+    std::string &Text = Texts[Id];
+    if (Text.empty()) {
+      OutWriter W(Text); // flushes into Text as the block ends
+      Render(W);
+      ++Rendered;
+    }
+    return Text;
+  }
+
+  /// Distinct ids rendered so far.
+  uint32_t rendered() const { return Rendered; }
+
+private:
+  std::vector<std::string> Texts;
+  uint32_t Rendered = 0;
+};
 
 } // namespace stcfa
 

@@ -15,9 +15,15 @@
 ///     components below `componentsCompleted()`, a prefix of the sweep —
 ///     serves those bit-identically to per-query BFS, and resumes from
 ///     there without rewriting a final row;
+///   * interning (the paper's §10 chain compression): every pooled row
+///     equals the BFS, pool rows are pairwise distinct, every
+///     pass-through shares its successor's row id, and a resumed run
+///     pools no row twice — over every ShapeGen family and the random
+///     corpus, plus the cases moved from the retired `CompressedGraph`;
 ///   * `QueryEngine` dispatch: batches at/above the threshold ride the
-///     kernel, point queries and sub-threshold batches do not, and an
-///     aborted kernel degrades to the BFS path transparently.
+///     kernel, point queries and sub-threshold batches do not, an
+///     aborted kernel degrades to the BFS path transparently, and
+///     `allLabelSets` interns the same sets on both paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +42,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -165,7 +172,7 @@ std::vector<std::vector<uint64_t>> prefixRows(const LabelSetKernel &K,
                                               uint32_t Done) {
   std::vector<std::vector<uint64_t>> Rows;
   for (uint32_t S = 0; S != Done; ++S) {
-    std::span<const uint64_t> R = K.rowSpan(S);
+    std::span<const uint64_t> R = K.pool().row(K.rowOf(S));
     Rows.emplace_back(R.begin(), R.end());
   }
   return Rows;
@@ -180,7 +187,7 @@ void expectResumeKeepsPrefix(const std::string &Name, const Built &B,
   EXPECT_TRUE(K.complete()) << Name;
   EXPECT_EQ(K.componentsCompleted(), B.F->condensation().numSccs()) << Name;
   for (uint32_t S = 0; S != Before.size(); ++S) {
-    std::span<const uint64_t> R = K.rowSpan(S);
+    std::span<const uint64_t> R = K.pool().row(K.rowOf(S));
     ASSERT_TRUE(std::equal(R.begin(), R.end(), Before[S].begin(),
                            Before[S].end()))
         << Name << ": resume rewrote final row " << S;
@@ -587,4 +594,307 @@ TEST(QueryEngineKernel, HybridThreadsKernelThresholdThrough) {
   Std.run();
   for (size_t I = 0; I != Es.size(); ++I)
     ASSERT_TRUE(Sets[I] == Std.labelSet(Es[I])) << "expr " << I;
+}
+
+//===----------------------------------------------------------------------===//
+// Interning: the paper's §10 chain compression, inside the kernel
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every ShapeGen family (two seeds) plus the random corpus, with and
+/// without refs.
+std::vector<Workload> internCorpus() {
+  std::vector<Workload> W;
+  for (CondShape S : {CondShape::Wide, CondShape::Deep, CondShape::Diamond,
+                      CondShape::Skewed})
+    for (uint64_t Seed : {1ull, 5ull}) {
+      ShapeSpec Spec{S, 40, Seed};
+      W.push_back({shapeSpecString(Spec), makeShapeProgram(Spec), true});
+    }
+  for (uint64_t Seed = 1300; Seed != 1310; ++Seed) {
+    RandomProgramOptions O;
+    O.Seed = Seed;
+    O.NumBindings = 60;
+    O.UseRefs = Seed % 2 == 0;
+    W.push_back({"random:" + std::to_string(Seed), makeRandomProgram(O),
+                 !O.UseRefs});
+  }
+  return W;
+}
+
+/// The interning contract over the first \p Done components of \p K:
+/// each component's pooled row equals the BFS from its nodes, row 0 is
+/// empty and the pool rows are pairwise distinct, every pass-through (no
+/// own label, one distinct successor component) shares its successor's
+/// id, and `passThroughs()` counts exactly the label-free components
+/// whose successors carry at most one distinct non-empty row.
+void expectInterned(const std::string &Name, const Built &B,
+                    const LabelSetKernel &K, uint32_t Done) {
+  const FrozenGraph &F = *B.F;
+  const Condensation &C = F.condensation();
+  const LabelRowPool &Pool = K.pool();
+  ASSERT_GE(Pool.size(), 1u) << Name;
+  for (uint64_t Word : Pool.row(0))
+    ASSERT_EQ(Word, 0u) << Name << ": row 0 is not empty";
+  std::set<std::vector<uint64_t>> Rows;
+  for (uint32_t Id = 0; Id != Pool.size(); ++Id)
+    Rows.emplace(Pool.row(Id).begin(), Pool.row(Id).end());
+  EXPECT_EQ(Rows.size(), Pool.size()) << Name << ": duplicate pool rows";
+
+  std::vector<char> HasLabel(C.numSccs(), 0);
+  std::vector<std::set<uint32_t>> Succs(C.numSccs());
+  std::vector<uint32_t> Rep(C.numSccs(), FrozenGraph::None);
+  for (uint32_t N = 0; N != F.numNodes(); ++N) {
+    const uint32_t S = C.sccOf(N);
+    Rep[S] = N;
+    HasLabel[S] |= F.labelAt(N) != FrozenGraph::None;
+    for (uint32_t T : F.succs(N))
+      if (C.sccOf(T) != S)
+        Succs[S].insert(C.sccOf(T));
+  }
+  Reachability Bfs(*B.G);
+  uint32_t PassThroughs = 0;
+  for (uint32_t S = 0; S != Done; ++S) {
+    ASSERT_LT(K.rowOf(S), Pool.size()) << Name << " component " << S;
+    ASSERT_TRUE(Pool.set(K.rowOf(S)) == Bfs.labelsOfNode(NodeId(Rep[S])))
+        << Name << ": component " << S << " differs from BFS";
+    if (HasLabel[S])
+      continue;
+    if (Succs[S].size() == 1) {
+      EXPECT_EQ(K.rowOf(S), K.rowOf(*Succs[S].begin()))
+          << Name << ": pass-through " << S << " copied its row";
+    }
+    std::set<uint32_t> Ids;
+    for (uint32_t T : Succs[S])
+      if (K.rowOf(T) != 0)
+        Ids.insert(K.rowOf(T));
+    PassThroughs += Ids.size() <= 1;
+  }
+  EXPECT_EQ(K.passThroughs(), PassThroughs) << Name;
+}
+
+} // namespace
+
+TEST(LabelSetKernel, InternedRowsMatchBfsAndAreDistinct) {
+  for (const Workload &W : internCorpus()) {
+    Built B = build(W, CongruenceMode::None);
+    ASSERT_TRUE(B.M) << W.Name;
+    LabelSetKernel K(*B.F);
+    ASSERT_TRUE(K.run().isOk()) << W.Name;
+    const uint32_t NumSccs = B.F->condensation().numSccs();
+    expectInterned(W.Name, B, K, NumSccs);
+    // Sharing is the point: far fewer rows than components.
+    EXPECT_LT(K.pool().size(), NumSccs) << W.Name;
+    EXPECT_GT(K.passThroughs(), 0u) << W.Name;
+    // The per-occurrence view reads the same rows.
+    InternedLabelSets Sets = K.allLabelSets();
+    ASSERT_EQ(Sets.RowOf.size(), B.M->numExprs()) << W.Name;
+    EXPECT_EQ(&Sets.pool(), &K.pool()) << W.Name;
+    for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I) {
+      ASSERT_TRUE(Sets.Done.empty());
+      ASSERT_TRUE(Sets.pool().set(Sets.RowOf[I]) == K.labelsOf(ExprId(I)))
+          << W.Name << " expr " << I;
+    }
+  }
+}
+
+#if STCFA_FAULT_INJECTION
+
+TEST(LabelSetKernel, ResumedInterningKeepsPrefixAndPoolsNoRowTwice) {
+  // An abort at the k-th poll leaves exactly the prefix interned; the
+  // resume keeps the intern table, so it finishes with the same ids and
+  // the same pool as an uninterrupted run — no row pooled twice.
+  for (const Workload &W : prefixCorpus()) {
+    Built B = build(W, CongruenceMode::None);
+    ASSERT_TRUE(B.M) << W.Name;
+    LabelSetKernel Whole(*B.F);
+    ASSERT_TRUE(Whole.run().isOk()) << W.Name;
+    const uint32_t NumSccs = B.F->condensation().numSccs();
+    const uint32_t Polls =
+        (NumSccs + LabelSetKernel::PollStride - 1) / LabelSetKernel::PollStride;
+    for (uint32_t K : {1u, Polls / 2, Polls - 1}) {
+      std::string Name = W.Name + " poll " + std::to_string(K);
+      LabelSetKernel Part(*B.F);
+      ASSERT_TRUE(armFault(fault::KernelCancel, K));
+      EXPECT_EQ(Part.run().code(), StatusCode::Cancelled) << Name;
+      disarmFaults();
+      const uint32_t Done = K * LabelSetKernel::PollStride;
+      expectInterned(Name, B, Part, Done);
+      std::vector<uint32_t> Prefix(Part.rowIds().begin(),
+                                   Part.rowIds().begin() + Done);
+
+      ASSERT_TRUE(Part.run().isOk()) << Name;
+      EXPECT_TRUE(std::equal(Prefix.begin(), Prefix.end(),
+                             Part.rowIds().begin()))
+          << Name << ": resume changed a final row id";
+      expectInterned(Name + " resumed", B, Part, NumSccs);
+      EXPECT_EQ(Part.pool().size(), Whole.pool().size()) << Name;
+      EXPECT_TRUE(std::equal(Part.rowIds().begin(), Part.rowIds().end(),
+                             Whole.rowIds().begin(), Whole.rowIds().end()))
+          << Name;
+    }
+  }
+}
+
+#endif // STCFA_FAULT_INJECTION
+
+TEST(QueryEngineKernel, AllLabelSetsAgreeOnKernelAndBfsPaths) {
+  // The kernel path borrows the kernel's pool; the BFS path interns into
+  // its own.  Both must answer every occurrence like `labelsOfBatch`, and
+  // the BFS pool must be as distinct as the kernel's.
+  for (const Workload &W : internCorpus()) {
+    Built B = build(W, CongruenceMode::None);
+    ASSERT_TRUE(B.M) << W.Name;
+    std::vector<ExprId> Es;
+    for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
+      Es.push_back(ExprId(I));
+    QueryEngine Kern(*B.F, 2);
+    Kern.setKernelThreshold(1);
+    QueryEngine Bfs(*B.F, 2);
+    Bfs.setKernelThreshold(0);
+    BatchOutcome OA, OZ;
+    InternedLabelSets A = Kern.allLabelSets({}, OA);
+    InternedLabelSets Z = Bfs.allLabelSets({}, OZ);
+    ASSERT_NE(Kern.kernel(), nullptr) << W.Name;
+    EXPECT_EQ(&A.pool(), &Kern.kernel()->pool()) << W.Name;
+    EXPECT_EQ(A.pool().size(), Z.pool().size()) << W.Name;
+    std::vector<DenseBitset> Want = Bfs.labelsOfBatch(Es);
+    for (uint32_t I = 0; I != Es.size(); ++I) {
+      ASSERT_TRUE(A.pool().set(A.RowOf[I]) == Want[I]) << W.Name << " " << I;
+      ASSERT_TRUE(Z.pool().set(Z.RowOf[I]) == Want[I]) << W.Name << " " << I;
+      ASSERT_EQ(A.RowOf[I] == 0, Want[I].empty()) << W.Name << " " << I;
+      ASSERT_EQ(Z.RowOf[I] == 0, Want[I].empty()) << W.Name << " " << I;
+    }
+  }
+}
+
+TEST(QueryEngineKernel, GovernedAllLabelSetsLeavesUnansweredEmpty) {
+  Built B = build({"cubic:8", makeCubicFamily(8), true}, CongruenceMode::None);
+  ASSERT_TRUE(B.M);
+  for (size_t Threshold : {size_t(1), size_t(0)}) {
+    QueryEngine E(*B.F, 1);
+    E.setKernelThreshold(Threshold);
+    BatchControl C;
+    C.Token = CancellationToken::create();
+    C.Token.requestCancel();
+    BatchOutcome Out;
+    InternedLabelSets Sets = E.allLabelSets(C, Out);
+    EXPECT_EQ(Out.S.code(), StatusCode::Cancelled);
+    EXPECT_EQ(Out.Completed, 0u);
+    for (uint32_t I = 0; I != B.M->numExprs(); ++I) {
+      EXPECT_FALSE(Sets.Done[I]) << "expr " << I;
+      EXPECT_EQ(Sets.RowOf[I], 0u) << "expr " << I;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Section 10's chain compression (moved from the retired CompressedGraph):
+// the interned kernel against BFS over the same programs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A closed graph under the default configuration and its frozen view.
+struct Closed {
+  std::unique_ptr<Module> M;
+  std::unique_ptr<SubtransitiveGraph> G;
+  std::unique_ptr<FrozenGraph> F;
+};
+
+Closed closeDefault(std::unique_ptr<Module> M) {
+  Closed C;
+  C.M = std::move(M);
+  if (!C.M)
+    return C;
+  C.G = std::make_unique<SubtransitiveGraph>(*C.M);
+  C.G->build();
+  C.G->close();
+  C.F = std::make_unique<FrozenGraph>(*C.G);
+  return C;
+}
+
+/// Every occurrence's interned set equals the BFS over the mutable graph.
+void expectKernelMatchesBfs(const Closed &C, const LabelSetKernel &K) {
+  Reachability R(*C.G);
+  for (uint32_t I = 0; I != C.M->numExprs(); ++I)
+    EXPECT_TRUE(K.labelsOf(ExprId(I)) == R.labelsOf(ExprId(I)))
+        << "expr " << I;
+}
+
+} // namespace
+
+class CompressionEquivalence : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CompressionEquivalence, SameLabelSetsFewerNodes) {
+  RandomProgramOptions O;
+  O.Seed = GetParam();
+  O.NumBindings = 60;
+  O.UseRefs = (GetParam() % 2) == 0;
+  Closed C = closeDefault(parseAndInfer(makeRandomProgram(O)));
+  ASSERT_TRUE(C.M);
+  LabelSetKernel K(*C.F);
+  ASSERT_TRUE(K.run().isOk());
+  EXPECT_LT(K.pool().size(), C.F->condensation().numSccs())
+      << "interning should share rows across components";
+  expectKernelMatchesBfs(C, K);
+  Reachability R(*C.G);
+  for (uint32_t V = 0; V != C.M->numVars(); ++V) {
+    uint32_t N = C.F->nodeOfVar(VarId(V));
+    if (N == FrozenGraph::None)
+      continue;
+    uint32_t Row = K.rowOf(C.F->condensation().sccOf(N));
+    EXPECT_TRUE(K.pool().set(Row) == R.labelsOfVar(VarId(V)))
+        << "var " << V << " seed " << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompressionEquivalence,
+                         ::testing::Range<uint64_t>(1300, 1320));
+
+TEST(Compression, ChainSharesOneRow) {
+  // A long let-chain: every link is a pass-through, so the whole chain
+  // shares the one row of the lambda it forwards.
+  std::string Src = "let a0 = fn x => x;\n";
+  for (int I = 1; I <= 200; ++I)
+    Src += "let a" + std::to_string(I) + " = a" + std::to_string(I - 1) +
+           ";\n";
+  Src += "a200";
+  Closed C = closeDefault(parseAndInfer(Src));
+  ASSERT_TRUE(C.M);
+  LabelSetKernel K(*C.F);
+  ASSERT_TRUE(K.run().isOk());
+  expectKernelMatchesBfs(C, K);
+  EXPECT_EQ(K.labelsOf(C.M->root()).count(), 1u);
+  EXPECT_GE(K.passThroughs(), 200u);
+  EXPECT_LE(K.pool().size(), 3u);
+  for (uint32_t V = 0; V != C.M->numVars(); ++V) {
+    uint32_t N = C.F->nodeOfVar(VarId(V));
+    if (N == FrozenGraph::None)
+      continue;
+    uint32_t Row = K.rowOf(C.F->condensation().sccOf(N));
+    if (Row != 0) {
+      EXPECT_EQ(Row, K.rowOfExpr(C.M->root())) << "var " << V;
+    }
+  }
+}
+
+TEST(Compression, HandlesCycles) {
+  // letrec loops create cycles among label-free nodes.
+  Closed C = closeDefault(
+      parseMaybeInfer("letrec loop = fn f => loop f in loop (fn x => x)"));
+  ASSERT_TRUE(C.M);
+  LabelSetKernel K(*C.F);
+  ASSERT_TRUE(K.run().isOk());
+  expectKernelMatchesBfs(C, K);
+}
+
+TEST(Compression, CorpusEquivalence) {
+  Closed C = closeDefault(parseAndInfer(lifeProgram()));
+  ASSERT_TRUE(C.M);
+  LabelSetKernel K(*C.F);
+  ASSERT_TRUE(K.run().isOk());
+  EXPECT_LT(K.pool().size(), C.F->condensation().numSccs());
+  expectKernelMatchesBfs(C, K);
 }

@@ -54,6 +54,18 @@ std::string printfSet(const Module &M, const DenseBitset &Set) {
   return Out + "}";
 }
 
+/// \p Set as `writeLabelSet` renders it, newline included: the text
+/// `writeLabelSetLine` appends.
+template <typename NameFn>
+std::string setLine(const DenseBitset &Set, NameFn &&Name) {
+  std::string Out;
+  OutWriter W(Out);
+  writeLabelSet(W, Set, Name);
+  W.put('\n');
+  W.flush();
+  return Out;
+}
+
 /// Every occurrence's label set, through the frozen graph.
 std::vector<DenseBitset> allLabelSets(const Module &M) {
   SubtransitiveGraph G(M);
@@ -83,7 +95,7 @@ void writeAllLabels(const Module &M, OutWriter &W, std::string &Expected,
         printfLine(describeExpr(M, ExprId(I)), printfSet(M, Sets[I]));
     LongestLine = std::max(LongestLine, Line.size());
     Expected += Line;
-    writeLabelSetLine(W, describeExpr(M, ExprId(I)), Sets[I], Name);
+    writeLabelSetLine(W, describeExpr(M, ExprId(I)), setLine(Sets[I], Name));
   }
 }
 
@@ -128,9 +140,10 @@ TEST(OutWriter, PadsLikePrintfAndNeverTruncates) {
       DenseBitset Set(3);
       Set.insert(0);
       Set.insert(2);
-      writeLabelSetLine(W, Name, Set, [](uint32_t L) {
-        return L == 0 ? std::string_view("fn#0(x)") : std::string_view("g");
-      });
+      writeLabelSetLine(W, Name, setLine(Set, [](uint32_t L) {
+                          return L == 0 ? std::string_view("fn#0(x)")
+                                        : std::string_view("g");
+                        }));
     }
     EXPECT_EQ(Out, printfLine(Name, "{fn#0(x), g}")) << Name;
   }

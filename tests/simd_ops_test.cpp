@@ -182,7 +182,7 @@ TEST(SimdOps, DenseBitsetUnionAgreesWithInsertLoop) {
     DenseBitset U = A;
     U.unionWith(B);
     DenseBitset O = A;
-    O.orWords(B);
+    O.orWords(B.words().data(), B.words().size());
     EXPECT_TRUE(U == O);
     EXPECT_EQ(O.count(), O.popcount());
   }

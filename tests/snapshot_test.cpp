@@ -13,8 +13,9 @@
 ///   * **Writes are deterministic** — the same frozen tables always
 ///     produce byte-identical files (the cache relies on it).
 ///   * **Damage is loud** — truncation, header corruption, bit flips,
-///     version/endian mismatch, and injected I/O faults all surface as
-///     clean `Status` failures, never a crash or a wrong answer.
+///     version/endian mismatch, an out-of-range or mis-sized kernel
+///     interning, and injected I/O faults all surface as clean `Status`
+///     failures, never a crash, an out-of-bounds read or a wrong answer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +35,7 @@
 #include "TestUtil.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <vector>
@@ -90,6 +92,32 @@ Status expectLoadFails(const std::string &Path) {
   EXPECT_EQ(Snap, nullptr) << Path;
   EXPECT_FALSE(S.isOk()) << Path;
   return S;
+}
+
+/// The section-table entry of \p Id in the file image \p Bytes, or null.
+SnapshotSectionEntry *sectionEntry(std::vector<unsigned char> &Bytes,
+                                   SnapshotSectionId Id) {
+  const auto *H = reinterpret_cast<const SnapshotHeader *>(Bytes.data());
+  auto *Table = reinterpret_cast<SnapshotSectionEntry *>(
+      Bytes.data() + sizeof(SnapshotHeader));
+  for (uint32_t I = 0; I != H->NumSections; ++I)
+    if (Table[I].Id == static_cast<uint32_t>(Id))
+      return &Table[I];
+  return nullptr;
+}
+
+/// Recomputes \p E's payload checksum, so a hand edit gets past the
+/// integrity pass and reaches the loader's semantic checks.
+void reseal(std::vector<unsigned char> &Bytes, SnapshotSectionEntry &E) {
+  E.Checksum = hashBytes(Bytes.data() + E.Offset, E.SizeBytes);
+}
+
+/// The `Meta` section of the file image \p Bytes.
+SnapshotMeta metaOf(std::vector<unsigned char> &Bytes) {
+  SnapshotMeta Meta = {};
+  if (SnapshotSectionEntry *E = sectionEntry(Bytes, SnapshotSectionId::Meta))
+    std::memcpy(&Meta, Bytes.data() + E->Offset, sizeof(Meta));
+  return Meta;
 }
 
 /// Writes a kernel-bearing snapshot of \p P to \p Path.
@@ -367,6 +395,112 @@ TEST(SnapshotDamage, VersionMismatchIsRejectedEvenWithValidChecksum) {
   writeFile(Path, Bytes);
   Status S = expectLoadFails(Path);
   EXPECT_NE(S.toString().find("version"), std::string::npos)
+      << S.toString();
+  std::remove(Path.c_str());
+}
+
+TEST(SnapshotDamage, V2FileFailsTheVersionCheck) {
+  // A file from the one-row-per-component kernel era: the version gate
+  // rejects it before any section is read, so the cache rebuilds it.
+  Pipeline P = freezeProgram(makeCubicFamily(8));
+  ASSERT_TRUE(P.F);
+  const std::string Path = tempPath("v2");
+  writeWithKernel(Path, P);
+  std::vector<unsigned char> Bytes = readFile(Path);
+  auto *H = reinterpret_cast<SnapshotHeader *>(Bytes.data());
+  H->Version = 2;
+  H->HeaderChecksum =
+      hashBytes(Bytes.data(), sizeof(SnapshotHeader) - sizeof(uint64_t));
+  writeFile(Path, Bytes);
+  Status S = expectLoadFails(Path);
+  EXPECT_NE(S.toString().find("format version 2"), std::string::npos)
+      << S.toString();
+  std::remove(Path.c_str());
+}
+
+TEST(SnapshotDamage, KernelRowIdBeyondThePoolIsRejected) {
+  Pipeline P = freezeProgram(makeCubicFamily(8));
+  ASSERT_TRUE(P.F);
+  const std::string Path = tempPath("rowid_range");
+  writeWithKernel(Path, P);
+  std::vector<unsigned char> Bytes = readFile(Path);
+  const SnapshotMeta Meta = metaOf(Bytes);
+  ASSERT_GT(Meta.KernelPoolRows, 0u);
+  for (uint32_t Bad : {Meta.KernelPoolRows, ~uint32_t(0)}) {
+    std::vector<unsigned char> Damaged = Bytes;
+    SnapshotSectionEntry *E =
+        sectionEntry(Damaged, SnapshotSectionId::KernelRowOf);
+    ASSERT_NE(E, nullptr);
+    ASSERT_GE(E->SizeBytes, 4u);
+    std::memcpy(Damaged.data() + E->Offset + E->SizeBytes - 4, &Bad, 4);
+    reseal(Damaged, *E);
+    writeFile(Path, Damaged);
+    Status S = expectLoadFails(Path);
+    EXPECT_NE(S.toString().find("outside the"), std::string::npos)
+        << S.toString();
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(SnapshotDamage, MisSizedKernelPoolIsRejected) {
+  Pipeline P = freezeProgram(makeCubicFamily(8));
+  ASSERT_TRUE(P.F);
+  const std::string Path = tempPath("pool_size");
+  writeWithKernel(Path, P);
+  std::vector<unsigned char> Bytes = readFile(Path);
+  SnapshotSectionEntry *E = sectionEntry(Bytes, SnapshotSectionId::KernelPool);
+  ASSERT_NE(E, nullptr);
+  ASSERT_GE(E->SizeBytes, 8u);
+  E->SizeBytes -= 8;
+  reseal(Bytes, *E);
+  writeFile(Path, Bytes);
+  Status S = expectLoadFails(Path);
+  EXPECT_NE(S.toString().find("kernel pool section"), std::string::npos)
+      << S.toString();
+  std::remove(Path.c_str());
+}
+
+TEST(SnapshotDamage, MisSizedKernelRowIdsAreRejected) {
+  Pipeline P = freezeProgram(makeCubicFamily(8));
+  ASSERT_TRUE(P.F);
+  const std::string Path = tempPath("rowid_size");
+  writeWithKernel(Path, P);
+  std::vector<unsigned char> Bytes = readFile(Path);
+  SnapshotSectionEntry *E =
+      sectionEntry(Bytes, SnapshotSectionId::KernelRowOf);
+  ASSERT_NE(E, nullptr);
+  ASSERT_GE(E->SizeBytes, 4u);
+  E->SizeBytes -= 4;
+  reseal(Bytes, *E);
+  writeFile(Path, Bytes);
+  Status S = expectLoadFails(Path);
+  EXPECT_NE(S.toString().find("kernel row-id section"), std::string::npos)
+      << S.toString();
+  std::remove(Path.c_str());
+}
+
+TEST(SnapshotDamage, KernelPoolBitsPastTheLabelsAreRejected) {
+  // A pool row naming a label the file has no name for would send the
+  // renderer past the name table.
+  Pipeline P = freezeProgram(makeCubicFamily(8));
+  ASSERT_TRUE(P.F);
+  ASSERT_NE(P.M->numLabels() % 64, 0u) << "need a partial tail word";
+  const std::string Path = tempPath("pool_tail");
+  writeWithKernel(Path, P);
+  std::vector<unsigned char> Bytes = readFile(Path);
+  const SnapshotMeta Meta = metaOf(Bytes);
+  SnapshotSectionEntry *E = sectionEntry(Bytes, SnapshotSectionId::KernelPool);
+  ASSERT_NE(E, nullptr);
+  ASSERT_GE(Meta.KernelPoolRows, 2u);
+  uint64_t Word;
+  const size_t At = E->Offset + (2 * size_t(Meta.KernelWordsPerSet) - 1) * 8;
+  std::memcpy(&Word, Bytes.data() + At, 8);
+  Word |= uint64_t(1) << 63;
+  std::memcpy(Bytes.data() + At, &Word, 8);
+  reseal(Bytes, *E);
+  writeFile(Path, Bytes);
+  Status S = expectLoadFails(Path);
+  EXPECT_NE(S.toString().find("past the label universe"), std::string::npos)
       << S.toString();
   std::remove(Path.c_str());
 }

@@ -109,7 +109,7 @@ TEST(DenseBitset, OrWordsBulkUnion) {
   B.insert(64);
   B.insert(65);
   B.insert(129);
-  A.orWords(B);
+  A.orWords(B.words().data(), B.words().size());
   EXPECT_EQ(A.count(), 4u);
   EXPECT_TRUE(A.contains(1));
   EXPECT_TRUE(A.contains(64));
@@ -120,8 +120,8 @@ TEST(DenseBitset, OrWordsBulkUnion) {
 
 TEST(DenseBitset, OrWordsMasksTailWord) {
   // Universe 130 occupies 3 words with only 2 valid bits in the last;
-  // a source buffer with garbage beyond bit 129 (e.g. the kernel's
-  // cache-line-padded rows) must not plant ghost bits.
+  // a source buffer with garbage beyond bit 129 (e.g. a row wider than
+  // the universe) must not plant ghost bits.
   DenseBitset A(130);
   const uint64_t Src[3] = {1, 0, ~uint64_t(0)};
   A.orWords(Src, 3);
