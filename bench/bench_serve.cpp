@@ -13,6 +13,11 @@
 ///   * Table 1 — per program: one-time `load` cost, then p50/p95/p99 over
 ///     a sweep of `labels` queries at rotating expressions, plus single
 ///     `all-labels` and `lint` round trips.
+///   * Table 2 — epoch scaling: in-process `Epoch::labelsOf` calls per
+///     second on one ~9k-expression epoch from 1, 2 and 4 caller threads,
+///     BFS-backed (no kernel yet) and kernel-backed (after one
+///     `all-labels`), with the per-call contention ratio (2 threads over
+///     1; 1.0 means the callers never wait on each other).
 ///
 /// Emits `BENCH_serve.json` so CI can diff tail latencies across
 /// revisions.
@@ -22,11 +27,13 @@
 #include "BenchUtil.h"
 
 #include "gen/Generators.h"
+#include "serve/Epoch.h"
 #include "serve/Json.h"
 #include "serve/Server.h"
 #include "support/TablePrinter.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -136,6 +143,86 @@ double percentile(std::vector<double> Sorted, double P) {
   return Sorted[std::min(Index, Sorted.size() - 1)];
 }
 
+/// `Epoch::labelsOf` calls per second with \p Threads callers running
+/// \p Calls calls each over \p Exprs (rotated per thread); best of 5.
+double labelsPerSecond(serve::Epoch &E, const std::vector<uint32_t> &Exprs,
+                       unsigned Threads, size_t Calls) {
+  double Best = 0;
+  for (int Rep = 0; Rep != 5; ++Rep) {
+    std::atomic<unsigned> Ready{0};
+    std::atomic<bool> Go{false};
+    std::vector<std::thread> Ts;
+    for (unsigned T = 0; T != Threads; ++T)
+      Ts.emplace_back([&, T] {
+        DenseBitset Out;
+        Ready.fetch_add(1);
+        while (!Go.load())
+          std::this_thread::yield();
+        for (size_t I = 0; I != Calls; ++I)
+          (void)E.labelsOf(ExprId(Exprs[(I + T * 997) % Exprs.size()]),
+                           Deadline::infinite(), Out);
+      });
+    while (Ready.load() != Threads)
+      std::this_thread::yield();
+    Timer T;
+    Go.store(true);
+    for (std::thread &Th : Ts)
+      Th.join();
+    Best = std::max(Best, double(Threads * Calls) / (T.millis() / 1e3));
+  }
+  return Best;
+}
+
+void printEpochScaling(JsonReport &Report) {
+  std::printf("== Epoch point-query scaling (in-process, lock-free) ==\n");
+  TablePrinter Table({"backend", "exprs", "1 thr (q/s)", "2 thr (q/s)",
+                      "4 thr (q/s)", "us/call 1", "us/call 2", "ratio 2/1"});
+  RandomProgramOptions RO;
+  RO.Seed = 7;
+  RO.NumBindings = 900;
+  RO.UseDatatypes = false;
+  serve::LivePipeline P;
+  if (!P.parse(makeRandomProgram(RO)).isOk() || !P.solve({}).isOk()) {
+    std::fprintf(stderr, "bench_serve: epoch program failed to load\n");
+    std::abort();
+  }
+  serve::Epoch E(1, std::move(P.M), std::move(P.H));
+  const uint32_t Exprs = E.numExprs();
+  std::vector<uint32_t> Probe;
+  for (uint32_t I = 0; I != 4000; ++I)
+    Probe.push_back(uint32_t((uint64_t(I) * 2654435761u) % Exprs));
+
+  for (const char *Backend : {"bfs", "kernel"}) {
+    size_t Calls = 4000;
+    if (std::string(Backend) == "kernel") {
+      InternedLabelSets Sets; // completes and publishes the kernel
+      (void)E.allLabels(Deadline::infinite(), Sets);
+      Calls = 40000;
+    }
+    double Qps[3];
+    const unsigned Threads[3] = {1, 2, 4};
+    for (int K = 0; K != 3; ++K)
+      Qps[K] = labelsPerSecond(E, Probe, Threads[K], Calls);
+    const double Us1 = 1e6 / Qps[0], Us2 = 2e6 / Qps[1], Us4 = 4e6 / Qps[2];
+    Table.addRow({Backend, TablePrinter::num(uint64_t(Exprs)),
+                  TablePrinter::num(Qps[0]), TablePrinter::num(Qps[1]),
+                  TablePrinter::num(Qps[2]), TablePrinter::num(Us1),
+                  TablePrinter::num(Us2), TablePrinter::num(Us2 / Us1)});
+    Report.record("epoch_scaling")
+        .add("backend", std::string(Backend))
+        .add("exprs", Exprs)
+        .add("calls_per_thread", uint64_t(Calls))
+        .add("qps_1", Qps[0])
+        .add("qps_2", Qps[1])
+        .add("qps_4", Qps[2])
+        .add("us_per_call_1", Us1)
+        .add("us_per_call_2", Us2)
+        .add("us_per_call_4", Us4)
+        .add("contention_ratio", Us2 / Us1);
+  }
+  std::printf("%s\n", Table.render().c_str());
+}
+
 void printPaperTables() {
   std::printf("== Serve-mode request latency (in-process pipe) ==\n");
   TablePrinter Table({"prog", "exprs", "load(ms)", "queries", "p50(ms)",
@@ -207,6 +294,7 @@ void printPaperTables() {
   }
 
   std::printf("%s\n", Table.render().c_str());
+  printEpochScaling(Report);
 }
 
 void BM_ServeLabelsRoundTrip(benchmark::State &State) {

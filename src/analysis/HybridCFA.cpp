@@ -236,7 +236,7 @@ DenseBitset HybridCFA::universalLabels() const {
   return Out;
 }
 
-DenseBitset HybridCFA::labelSet(ExprId E) {
+DenseBitset HybridCFA::labelSet(ExprId E) const {
   assert(HasRun && "query before run()");
   switch (Used) {
   case Engine::Subtransitive:
@@ -251,7 +251,7 @@ DenseBitset HybridCFA::labelSet(ExprId E) {
   return DenseBitset(M.numLabels());
 }
 
-DenseBitset HybridCFA::labelSetOfVar(VarId V) {
+DenseBitset HybridCFA::labelSetOfVar(VarId V) const {
   assert(HasRun && "query before run()");
   switch (Used) {
   case Engine::Subtransitive:

@@ -113,11 +113,12 @@ public:
 
   const DegradationReport &report() const { return Report; }
 
-  /// Labels flowing to occurrence \p E (frozen-graph reachability via the
-  /// query engine under the subtransitive engine; a table read under the
-  /// cubic fallback; the universal set under the partial-answer rung).
-  DenseBitset labelSet(ExprId E);
-  DenseBitset labelSetOfVar(VarId V);
+  /// Labels flowing to occurrence \p E (the query engine's point answer
+  /// under the subtransitive engine; a table read under the cubic
+  /// fallback; the universal set under the partial-answer rung).  Every
+  /// rung is a read, safe from any number of threads.
+  DenseBitset labelSet(ExprId E) const;
+  DenseBitset labelSetOfVar(VarId V) const;
 
   /// The graph, when the subtransitive engine succeeded (else null).
   const SubtransitiveGraph *graph() const { return Graph.get(); }

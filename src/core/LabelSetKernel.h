@@ -51,7 +51,8 @@
 /// The kernel is the batched-query backend: `QueryEngine` dispatches
 /// `labelsOf`/`occurrencesOf` batches here above a batch-size threshold,
 /// and `all-labels` reads its pool directly (`allLabelSets`).  Point
-/// queries never pay for it.
+/// queries never build it; once a batch has completed it, they read
+/// their answers from it (one row, or one bit probe).
 ///
 /// Thread safety: `run()` must not be called concurrently with itself or
 /// with the accessors; after `run()` returns, all `const` accessors are
@@ -231,12 +232,16 @@ public:
   /// Pool id of component \p Scc's row.  Final once `sccComplete(Scc)`.
   uint32_t rowOf(uint32_t Scc) const { return RowOfData[Scc]; }
 
+  /// Pool id of node \p N's set: row 0 (empty) while it is not complete.
+  uint32_t rowOfNode(uint32_t N) const {
+    return nodeComplete(N) ? rowOf(Cond->sccOf(N)) : 0;
+  }
+
   /// Pool id of occurrence \p E's set: row 0 (empty) when it has no node
   /// or is not complete yet.
   uint32_t rowOfExpr(ExprId E) const {
     uint32_t N = F.nodeOfExpr(E);
-    return N != FrozenGraph::None && nodeComplete(N) ? rowOf(Cond->sccOf(N))
-                                                     : 0;
+    return N != FrozenGraph::None ? rowOfNode(N) : 0;
   }
 
   /// Every component's row id in component order: what the snapshot

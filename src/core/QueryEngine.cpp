@@ -17,11 +17,26 @@
 
 using namespace stcfa;
 
+/// One thread's DFS state, shared by every engine the thread walks:
+/// epoch-stamped visit marks and an explicit stack.  The stamp vector
+/// only grows, with zeros, and the epoch only rises, so any stamp an
+/// earlier walk left — on this engine or another — is below the current
+/// epoch and reads as unvisited.  Only a 32-bit epoch wrap resets it.
+struct QueryEngine::Scratch {
+  std::vector<uint32_t> Stamp;
+  uint32_t Epoch = 0;
+  std::vector<uint32_t> Stack;
+};
+
+QueryEngine::Scratch &QueryEngine::threadScratch(uint32_t NumNodes) {
+  thread_local Scratch S;
+  if (S.Stamp.size() < NumNodes)
+    S.Stamp.resize(NumNodes, 0);
+  return S;
+}
+
 QueryEngine::QueryEngine(const FrozenGraph &F, unsigned Threads)
     : F(F), NumThreads(Threads ? Threads : 1) {
-  Lanes.resize(NumThreads);
-  for (Scratch &S : Lanes)
-    S.Stamp.assign(F.numNodes(), 0);
   if (NumThreads > 1)
     Pool = std::make_unique<ThreadPool>(NumThreads);
 }
@@ -30,6 +45,7 @@ QueryEngine::~QueryEngine() = default;
 
 void QueryEngine::adoptKernel(std::unique_ptr<LabelSetKernel> K) {
   Kern = std::move(K);
+  Published.store(Kern.get(), std::memory_order_release);
 }
 
 bool QueryEngine::dispatchKernel(size_t BatchSize, const Deadline &D,
@@ -42,6 +58,8 @@ bool QueryEngine::dispatchKernel(size_t BatchSize, const Deadline &D,
   static Counter &KernelDispatch = counter("query.batch.kernel_dispatch");
   static Counter &Fallbacks = counter("query.batch.kernel_fallback");
   if (S.isOk()) {
+    // Complete and read-only from here on: point queries may read it.
+    Published.store(Kern.get(), std::memory_order_release);
     KernelDispatch.inc();
     return true;
   }
@@ -61,7 +79,7 @@ bool QueryEngine::dispatchKernel(size_t BatchSize, const Deadline &D,
 /// occurrence.  (The equivalence suite pins this against the reverse
 /// BFS over the whole corpus.)
 void QueryEngine::occurrencesFromKernel(const LabelSetKernel &K, LabelId L,
-                                        std::vector<ExprId> &Out) {
+                                        std::vector<ExprId> &Out) const {
   const uint32_t Label = L.index();
   for (uint32_t I = 0, E = F.numExprs(); I != E; ++I) {
     uint32_t N = F.nodeOfExpr(ExprId(I));
@@ -70,24 +88,22 @@ void QueryEngine::occurrencesFromKernel(const LabelSetKernel &K, LabelId L,
   }
 }
 
-void QueryEngine::bumpEpoch(Scratch &S) {
-  // The stamp vector distinguishes visits by epoch; when the 32-bit
-  // epoch wraps, stale stamps from 2^32 queries ago would alias the new
-  // epoch, so reset them all once and restart from 1.
+/// The one stamped DFS behind every BFS answer: visits each node
+/// reachable from \p Roots over the CSR (\p Off, \p Tgt) — the forward
+/// edges or the reverse ones — exactly once, calling `Visit(N)`; a false
+/// return stops the walk.  Raw hoisted arrays, no per-row spans.  Returns
+/// the calling thread's scratch, stamped with this walk's epoch.
+template <typename VisitFn>
+const QueryEngine::Scratch &
+QueryEngine::walk(const uint32_t *Off, const uint32_t *Tgt,
+                  std::initializer_list<uint32_t> Roots, VisitFn Visit) const {
+  Scratch &S = threadScratch(F.numNodes());
+  // When the 32-bit epoch wraps, stale stamps from 2^32 walks ago would
+  // alias the new epoch, so reset them all once and restart from 1.
   if (++S.Epoch == 0) {
     std::fill(S.Stamp.begin(), S.Stamp.end(), 0);
     S.Epoch = 1;
   }
-}
-
-/// The one stamped DFS behind every BFS answer: visits each node
-/// reachable from \p Roots over the CSR (\p Off, \p Tgt) — the forward
-/// edges or the reverse ones — exactly once, calling `Visit(N)`; a false
-/// return stops the walk.  Raw hoisted arrays, no per-row spans.
-template <typename VisitFn>
-void QueryEngine::walk(Scratch &S, const uint32_t *Off, const uint32_t *Tgt,
-                       std::initializer_list<uint32_t> Roots, VisitFn Visit) {
-  bumpEpoch(S);
   uint32_t *Stamp = S.Stamp.data();
   const uint32_t Epoch = S.Epoch;
   S.Stack.clear();
@@ -96,11 +112,11 @@ void QueryEngine::walk(Scratch &S, const uint32_t *Off, const uint32_t *Tgt,
       Stamp[R] = Epoch;
       S.Stack.push_back(R);
     }
-  uint64_t Visited = 0;
+  uint64_t Count = 0;
   while (!S.Stack.empty()) {
     uint32_t N = S.Stack.back();
     S.Stack.pop_back();
-    ++Visited;
+    ++Count;
     if (!Visit(N))
       break;
     for (uint32_t I = Off[N], End = Off[N + 1]; I != End; ++I)
@@ -109,13 +125,14 @@ void QueryEngine::walk(Scratch &S, const uint32_t *Off, const uint32_t *Tgt,
         S.Stack.push_back(Next);
       }
   }
-  S.Visited += Visited;
+  Visited.add(Count);
+  return S;
 }
 
-DenseBitset QueryEngine::labelsFromNode(Scratch &S, uint32_t Start) {
+DenseBitset QueryEngine::labelsFromNode(uint32_t Start) const {
   DenseBitset Out(F.numLabels());
   const uint32_t *Lab = F.labelAtArray();
-  walk(S, F.outOffsets(), F.outTargets(), {Start}, [&](uint32_t N) {
+  walk(F.outOffsets(), F.outTargets(), {Start}, [&](uint32_t N) {
     if (uint32_t L = Lab[N]; L != FrozenGraph::None)
       Out.insert(L);
     return true;
@@ -123,49 +140,54 @@ DenseBitset QueryEngine::labelsFromNode(Scratch &S, uint32_t Start) {
   return Out;
 }
 
-bool QueryEngine::labelReachableFrom(Scratch &S, uint32_t Start,
-                                     uint32_t Label) {
+bool QueryEngine::labelReachableFrom(uint32_t Start, uint32_t Label) const {
   bool Found = false;
   const uint32_t *Lab = F.labelAtArray();
-  walk(S, F.outOffsets(), F.outTargets(), {Start}, [&](uint32_t N) {
+  walk(F.outOffsets(), F.outTargets(), {Start}, [&](uint32_t N) {
     Found = Lab[N] == Label;
     return !Found; // stop at the first carrier
   });
   return Found;
 }
 
-/// Counts \p N more reverse queries; once they would have paid for it in
-/// scans, builds the node -> occurrences index (CSR).  An engine that
-/// answers a handful (a delta epoch) keeps scanning; a serving epoch
-/// gathers.  Call before any lane runs.
-void QueryEngine::noteReverseQueries(size_t N) {
-  if (!ExprsAtOffsets.empty() || (ReverseQueries += N) < 8)
-    return;
-  ExprsAtOffsets.assign(size_t(F.numNodes()) + 1, 0);
-  for (uint32_t I = 0, E = F.numExprs(); I != E; ++I)
-    if (uint32_t Node = F.nodeOfExpr(ExprId(I)); Node != FrozenGraph::None)
-      ++ExprsAtOffsets[Node + 1];
-  for (uint32_t Node = 0; Node != F.numNodes(); ++Node)
-    ExprsAtOffsets[Node + 1] += ExprsAtOffsets[Node];
-  ExprsAt.resize(ExprsAtOffsets.back());
-  std::vector<uint32_t> Fill(ExprsAtOffsets.begin(), ExprsAtOffsets.end() - 1);
-  for (uint32_t I = 0, E = F.numExprs(); I != E; ++I)
-    if (uint32_t Node = F.nodeOfExpr(ExprId(I)); Node != FrozenGraph::None)
-      ExprsAt[Fill[Node]++] = ExprId(I);
+/// Once the reverse queries would have paid for it in scans, builds the
+/// node -> occurrences index (CSR), exactly once.  An engine that answers
+/// a handful (a delta epoch) keeps scanning; a serving epoch gathers.
+bool QueryEngine::noteReverseQueries(size_t N) const {
+  if (IndexReady.load(std::memory_order_acquire))
+    return true;
+  if (ReverseQueries.fetch_add(N, std::memory_order_relaxed) + N < 8)
+    return false;
+  std::call_once(IndexOnce, [this] {
+    ExprsAtOffsets.assign(size_t(F.numNodes()) + 1, 0);
+    for (uint32_t I = 0, E = F.numExprs(); I != E; ++I)
+      if (uint32_t Node = F.nodeOfExpr(ExprId(I)); Node != FrozenGraph::None)
+        ++ExprsAtOffsets[Node + 1];
+    for (uint32_t Node = 0; Node != F.numNodes(); ++Node)
+      ExprsAtOffsets[Node + 1] += ExprsAtOffsets[Node];
+    ExprsAt.resize(ExprsAtOffsets.back());
+    std::vector<uint32_t> Fill(ExprsAtOffsets.begin(),
+                               ExprsAtOffsets.end() - 1);
+    for (uint32_t I = 0, E = F.numExprs(); I != E; ++I)
+      if (uint32_t Node = F.nodeOfExpr(ExprId(I)); Node != FrozenGraph::None)
+        ExprsAt[Fill[Node]++] = ExprId(I);
+    IndexReady.store(true, std::memory_order_release);
+  });
+  return true;
 }
 
-void QueryEngine::markOccurrences(Scratch &S, LabelId L,
-                                  std::vector<ExprId> &Out) {
+void QueryEngine::markOccurrences(LabelId L, bool Indexed,
+                                  std::vector<ExprId> &Out) const {
   // Reverse reachability from the abstraction node and (polyvariant
   // instantiation) the label-carrier node.
   auto [Lam, Carrier] = F.labelRoots(L);
-  const bool Indexed = !ExprsAtOffsets.empty();
-  walk(S, F.inOffsets(), F.inTargets(), {Lam, Carrier}, [&](uint32_t N) {
-    if (Indexed)
-      Out.insert(Out.end(), ExprsAt.begin() + ExprsAtOffsets[N],
-                 ExprsAt.begin() + ExprsAtOffsets[N + 1]);
-    return true;
-  });
+  const Scratch &S =
+      walk(F.inOffsets(), F.inTargets(), {Lam, Carrier}, [&](uint32_t N) {
+        if (Indexed)
+          Out.insert(Out.end(), ExprsAt.begin() + ExprsAtOffsets[N],
+                     ExprsAt.begin() + ExprsAtOffsets[N + 1]);
+        return true;
+      });
 
   // A congruence summary node may stand for many occurrences, so map
   // nodes to the occurrences they stand for: through the index (then
@@ -186,31 +208,44 @@ void QueryEngine::markOccurrences(Scratch &S, LabelId L,
 // Point queries
 //===----------------------------------------------------------------------===//
 
-bool QueryEngine::isLabelIn(ExprId E, LabelId L) {
+const LabelSetKernel *QueryEngine::pointKernel() const {
+  static Counter &ByKernel = counter("query.point.kernel");
+  static Counter &ByBfs = counter("query.point.bfs");
+  const LabelSetKernel *K = publishedKernel();
+  (K ? ByKernel : ByBfs).inc();
+  return K;
+}
+
+DenseBitset QueryEngine::pointLabels(uint32_t Start) const {
+  if (Start == FrozenGraph::None)
+    return DenseBitset(F.numLabels());
+  if (const LabelSetKernel *K = pointKernel())
+    return K->pool().set(K->rowOfNode(Start));
+  return labelsFromNode(Start);
+}
+
+bool QueryEngine::isLabelIn(ExprId E, LabelId L) const {
   uint32_t Start = F.nodeOfExpr(E);
   if (Start == FrozenGraph::None)
     return false;
-  return labelReachableFrom(Lanes[0], Start, L.index());
+  if (const LabelSetKernel *K = pointKernel())
+    return K->hasLabel(Start, L.index());
+  return labelReachableFrom(Start, L.index());
 }
 
-DenseBitset QueryEngine::labelsOf(ExprId E) {
-  uint32_t Start = F.nodeOfExpr(E);
-  if (Start == FrozenGraph::None)
-    return DenseBitset(F.numLabels());
-  return labelsFromNode(Lanes[0], Start);
+DenseBitset QueryEngine::labelsOf(ExprId E) const {
+  return pointLabels(F.nodeOfExpr(E));
 }
 
-DenseBitset QueryEngine::labelsOfVar(VarId V) {
-  uint32_t Start = F.nodeOfVar(V);
-  if (Start == FrozenGraph::None)
-    return DenseBitset(F.numLabels());
-  return labelsFromNode(Lanes[0], Start);
+DenseBitset QueryEngine::labelsOfVar(VarId V) const {
+  return pointLabels(F.nodeOfVar(V));
 }
 
-std::vector<ExprId> QueryEngine::occurrencesOf(LabelId L) {
-  noteReverseQueries(1);
+std::vector<ExprId> QueryEngine::occurrencesOf(LabelId L) const {
+  static Counter &ByBfs = counter("query.point.bfs");
+  ByBfs.inc();
   std::vector<ExprId> Out;
-  markOccurrences(Lanes[0], L, Out);
+  markOccurrences(L, noteReverseQueries(1), Out);
   return Out;
 }
 
@@ -253,7 +288,6 @@ void QueryEngine::runGoverned(size_t N, const BatchControl &C,
       Out.S = std::move(S);
   };
   auto RunShard = [&](unsigned Lane, size_t Index) {
-    Scratch &S = Lanes[Lane];
     Shard Sh = shardOf(N, NumThreads, Index);
     Span LaneSpan("query.lane");
     LaneSpan.arg("lane", Lane);
@@ -272,7 +306,7 @@ void QueryEngine::runGoverned(size_t N, const BatchControl &C,
           break;
         }
       }
-      Item(S, I);
+      Item(I);
       Out.Done[I] = 1;
     }
     Completed.fetch_add(I - Sh.Begin, std::memory_order_relaxed);
@@ -315,16 +349,16 @@ QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es,
     BatchSpan.arg("dispatch", "kernel");
     const LabelSetKernel &K = *Kern;
     runGoverned(Es.size(), C, Outcome,
-                [&](Scratch &, size_t I) { Out[I] = K.labelsOf(Es[I]); });
+                [&](size_t I) { Out[I] = K.labelsOf(Es[I]); });
     return FillUnanswered();
   }
   BatchSpan.arg("dispatch", "bfs");
   static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
   BfsDispatch.inc();
-  runGoverned(Es.size(), C, Outcome, [&](Scratch &S, size_t I) {
+  runGoverned(Es.size(), C, Outcome, [&](size_t I) {
     uint32_t Start = F.nodeOfExpr(Es[I]);
     Out[I] = Start == FrozenGraph::None ? DenseBitset(F.numLabels())
-                                        : labelsFromNode(S, Start);
+                                        : labelsFromNode(Start);
   });
   return FillUnanswered();
 }
@@ -341,7 +375,7 @@ InternedLabelSets QueryEngine::allLabelSets(const BatchControl &C,
     BatchSpan.arg("dispatch", "kernel");
     const LabelSetKernel &K = *Kern;
     InternedLabelSets Out(K.pool(), N);
-    runGoverned(N, C, Outcome, [&](Scratch &, size_t I) {
+    runGoverned(N, C, Outcome, [&](size_t I) {
       Out.RowOf[I] = K.rowOfExpr(ExprId(static_cast<uint32_t>(I)));
     });
     Out.Done = Outcome.Done;
@@ -352,11 +386,11 @@ InternedLabelSets QueryEngine::allLabelSets(const BatchControl &C,
   BfsDispatch.inc();
   InternedLabelSets Out(F.numLabels(), N);
   std::mutex PoolMu; // the lanes share one pool
-  runGoverned(N, C, Outcome, [&](Scratch &S, size_t I) {
+  runGoverned(N, C, Outcome, [&](size_t I) {
     uint32_t Start = F.nodeOfExpr(ExprId(static_cast<uint32_t>(I)));
     if (Start == FrozenGraph::None)
       return; // row 0, the empty set
-    DenseBitset Set = labelsFromNode(S, Start);
+    DenseBitset Set = labelsFromNode(Start);
     std::lock_guard<std::mutex> Lock(PoolMu);
     Out.set(static_cast<uint32_t>(I), Set);
   });
@@ -374,15 +408,13 @@ QueryEngine::isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs,
   // Membership batches never *build* the closure (a single bit each is
   // too cheap to justify it), but once an earlier batch completed the
   // kernel, every membership test is one O(1) bit probe.
-  const LabelSetKernel *K =
-      (KernelThreshold != 0 && Kern && Kern->complete()) ? Kern.get()
-                                                         : nullptr;
+  const LabelSetKernel *K = publishedKernel();
   BatchSpan.arg("dispatch", K ? "kernel" : "bfs");
-  runGoverned(Qs.size(), C, Outcome, [&](Scratch &S, size_t I) {
+  runGoverned(Qs.size(), C, Outcome, [&](size_t I) {
     uint32_t Start = F.nodeOfExpr(Qs[I].first);
     Out[I] = Start != FrozenGraph::None &&
              (K ? K->hasLabel(Start, Qs[I].second.index())
-                : labelReachableFrom(S, Start, Qs[I].second.index()));
+                : labelReachableFrom(Start, Qs[I].second.index()));
   });
   return Out;
 }
@@ -400,7 +432,7 @@ QueryEngine::occurrencesOfBatch(const std::vector<LabelId> &Ls,
   if (dispatchKernel(Ls.size(), C.D, C.Token)) {
     BatchSpan.arg("dispatch", "kernel");
     const LabelSetKernel &K = *Kern;
-    runGoverned(Ls.size(), C, Outcome, [&](Scratch &, size_t I) {
+    runGoverned(Ls.size(), C, Outcome, [&](size_t I) {
       occurrencesFromKernel(K, Ls[I], Out[I]);
     });
     return Out;
@@ -408,16 +440,9 @@ QueryEngine::occurrencesOfBatch(const std::vector<LabelId> &Ls,
   BatchSpan.arg("dispatch", "bfs");
   static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
   BfsDispatch.inc();
-  noteReverseQueries(Ls.size());
-  runGoverned(Ls.size(), C, Outcome, [&](Scratch &S, size_t I) {
-    markOccurrences(S, Ls[I], Out[I]);
+  const bool Indexed = noteReverseQueries(Ls.size());
+  runGoverned(Ls.size(), C, Outcome, [&](size_t I) {
+    markOccurrences(Ls[I], Indexed, Out[I]);
   });
   return Out;
-}
-
-uint64_t QueryEngine::nodesVisited() const {
-  uint64_t Total = 0;
-  for (const Scratch &S : Lanes)
-    Total += S.Visited;
-  return Total;
 }

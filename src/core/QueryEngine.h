@@ -12,13 +12,12 @@
 /// is `labelsOfBatch` over every occurrence, which the label-set kernel
 /// answers above the dispatch threshold.
 ///
-/// Concurrency model: the CSR snapshot is read-only, so workers need no
-/// locks — each worker lane owns a private epoch-stamped visit vector
-/// and DFS stack (`Scratch`), and batched results land in disjoint,
-/// pre-sized output slots.  Point queries run inline on the calling
-/// thread using lane 0's scratch.  The engine itself is therefore *not*
-/// re-entrant from multiple external threads; share the `FrozenGraph`,
-/// not the engine.
+/// Concurrency model: the CSR snapshot is read-only, and every walk runs
+/// on the calling thread's own `thread_local` scratch.  Point queries are
+/// `const` and safe from any number of threads at once; the lazily built
+/// state they read (the complete kernel, the occurrence index) is
+/// published once.  Batches may run the kernel, so callers serialize
+/// batches against each other, never against point queries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,11 +28,14 @@
 #include "core/LabelSetKernel.h"
 #include "support/Deadline.h"
 #include "support/DenseBitset.h"
+#include "support/Metrics.h"
 #include "support/Status.h"
 #include "support/ThreadPool.h"
 
+#include <atomic>
 #include <initializer_list>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -76,49 +78,53 @@ public:
   // word-parallel `LabelSetKernel`: one sequential sweep over the
   // condensation DAG is amortised across the whole batch instead of B
   // independent BFS walks.  The kernel is built lazily on first eligible
-  // batch and cached; point queries never touch it, and it never uses
-  // this engine's thread pool (the lanes serve BFS batches and row
-  // lookups).  An aborted kernel run (injected fault, deadline) falls
-  // back to the BFS path transparently.
+  // batch and cached; it never uses this engine's thread pool (the lanes
+  // serve BFS batches and row lookups).  An aborted kernel run (injected
+  // fault, deadline) falls back to the BFS path transparently.
 
   /// Default batch size above which batches use the kernel.
   static constexpr size_t DefaultKernelThreshold = 16;
 
-  /// Current dispatch threshold; 0 disables the kernel entirely.
+  /// Current dispatch threshold; 0 disables the kernel entirely.  Set
+  /// before sharing the engine.
   size_t kernelThreshold() const { return KernelThreshold; }
   void setKernelThreshold(size_t T) { KernelThreshold = T; }
 
-  /// The cached kernel, or null if no eligible batch has run yet.
+  /// The cached kernel, complete or not, or null if no eligible batch has
+  /// run yet.  Batch-side state: read it where batches serialize.
   const LabelSetKernel *kernel() const { return Kern.get(); }
 
-  /// The complete kernel when a batch of \p BatchSize items would
-  /// dispatch to it (running the closure first if needed), else null.  A
-  /// complete kernel is read-only, so its rows may be read without the
-  /// lock that serializes this engine's scratch.
-  const LabelSetKernel *completeKernel(size_t BatchSize) {
-    return dispatchKernel(BatchSize) ? Kern.get() : nullptr;
+  /// The kernel once complete (built by a batch or adopted) and enabled,
+  /// else null.  Never builds; safe from any thread.
+  const LabelSetKernel *publishedKernel() const {
+    return KernelThreshold != 0 ? Published.load(std::memory_order_acquire)
+                                : nullptr;
   }
 
   /// Installs an externally built kernel — a snapshot's persisted
   /// interning — as the batched-query backend.  \p K must be `complete()`
   /// and built over this engine's frozen graph; eligible batches then
-  /// dispatch to it without ever running the closure.
+  /// dispatch to it without ever running the closure, and point queries
+  /// read it from the first one.
   void adoptKernel(std::unique_ptr<LabelSetKernel> K);
 
-  //===--- point queries (calling thread, lane 0) -------------------------//
+  //===--- point queries (calling thread, any number at once) -------------//
+  //
+  // Over a published kernel `labelsOf`/`labelsOfVar` read one pooled row
+  // and `isLabelIn` one bit; otherwise, and for `occurrencesOf`, a walk.
 
   /// Algorithm 1: is the abstraction labelled \p L a possible value of
   /// occurrence \p E?
-  bool isLabelIn(ExprId E, LabelId L);
+  bool isLabelIn(ExprId E, LabelId L) const;
 
   /// Algorithm 2: all abstraction labels reachable from \p E.
-  DenseBitset labelsOf(ExprId E);
+  DenseBitset labelsOf(ExprId E) const;
 
   /// All labels reachable from the binder \p V.
-  DenseBitset labelsOfVar(VarId V);
+  DenseBitset labelsOfVar(VarId V) const;
 
   /// All expression occurrences whose label set contains \p L.
-  std::vector<ExprId> occurrencesOf(LabelId L);
+  std::vector<ExprId> occurrencesOf(LabelId L) const;
 
   //===--- batched queries (sharded across the pool) ----------------------//
   //
@@ -173,65 +179,67 @@ public:
   occurrencesOfBatch(const std::vector<LabelId> &Ls, const BatchControl &C,
                      BatchOutcome &Out);
 
-  /// Nodes touched by queries so far, summed over all lanes.
-  uint64_t nodesVisited() const;
+  /// Nodes touched by this engine's walks so far, over every thread.
+  uint64_t nodesVisited() const { return Visited.value(); }
 
 private:
-  /// Per-lane DFS state: epoch-stamped visit marks (O(1) reset between
-  /// queries, zeroed on epoch wrap) and an explicit stack.
-  ///
-  /// Layout invariant: `Lanes` is a contiguous array with one Scratch
-  /// per worker lane, and every lane hammers its own `Epoch`/`Visited`
-  /// and vector headers on each DFS step.  `alignas(64)` rounds
-  /// `sizeof(Scratch)` up to whole cache lines, so `Lanes[K]` and
-  /// `Lanes[K + 1]` can never share a 64-byte line — without it, lane
-  /// K's `Visited` stores would false-share with lane K+1's `Stamp`
-  /// header loads and serialise the supposedly independent lanes.
-  struct alignas(64) Scratch {
-    std::vector<uint32_t> Stamp;
-    uint32_t Epoch = 0;
-    std::vector<uint32_t> Stack;
-    uint64_t Visited = 0;
-  };
+  /// One thread's DFS state, defined in the .cpp.
+  struct Scratch;
+  /// The calling thread's scratch, with room for \p NumNodes stamps.
+  static Scratch &threadScratch(uint32_t NumNodes);
 
-  void bumpEpoch(Scratch &S);
   /// True when a batch of \p BatchSize should dispatch to the kernel.
   bool kernelEligible(size_t BatchSize) const {
     return KernelThreshold != 0 && BatchSize >= KernelThreshold &&
            F.numNodes() != 0;
   }
   /// Runs the kernel (built on first use) for an eligible batch under
-  /// the given controls (defaults never fire).  Counts the dispatch; on a
-  /// governed kernel abort, counts the fallback, records the cause, and
-  /// returns false so the caller takes the per-query BFS path.
+  /// the given controls (defaults never fire) and publishes it once
+  /// complete.  Counts the dispatch; on a governed kernel abort, counts
+  /// the fallback, records the cause, and returns false so the caller
+  /// takes the per-query BFS path.
   bool dispatchKernel(size_t BatchSize, const Deadline &D = Deadline(),
                       const CancellationToken &Token = CancellationToken());
   void occurrencesFromKernel(const LabelSetKernel &K, LabelId L,
-                             std::vector<ExprId> &Out);
-  /// Shards \p N items across the lanes, invoking `Item(Scratch&, I)`
-  /// per item with a governor poll before each one.
+                             std::vector<ExprId> &Out) const;
+  /// Shards \p N items across the lanes, invoking `Item(I)` per item
+  /// with a governor poll before each one.
   template <typename ItemFn>
   void runGoverned(size_t N, const BatchControl &C, BatchOutcome &Out,
                    ItemFn Item);
   template <typename VisitFn>
-  void walk(Scratch &S, const uint32_t *Off, const uint32_t *Tgt,
-            std::initializer_list<uint32_t> Roots, VisitFn Visit);
-  DenseBitset labelsFromNode(Scratch &S, uint32_t Start);
-  bool labelReachableFrom(Scratch &S, uint32_t Start, uint32_t Label);
-  void noteReverseQueries(size_t N);
-  void markOccurrences(Scratch &S, LabelId L, std::vector<ExprId> &Out);
+  const Scratch &walk(const uint32_t *Off, const uint32_t *Tgt,
+                      std::initializer_list<uint32_t> Roots,
+                      VisitFn Visit) const;
+  DenseBitset labelsFromNode(uint32_t Start) const;
+  /// The published kernel for one point query, or null to walk; counts
+  /// which one answers.
+  const LabelSetKernel *pointKernel() const;
+  /// Node \p Start's label set (empty for `None`) for the point queries.
+  DenseBitset pointLabels(uint32_t Start) const;
+  bool labelReachableFrom(uint32_t Start, uint32_t Label) const;
+  /// Counts \p N more reverse queries; true once the occurrence index is
+  /// built (building it here when this call crosses the threshold).
+  bool noteReverseQueries(size_t N) const;
+  void markOccurrences(LabelId L, bool Indexed,
+                       std::vector<ExprId> &Out) const;
 
   const FrozenGraph &F;
   unsigned NumThreads;
   std::unique_ptr<ThreadPool> Pool; // null when NumThreads == 1
-  std::vector<Scratch> Lanes;       // one per worker lane
   size_t KernelThreshold = DefaultKernelThreshold;
   std::unique_ptr<LabelSetKernel> Kern; // built on first eligible batch
+  /// `Kern` once complete: what point queries read.
+  std::atomic<const LabelSetKernel *> Published{nullptr};
+  mutable Counter Visited; // sharded like every metrics counter
   // Occurrences by node (CSR, ascending within a node), built once the
-  // engine has answered enough reverse queries to amortise it.
-  uint64_t ReverseQueries = 0;
-  std::vector<uint32_t> ExprsAtOffsets;
-  std::vector<ExprId> ExprsAt;
+  // engine has answered enough reverse queries to amortise it, then
+  // read-only.  `IndexReady` publishes it.
+  mutable std::atomic<uint64_t> ReverseQueries{0};
+  mutable std::once_flag IndexOnce;
+  mutable std::atomic<bool> IndexReady{false};
+  mutable std::vector<uint32_t> ExprsAtOffsets;
+  mutable std::vector<ExprId> ExprsAt;
 };
 
 } // namespace stcfa

@@ -96,35 +96,26 @@ uint64_t Epoch::cost() const {
   return C ? C : 1;
 }
 
-Status Epoch::labelsOf(ExprId E, const Deadline &D, DenseBitset &Out) {
+Status Epoch::labelsOf(ExprId E, const Deadline &D, DenseBitset &Out) const {
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Q) {
-    Out = Q->labelsOf(E);
-    return Status::ok();
-  }
-  Out = Hybrid->labelSet(E); // table read / universal set on degraded rungs
+  // A kernel row, a walk, a table read, or the universal set: all reads.
+  Out = Q ? Q->labelsOf(E) : Hybrid->labelSet(E);
   return Status::ok();
 }
 
-Status Epoch::isLabelIn(ExprId E, LabelId L, const Deadline &D, bool &Out) {
+Status Epoch::isLabelIn(ExprId E, LabelId L, const Deadline &D,
+                        bool &Out) const {
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Q) {
-    Out = Q->isLabelIn(E, L);
-    return Status::ok();
-  }
-  Out = Hybrid->labelSet(E).contains(L.index());
+  Out = Q ? Q->isLabelIn(E, L) : Hybrid->labelSet(E).contains(L.index());
   return Status::ok();
 }
 
 Status Epoch::occurrencesOf(LabelId L, const Deadline &D,
-                            std::vector<ExprId> &Out) {
+                            std::vector<ExprId> &Out) const {
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Q) {
     Out = Q->occurrencesOf(L);
     return Status::ok();
@@ -142,16 +133,15 @@ Status Epoch::occurrencesOf(LabelId L, const Deadline &D,
 
 Status Epoch::allLabels(const Deadline &D, InternedLabelSets &Out) {
   const uint32_t E = CanonExprs;
-  std::unique_lock<std::mutex> Lock(Mu);
-  // A complete kernel is read-only: its row ids are read after Mu is
-  // released, so point queries do not wait behind a whole-program batch.
-  if (Q && D.isInfinite())
-    if (const LabelSetKernel *K = Q->completeKernel(E)) {
-      Lock.unlock();
-      Out = K->allLabelSets();
-      return Status::ok();
-    }
   if (Q) {
+    // A complete kernel is read-only: read its row ids with no lock.
+    if (D.isInfinite())
+      if (const LabelSetKernel *K = Q->publishedKernel()) {
+        Out = K->allLabelSets();
+        return Status::ok();
+      }
+    // Otherwise this batch may run the closure: one at a time.
+    std::lock_guard<std::mutex> Lock(Mu);
     BatchControl BC;
     BC.D = D;
     BatchOutcome Outcome;

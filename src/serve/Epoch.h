@@ -17,10 +17,10 @@
 /// resolved at accept time; the old mapping is unmapped when the last
 /// such reference drains (watch the `serve.epochs_live` gauge).
 ///
-/// Query entry points serialize on an internal mutex — `QueryEngine` is
-/// explicitly not re-entrant from multiple external threads, and the
-/// daemon's worker pool is exactly such a caller.  Batched work still
-/// shards across the engine's own lanes under the lock.
+/// Point queries take no lock, nor does an `allLabels` over a complete
+/// kernel.  The internal mutex guards only what is still built lazily: a
+/// governed or kernel-building `allLabels`, a delta epoch's first
+/// `lint`/`slice` parse, and the cached dependence graph.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,8 +64,9 @@ struct LivePipeline {
 };
 
 /// One loaded program at one version.  Immutable after construction
-/// apart from the engine's internal scratch, a delta epoch's lazily
-/// parsed module and the cached dependence graph (all guarded by `Mu`).
+/// apart from a delta epoch's lazily parsed module, the cached dependence
+/// graph and the engine's kernel while a batch builds it (all guarded by
+/// `Mu`).
 class Epoch {
 public:
   /// Live-pipeline epoch: \p H has been solved (some rung served).
@@ -116,16 +117,18 @@ public:
   uint32_t numLabels() const { return CanonLabels; }
   ExprId root() const { return RootId; }
 
-  //===--- queries (thread-safe; serialized on the epoch mutex) ----------//
+  //===--- queries (thread-safe) ------------------------------------------//
 
-  Status labelsOf(ExprId E, const Deadline &D, DenseBitset &Out);
-  Status isLabelIn(ExprId E, LabelId L, const Deadline &D, bool &Out);
+  /// Point queries: lock-free on every engine and rung.
+  Status labelsOf(ExprId E, const Deadline &D, DenseBitset &Out) const;
+  Status isLabelIn(ExprId E, LabelId L, const Deadline &D, bool &Out) const;
   Status occurrencesOf(LabelId L, const Deadline &D,
-                       std::vector<ExprId> &Out);
+                       std::vector<ExprId> &Out) const;
   /// Every occurrence's set, interned; a governed batch's unanswered
   /// occurrences read the empty row (status says why).  Over a complete
-  /// kernel the mutex is held only to find it: row ids are read unlocked
-  /// and the result borrows its pool, so it must not outlive the epoch.
+  /// kernel no lock is taken and the result borrows the kernel's pool, so
+  /// it must not outlive the epoch; a governed or kernel-building batch
+  /// holds the mutex.
   Status allLabels(const Deadline &D, InternedLabelSets &Out);
 
   /// `allLabels` materialised: one set per occurrence, `Done[I]` false
@@ -189,7 +192,7 @@ private:
   uint32_t CanonLabels = 0;
   ExprId RootId = ExprId::invalid();
 
-  std::mutex Mu; ///< serializes engine scratch across worker threads
+  std::mutex Mu; ///< serializes the lazily built state (see the file comment)
 };
 
 /// The daemon's epoch registry: one current epoch, swapped atomically on

@@ -50,13 +50,18 @@ Status stcfa::serve::validateRequest(JsonValue Doc, ServeRequest &Out) {
 }
 
 std::string stcfa::serve::renderOkReply(const JsonValue &Id,
-                                        const JsonValue &Result) {
+                                        std::string_view Result) {
   std::string Out = "{\"id\":";
   renderJson(Id, Out);
   Out += ",\"ok\":true,\"result\":";
-  renderJson(Result, Out);
+  Out += Result;
   Out += '}';
   return Out;
+}
+
+std::string stcfa::serve::renderOkReply(const JsonValue &Id,
+                                        const JsonValue &Result) {
+  return renderOkReply(Id, renderJson(Result));
 }
 
 std::string stcfa::serve::renderErrorReply(const JsonValue &Id,

@@ -41,6 +41,7 @@
 #include "support/Status.h"
 
 #include <string>
+#include <string_view>
 
 namespace stcfa {
 namespace serve {
@@ -74,6 +75,8 @@ Status validateRequest(JsonValue Doc, ServeRequest &Out);
 
 /// `{"id":<id>,"ok":true,"result":<result>}`.
 std::string renderOkReply(const JsonValue &Id, const JsonValue &Result);
+/// The same around an already rendered \p Result (the `metrics` reply).
+std::string renderOkReply(const JsonValue &Id, std::string_view Result);
 
 /// `{"id":<id>,"ok":false,"error":{"code":...,"message":...}}`.
 std::string renderErrorReply(const JsonValue &Id, const Status &S);

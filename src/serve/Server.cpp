@@ -662,15 +662,7 @@ void Server::handleEdit(const ServeRequest &Req) {
 }
 
 void Server::handleMetrics(const ServeRequest &Req) {
-  // The exporter pretty-prints; the protocol is one line per reply, so
-  // round-trip through the serve parser to compact it.
-  JsonValue V;
-  if (Status S = parseJson(snapshotMetrics().toJson(), V); !S.isOk()) {
-    replyError(Req.Id,
-               Status::internal("metrics rendering failed: " + S.message()));
-    return;
-  }
-  reply(renderOkReply(Req.Id, V));
+  reply(renderOkReply(Req.Id, snapshotMetrics().toCompactJson()));
 }
 
 void Server::handleQuery(const ServeRequest &Req,

@@ -6,6 +6,7 @@
 
 #include "support/Metrics.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -207,5 +208,15 @@ std::string MetricsSnapshot::toJson(int Indent) const {
   Out += "}\n";
   indentInto(Out, I0);
   Out += "}";
+  return Out;
+}
+
+std::string MetricsSnapshot::toCompactJson() const {
+  // Metric names hold no whitespace, so every space and newline in the
+  // pretty rendering is layout.
+  std::string Out = toJson();
+  Out.erase(std::remove_if(Out.begin(), Out.end(),
+                           [](char C) { return C == ' ' || C == '\n'; }),
+            Out.end());
   return Out;
 }

@@ -131,6 +131,9 @@ struct MetricsSnapshot {
 
   /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
   std::string toJson(int Indent = 0) const;
+  /// The same document on one line with no whitespace: what the daemon's
+  /// `metrics` reply carries.
+  std::string toCompactJson() const;
 };
 
 MetricsSnapshot snapshotMetrics();

@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -954,6 +955,72 @@ TEST(Serve, MixedSession500RequestsNoCrashBitExact) {
     }
   }
   H.shutdown();
+}
+
+TEST(Serve, MetricsReplyMatchesTheDomRendering) {
+  // The reply wraps the snapshot's compact rendering; it must be the
+  // bytes the old parse-and-re-render of the pretty JSON produced.
+  counter("test.metrics_reply.counter").add(12345678901ull);
+  gauge("test.metrics_reply.gauge").set(-7);
+  histogram("test.metrics_reply.millis", latencyBucketsMillis()).observe(3);
+  for (const MetricsSnapshot &S : {snapshotMetrics(), MetricsSnapshot{}})
+    for (const JsonValue &Id :
+         {JsonValue::number(int64_t(8)), JsonValue::string("m\"1"),
+          JsonValue::null()}) {
+      JsonValue Dom;
+      ASSERT_TRUE(parseJson(S.toJson(), Dom).isOk());
+      EXPECT_EQ(renderOkReply(Id, S.toCompactJson()), renderOkReply(Id, Dom));
+    }
+}
+
+TEST(Serve, PointQueriesAnswerFromTheKernelOnceItIsComplete) {
+  const std::string Source = makeCubicFamily(6);
+  const std::string Dir =
+      testing::TempDir() + "stcfa_serve_point_kernel_cache";
+  std::filesystem::remove_all(Dir);
+  ServeOptions O;
+  O.SnapshotCache = true;
+  O.SnapshotDir = Dir;
+  Counter &ByKernel = counter("query.point.kernel");
+  Counter &ByBfs = counter("query.point.bfs");
+  auto labels = [](ServeHarness &H, int Id) {
+    H.send(R"({"id":)" + std::to_string(Id) +
+           R"(,"verb":"query","params":{"kind":"labels","expr":3}})");
+    JsonValue R = H.recv();
+    EXPECT_TRUE(ServeHarness::okOf(R)) << renderJson(R);
+    return R;
+  };
+  {
+    // Cache miss: a live epoch, no kernel until a batch completes one.
+    ServeHarness H{O};
+    H.send(loadRequest(1, Source));
+    ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+    const uint64_t Kernel0 = ByKernel.value(), Bfs0 = ByBfs.value();
+    labels(H, 2);
+    labels(H, 3);
+    EXPECT_EQ(ByKernel.value(), Kernel0);
+    EXPECT_EQ(ByBfs.value(), Bfs0 + 2);
+    H.send(R"({"id":4,"verb":"query","params":{"kind":"all-labels"}})");
+    ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+    EXPECT_EQ(ByKernel.value(), Kernel0);
+    labels(H, 5);
+    EXPECT_EQ(ByKernel.value(), Kernel0 + 1);
+    EXPECT_EQ(ByBfs.value(), Bfs0 + 2);
+    H.shutdown();
+  }
+  // Cache hit: the mapped epoch adopts the persisted kernel, so its very
+  // first point query reads it.
+  ServeHarness H{O};
+  H.send(loadRequest(1, Source));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  const uint64_t Kernel0 = ByKernel.value(), Bfs0 = ByBfs.value();
+  JsonValue First = labels(H, 2);
+  EXPECT_EQ(ServeHarness::resultOf(First)->field("engine")->asString(),
+            "snapshot");
+  EXPECT_EQ(ByKernel.value(), Kernel0 + 1);
+  EXPECT_EQ(ByBfs.value(), Bfs0);
+  H.shutdown();
+  std::filesystem::remove_all(Dir);
 }
 
 //===----------------------------------------------------------------------===//
