@@ -302,7 +302,7 @@ void printPaperTables() {
         }
         Timer T;
         serve::LivePipeline P;
-        if (!P.parse(Source).isOk() || !P.solve(HybridOptions{}).isOk())
+        if (!P.run(Source, HybridOptions{}).isOk())
           std::abort();
         auto E = std::make_unique<serve::Epoch>(1, std::move(P.M),
                                                 std::move(P.H));

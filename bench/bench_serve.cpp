@@ -182,7 +182,7 @@ void printEpochScaling(JsonReport &Report) {
   RO.NumBindings = 900;
   RO.UseDatatypes = false;
   serve::LivePipeline P;
-  if (!P.parse(makeRandomProgram(RO)).isOk() || !P.solve({}).isOk()) {
+  if (!P.run(makeRandomProgram(RO), {}).isOk()) {
     std::fprintf(stderr, "bench_serve: epoch program failed to load\n");
     std::abort();
   }

@@ -3,12 +3,12 @@
 #
 # Part of the stcfa project (PLDI'97 subtransitive CFA reproduction).
 #
-# `--query=all-labels` reaches its output through five paths: the live
-# pipeline, a live run that also writes `--save-snapshot`, a
-# `--load-snapshot` run over that file in a second process, and a
-# `--snapshot-cache` miss (which fills the cache) followed by a hit (which
-# serves from the mapped entry).  All five must print byte-identical
-# output.  The in-process snapshot tests cannot catch a format field only
+# `--query=all-labels` and `--query=labels` each reach their output
+# through five paths: the live pipeline, a live run that also writes
+# `--save-snapshot`, a `--load-snapshot` run over that file in a second
+# process, and a `--snapshot-cache` miss (which fills the cache) followed
+# by a hit (which serves from the mapped entry).  All five must print
+# byte-identical output.  The in-process snapshot tests cannot catch a format field only
 # one process interprets; this smoke can (docs/SNAPSHOT.md).
 #
 # Usage: scripts/all_labels_paths_smoke.sh <path-to-stcfa> [corpus...]
@@ -30,24 +30,27 @@ trap 'rm -rf "$tmp"' EXIT
 digest() { "$@" | sha1sum | cut -d' ' -f1; }
 
 for corpus in "${corpora[@]}"; do
-  run=("$bin" "--corpus=${corpus}" --query=all-labels)
-  live=$(digest "${run[@]}")
-  [[ "$live" != "$(digest true)" ]] || { echo "${corpus}: empty output"; exit 1; }
-  declare -A via=()
-  via[save]=$(digest "${run[@]}" --save-snapshot="$tmp/s.snap")
-  via[load]=$(digest "$bin" --load-snapshot="$tmp/s.snap" --query=all-labels)
-  via[miss]=$(digest "${run[@]}" --snapshot-cache="$tmp/cache" \
-    --metrics-json="$tmp/miss.json")
-  via[hit]=$(digest "${run[@]}" --snapshot-cache="$tmp/cache" \
-    --metrics-json="$tmp/hit.json")
-  grep -q '"snapshot.cache-misses": 1' "$tmp/miss.json"
-  grep -q '"snapshot.cache-hits": 1' "$tmp/hit.json"
-  for path in save load miss hit; do
-    [[ "${via[$path]}" == "$live" ]] ||
-      { echo "${corpus}: --query=all-labels via ${path} differs from live"; exit 1; }
+  for query in all-labels labels; do
+    run=("$bin" "--corpus=${corpus}" "--query=${query}")
+    live=$(digest "${run[@]}")
+    [[ "$live" != "$(digest true)" ]] ||
+      { echo "${corpus}: --query=${query}: empty output"; exit 1; }
+    declare -A via=()
+    via[save]=$(digest "${run[@]}" --save-snapshot="$tmp/s.snap")
+    via[load]=$(digest "$bin" --load-snapshot="$tmp/s.snap" "--query=${query}")
+    via[miss]=$(digest "${run[@]}" --snapshot-cache="$tmp/cache" \
+      --metrics-json="$tmp/miss.json")
+    via[hit]=$(digest "${run[@]}" --snapshot-cache="$tmp/cache" \
+      --metrics-json="$tmp/hit.json")
+    grep -q '"snapshot.cache-misses": 1' "$tmp/miss.json"
+    grep -q '"snapshot.cache-hits": 1' "$tmp/hit.json"
+    for path in save load miss hit; do
+      [[ "${via[$path]}" == "$live" ]] ||
+        { echo "${corpus}: --query=${query} via ${path} differs from live"; exit 1; }
+    done
+    echo "${corpus}: --query=${query}: live, save, load, cache miss and hit byte-identical"
+    rm -rf "$tmp/cache" "$tmp/s.snap"
   done
-  echo "${corpus}: live, save, load, cache miss and hit byte-identical"
-  rm -rf "$tmp/cache" "$tmp/s.snap"
 done
 
 echo "all-labels-paths-smoke: ok"

@@ -9,7 +9,8 @@
 #   2. release   - Release (-O3), all labels: GCC 12 raises warnings
 #                  (false -Wrestrict positives) at -O3 that -O2 does not
 #   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels plus the
-#                  serve, slice, flag-error and output smokes
+#                  serve, slice, snapshot, Prop. 1, flag-error and output
+#                  smokes
 #   4. tsan      - ThreadSanitizer, unit label (the parallel query
 #                  paths are what TSan is here for; the fuzz sweep under
 #                  TSan is slow and adds no thread coverage), then the
@@ -106,13 +107,16 @@ fi
 if [[ "${FAST}" == 0 ]]; then
   # serve-smoke rides along under ASan/UBSan so the daemon's line reader,
   # fault fallbacks, and epoch teardown get leak/overflow coverage,
-  # flag-smoke so every malformed flag value is parsed under UBSan, and
+  # flag-smoke so every malformed flag value is parsed under UBSan,
   # output-smoke so the streamed label-set output (its write-error exit
-  # and the cross-path snapshot byte check) runs under both; the
-  # unit tier already includes the in-process serve tests, which is what
-  # gives TSan its epoch-swap coverage.
+  # and the cross-path snapshot byte check) runs under both, and
+  # snapshot-smoke and prop1-smoke because the driver answers through a
+  # `serve::Epoch`: the snapshot epoch's lazy parse (lint over a snapshot)
+  # and every analysis's epoch tail run there; the unit tier already
+  # includes the in-process serve tests, which is what gives TSan its
+  # epoch-swap coverage.
   run_preset build-asan "-DSTCFA_SANITIZE=address,undefined" \
-    -L 'unit|fuzz|serve-smoke|slice-smoke|flag-smoke|output-smoke'
+    -L 'unit|fuzz|serve-smoke|slice-smoke|snapshot-smoke|prop1-smoke|flag-smoke|output-smoke'
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
   # The lock-free point-query suite hammers one epoch from five threads;
   # a race there can hide in one interleaving, so rerun it until it

@@ -37,6 +37,7 @@
 #include "parser/Parser.h"
 #include "poly/Polyvariant.h"
 #include "sema/Infer.h"
+#include "serve/Epoch.h"
 #include "serve/Server.h"
 #include "snapshot/Snapshot.h"
 #include "support/Metrics.h"
@@ -50,7 +51,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream> // the one tool entry point reads stdin
 #include <iterator>
 #include <limits>
@@ -358,54 +358,6 @@ private:
   std::string ExprName;
 };
 
-/// Uniform label-set access across the analyses.
-struct AnalysisResult {
-  std::unique_ptr<StandardCFA> Std;
-  std::unique_ptr<UnificationCFA> Uni;
-  std::unique_ptr<SubtransitiveGraph> Graph;
-  std::unique_ptr<PolyvariantCFA> Poly;
-  std::unique_ptr<HybridCFA> Hybrid;
-  std::unique_ptr<FrozenGraph> Snapshot;
-  std::unique_ptr<QueryEngine> Engine;
-  double AnalysisMs = 0;
-
-  /// The label set of \p E under the graph-free analyses (standard,
-  /// unify, and the hybrid's fallback rungs); graph analyses answer
-  /// through `engine()` instead.
-  DenseBitset labels(ExprId E) {
-    if (Std)
-      return Std->labelSet(E);
-    if (Uni)
-      return Uni->labelSet(E);
-    return Hybrid->labelSet(E);
-  }
-  const SubtransitiveGraph *graph() const {
-    if (Graph)
-      return Graph.get();
-    if (Poly)
-      return &Poly->graph();
-    if (Hybrid)
-      return Hybrid->graph();
-    return nullptr;
-  }
-  /// The frozen snapshot every graph analysis answers through (the
-  /// hybrid analysis freezes internally on subtransitive success).
-  const FrozenGraph *frozen() const {
-    if (Snapshot)
-      return Snapshot.get();
-    if (Hybrid)
-      return Hybrid->frozen();
-    return nullptr;
-  }
-  QueryEngine *engine() {
-    if (Engine)
-      return Engine.get();
-    if (Hybrid)
-      return Hybrid->queryEngine();
-    return nullptr;
-  }
-};
-
 /// The canonical configuration string hashed into the snapshot cache key:
 /// every option that shapes the frozen tables, nothing that doesn't.
 std::string snapshotConfigString(const Options &O) {
@@ -413,30 +365,29 @@ std::string snapshotConfigString(const Options &O) {
          ";policy=" + O.Policy;
 }
 
-/// `--query=labels|all-labels`, shared by the live pipeline and the
-/// snapshot paths.  `labels` writes the root's set; `all-labels` answers
-/// every occurrence as one interned batch — through \p Engine, governed
-/// by \p D, or, when there is no engine (the graph-free analyses),
-/// through \p LabelSet — and writes the non-empty sets to \p Out, each
-/// distinct set's text rendered once.  Returns 3 when the batch stopped
-/// early, else 0.
+/// The query engines' kernel threshold the flags ask for.
+size_t kernelThreshold(const Options &Opts) {
+  return Opts.KernelThreshold >= 0 ? static_cast<size_t>(Opts.KernelThreshold)
+                                   : QueryEngine::DefaultKernelThreshold;
+}
+
+/// `--query=labels|all-labels`, answered by \p E on every path.  `labels`
+/// writes the root's set; `all-labels` answers every occurrence as one
+/// interned batch, governed by \p D, and writes the non-empty sets to
+/// \p Out, each distinct set's text rendered once.  Returns 3 when the
+/// batch stopped early, else 0.
 int printLabelQuery(const Options &Opts, Names &N, OutWriter &Out,
-                    uint32_t NumExprs, uint32_t NumLabels, ExprId Root,
-                    QueryEngine *Engine,
-                    const std::function<DenseBitset(ExprId)> &LabelSet,
-                    Deadline D) {
+                    serve::Epoch &E, Deadline D) {
   const bool RootOnly = Opts.Query == "labels";
-  InternedLabelSets Sets(NumLabels, RootOnly ? 1 : NumExprs);
-  BatchOutcome Outcome;
+  const uint32_t NumExprs = E.numExprs();
+  InternedLabelSets Sets(E.numLabels(), 1);
+  Status S = Status::ok();
   if (RootOnly) {
-    Sets.set(0, Engine ? Engine->labelsOf(Root) : LabelSet(Root));
-  } else if (Engine) {
-    BatchControl BC;
-    BC.D = D;
-    Sets = Engine->allLabelSets(BC, Outcome);
+    DenseBitset Root; // a point query: the deadline governs batches only
+    (void)E.labelsOf(E.root(), Deadline::infinite(), Root);
+    Sets.set(0, Root);
   } else {
-    for (uint32_t I = 0; I != NumExprs; ++I)
-      Sets.set(I, LabelSet(ExprId(I)));
+    S = E.allLabels(D, Sets);
   }
   {
     Span RenderSpan("render");
@@ -466,11 +417,13 @@ int printLabelQuery(const Options &Opts, Names &N, OutWriter &Out,
     RenderSpan.arg("lines", Lines);
     RenderSpan.arg("distinct_rows", Rows.rendered());
   }
-  if (Outcome.S.isOk())
+  if (S.isOk())
     return 0;
   std::fprintf(stderr, "note: batch stopped early: %s (%llu of %u answered)\n",
-               Outcome.S.toString().c_str(),
-               (unsigned long long)Outcome.Completed, NumExprs);
+               S.toString().c_str(),
+               (unsigned long long)std::count(Sets.Done.begin(),
+                                              Sets.Done.end(), 1),
+               NumExprs);
   return 3;
 }
 
@@ -485,48 +438,16 @@ int finishOutput(OutWriter &Out, int ExitCode) {
   return 1;
 }
 
-/// Serves `--query=labels|all-labels` straight from a loaded snapshot:
-/// zero-copy query engine over the mapping, persisted kernel rows adopted
-/// as the batch backend, output byte-identical to the in-memory path.
-int serveFromSnapshot(const Options &Opts, const LoadedSnapshot &Snap) {
-  const FrozenGraph &F = Snap.frozen();
-  QueryEngine Engine(F, Opts.Threads);
-  if (Opts.KernelThreshold >= 0)
-    Engine.setKernelThreshold(static_cast<size_t>(Opts.KernelThreshold));
-  bool KernelAdopted = false;
-  if (auto Kern = Snap.adoptKernel()) {
-    Engine.adoptKernel(std::move(Kern));
-    KernelAdopted = true;
-  }
-  if (Opts.Stats)
-    std::printf("snapshot: %u nodes / %llu edges served zero-copy, %u "
-                "query lane(s), kernel rows %s\n",
-                F.numNodes(), (unsigned long long)F.numEdges(),
-                Engine.threads(), KernelAdopted ? "adopted" : "absent");
-
-  Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
-                                   : Deadline::infinite();
-  Timer QueryTimer;
-  Names N(Snap);
-  OutWriter Out(stdout);
-  int ExitCode = printLabelQuery(Opts, N, Out, F.numExprs(), F.numLabels(),
-                                 Snap.rootExpr(), &Engine, nullptr, D);
-  if (Opts.Stats)
-    std::printf("queries: %.3f ms\n", QueryTimer.millis());
-  return finishOutput(Out, ExitCode);
-}
-
-/// The `--lint` tail, shared by the live pipeline and `--load-snapshot`
-/// (which differ only in how \p Lint was built): run the passes, render
-/// the report, and map it to an exit code.
-int runLint(const Options &Opts, LintEngine &Lint, Deadline D,
+/// The `--lint` tail: run the passes over \p E, render the report, and
+/// map it to an exit code.
+int runLint(const Options &Opts, serve::Epoch &E, Deadline D,
             const char *Over) {
-  LintOptions LO;
-  LO.Passes = Opts.LintPasses;
-  LO.D = D;
-  LO.Threads = Opts.Threads;
   Timer LintTimer;
-  LintResult LR = Lint.run(LO);
+  LintResult LR;
+  if (Status S = E.lint(Opts.LintPasses, D, Opts.Threads, LR); !S.isOk()) {
+    std::fprintf(stderr, "error: %s\n", S.toString().c_str());
+    return 1;
+  }
   std::string InputName =
       !Opts.InputFile.empty() && Opts.InputFile != "-" ? Opts.InputFile
       : !Opts.Corpus.empty() ? "corpus:" + Opts.Corpus
@@ -548,32 +469,6 @@ int runLint(const Options &Opts, LintEngine &Lint, Deadline D,
   return 0;
 }
 
-/// The AST behind a `--load-snapshot` lint or slice: the frozen tables
-/// come from the mapping, the AST from reparsing the named input (already
-/// hash-verified against the snapshot header, so the two line up).  Null,
-/// with the error printed, when the input does not parse or its shape
-/// does not match the snapshot.
-std::unique_ptr<Module> reparseForSnapshot(const Options &Opts,
-                                           const FrozenGraph &F,
-                                           const std::string &Source) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::fprintf(stderr, "%s", Diags.render().c_str());
-    return nullptr;
-  }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*M, InferDiags);
-  if (M->numExprs() != F.numExprs()) {
-    std::fprintf(stderr,
-                 "error: snapshot '%s' does not match the given input "
-                 "(%u vs %u occurrences)\n",
-                 Opts.LoadSnapshot.c_str(), F.numExprs(), M->numExprs());
-    return nullptr;
-  }
-  return M;
-}
-
 /// Resolves `--slice=expr@L:C` to the innermost occurrence at exactly
 /// that location: preorder visits parents before children, so the last
 /// exact match wins.
@@ -590,16 +485,11 @@ bool resolveExprAt(const Module &M, uint32_t Line, uint32_t Col,
 }
 
 /// The `--slice` / `--dce` / `--export-deps` batch modes (mutually
-/// exclusive, validated up front).  Shared by the live pipeline and the
-/// `--load-snapshot` path, which differ only in where \p F comes from.
-int runSliceModes(const Options &Opts, const Module &M, const FrozenGraph &F,
-                  Deadline D, int ExitCode) {
-  DependenceGraph::Options DO;
-  DO.D = D;
-  Status BuildStatus = Status::ok();
-  std::unique_ptr<DependenceGraph> DG =
-      DependenceGraph::build(M, F, BuildStatus, DO);
-  if (!DG) {
+/// exclusive, validated up front), over \p E's dependence graph.
+int runSliceModes(const Options &Opts, serve::Epoch &E, Deadline D,
+                  int ExitCode) {
+  const DependenceGraph *DG = nullptr;
+  if (Status BuildStatus = E.dependenceGraph(D, DG); !BuildStatus.isOk()) {
     std::fprintf(stderr, "error: dependence-graph build failed: %s\n",
                  BuildStatus.toString().c_str());
     return Opts.governed() &&
@@ -608,6 +498,7 @@ int runSliceModes(const Options &Opts, const Module &M, const FrozenGraph &F,
                ? 3
                : 1;
   }
+  const Module &M = DG->module();
   if (Opts.Stats)
     std::printf("deps: %u entities / %llu edges in %.3f ms\n",
                 DG->numDepNodes(), (unsigned long long)DG->numEdges(),
@@ -625,7 +516,7 @@ int runSliceModes(const Options &Opts, const Module &M, const FrozenGraph &F,
     DceOptions DCO;
     DCO.D = D;
     Timer DceTimer;
-    DceResult DR = runDce(M, F, *DG, DCO);
+    DceResult DR = runDce(M, DG->frozen(), *DG, DCO);
     if (!DR.S.isOk()) {
       // Unlike slicing, a partial liveness answer would *remove live
       // code*, so DCE refuses instead of emitting (docs/SLICE.md).
@@ -652,29 +543,19 @@ int runSliceModes(const Options &Opts, const Module &M, const FrozenGraph &F,
                  Opts.SliceCol);
     return 1;
   }
-  SliceOptions SO;
-  SO.Dir = Opts.SliceDir == "fwd" ? SliceDirection::Forward
-                                  : SliceDirection::Backward;
-  SO.D = D;
-  Slicer S(*DG);
+  const SliceDirection Dir = Opts.SliceDir == "fwd" ? SliceDirection::Forward
+                                                    : SliceDirection::Backward;
   Timer SliceTimer;
-  SliceResult SR = S.sliceFrom(Target, SO);
-  if (!SR.S.isOk() && !SR.Partial) {
-    std::fprintf(stderr, "error: slice failed: %s\n",
-                 SR.S.toString().c_str());
+  serve::Epoch::SliceReply SR;
+  if (Status S = E.slice(Target, Dir, /*Witness=*/true, D, SR); !S.isOk()) {
+    std::fprintf(stderr, "error: slice failed: %s\n", S.toString().c_str());
     return 1;
   }
   std::printf("slice %s from %s: %u occurrence(s)%s\n",
-              sliceDirectionName(SR.Dir), describeExpr(M, Target).c_str(),
-              (unsigned)SR.Exprs.size(), SR.Partial ? " (partial)" : "");
-  for (ExprId Member : SR.Exprs) {
-    std::vector<WitnessStep> Steps;
-    Status WS = S.witnessFor(SR, Member, Steps);
-    if (!WS.isOk()) {
-      std::fprintf(stderr, "error: witness for %s invalid: %s\n",
-                   describeExpr(M, Member).c_str(), WS.toString().c_str());
-      return 1;
-    }
+              sliceDirectionName(Dir), describeExpr(M, Target).c_str(),
+              (unsigned)SR.Members.size(), SR.Partial ? " (partial)" : "");
+  const Slicer S(*DG);
+  for (const std::vector<WitnessStep> &Steps : SR.Witnesses) {
     std::string Line;
     if (Steps.size() <= 12) {
       Line = S.renderWitness(Steps);
@@ -693,10 +574,244 @@ int runSliceModes(const Options &Opts, const Module &M, const FrozenGraph &F,
     std::fprintf(stderr,
                  "note: slice stopped early: %s (members are an "
                  "under-approximation)\n",
-                 SR.S.toString().c_str());
+                 SR.Stop.toString().c_str());
     if (Opts.governed())
       return 3;
   }
+  return ExitCode;
+}
+
+/// The deadline of a run's work after its front half: `--timeout-ms`
+/// from now, or none.
+Deadline runDeadline(const Options &Opts) {
+  return Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
+                             : Deadline::infinite();
+}
+
+/// The live pipeline behind a run with no snapshot to serve: parse,
+/// infer and analyse \p Source, then build the run's epoch over what the
+/// analysis left — a frozen graph, or the graph-free analyses' table.
+/// `--print`, `--stats`, `--save-snapshot`, the fill of \p CacheSlot and
+/// `--dump-graph` happen on the way, and \p D starts before the
+/// analysis.  Returns the exit status so far, with the epoch in \p Out,
+/// or (\p Out left null) the status of a run that ends here.
+int runLivePipeline(const Options &Opts, const std::string &Source,
+                    const SnapshotCacheSlot &CacheSlot, Deadline &D,
+                    std::unique_ptr<serve::Epoch> &Out) {
+  DiagnosticEngine Diags;
+  std::unique_ptr<Module> M = parseProgram(Source, Diags);
+  if (!M) {
+    std::fprintf(stderr, "%s", Diags.render().c_str());
+    return 1;
+  }
+
+  DiagnosticEngine InferDiags;
+  bool Typed = inferTypes(*M, InferDiags);
+  if (!Typed)
+    std::fprintf(stderr, "note: type inference failed (%s); "
+                         "continuing untyped — termination is not "
+                         "guaranteed by the paper, widening applies\n",
+                 InferDiags.diagnostics().empty()
+                     ? "?"
+                     : InferDiags.diagnostics().front().Message.c_str());
+
+  if (Opts.Print)
+    std::printf("%s", printProgram(*M).c_str());
+
+  if (Opts.Stats) {
+    std::printf("program: %u exprs, %u binders, %u abstractions, %u "
+                "constructors\n",
+                M->numExprs(), M->numVars(), M->numLabels(), M->numCons());
+    if (Typed) {
+      TypeMetrics TM = computeTypeMetrics(*M);
+      std::printf("types: max size %u, avg size %.2f (k_avg), max order "
+                  "%u, max arity %u\n",
+                  TM.MaxTypeSize, TM.AvgTypeSize, TM.MaxOrder, TM.MaxArity);
+    }
+  }
+
+  // Flag parsing admitted only the listed values.
+  SubtransitiveConfig GC;
+  if (Opts.Congruence == "none")
+    GC.Congruence = CongruenceMode::None;
+  else if (Opts.Congruence == "bytype")
+    GC.Congruence = CongruenceMode::ByType;
+  else
+    GC.Congruence = CongruenceMode::ByBaseAndType;
+  if (Opts.Policy == "paper")
+    GC.Policy = ClosurePolicy::PaperExact;
+  else if (Opts.Policy == "nodeexists")
+    GC.Policy = ClosurePolicy::NodeExists;
+  else
+    GC.Policy = ClosurePolicy::Undemanded;
+
+  // One absolute deadline covers the whole pipeline (analysis, freeze,
+  // queries): later stages see only whatever wall-clock remains.
+  GC.MaxNodes = Opts.CloseBudget;
+  D = runDeadline(Opts);
+  int ExitCode = 0;
+
+  // The analysis that ran; `--stats` and `--dump-graph` report on it.
+  std::unique_ptr<StandardCFA> Std;
+  std::unique_ptr<UnificationCFA> Uni;
+  std::unique_ptr<SubtransitiveGraph> Sub;
+  std::unique_ptr<PolyvariantCFA> Poly;
+  std::unique_ptr<HybridCFA> Hybrid;
+  Timer T;
+  if (Opts.Analysis == "standard") {
+    Std = std::make_unique<StandardCFA>(*M);
+    Status S = Std->run(D);
+    if (!S.isOk()) {
+      std::fprintf(stderr, "error: standard analysis aborted: %s\n",
+                   S.toString().c_str());
+      return 3;
+    }
+  } else if (Opts.Analysis == "unify") {
+    Uni = std::make_unique<UnificationCFA>(*M);
+    Uni->run();
+  } else if (Opts.Analysis == "poly") {
+    Poly = std::make_unique<PolyvariantCFA>(*M, GC);
+    Poly->run();
+    if (Poly->graph().aborted()) {
+      std::fprintf(stderr, "error: close aborted: %s\n",
+                   Poly->graph().closeStatus().toString().c_str());
+      return Poly->graph().closeStatus() == StatusCode::ResourceExhausted
+                 ? 6
+                 : 3;
+    }
+  } else if (Opts.Analysis == "hybrid") {
+    HybridOptions HO;
+    HO.BudgetFactor = 8;
+    HO.Threads = Opts.Threads;
+    HO.D = D;
+    HO.Degrade = degradeModeNamed(Opts.Degrade);
+    HO.KernelThreshold = kernelThreshold(Opts);
+    Hybrid = std::make_unique<HybridCFA>(*M, HO);
+    Status S = Hybrid->solve();
+    if (Opts.Stats) {
+      std::printf("hybrid engine: %s\n", engineName(Hybrid->engine()));
+      std::printf("degradation report: %s\n",
+                  Hybrid->report().toJson().c_str());
+    }
+    if (!S.isOk()) {
+      std::fprintf(stderr, "error: hybrid analysis served no answer: %s\n",
+                   S.toString().c_str());
+      return S == StatusCode::ResourceExhausted ? 6 : 3;
+    }
+    if (Opts.governed()) {
+      if (Hybrid->engine() == HybridCFA::Engine::Standard)
+        ExitCode = 4;
+      else if (Hybrid->engine() == HybridCFA::Engine::PartialAnswer)
+        ExitCode = 5;
+    }
+  } else { // subtransitive
+    Sub = std::make_unique<SubtransitiveGraph>(*M, GC);
+    Sub->build();
+    Status S = Sub->close(D);
+    if (!S.isOk()) {
+      std::fprintf(stderr, "error: close aborted: %s\n",
+                   S.toString().c_str());
+      return S == StatusCode::ResourceExhausted ? 6 : 3;
+    }
+  }
+  const double AnalysisMs = T.millis();
+
+  // The run's epoch: a graph analysis hands over its frozen CSR snapshot
+  // (the close above finished cleanly, so the freeze cannot fail; the
+  // hybrid froze internally), the graph-free ones fill its table.  A
+  // hybrid epoch keeps its ladder, and so `Graph`, when it has a graph.
+  const SubtransitiveGraph *Graph = Sub    ? Sub.get()
+                                    : Poly   ? &Poly->graph()
+                                    : Hybrid ? Hybrid->graph()
+                                             : nullptr;
+  std::unique_ptr<serve::Epoch> E;
+  if (Hybrid)
+    E = std::make_unique<serve::Epoch>(1, std::move(M), std::move(Hybrid));
+  else if (Graph)
+    E = std::make_unique<serve::Epoch>(1, std::move(M),
+                                       std::make_unique<FrozenGraph>(*Graph),
+                                       Opts.Threads, kernelThreshold(Opts));
+  else if (Std)
+    E = std::make_unique<serve::Epoch>(
+        1, std::move(M), "standard",
+        [&Std](ExprId X) { return Std->labelSet(X); });
+  else
+    E = std::make_unique<serve::Epoch>(
+        1, std::move(M), "unify",
+        [&Uni](ExprId X) { return Uni->labelSet(X); });
+  const FrozenGraph *Frozen = E->frozen();
+
+  // `--save-snapshot` / the `--snapshot-cache` miss fill: persist the
+  // fresh frozen graph (and its complete kernel's rows) for later warm
+  // loads.  Flag validation admits both only for subtransitive/poly, so
+  // the epoch is frozen.
+  if (!Opts.SaveSnapshot.empty() || Opts.SnapshotCache) {
+    Status WS = Status::ok();
+    size_t Evicted = 0;
+    if (Opts.SnapshotCache)
+      WS = fillSnapshotCache(CacheSlot, *Frozen, E->module(),
+                             Opts.SnapshotCacheMaxMb << 20, Evicted);
+    else
+      WS = writeSnapshotWithKernel(
+          Opts.SaveSnapshot, *Frozen, E->module(),
+          snapshotCacheKey(Source, snapshotConfigString(Opts)));
+    if (!WS.isOk()) {
+      std::fprintf(stderr, "error: %s\n", WS.toString().c_str());
+      return 1;
+    }
+    if (Evicted != 0 && Opts.Stats)
+      std::printf("snapshot cache: evicted %zu entr%s (cap %llu MiB)\n",
+                  Evicted, Evicted == 1 ? "y" : "ies",
+                  (unsigned long long)Opts.SnapshotCacheMaxMb);
+    if (Opts.Stats)
+      std::printf("snapshot: wrote %s\n", Opts.SnapshotCache
+                                              ? CacheSlot.Path.c_str()
+                                              : Opts.SaveSnapshot.c_str());
+  }
+
+  if (Opts.Stats) {
+    std::printf("analysis: %s in %.3f ms\n", Opts.Analysis.c_str(),
+                AnalysisMs);
+    if (Graph) {
+      const GraphStats &S = Graph->stats();
+      std::printf("graph: build %llu nodes / %llu edges, close +%llu nodes "
+                  "/ +%llu edges, %llu rule firings, %llu widenings\n",
+                  (unsigned long long)S.BuildNodes,
+                  (unsigned long long)S.BuildEdges,
+                  (unsigned long long)S.CloseNodes,
+                  (unsigned long long)S.CloseEdges,
+                  (unsigned long long)S.CloseRuleFirings,
+                  (unsigned long long)S.Widenings);
+    }
+    if (Frozen)
+      std::printf("frozen: %u nodes / %llu edges compacted in %.3f ms, "
+                  "%u query lane(s)\n",
+                  Frozen->numNodes(), (unsigned long long)Frozen->numEdges(),
+                  Frozen->freezeMillis(), Opts.Threads);
+    if (Std)
+      std::printf("standard: %llu propagations, %llu insertions, %llu "
+                  "edges\n",
+                  (unsigned long long)Std->stats().Propagations,
+                  (unsigned long long)Std->stats().SetInsertions,
+                  (unsigned long long)Std->stats().Edges);
+    if (Uni)
+      std::printf("unify: %llu unions, %u classes\n",
+                  (unsigned long long)Uni->unions(), Uni->numClasses());
+  }
+
+  if (Opts.DumpGraph) {
+    if (Graph) {
+      for (uint32_t N = 0; N != Graph->numNodes(); ++N)
+        for (NodeId S : Graph->succs(NodeId(N)))
+          std::printf("%s -> %s\n", Graph->describe(NodeId(N)).c_str(),
+                      Graph->describe(S).c_str());
+    } else {
+      std::fprintf(stderr, "error: --dump-graph requires a graph analysis\n");
+      return 1;
+    }
+  }
+
+  Out = std::move(E);
   return ExitCode;
 }
 
@@ -829,10 +944,7 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (startsWith(A, "--timeout-ms=")) {
-      // Bounded so `now + timeout` stays inside the steady clock's
-      // nanosecond range (about 146 years).
-      if (!numericFlag<int64_t>(A, Opts.TimeoutMs, 0,
-                                INT64_MAX / 2'000'000))
+      if (!numericFlag<int64_t>(A, Opts.TimeoutMs, 0, Deadline::MaxMillis))
         return 2;
     } else if (startsWith(A, "--close-budget=")) {
       if (!numericFlag<uint64_t>(A, Opts.CloseBudget, 1))
@@ -1189,9 +1301,16 @@ int main(int Argc, char **Argv) {
     return Daemon.run();
   }
 
-  // `--load-snapshot`: the whole front half of the pipeline — read,
-  // parse, infer, build, close, freeze — is replaced by one mmap.
+  // One epoch answers the run: mapped from `--load-snapshot` or a cache
+  // hit (named through the snapshot's own tables), or built by the live
+  // pipeline.
+  std::unique_ptr<serve::Epoch> E;
+  const LoadedSnapshot *Tables = nullptr;
+  Deadline D;
+  int ExitCode = 0;
   if (!Opts.LoadSnapshot.empty()) {
+    // The whole front half of the pipeline — read, parse, infer, build,
+    // close, freeze — is replaced by one mmap.
     Status LoadStatus = Status::ok();
     std::unique_ptr<LoadedSnapshot> Snap =
         LoadedSnapshot::load(Opts.LoadSnapshot, LoadStatus);
@@ -1201,7 +1320,9 @@ int main(int Argc, char **Argv) {
     }
     // When an input was named alongside the snapshot, verify the header's
     // content hash against it — a stale snapshot must never silently
-    // answer for edited source.  (Stdin is not drained for this.)
+    // answer for edited source.  (Stdin is not drained for this.)  Lint
+    // and the slice modes parse that verified text: flag validation
+    // guaranteed an input was named for them.
     std::string VerifiedSource;
     if (!Opts.Corpus.empty() ||
         (!Opts.InputFile.empty() && Opts.InputFile != "-")) {
@@ -1220,312 +1341,89 @@ int main(int Argc, char **Argv) {
         return 1;
       }
     }
-    if (!Opts.Lint && !Opts.sliceMode())
-      return serveFromSnapshot(Opts, *Snap);
-    // Lint and the slice modes walk the AST: flag validation guaranteed an
-    // input was named, so VerifiedSource holds the (hash-checked) program
-    // text; the frozen tables stay zero-copy.
-    const FrozenGraph &F = Snap->frozen();
-    std::unique_ptr<Module> M = reparseForSnapshot(Opts, F, VerifiedSource);
-    if (!M)
+    Tables = Snap.get();
+    E = std::make_unique<serve::Epoch>(1, std::move(Snap),
+                                       std::move(VerifiedSource), Opts.Threads,
+                                       kernelThreshold(Opts));
+  } else {
+    bool Ok = true;
+    std::string Source = loadInput(Opts, Ok);
+    if (!Ok)
       return 1;
-    Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
-                                     : Deadline::infinite();
-    if (Opts.Lint) {
-      LintEngine Lint(*M, F);
-      return runLint(Opts, Lint, D, " over snapshot");
-    }
-    return runSliceModes(Opts, *M, F, D, 0);
-  }
-
-  bool Ok = true;
-  std::string Source = loadInput(Opts, Ok);
-  if (!Ok)
-    return 1;
-
-  // `--snapshot-cache`: content-addressed reuse.  A hit serves straight
-  // from the mapped file (no parse below this line); a miss runs the
-  // normal pipeline and fills the cache after the freeze.
-  uint64_t CacheKey = 0;
-  std::string CachePath;
-  if (Opts.SnapshotCache) {
-    CacheKey = snapshotCacheKey(Source, snapshotConfigString(Opts));
-    CachePath =
-        snapshotCachePath(snapshotCacheDir(Opts.SnapshotDir), CacheKey);
-    Status CacheStatus = Status::ok();
-    if (std::unique_ptr<LoadedSnapshot> Snap =
-            LoadedSnapshot::load(CachePath, CacheStatus)) {
-      if (Snap->contentHash() == CacheKey) {
-        counter("snapshot.cache-hits").inc();
-        touchSnapshotEntry(CachePath); // a hit refreshes the LRU order
-        traceInstant("snapshot.cache-hit");
+    // `--snapshot-cache`: content-addressed reuse.  A hit serves straight
+    // from the mapped file (no parse); a miss runs the live pipeline,
+    // which fills the cache after the freeze.
+    SnapshotCacheSlot CacheSlot;
+    if (Opts.SnapshotCache) {
+      if (std::unique_ptr<LoadedSnapshot> Snap = lookupSnapshotCache(
+              Opts.SnapshotDir, Source, snapshotConfigString(Opts),
+              CacheSlot)) {
         if (Opts.Stats)
-          std::printf("snapshot cache: hit %s\n", CachePath.c_str());
-        return serveFromSnapshot(Opts, *Snap);
+          std::printf("snapshot cache: hit %s\n", CacheSlot.Path.c_str());
+        Tables = Snap.get();
+        E = std::make_unique<serve::Epoch>(1, std::move(Snap),
+                                           std::move(Source), Opts.Threads,
+                                           kernelThreshold(Opts));
+      } else if (Opts.Stats) {
+        std::printf("snapshot cache: miss (%s)\n", CacheSlot.Path.c_str());
       }
-      // A key collision with a different content hash: fall through and
-      // rebuild rather than serve the wrong program's answers.
-      Snap.reset();
     }
-    counter("snapshot.cache-misses").inc();
-    traceInstant("snapshot.cache-miss");
-    if (Opts.Stats)
-      std::printf("snapshot cache: miss (%s)\n", CachePath.c_str());
-  }
-
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::fprintf(stderr, "%s", Diags.render().c_str());
-    return 1;
-  }
-
-  DiagnosticEngine InferDiags;
-  bool Typed = inferTypes(*M, InferDiags);
-  if (!Typed)
-    std::fprintf(stderr, "note: type inference failed (%s); "
-                         "continuing untyped — termination is not "
-                         "guaranteed by the paper, widening applies\n",
-                 InferDiags.diagnostics().empty()
-                     ? "?"
-                     : InferDiags.diagnostics().front().Message.c_str());
-
-  if (Opts.Print)
-    std::printf("%s", printProgram(*M).c_str());
-
-  if (Opts.Stats) {
-    std::printf("program: %u exprs, %u binders, %u abstractions, %u "
-                "constructors\n",
-                M->numExprs(), M->numVars(), M->numLabels(), M->numCons());
-    if (Typed) {
-      TypeMetrics TM = computeTypeMetrics(*M);
-      std::printf("types: max size %u, avg size %.2f (k_avg), max order "
-                  "%u, max arity %u\n",
-                  TM.MaxTypeSize, TM.AvgTypeSize, TM.MaxOrder, TM.MaxArity);
+    if (!E) {
+      ExitCode = runLivePipeline(Opts, Source, CacheSlot, D, E);
+      if (!E)
+        return ExitCode;
     }
   }
+  if (Tables)
+    D = runDeadline(Opts);
 
-  // Flag parsing admitted only the listed values.
-  SubtransitiveConfig GC;
-  if (Opts.Congruence == "none")
-    GC.Congruence = CongruenceMode::None;
-  else if (Opts.Congruence == "bytype")
-    GC.Congruence = CongruenceMode::ByType;
-  else
-    GC.Congruence = CongruenceMode::ByBaseAndType;
-  if (Opts.Policy == "paper")
-    GC.Policy = ClosurePolicy::PaperExact;
-  else if (Opts.Policy == "nodeexists")
-    GC.Policy = ClosurePolicy::NodeExists;
-  else
-    GC.Policy = ClosurePolicy::Undemanded;
-
-  // One absolute deadline covers the whole pipeline (analysis, freeze,
-  // queries): later stages see only whatever wall-clock remains.
-  GC.MaxNodes = Opts.CloseBudget;
-  Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
-                                   : Deadline::infinite();
-  int ExitCode = 0;
-
-  AnalysisResult R;
-  Timer T;
-  if (Opts.Analysis == "standard") {
-    R.Std = std::make_unique<StandardCFA>(*M);
-    Status S = R.Std->run(D);
-    if (!S.isOk()) {
-      std::fprintf(stderr, "error: standard analysis aborted: %s\n",
-                   S.toString().c_str());
-      return 3;
-    }
-  } else if (Opts.Analysis == "unify") {
-    R.Uni = std::make_unique<UnificationCFA>(*M);
-    R.Uni->run();
-  } else if (Opts.Analysis == "poly") {
-    R.Poly = std::make_unique<PolyvariantCFA>(*M, GC);
-    R.Poly->run();
-    if (R.Poly->graph().aborted()) {
-      std::fprintf(stderr, "error: close aborted: %s\n",
-                   R.Poly->graph().closeStatus().toString().c_str());
-      return R.Poly->graph().closeStatus() == StatusCode::ResourceExhausted
-                 ? 6
-                 : 3;
-    }
-  } else if (Opts.Analysis == "hybrid") {
-    HybridOptions HO;
-    HO.BudgetFactor = 8;
-    HO.Threads = Opts.Threads;
-    HO.D = D;
-    HO.Degrade = degradeModeNamed(Opts.Degrade);
-    if (Opts.KernelThreshold >= 0)
-      HO.KernelThreshold = static_cast<size_t>(Opts.KernelThreshold);
-    R.Hybrid = std::make_unique<HybridCFA>(*M, HO);
-    Status S = R.Hybrid->solve();
-    if (Opts.Stats) {
-      std::printf("hybrid engine: %s\n", engineName(R.Hybrid->engine()));
-      std::printf("degradation report: %s\n",
-                  R.Hybrid->report().toJson().c_str());
-    }
-    if (!S.isOk()) {
-      std::fprintf(stderr, "error: hybrid analysis served no answer: %s\n",
-                   S.toString().c_str());
-      return S == StatusCode::ResourceExhausted ? 6 : 3;
-    }
-    if (Opts.governed()) {
-      if (R.Hybrid->engine() == HybridCFA::Engine::Standard)
-        ExitCode = 4;
-      else if (R.Hybrid->engine() == HybridCFA::Engine::PartialAnswer)
-        ExitCode = 5;
-    }
-  } else { // subtransitive
-    R.Graph = std::make_unique<SubtransitiveGraph>(*M, GC);
-    R.Graph->build();
-    Status S = R.Graph->close(D);
-    if (!S.isOk()) {
-      std::fprintf(stderr, "error: close aborted: %s\n",
-                   S.toString().c_str());
-      return S == StatusCode::ResourceExhausted ? 6 : 3;
-    }
-  }
-  R.AnalysisMs = T.millis();
-
-  // Every graph analysis answers through a frozen CSR snapshot and the
-  // (optionally parallel) query engine over it; the close above finished
-  // cleanly, so the freeze cannot fail.  The hybrid analysis freezes
-  // internally on subtransitive success.
-  if (R.graph() && !R.Hybrid) {
-    R.Snapshot = std::make_unique<FrozenGraph>(*R.graph());
-    R.Engine = std::make_unique<QueryEngine>(*R.Snapshot, Opts.Threads);
-    if (Opts.KernelThreshold >= 0)
-      R.Engine->setKernelThreshold(static_cast<size_t>(Opts.KernelThreshold));
-  }
-
-  // `--save-snapshot` / the `--snapshot-cache` miss fill: persist the
-  // fresh frozen graph (and its complete kernel's rows) for later warm
-  // loads.  Flag validation admits both only for subtransitive/poly, so
-  // R.Snapshot is set.
-  if (!Opts.SaveSnapshot.empty() || (Opts.SnapshotCache && !CachePath.empty())) {
-    const std::string &Dest =
-        !Opts.SaveSnapshot.empty() ? Opts.SaveSnapshot : CachePath;
-    uint64_t Key = Opts.SnapshotCache
-                       ? CacheKey
-                       : snapshotCacheKey(Source, snapshotConfigString(Opts));
-    Status WS = Status::ok();
-    if (Opts.SnapshotCache)
-      WS = ensureSnapshotDir(snapshotCacheDir(Opts.SnapshotDir));
-    if (WS.isOk())
-      WS = writeSnapshotWithKernel(Dest, *R.Snapshot, *M, Key);
-    if (!WS.isOk()) {
-      std::fprintf(stderr, "error: %s\n", WS.toString().c_str());
-      return 1;
-    }
-    if (Opts.SnapshotCache && Opts.SnapshotCacheMaxMb != 0) {
-      size_t Evicted = enforceSnapshotCacheBudget(
-          snapshotCacheDir(Opts.SnapshotDir),
-          Opts.SnapshotCacheMaxMb << 20);
-      if (Evicted != 0 && Opts.Stats)
-        std::printf("snapshot cache: evicted %zu entr%s (cap %llu MiB)\n",
-                    Evicted, Evicted == 1 ? "y" : "ies",
-                    (unsigned long long)Opts.SnapshotCacheMaxMb);
-    }
-    if (Opts.Stats)
-      std::printf("snapshot: wrote %s\n", Dest.c_str());
-  }
-
-  if (Opts.Stats) {
-    std::printf("analysis: %s in %.3f ms\n", Opts.Analysis.c_str(),
-                R.AnalysisMs);
-    if (const SubtransitiveGraph *G = R.graph()) {
-      const GraphStats &S = G->stats();
-      std::printf("graph: build %llu nodes / %llu edges, close +%llu nodes "
-                  "/ +%llu edges, %llu rule firings, %llu widenings\n",
-                  (unsigned long long)S.BuildNodes,
-                  (unsigned long long)S.BuildEdges,
-                  (unsigned long long)S.CloseNodes,
-                  (unsigned long long)S.CloseEdges,
-                  (unsigned long long)S.CloseRuleFirings,
-                  (unsigned long long)S.Widenings);
-    }
-    if (const FrozenGraph *F = R.frozen())
-      std::printf("frozen: %u nodes / %llu edges compacted in %.3f ms, "
-                  "%u query lane(s)\n",
-                  F->numNodes(), (unsigned long long)F->numEdges(),
-                  F->freezeMillis(),
-                  R.engine() ? R.engine()->threads() : 1);
-    if (R.Std)
-      std::printf("standard: %llu propagations, %llu insertions, %llu "
-                  "edges\n",
-                  (unsigned long long)R.Std->stats().Propagations,
-                  (unsigned long long)R.Std->stats().SetInsertions,
-                  (unsigned long long)R.Std->stats().Edges);
-    if (R.Uni)
-      std::printf("unify: %llu unions, %u classes\n",
-                  (unsigned long long)R.Uni->unions(), R.Uni->numClasses());
-  }
-
-  if (Opts.DumpGraph) {
-    if (const SubtransitiveGraph *G = R.graph()) {
-      for (uint32_t N = 0; N != G->numNodes(); ++N)
-        for (NodeId S : G->succs(NodeId(N)))
-          std::printf("%s -> %s\n", G->describe(NodeId(N)).c_str(),
-                      G->describe(S).c_str());
-    } else {
-      std::fprintf(stderr, "error: --dump-graph requires a graph analysis\n");
-      return 1;
-    }
-  }
-
-  // `--lint`: run the checker passes over the frozen graph and render;
-  // replaces the query path entirely (validated above).
-  if (Opts.Lint) {
-    LintEngine Lint(*M, *R.frozen());
-    return runLint(Opts, Lint, D, "");
-  }
-
-  // `--slice` / `--dce` / `--export-deps`: the slice subsystem consumes
-  // the frozen graph exactly like --lint, replacing the query path.
+  // `--lint` and `--slice` / `--dce` / `--export-deps` replace the query
+  // path entirely (validated above).
+  if (Opts.Lint)
+    return runLint(Opts, *E, D, Tables ? " over snapshot" : "");
   if (Opts.sliceMode())
-    return runSliceModes(Opts, *M, *R.frozen(), D, ExitCode);
+    return runSliceModes(Opts, *E, D, ExitCode);
+  if (Tables && Opts.Stats)
+    std::printf("snapshot: %u nodes / %llu edges served zero-copy, %u "
+                "query lane(s), kernel rows %s\n",
+                E->frozen()->numNodes(),
+                (unsigned long long)E->frozen()->numEdges(), Opts.Threads,
+                Tables->hasKernelRows() ? "adopted" : "absent");
 
   // The query tail writes through one writer and one name table; the
-  // stats and --run lines below follow it on the same stdout.
+  // stats and --run lines below follow it on the same stdout.  Flag
+  // validation admits only the label queries over a snapshot; the
+  // driver-only verbs read the live epoch's module and frozen graph.
+  const FrozenGraph *Frozen = E->frozen();
+  if (!Frozen && Opts.Query != "labels" && Opts.Query != "all-labels" &&
+      Opts.Query != "dead-code") {
+    std::fprintf(stderr, "error: %s needs a graph analysis\n",
+                 Opts.Query.substr(0, Opts.Query.find(':')).c_str());
+    return 1;
+  }
   Timer QueryTimer;
-  Names N(*M);
+  Names N = Tables ? Names(*Tables) : Names(E->module());
   OutWriter Out(stdout);
   if (Opts.Query == "labels" || Opts.Query == "all-labels") {
-    if (int RC = printLabelQuery(
-            Opts, N, Out, M->numExprs(), M->numLabels(), M->root(), R.engine(),
-            [&R](ExprId E) { return R.labels(E); }, D))
+    if (int RC = printLabelQuery(Opts, N, Out, *E, D))
       ExitCode = RC;
   } else if (Opts.Query == "effects") {
-    const FrozenGraph *F = R.frozen();
-    if (!F) {
-      std::fprintf(stderr, "error: effects needs a graph analysis\n");
-      return 1;
-    }
-    EffectsAnalysis Eff(*M, *F);
+    EffectsAnalysis Eff(E->module(), *Frozen);
     Eff.run();
     Out.write(Eff.numEffectful(), " side-effecting occurrences\n");
-    for (uint32_t I = 0; I != M->numExprs(); ++I)
+    for (uint32_t I = 0; I != E->module().numExprs(); ++I)
       if (Eff.isEffectful(ExprId(I)))
         Out.write("  ", N.expr(ExprId(I)), '\n');
   } else if (Opts.Query == "called-once") {
-    const FrozenGraph *F = R.frozen();
-    if (!F) {
-      std::fprintf(stderr, "error: called-once needs a graph analysis\n");
-      return 1;
-    }
-    CalledOnceAnalysis CO(*M, *F);
+    CalledOnceAnalysis CO(E->module(), *Frozen);
     CO.run();
     for (LabelId L : CO.calledOnce())
       Out.write("called once: ", N.label(L), " at ",
                 N.expr(CO.uniqueCallSite(L)), '\n');
   } else if (Opts.Query == "callgraph") {
-    QueryEngine *E = R.engine();
-    if (!E) {
-      std::fprintf(stderr, "error: callgraph needs a graph analysis\n");
-      return 1;
-    }
-    CallGraph CG(*M, *E);
+    QueryEngine QE(*Frozen, Opts.Threads);
+    QE.setKernelThreshold(kernelThreshold(Opts));
+    CallGraph CG(E->module(), QE);
     CG.run();
     for (uint32_t Caller = 0; Caller != CG.numCallers(); ++Caller) {
       if (CG.calleesOf(Caller).empty())
@@ -1540,20 +1438,22 @@ int main(int Argc, char **Argv) {
     for (LabelId Dead : CG.deadFunctions())
       Out.write("dead: ", N.label(Dead), '\n');
   } else if (Opts.Query == "dead-code") {
-    DeadCodeAwareCFA Dc(*M);
+    DeadCodeAwareCFA Dc(E->module());
     Dc.run();
     uint32_t DeadExprs = 0;
-    for (uint32_t I = 0; I != M->numExprs(); ++I)
+    for (uint32_t I = 0; I != E->module().numExprs(); ++I)
       DeadExprs += !Dc.isLive(ExprId(I));
-    Out.write(DeadExprs, " of ", M->numExprs(),
+    Out.write(DeadExprs, " of ", E->module().numExprs(),
               " occurrences are dead code\n");
     for (LabelId Dead : Dc.deadFunctions())
       Out.write("never called: ", N.label(Dead), '\n');
-    // Cross-check against the frozen engine of a graph analysis: a
+    // Cross-check against the frozen graph of a graph analysis: a
     // function the (over-approximating) subtransitive flow never calls must
     // also be dead under the liveness-gated analysis.
-    if (QueryEngine *E = R.engine()) {
-      CallGraph CG(*M, *E);
+    if (Frozen) {
+      QueryEngine QE(*Frozen, Opts.Threads);
+      QE.setKernelThreshold(kernelThreshold(Opts));
+      CallGraph CG(E->module(), QE);
       CG.run();
       uint32_t Agree = 0, Mismatch = 0;
       for (LabelId L : CG.deadFunctions()) {
@@ -1571,15 +1471,10 @@ int main(int Argc, char **Argv) {
                   " never-called function(s) confirmed dead\n");
     }
   } else { // klimited:K
-    const FrozenGraph *F = R.frozen();
-    if (!F) {
-      std::fprintf(stderr, "error: klimited needs a graph analysis\n");
-      return 1;
-    }
-    KLimitedCFA KL(*M, *F, Opts.KLimit);
+    KLimitedCFA KL(E->module(), *Frozen, Opts.KLimit);
     KL.run();
-    for (uint32_t I = 0; I != M->numExprs(); ++I) {
-      const auto *A = dyn_cast<AppExpr>(M->expr(ExprId(I)));
+    for (uint32_t I = 0; I != E->module().numExprs(); ++I) {
+      const auto *A = dyn_cast<AppExpr>(E->module().expr(ExprId(I)));
       if (!A)
         continue;
       const LimitedSet &S = KL.ofCallSite(ExprId(I));
@@ -1600,7 +1495,7 @@ int main(int Argc, char **Argv) {
     std::printf("queries: %.3f ms\n", QueryTimer.millis());
 
   if (Opts.Run) {
-    InterpreterResult Run = interpret(*M, 50000000);
+    InterpreterResult Run = interpret(E->module(), 50000000);
     for (const std::string &Line : Run.Output)
       std::printf("output: %s\n", Line.c_str());
     if (Run.Completed)

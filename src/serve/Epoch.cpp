@@ -13,6 +13,7 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace stcfa;
@@ -32,66 +33,99 @@ void recordEpochDelta(int64_t Delta) {
 
 Epoch::Epoch(uint64_t Id, std::unique_ptr<Module> Mod,
              std::unique_ptr<HybridCFA> H)
-    : EpochId(Id), M(std::move(Mod)), Hybrid(std::move(H)) {
-  assert(Hybrid && Hybrid->engine() != HybridCFA::Engine::None &&
+    : EpochId(Id), EngineName(engineName(H->engine())), M(std::move(Mod)) {
+  assert(H->engine() != HybridCFA::Engine::None &&
          "live epoch needs a served ladder");
-  Q = Hybrid->queryEngine(); // null when the ladder degraded
-  CanonExprs = M->numExprs();
-  CanonLabels = M->numLabels();
-  RootId = M->root();
+  setShape(M->numExprs(), M->numLabels(), M->root());
+  if (H->engine() == HybridCFA::Engine::Subtransitive) {
+    F = H->frozen();
+    Q = H->queryEngine();
+    Hybrid = std::move(H);
+  } else if (H->engine() == HybridCFA::Engine::Standard) {
+    fillTable([&H](ExprId E) { return H->labelSet(E); });
+  } else {
+    // The partial rung answers the universal set everywhere: one row.
+    Table = InternedLabelSets(CanonLabels, CanonExprs);
+    if (CanonExprs != 0) {
+      DenseBitset All(CanonLabels);
+      for (uint32_t L = 0; L != CanonLabels; ++L)
+        All.insert(L);
+      Table.set(0, All);
+      std::fill(Table.RowOf.begin(), Table.RowOf.end(), Table.RowOf[0]);
+    }
+  }
+  recordEpochDelta(+1);
+}
+
+Epoch::Epoch(uint64_t Id, std::unique_ptr<LoadedSnapshot> S,
+             std::string Src, unsigned Threads,
+             size_t KernelThreshold) // NOLINT(bugprone-easily-swappable-parameters)
+    : EpochId(Id), EngineName("snapshot"), Source(std::move(Src)),
+      Snap(std::move(S)) {
+  serveFrozen(Snap->frozen(), Threads, KernelThreshold);
+  if (auto Kern = Snap->adoptKernel())
+    OwnedEngine->adoptKernel(std::move(Kern));
+  setShape(F->numExprs(), F->numLabels(), Snap->rootExpr());
+  recordEpochDelta(+1);
+}
+
+Epoch::Epoch(uint64_t Id, DeltaView V, std::string Src, unsigned Threads,
+             size_t KernelThreshold)
+    : EpochId(Id), EngineName("delta"), Source(std::move(Src)),
+      View(std::move(V)) {
+  assert(View.Frozen && "delta epoch needs a frozen view");
+  serveFrozen(*View.Frozen, Threads, KernelThreshold);
+  // Canonical numbering puts the outermost spine let — the program root —
+  // last (it is the last expression a fresh parse creates).
+  setShape(View.NumExprs, View.NumLabels, ExprId(View.NumExprs - 1));
   recordEpochDelta(+1);
 }
 
 Epoch::Epoch(uint64_t Id, std::unique_ptr<Module> Mod,
-             std::unique_ptr<LoadedSnapshot> S, unsigned Threads,
-             size_t KernelThreshold) // NOLINT(bugprone-easily-swappable-parameters)
-    : EpochId(Id), M(std::move(Mod)), Snap(std::move(S)) {
-  MappedEngine = std::make_unique<QueryEngine>(Snap->frozen(), Threads);
-  MappedEngine->setKernelThreshold(KernelThreshold);
-  if (auto Kern = Snap->adoptKernel())
-    MappedEngine->adoptKernel(std::move(Kern));
-  Q = MappedEngine.get();
-  CanonExprs = M->numExprs();
-  CanonLabels = M->numLabels();
-  RootId = M->root();
+             std::unique_ptr<FrozenGraph> Frozen, unsigned Threads,
+             size_t KernelThreshold)
+    : EpochId(Id), EngineName("subtransitive"), M(std::move(Mod)),
+      OwnedFrozen(std::move(Frozen)) {
+  serveFrozen(*OwnedFrozen, Threads, KernelThreshold);
+  setShape(M->numExprs(), M->numLabels(), M->root());
   recordEpochDelta(+1);
 }
 
-Epoch::Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
-             size_t KernelThreshold)
-    : EpochId(Id), View(std::move(V)), DeltaSource(std::move(Source)) {
-  assert(View.Frozen && "delta epoch needs a frozen view");
-  MappedEngine = std::make_unique<QueryEngine>(*View.Frozen, Threads);
-  MappedEngine->setKernelThreshold(KernelThreshold);
-  Q = MappedEngine.get();
-  CanonExprs = View.NumExprs;
-  CanonLabels = View.NumLabels;
-  // Canonical numbering puts the outermost spine let — the program root —
-  // last (it is the last expression a fresh parse creates).
-  RootId = ExprId(View.NumExprs - 1);
+Epoch::Epoch(uint64_t Id, std::unique_ptr<Module> Mod, const char *Engine,
+             const std::function<DenseBitset(ExprId)> &LabelSet)
+    : EpochId(Id), EngineName(Engine), M(std::move(Mod)) {
+  setShape(M->numExprs(), M->numLabels(), M->root());
+  fillTable(LabelSet);
   recordEpochDelta(+1);
 }
 
 Epoch::~Epoch() { recordEpochDelta(-1); }
 
-const char *Epoch::engine() const {
-  if (View.Frozen)
-    return "delta";
-  if (Snap)
-    return "snapshot";
-  return engineName(Hybrid->engine());
+void Epoch::setShape(uint32_t Exprs, uint32_t Labels, ExprId Root) {
+  CanonExprs = Exprs;
+  CanonLabels = Labels;
+  RootId = Root;
 }
 
-const FrozenGraph *Epoch::frozen() const {
-  if (View.Frozen)
-    return View.Frozen.get();
-  if (Snap)
-    return &Snap->frozen();
-  return Hybrid->frozen();
+void Epoch::serveFrozen(const FrozenGraph &Frozen, unsigned Threads,
+                        size_t KernelThreshold) {
+  F = &Frozen;
+  OwnedEngine = std::make_unique<QueryEngine>(Frozen, Threads);
+  OwnedEngine->setKernelThreshold(KernelThreshold);
+  Q = OwnedEngine.get();
+}
+
+void Epoch::fillTable(const std::function<DenseBitset(ExprId)> &LabelSet) {
+  Table = InternedLabelSets(CanonLabels, CanonExprs);
+  for (uint32_t I = 0; I != CanonExprs; ++I)
+    Table.set(I, LabelSet(ExprId(I)));
+}
+
+bool Epoch::tableHas(uint32_t E, uint32_t L) const {
+  return (Table.pool().row(Table.RowOf[E])[L / 64] >> (L % 64)) & 1;
 }
 
 uint64_t Epoch::cost() const {
-  const FrozenGraph *F = frozen();
   uint64_t C = F ? F->numNodes() : CanonExprs;
   return C ? C : 1;
 }
@@ -99,8 +133,8 @@ uint64_t Epoch::cost() const {
 Status Epoch::labelsOf(ExprId E, const Deadline &D, DenseBitset &Out) const {
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
-  // A kernel row, a walk, a table read, or the universal set: all reads.
-  Out = Q ? Q->labelsOf(E) : Hybrid->labelSet(E);
+  // A kernel row, a walk, or a table row: all reads.
+  Out = Q ? Q->labelsOf(E) : Table.pool().set(Table.RowOf[E.index()]);
   return Status::ok();
 }
 
@@ -108,7 +142,7 @@ Status Epoch::isLabelIn(ExprId E, LabelId L, const Deadline &D,
                         bool &Out) const {
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
-  Out = Q ? Q->isLabelIn(E, L) : Hybrid->labelSet(E).contains(L.index());
+  Out = Q ? Q->isLabelIn(E, L) : tableHas(E.index(), L.index());
   return Status::ok();
 }
 
@@ -120,45 +154,32 @@ Status Epoch::occurrencesOf(LabelId L, const Deadline &D,
     Out = Q->occurrencesOf(L);
     return Status::ok();
   }
-  // Degraded sweep: one table read per occurrence, polled coarsely.
   Out.clear();
-  for (uint32_t I = 0, E = CanonExprs; I != E; ++I) {
-    if ((I & 1023u) == 0 && D.expired())
-      return Status::deadlineExceeded("occurrence sweep exceeded deadline");
-    if (Hybrid->labelSet(ExprId(I)).contains(L.index()))
+  for (uint32_t I = 0; I != CanonExprs; ++I)
+    if (tableHas(I, L.index()))
       Out.push_back(ExprId(I));
-  }
   return Status::ok();
 }
 
 Status Epoch::allLabels(const Deadline &D, InternedLabelSets &Out) {
-  const uint32_t E = CanonExprs;
-  if (Q) {
-    // A complete kernel is read-only: read its row ids with no lock.
-    if (D.isInfinite())
-      if (const LabelSetKernel *K = Q->publishedKernel()) {
-        Out = K->allLabelSets();
-        return Status::ok();
-      }
-    // Otherwise this batch may run the closure: one at a time.
-    std::lock_guard<std::mutex> Lock(Mu);
-    BatchControl BC;
-    BC.D = D;
-    BatchOutcome Outcome;
-    Out = Q->allLabelSets(BC, Outcome);
-    return Outcome.S;
+  if (!Q) {
+    Out = InternedLabelSets(Table.pool(), CanonExprs);
+    Out.RowOf = Table.RowOf;
+    return Status::ok();
   }
-  // Degraded rungs: one table read per occurrence, interned.
-  Out = InternedLabelSets(CanonLabels, E);
-  for (uint32_t I = 0; I != E; ++I) {
-    if ((I & 255u) == 0 && D.expired()) {
-      Out.Done.assign(I, 1); // the answered prefix
-      Out.Done.resize(E, 0);
-      return Status::deadlineExceeded("all-labels sweep exceeded deadline");
+  // A complete kernel is read-only: read its row ids with no lock.
+  if (D.isInfinite())
+    if (const LabelSetKernel *K = Q->publishedKernel()) {
+      Out = K->allLabelSets();
+      return Status::ok();
     }
-    Out.set(I, Hybrid->labelSet(ExprId(I)));
-  }
-  return Status::ok();
+  // Otherwise this batch may run the closure: one at a time.
+  std::lock_guard<std::mutex> Lock(Mu);
+  BatchControl BC;
+  BC.D = D;
+  BatchOutcome Outcome;
+  Out = Q->allLabelSets(BC, Outcome);
+  return Outcome.S;
 }
 
 Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
@@ -181,15 +202,13 @@ Status Epoch::lint(const std::vector<std::string> &Passes, const Deadline &D,
   LO.D = D;
   LO.Threads = Threads;
   std::lock_guard<std::mutex> Lock(Mu);
-  const Module *LM = nullptr;
-  const FrozenGraph *LF = nullptr;
-  if (Status S = sliceSubstrate(LM, LF); !S.isOk())
+  if (Status S = substrate(); !S.isOk())
     return S;
-  Out = LintEngine(*LM, *LF).run(LO);
+  Out = LintEngine(*M, *F).run(LO);
   return Status::ok();
 }
 
-Status LivePipeline::parse(const std::string &Source) {
+Status LivePipeline::run(const std::string &Source, const HybridOptions &HO) {
   DiagnosticEngine Diags;
   M = parseProgram(Source, Diags);
   if (!M) {
@@ -200,10 +219,6 @@ Status LivePipeline::parse(const std::string &Source) {
   }
   DiagnosticEngine InferDiags;
   (void)inferTypes(*M, InferDiags); // untyped programs still analyze
-  return Status::ok();
-}
-
-Status LivePipeline::solve(const HybridOptions &HO) {
   auto Solved = std::make_unique<HybridCFA>(*M, HO);
   if (Status S = Solved->solve(); !S.isOk())
     return S;
@@ -211,51 +226,51 @@ Status LivePipeline::solve(const HybridOptions &HO) {
   return Status::ok();
 }
 
-Status Epoch::sliceSubstrate(const Module *&OutM, const FrozenGraph *&OutF) {
-  const FrozenGraph *F = frozen();
-  if (!F || !F->status().isOk())
+Status Epoch::substrate() {
+  if (!F)
     return Status::failedPrecondition(
         "this pass requires the subtransitive engine; this epoch degraded "
         "to " +
         std::string(engine()));
   if (!M) {
-    // A delta epoch's first lint or slice: its view is already canonical,
-    // so the module only has to supply expression kinds, ranges and
-    // names.  A fresh parse of the spliced source numbers them exactly as
-    // the view does.
+    // A snapshot or delta epoch's first lint or slice: its frozen tables
+    // are already canonical, so the module only has to supply expression
+    // kinds, ranges and names.  A fresh parse of the source numbers them
+    // exactly as the tables do.
     static Counter &Parses = counter("delta.epoch_parses");
     Span ParseSpan("serve.epoch_parse");
     Parses.inc();
     DiagnosticEngine Diags;
-    std::unique_ptr<Module> Parsed = parseProgram(DeltaSource, Diags);
+    std::unique_ptr<Module> Parsed = parseProgram(Source, Diags);
     if (!Parsed || Parsed->numExprs() != F->numExprs() ||
         Parsed->numVars() != F->numVars() ||
         Parsed->numLabels() != F->numLabels())
-      return Status::internal(
-          "delta epoch source does not match its frozen view");
+      return Status::internal(std::string(engine()) +
+                              " epoch source does not match its frozen "
+                              "tables");
     ParseSpan.arg("exprs", Parsed->numExprs());
     M = std::move(Parsed);
-    std::string().swap(DeltaSource);
+    std::string().swap(Source);
   }
-  OutM = M.get();
-  OutF = F;
   return Status::ok();
 }
 
 Status Epoch::dependenceGraph(const Deadline &D, const DependenceGraph *&Out) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return buildDeps(D, Out);
+}
+
+Status Epoch::buildDeps(const Deadline &D, const DependenceGraph *&Out) {
   if (Deps) {
     Out = Deps.get();
     return Status::ok();
   }
-  const Module *SM = nullptr;
-  const FrozenGraph *SF = nullptr;
-  if (Status S = sliceSubstrate(SM, SF); !S.isOk())
+  if (Status S = substrate(); !S.isOk())
     return S;
   DependenceGraph::Options DO;
   DO.D = D;
   Status BS = Status::ok();
-  std::unique_ptr<DependenceGraph> DG =
-      DependenceGraph::build(*SM, *SF, BS, DO);
+  std::unique_ptr<DependenceGraph> DG = DependenceGraph::build(*M, *F, BS, DO);
   if (!DG)
     return BS; // governed abort or injected alloc failure; retryable
   Deps = std::move(DG);
@@ -269,7 +284,7 @@ Status Epoch::slice(ExprId Target, SliceDirection Dir, bool Witness,
     return Status::deadlineExceeded("slice deadline expired before start");
   std::lock_guard<std::mutex> Lock(Mu);
   const DependenceGraph *DG = nullptr;
-  if (Status S = dependenceGraph(D, DG); !S.isOk())
+  if (Status S = buildDeps(D, DG); !S.isOk())
     return S;
   SliceOptions SO;
   SO.Dir = Dir;
@@ -280,13 +295,15 @@ Status Epoch::slice(ExprId Target, SliceDirection Dir, bool Witness,
     return R.S;
   Out.Members = R.Exprs;
   Out.Partial = R.Partial;
+  Out.Stop = R.S;
+  Out.Deps = DG;
   Out.Witnesses.clear();
   if (Witness)
     for (ExprId Member : R.Exprs) {
-      std::vector<WitnessStep> Steps;
-      if (Status WS = Sl.witnessFor(R, Member, Steps); !WS.isOk())
+      Out.Witnesses.emplace_back();
+      if (Status WS = Sl.witnessFor(R, Member, Out.Witnesses.back());
+          !WS.isOk())
         return WS;
-      Out.Witnesses.push_back(Sl.renderWitness(Steps));
     }
   return Status::ok();
 }

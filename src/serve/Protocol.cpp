@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Protocol.h"
+#include "support/Deadline.h"
 
 using namespace stcfa;
 using namespace stcfa::serve;
@@ -45,6 +46,11 @@ Status stcfa::serve::validateRequest(JsonValue Doc, ServeRequest &Out) {
     if (!P->isObject())
       return Status::invalidArgument("'params' must be an object");
     Out.Params = P;
+    if (const JsonValue *Ms = P->field("deadline_ms"))
+      if (!Ms->isInt() || Ms->asInt() < 0 || Ms->asInt() > Deadline::MaxMillis)
+        return Status::invalidArgument(
+            "'deadline_ms' must be an integer from 0 to " +
+            std::to_string(Deadline::MaxMillis));
   }
   return Status::ok();
 }

@@ -68,7 +68,9 @@ struct ServeRequest {
 
 /// Validates a parsed request document into \p Out: must be an object,
 /// `verb` must be a known string, `params` (when present) must be an
-/// object, `id` (when present) must be a number or string.  On failure
+/// object, `id` (when present) must be a number or string, and
+/// `params.deadline_ms` (when present, on any verb) must be an integer in
+/// `[0, Deadline::MaxMillis]`.  On failure
 /// \p Out.Id still carries whatever id could be salvaged, so the error
 /// reply can be correlated.
 Status validateRequest(JsonValue Doc, ServeRequest &Out);

@@ -384,8 +384,7 @@ void Server::dispatch(ServeRequest Req) {
 Deadline Server::requestDeadline(const ServeRequest &Req) const {
   if (Req.Params)
     if (const JsonValue *Ms = Req.Params->field("deadline_ms"))
-      if (Ms->isInt() && Ms->asInt() >= 0)
-        return Deadline::afterMillis(Ms->asInt());
+      return Deadline::afterMillis(Ms->asInt()); // range-checked on accept
   if (Opts.DefaultDeadlineMs >= 0)
     return Deadline::afterMillis(Opts.DefaultDeadlineMs);
   return Deadline::infinite();
@@ -407,76 +406,39 @@ void Server::handleLoad(const ServeRequest &Req) {
   const std::string &Source = Src->asString();
   const HybridOptions HO = ladderOptions(Opts, requestDeadline(Req));
 
-  // The parsed module is needed on every path: queries resolve the root
-  // occurrence through it and lint walks it even over a mapped snapshot.
-  LivePipeline P;
-  if (Status S = P.parse(Source); !S.isOk()) {
-    replyError(Req.Id, S);
-    return;
-  }
-
-  uint64_t CacheKey = 0;
-  std::string CachePath;
+  // A cache hit serves the mapped tables; its module is parsed from the
+  // source on the first lint or slice.  A miss (or no cache) runs the
+  // live pipeline and fills the cache behind it.
+  SnapshotCacheSlot Slot;
   const char *CacheOutcome = "off";
+  std::shared_ptr<Epoch> E;
   if (Opts.SnapshotCache) {
-    CacheKey = snapshotCacheKey(Source, ServeCacheConfig);
-    CachePath =
-        snapshotCachePath(snapshotCacheDir(Opts.SnapshotDir), CacheKey);
-    Status CacheStatus = Status::ok();
-    if (std::unique_ptr<LoadedSnapshot> Snap =
-            LoadedSnapshot::load(CachePath, CacheStatus)) {
-      if (Snap->contentHash() == CacheKey &&
-          Snap->frozen().numExprs() == P.M->numExprs()) {
-        counter("snapshot.cache-hits").inc();
-        touchSnapshotEntry(CachePath); // a hit refreshes the LRU order
-        auto E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(P.M),
-                                         std::move(Snap), Opts.Threads,
-                                         HO.KernelThreshold);
-        Epochs.install(E);
-        LoadedSource = Source;
-        Session.reset();
-        JsonValue Result = JsonValue::object();
-        Result.set("epoch", JsonValue::number(int64_t(E->id())));
-        Result.set("engine", JsonValue::string(E->engine()));
-        Result.set("cache", JsonValue::string("hit"));
-        Result.set("exprs", JsonValue::number(int64_t(E->numExprs())));
-        Result.set("labels", JsonValue::number(int64_t(E->numLabels())));
-        Result.set("nodes",
-                   JsonValue::number(int64_t(E->frozen()->numNodes())));
-        reply(renderOkReply(Req.Id, Result));
-        Millis.observe(static_cast<uint64_t>(T.millis()));
-        return;
-      }
-      Snap.reset(); // key collision: rebuild rather than serve wrong answers
-    }
-    counter("snapshot.cache-misses").inc();
     CacheOutcome = "miss";
+    if (std::unique_ptr<LoadedSnapshot> Snap = lookupSnapshotCache(
+            Opts.SnapshotDir, Source, ServeCacheConfig, Slot)) {
+      CacheOutcome = "hit";
+      E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(Snap),
+                                  Source, Opts.Threads, HO.KernelThreshold);
+    }
   }
-
-  if (Status S = P.solve(HO); !S.isOk()) {
-    replyError(Req.Id, S);
-    return;
+  if (E) {
+    Epochs.install(E);
+  } else {
+    if (Status S = installFullEpoch(Source, HO.D, E); !S.isOk()) {
+      replyError(Req.Id, S);
+      return;
+    }
+    // Write-through: persist the freshly frozen tables under the cache
+    // key so the *next* daemon process warms up with one mmap.  A failed
+    // fill never fails the load.
+    size_t Evicted = 0;
+    if (Opts.SnapshotCache && E->frozen())
+      if (Status WS = fillSnapshotCache(Slot, *E->frozen(), E->module(),
+                                        Opts.SnapshotCacheMaxBytes, Evicted);
+          !WS.isOk())
+        std::fprintf(stderr, "warning: snapshot cache fill failed: %s\n",
+                     WS.toString().c_str());
   }
-
-  // Write-through: persist the freshly frozen tables under the cache key
-  // so the *next* daemon process warms up with one mmap.  A failed fill
-  // never fails the load.
-  if (const FrozenGraph *F = P.H->frozen();
-      Opts.SnapshotCache && F && F->status().isOk()) {
-    Status WS = ensureSnapshotDir(snapshotCacheDir(Opts.SnapshotDir));
-    if (WS.isOk())
-      WS = writeSnapshotWithKernel(CachePath, *F, *P.M, CacheKey);
-    if (!WS.isOk())
-      std::fprintf(stderr, "warning: snapshot cache fill failed: %s\n",
-                   WS.toString().c_str());
-    else if (Opts.SnapshotCacheMaxBytes != 0)
-      enforceSnapshotCacheBudget(snapshotCacheDir(Opts.SnapshotDir),
-                                 Opts.SnapshotCacheMaxBytes);
-  }
-
-  auto E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(P.M),
-                                   std::move(P.H));
-  Epochs.install(E);
   LoadedSource = Source;
   Session.reset();
   JsonValue Result = JsonValue::object();
@@ -495,9 +457,7 @@ void Server::handleLoad(const ServeRequest &Req) {
 Status Server::installFullEpoch(const std::string &Source, const Deadline &D,
                                 std::shared_ptr<Epoch> &Out) {
   LivePipeline P;
-  if (Status S = P.parse(Source); !S.isOk())
-    return S;
-  if (Status S = P.solve(ladderOptions(Opts, D)); !S.isOk())
+  if (Status S = P.run(Source, ladderOptions(Opts, D)); !S.isOk())
     return S;
   Out = std::make_shared<Epoch>(Epochs.allocateId(), std::move(P.M),
                                 std::move(P.H));
@@ -920,10 +880,11 @@ void Server::handleSlice(const ServeRequest &Req,
     W.put(SR.Partial ? "],\"partial\":true" : "],\"partial\":false");
     if (Witness) {
       std::string Scratch;
+      const Slicer Sl(*SR.Deps);
       W.put(",\"witnesses\":[");
       for (size_t I = 0; I != SR.Witnesses.size(); ++I) {
         W.put(I != 0 ? "," : "");
-        writeJsonString(W, SR.Witnesses[I], Scratch);
+        writeJsonString(W, Sl.renderWitness(SR.Witnesses[I]), Scratch);
       }
       W.put(']');
     }

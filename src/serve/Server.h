@@ -139,10 +139,11 @@ private:
   void handleSlice(const ServeRequest &Req, const std::shared_ptr<Epoch> &E);
 
   //===--- plumbing -------------------------------------------------------//
-  /// Full parse -> infer -> hybrid-solve -> install over \p Source: the
+  /// Full parse -> infer -> hybrid-solve -> install over \p Source: a
+  /// `load` that missed the snapshot cache (which then fills it), and the
   /// edit path's fallback when the delta session cannot serve
-  /// incrementally.  Deliberately bypasses the snapshot cache — these
-  /// reloads are transient mid-edit states.
+  /// incrementally (which bypasses the cache: these reloads are transient
+  /// mid-edit states).
   Status installFullEpoch(const std::string &Source, const Deadline &D,
                           std::shared_ptr<Epoch> &Out);
   Deadline requestDeadline(const ServeRequest &Req) const;

@@ -16,6 +16,7 @@
 #include "snapshot/Snapshot.h"
 #include "support/Hashing.h"
 #include "support/Metrics.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -133,4 +134,39 @@ void stcfa::touchSnapshotEntry(const std::string &Path) {
 #else
   ::utimensat(AT_FDCWD, Path.c_str(), nullptr, 0);
 #endif
+}
+
+std::unique_ptr<LoadedSnapshot>
+stcfa::lookupSnapshotCache(const std::string &DirOverride,
+                           std::string_view Source, std::string_view Config,
+                           SnapshotCacheSlot &Slot) {
+  Slot.Dir = snapshotCacheDir(DirOverride);
+  Slot.Key = snapshotCacheKey(Source, Config);
+  Slot.Path = snapshotCachePath(Slot.Dir, Slot.Key);
+  Status LoadStatus = Status::ok();
+  std::unique_ptr<LoadedSnapshot> Snap =
+      LoadedSnapshot::load(Slot.Path, LoadStatus);
+  // A key collision with a different content hash is a miss: rebuild
+  // rather than serve the wrong program's answers.
+  if (Snap && Snap->contentHash() == Slot.Key) {
+    counter("snapshot.cache-hits").inc();
+    touchSnapshotEntry(Slot.Path); // a hit refreshes the LRU order
+    traceInstant("snapshot.cache-hit");
+    return Snap;
+  }
+  counter("snapshot.cache-misses").inc();
+  traceInstant("snapshot.cache-miss");
+  return nullptr;
+}
+
+Status stcfa::fillSnapshotCache(const SnapshotCacheSlot &Slot,
+                                const FrozenGraph &F, const Module &M,
+                                uint64_t MaxBytes, size_t &Evicted) {
+  Evicted = 0;
+  Status S = ensureSnapshotDir(Slot.Dir);
+  if (S.isOk())
+    S = writeSnapshotWithKernel(Slot.Path, F, M, Slot.Key);
+  if (S.isOk() && MaxBytes != 0)
+    Evicted = enforceSnapshotCacheBudget(Slot.Dir, MaxBytes);
+  return S;
 }

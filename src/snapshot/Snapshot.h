@@ -201,6 +201,28 @@ size_t enforceSnapshotCacheBudget(const std::string &Dir, uint64_t MaxBytes);
 /// from the cache.
 void touchSnapshotEntry(const std::string &Path);
 
+/// Where one program's entry lives in the cache.
+struct SnapshotCacheSlot {
+  std::string Dir, Path; ///< `snapshotCacheDir`, `snapshotCachePath`
+  uint64_t Key = 0;      ///< `snapshotCacheKey`
+};
+
+/// The cache lookup the driver and the daemon share: keys \p Source under
+/// \p Config in the directory \p DirOverride names, and returns the
+/// entry if it maps and its content hash matches — counting
+/// `snapshot.cache-hits` and refreshing its LRU mtime — else null,
+/// counting `snapshot.cache-misses`.  \p Slot names the entry either way.
+std::unique_ptr<LoadedSnapshot> lookupSnapshotCache(
+    const std::string &DirOverride, std::string_view Source,
+    std::string_view Config, SnapshotCacheSlot &Slot);
+
+/// The write-through fill after a miss: writes \p F (frozen from \p M)
+/// with its kernel rows into \p Slot, then evicts down to \p MaxBytes
+/// (0 = uncapped), counting evictions into \p Evicted.  Each caller
+/// decides what a failed fill means.
+Status fillSnapshotCache(const SnapshotCacheSlot &Slot, const FrozenGraph &F,
+                         const Module &M, uint64_t MaxBytes, size_t &Evicted);
+
 } // namespace stcfa
 
 #endif // STCFA_SNAPSHOT_SNAPSHOT_H

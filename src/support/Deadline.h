@@ -41,7 +41,13 @@ public:
   /// The default deadline never expires.
   Deadline() = default;
 
-  /// A deadline \p Ms milliseconds from now.
+  /// The longest relative deadline accepted (`--timeout-ms`, a request's
+  /// `deadline_ms`): bounded so `now + Ms` stays inside the steady
+  /// clock's nanosecond range (about 146 years).
+  static constexpr int64_t MaxMillis = INT64_MAX / 2'000'000;
+
+  /// A deadline \p Ms milliseconds from now; \p Ms is at most
+  /// `MaxMillis`.
   static Deadline afterMillis(int64_t Ms) {
     return Deadline(Clock::now() + std::chrono::milliseconds(Ms));
   }

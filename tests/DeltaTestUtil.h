@@ -183,10 +183,8 @@ inline std::string compareDeltaEpochToFreshLoad(DeltaSession &Sess,
                      QueryEngine::DefaultKernelThreshold);
 
   serve::LivePipeline P;
-  if (Status S = P.parse(Src); !S.isOk())
-    return Tag + ": current source does not parse: " + S.toString();
-  if (Status S = P.solve(HybridOptions{}); !S.isOk())
-    return Tag + ": fresh solve failed: " + S.toString();
+  if (Status S = P.run(Src, HybridOptions{}); !S.isOk())
+    return Tag + ": fresh load failed: " + S.toString();
   serve::Epoch Fresh(1, std::move(P.M), std::move(P.H));
   if (Delta.numExprs() != Fresh.numExprs() || Delta.root() != Fresh.root())
     return Tag + ": epoch shapes differ\n--- source ---\n" + Src;
@@ -201,6 +199,12 @@ inline std::string compareDeltaEpochToFreshLoad(DeltaSession &Sess,
     return Tag + ": lint findings differ\n--- delta ---\n" + lintRowsOf(DL) +
            "--- fresh ---\n" + lintRowsOf(FL) + "--- source ---\n" + Src;
 
+  auto Chains = [](const serve::Epoch::SliceReply &R) {
+    std::vector<std::string> Out;
+    for (size_t I = 0; I != R.Witnesses.size(); ++I)
+      Out.push_back(Slicer(*R.Deps).renderWitness(R.Witnesses[I]));
+    return Out;
+  };
   for (SliceDirection Dir : {SliceDirection::Backward, SliceDirection::Forward})
     for (uint32_t E = 0; E != Fresh.numExprs(); ++E) {
       const bool Witness = ExprId(E) == Fresh.root();
@@ -209,7 +213,7 @@ inline std::string compareDeltaEpochToFreshLoad(DeltaSession &Sess,
         return Tag + ": delta slice failed: " + S.toString();
       if (Status S = Fresh.slice(ExprId(E), Dir, Witness, D, FS); !S.isOk())
         return Tag + ": fresh slice failed: " + S.toString();
-      if (DS.Members != FS.Members || DS.Witnesses != FS.Witnesses ||
+      if (DS.Members != FS.Members || Chains(DS) != Chains(FS) ||
           DS.Partial != FS.Partial)
         return Tag + ": " +
                (Dir == SliceDirection::Forward ? "forward" : "backward") +

@@ -13,11 +13,13 @@
 /// occurrence index's build threshold are crossed mid-burst, and check
 /// every answer against a single-threaded BFS computed beforehand.  Live,
 /// mapped-snapshot (kernel adopted, complete from the start) and delta
-/// epochs are all covered.  The TSan preset runs this suite with the
+/// epochs are all covered, and so is a degraded live epoch, which answers
+/// from its label-set table (checked against `StandardCFA` instead).  The TSan preset runs this suite with the
 /// `unit` label, and scripts/ci.sh repeats it there.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/StandardCFA.h"
 #include "core/FrozenGraph.h"
 #include "core/QueryEngine.h"
 #include "core/Reachability.h"
@@ -148,10 +150,9 @@ std::string hammer(serve::Epoch &E, const Expected &Want) {
 /// Parses and solves \p Src the way the daemon's `load` does.
 serve::LivePipeline solved(const std::string &Src) {
   serve::LivePipeline P;
-  EXPECT_TRUE(P.parse(Src).isOk());
   HybridOptions HO;
   HO.Threads = 2;
-  EXPECT_TRUE(P.solve(HO).isOk());
+  EXPECT_TRUE(P.run(Src, HO).isOk());
   return P;
 }
 
@@ -185,9 +186,7 @@ TEST(EpochConcurrency, MappedSnapshotEpochAnswersFromItsAdoptedKernel) {
   std::unique_ptr<LoadedSnapshot> Snap = LoadedSnapshot::load(Path, S);
   ASSERT_TRUE(Snap) << S.toString();
   ASSERT_TRUE(Snap->hasKernelRows());
-  serve::LivePipeline Shape;
-  ASSERT_TRUE(Shape.parse(Src).isOk());
-  serve::Epoch E(2, std::move(Shape.M), std::move(Snap), 2,
+  serve::Epoch E(2, std::move(Snap), Src, 2,
                  QueryEngine::DefaultKernelThreshold);
   ASSERT_STREQ(E.engine(), "snapshot");
   const Expected Want = bfsAnswers(*E.frozen());
@@ -219,6 +218,32 @@ TEST(EpochConcurrency, DeltaEpochPublishesItsKernelMidBurst) {
   const uint64_t Before = pointKernelAnswers();
   EXPECT_EQ(hammer(E, Want), "");
   EXPECT_GT(pointKernelAnswers(), Before);
+}
+
+TEST(EpochConcurrency, DegradedEpochAnswersFromItsTable) {
+  // Exact datatype tracking diverges on a recursive traversal of a
+  // recursive datatype, so the ladder serves from its standard rung: the
+  // epoch has no graph and answers every query from its table.
+  serve::LivePipeline P = solved(
+      "data FList = FNil | FCons(Int -> Int, FList);\n"
+      "letrec map = fn f => fn l => case l of FNil => FNil "
+      "| FCons(h, t) => FCons(f h, map f t) end in "
+      "map (fn g => g) (FCons(fn x => x + 1, FCons(fn y => y, FNil)))");
+  ASSERT_TRUE(P.H);
+  ASSERT_EQ(P.H->engine(), HybridCFA::Engine::Standard);
+  StandardCFA Std(*P.M);
+  ASSERT_TRUE(Std.run(Deadline::infinite()).isOk());
+  Expected Want;
+  for (uint32_t I = 0; I != P.M->numExprs(); ++I)
+    Want.Labels.push_back(Std.labelSet(ExprId(I)));
+  Want.Occurrences.resize(P.M->numLabels());
+  for (uint32_t I = 0; I != P.M->numExprs(); ++I)
+    Want.Labels[I].forEach(
+        [&](uint32_t L) { Want.Occurrences[L].push_back(ExprId(I)); });
+  serve::Epoch E(4, std::move(P.M), std::move(P.H));
+  ASSERT_STREQ(E.engine(), "standard");
+  ASSERT_EQ(E.frozen(), nullptr);
+  EXPECT_EQ(hammer(E, Want), "");
 }
 
 /// A program built through the mutable graph, with its BFS oracle.

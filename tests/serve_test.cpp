@@ -21,6 +21,7 @@
 #include "serve/Json.h"
 #include "serve/Server.h"
 #include "slice/Slicer.h"
+#include "support/Deadline.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
 
@@ -411,6 +412,69 @@ TEST(Serve, DeadlineZeroYieldsDeadlineExceeded) {
   // The session survives and answers the next request.
   H.send(R"({"id":3,"verb":"query"})");
   EXPECT_TRUE(ServeHarness::okOf(H.recv()));
+  H.shutdown();
+}
+
+/// Sends \p Verb with `deadline_ms` set to the raw JSON \p Ms on a
+/// loaded daemon and returns the reply's error code ("" on success).
+std::string deadlineReplyCode(ServeHarness &H, int Id, const char *Verb,
+                              const std::string &Ms) {
+  std::string Params = R"({"deadline_ms":)" + Ms;
+  if (std::string_view(Verb) == "load")
+    Params += R"(,"source":"fn x => x")";
+  H.send(R"({"id":)" + std::to_string(Id) + R"(,"verb":")" + Verb +
+         R"(","params":)" + Params + "}}");
+  return ServeHarness::errorCodeOf(H.recv());
+}
+
+TEST(Serve, DeadlineOutOfRangeIsRejectedOnEveryVerb) {
+  // 10^13 ms would overflow the steady clock's nanosecond range: the
+  // reply names the bad parameter rather than a deadline-exceeded.
+  ServeHarness H{ServeOptions{}};
+  H.send(loadRequest(1, kProgram));
+  EXPECT_TRUE(ServeHarness::okOf(H.recv()));
+  EXPECT_EQ(deadlineReplyCode(H, 2, "query",
+                              std::to_string(Deadline::MaxMillis + 1)),
+            "invalid-argument");
+  int Id = 3;
+  // `shutdown` goes last: a daemon that ignored the bad value would have
+  // stopped, and the harness's EOF ends the run either way.
+  for (const char *Verb :
+       {"query", "lint", "slice", "load", "edit", "metrics", "shutdown"})
+    EXPECT_EQ(deadlineReplyCode(H, Id++, Verb, "10000000000000"),
+              "invalid-argument")
+        << Verb;
+}
+
+TEST(Serve, NegativeDeadlineIsRejected) {
+  ServeHarness H{ServeOptions{}};
+  H.send(loadRequest(1, kProgram));
+  EXPECT_TRUE(ServeHarness::okOf(H.recv()));
+  EXPECT_EQ(deadlineReplyCode(H, 2, "query", "-1"), "invalid-argument");
+  EXPECT_EQ(deadlineReplyCode(H, 3, "lint", "-5"), "invalid-argument");
+  EXPECT_EQ(deadlineReplyCode(H, 4, "slice", "-1"), "invalid-argument");
+  H.shutdown();
+}
+
+TEST(Serve, NonIntegerDeadlineIsRejected) {
+  ServeHarness H{ServeOptions{}};
+  H.send(loadRequest(1, kProgram));
+  EXPECT_TRUE(ServeHarness::okOf(H.recv()));
+  EXPECT_EQ(deadlineReplyCode(H, 2, "query", R"("100")"), "invalid-argument");
+  EXPECT_EQ(deadlineReplyCode(H, 3, "query", "1.5"), "invalid-argument");
+  EXPECT_EQ(deadlineReplyCode(H, 4, "lint", "true"), "invalid-argument");
+  EXPECT_EQ(deadlineReplyCode(H, 5, "slice", "null"), "invalid-argument");
+  H.shutdown();
+}
+
+TEST(Serve, DeadlineAtTheBoundAnswers) {
+  ServeHarness H{ServeOptions{}};
+  const std::string Max = std::to_string(Deadline::MaxMillis);
+  EXPECT_EQ(deadlineReplyCode(H, 1, "load", Max), "");
+  EXPECT_EQ(deadlineReplyCode(H, 2, "query", Max), "");
+  EXPECT_EQ(deadlineReplyCode(H, 3, "lint", Max), "");
+  EXPECT_EQ(deadlineReplyCode(H, 4, "slice", Max), "");
+  EXPECT_EQ(deadlineReplyCode(H, 5, "query", "0"), "deadline-exceeded");
   H.shutdown();
 }
 
@@ -1333,8 +1397,7 @@ struct FreshReplies {
 
   explicit FreshReplies(const std::string &Source) {
     LivePipeline P;
-    EXPECT_TRUE(P.parse(Source).isOk());
-    EXPECT_TRUE(P.solve(HybridOptions{}).isOk());
+    EXPECT_TRUE(P.run(Source, HybridOptions{}).isOk());
     E = std::make_unique<Epoch>(1, std::move(P.M), std::move(P.H));
   }
 
@@ -1383,8 +1446,9 @@ struct FreshReplies {
     Result.set("partial", JsonValue::boolean(SR.Partial));
     if (Witness) {
       JsonValue Chains = JsonValue::array();
-      for (const std::string &C : SR.Witnesses)
-        Chains.push(JsonValue::string(C));
+      for (size_t I = 0; I != SR.Witnesses.size(); ++I)
+        Chains.push(JsonValue::string(
+            Slicer(*SR.Deps).renderWitness(SR.Witnesses[I])));
       Result.set("witnesses", std::move(Chains));
     }
     return renderOkReply(Id, Result);
