@@ -14,7 +14,8 @@
 #   4. tsan      - ThreadSanitizer, unit label (the parallel query
 #                  paths are what TSan is here for; the fuzz sweep under
 #                  TSan is slow and adds no thread coverage), then the
-#                  EpochConcurrency suite ten more times
+#                  EpochConcurrency suite and the parallel lint run
+#                  (LintGoverned.ParallelRunMatchesSerial) ten more times
 #
 # The benchmark (perfbench/, its own CMake project over src/) is built
 # but not run, so a src/ API change that breaks it fails here first.
@@ -118,11 +119,13 @@ if [[ "${FAST}" == 0 ]]; then
   run_preset build-asan "-DSTCFA_SANITIZE=address,undefined" \
     -L 'unit|fuzz|serve-smoke|slice-smoke|snapshot-smoke|prop1-smoke|flag-smoke|output-smoke'
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
-  # The lock-free point-query suite hammers one epoch from five threads;
-  # a race there can hide in one interleaving, so rerun it until it
-  # fails, ten times over.
+  # The lock-free point-query suite hammers one epoch from five threads,
+  # and the parallel lint run shares the `call_once`-built called-once
+  # and effects tables across four pass threads; a race in either can
+  # hide in one interleaving, so rerun both until they fail, ten times
+  # over.
   (cd build-tsan && ctest --output-on-failure --repeat until-fail:10 \
-    -R EpochConcurrency)
+    -R 'EpochConcurrency|LintGoverned\.ParallelRunMatchesSerial')
 fi
 
 echo "=== ci.sh: all presets green ==="

@@ -11,10 +11,30 @@
 using namespace stcfa;
 
 EffectsAnalysis::EffectsAnalysis(const Module &M, const FrozenGraph &F)
-    : F(F), M(M), RedExpr(M.numExprs(), false), RedNode(F.numNodes(), false),
-      ExprDeps(M.numExprs()), AppsOnRan(F.numNodes()) {
+    : F(F), M(M), RedExpr(M.numExprs(), false), RedNode(F.numNodes(), false) {
   assert(M.numExprs() == F.numExprs() && "module/snapshot shape mismatch");
 }
+
+namespace {
+
+/// Fills the CSR \p Offsets / \p Values over \p NumKeys keys from
+/// (key, value) \p Pairs with one counting pass; each row keeps the
+/// pairs' order.
+void fillCsr(const std::vector<std::pair<uint32_t, ExprId>> &Pairs,
+             uint32_t NumKeys, std::vector<uint32_t> &Offsets,
+             std::vector<ExprId> &Values) {
+  Offsets.assign(NumKeys + 1, 0);
+  for (const auto &[Key, V] : Pairs)
+    ++Offsets[Key + 1];
+  for (uint32_t K = 0; K != NumKeys; ++K)
+    Offsets[K + 1] += Offsets[K];
+  Values.resize(Pairs.size());
+  std::vector<uint32_t> Cursor(Offsets.begin(), Offsets.end() - 1);
+  for (const auto &[Key, V] : Pairs)
+    Values[Cursor[Key]++] = V;
+}
+
+} // namespace
 
 void EffectsAnalysis::markExpr(ExprId E) {
   if (RedExpr[E.index()])
@@ -39,10 +59,12 @@ Status EffectsAnalysis::run(const Deadline &D, const CancellationToken &Token) {
 
   // One linear pass: seed the side-effecting primitives and record the
   // structural dependencies child -> parent (skipping lambda bodies) plus
-  // the app -> ran(operator) registrations.
+  // the app -> ran(operator) registrations, then lay both out as CSR.
+  std::vector<std::pair<uint32_t, ExprId>> ChildParent, RanApp;
   forEachExprPreorder(M, M.root(), [&](ExprId Id, const Expr *E) {
     if (!isa<LamExpr>(E))
-      forEachChild(E, [&](ExprId C) { ExprDeps[C.index()].push_back(Id); });
+      forEachChild(E,
+                   [&](ExprId C) { ChildParent.push_back({C.index(), Id}); });
     if (const auto *P = dyn_cast<PrimExpr>(E)) {
       if (isEffectfulPrim(P->op()))
         markExpr(Id);
@@ -51,10 +73,16 @@ Status EffectsAnalysis::run(const Deadline &D, const CancellationToken &Token) {
       if (uint32_t Fn = F.nodeOfExpr(A->fn()); Fn != FrozenGraph::None) {
         // APP-2 created ran(fn) during the build phase.
         if (uint32_t Ran = F.ranOf(Fn); Ran != FrozenGraph::None)
-          AppsOnRan[Ran].push_back(Id);
+          RanApp.push_back({Ran, Id});
       }
     }
   });
+  // Expression -> expressions whose redness it implies, and ran-node ->
+  // application sites registered on it.
+  std::vector<uint32_t> ParentOffsets, AppOffsets;
+  std::vector<ExprId> Parents, AppsOnRan;
+  fillCsr(ChildParent, M.numExprs(), ParentOffsets, Parents);
+  fillCsr(RanApp, F.numNodes(), AppOffsets, AppsOnRan);
 
   // Fixpoint: redness flows from children to parents, and backwards along
   // graph edges into ran-nodes (the paper's rule (b)).  Each pop is a few
@@ -72,8 +100,9 @@ Status EffectsAnalysis::run(const Deadline &D, const CancellationToken &Token) {
     if (!ExprWorklist.empty()) {
       ExprId E = ExprWorklist.back();
       ExprWorklist.pop_back();
-      for (ExprId Parent : ExprDeps[E.index()])
-        markExpr(Parent);
+      for (uint32_t I = ParentOffsets[E.index()];
+           I != ParentOffsets[E.index() + 1]; ++I)
+        markExpr(Parents[I]);
       continue;
     }
     uint32_t N = NodeWorklist.back();
@@ -84,8 +113,8 @@ Status EffectsAnalysis::run(const Deadline &D, const CancellationToken &Token) {
         markNode(P);
     // Rule (a), third disjunct: a call site whose ran(operator) is red.
     if (F.op(N) == NodeOp::Ran)
-      for (ExprId App : AppsOnRan[N])
-        markExpr(App);
+      for (uint32_t I = AppOffsets[N]; I != AppOffsets[N + 1]; ++I)
+        markExpr(AppsOnRan[I]);
   }
   return RunStatus = Status::ok();
 }

@@ -72,10 +72,6 @@ private:
   const Module &M;
   std::vector<bool> RedExpr;
   std::vector<bool> RedNode;
-  /// Expression -> expressions whose redness it implies.
-  std::vector<std::vector<ExprId>> ExprDeps;
-  /// ran-node -> application sites registered on it.
-  std::vector<std::vector<ExprId>> AppsOnRan;
   std::vector<ExprId> ExprWorklist;
   std::vector<uint32_t> NodeWorklist;
   uint32_t NumRed = 0;

@@ -96,10 +96,27 @@ const LimitedSet &KLimitedCFA::ofCallSite(ExprId App) const {
 // CalledOnceAnalysis
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// A called-once cell: no call site yet, one site's `AppExpr` id, or
+/// many — the 1-limited `LimitedSet` lattice in one word.
+constexpr uint32_t NoSite = ~0u, ManySites = ~0u - 1;
+
+/// Joins \p Src into \p Dst; returns true iff \p Dst changed.
+bool joinSite(uint32_t &Dst, uint32_t Src) {
+  if (Dst == ManySites || Src == NoSite || Dst == Src)
+    return false;
+  Dst = Dst == NoSite ? Src : ManySites;
+  return true;
+}
+
+} // namespace
+
 CalledOnceAnalysis::CalledOnceAnalysis(const Module &M, const FrozenGraph &F)
     : F(F), M(M), Result(M.numLabels(), CallCount::Never),
       Site(M.numLabels(), ExprId::invalid()) {
   assert(M.numLabels() == F.numLabels() && "module/snapshot shape mismatch");
+  assert(M.numExprs() < ManySites && "site ids collide with the sentinels");
 }
 
 Status CalledOnceAnalysis::run(const Deadline &D,
@@ -108,7 +125,7 @@ Status CalledOnceAnalysis::run(const Deadline &D,
   HasRun = true;
 
   // 1-limited call-site markers flowing with the edges.
-  std::vector<LimitedSet> Marks(F.numNodes());
+  std::vector<uint32_t> Marks(F.numNodes(), NoSite);
   std::vector<uint32_t> Worklist;
   forEachExprPreorder(M, M.root(), [&](ExprId Id, const Expr *E) {
     const auto *A = dyn_cast<AppExpr>(E);
@@ -117,7 +134,7 @@ Status CalledOnceAnalysis::run(const Deadline &D,
     uint32_t Fn = F.nodeOfExpr(A->fn());
     if (Fn == FrozenGraph::None)
       return;
-    if (Marks[Fn].insert(Id.index(), /*K=*/1) || Marks[Fn].isMany())
+    if (joinSite(Marks[Fn], Id.index()) || Marks[Fn] == ManySites)
       Worklist.push_back(Fn);
   });
   constexpr uint64_t Stride = 4096;
@@ -138,27 +155,27 @@ Status CalledOnceAnalysis::run(const Deadline &D,
     uint32_t N = Worklist.back();
     Worklist.pop_back();
     for (uint32_t S : F.succs(N))
-      if (Marks[S].mergeFrom(Marks[N], /*K=*/1))
+      if (joinSite(Marks[S], Marks[N]))
         Worklist.push_back(S);
   }
 
   // Summarise whatever marker flow completed; on an aborted propagation
   // the counts are an under-approximation and RunStatus says so.
   for (uint32_t L = 0, E = M.numLabels(); L != E; ++L) {
-    LimitedSet Total;
+    uint32_t Total = NoSite;
     // The lambda's own node, plus the closure-inert label node through
     // which polyvariant instantiations attach the label: markers on
     // either count.
     auto [Lam, Carrier] = F.labelRoots(LabelId(L));
     if (Lam != FrozenGraph::None)
-      Total.mergeFrom(Marks[Lam], 1);
+      joinSite(Total, Marks[Lam]);
     if (Carrier != FrozenGraph::None)
-      Total.mergeFrom(Marks[Carrier], 1);
-    if (Total.isMany()) {
+      joinSite(Total, Marks[Carrier]);
+    if (Total == ManySites) {
       Result[L] = CallCount::Many;
-    } else if (Total.size() == 1) {
+    } else if (Total != NoSite) {
       Result[L] = CallCount::Once;
-      Site[L] = ExprId(Total.ids()[0]);
+      Site[L] = ExprId(Total);
     }
   }
   return RunStatus;

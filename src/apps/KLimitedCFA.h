@@ -80,7 +80,8 @@ private:
 /// from only one call-site").  Call-site markers flow *with* edge
 /// direction from each application's operator node; by Proposition 1 they
 /// arrive exactly at the abstractions the site can call.  1-limited
-/// saturation keeps it linear.
+/// saturation, one word per node (no site, one site, or many), keeps it
+/// linear.
 class CalledOnceAnalysis {
 public:
   /// Marker propagation iterates \p F's CSR adjacency, and node lookups

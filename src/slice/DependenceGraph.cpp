@@ -11,8 +11,6 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
-#include <algorithm>
-
 using namespace stcfa;
 
 const char *stcfa::depNodeKindName(DepNodeKind K) {
@@ -154,6 +152,12 @@ Status DependenceGraph::init(const Options &Opts) {
     case ExprKind::App: {
       const AppExpr *A = cast<AppExpr>(E);
       Kinds[N] = DepNodeKind::Call;
+      // Argument position refines a plain value-flow occurrence to
+      // Actual; the argument's own shape kind (call/definition), set when
+      // the walk reaches it, wins.
+      if (uint32_t ArgN = nodeOfExpr(A->arg());
+          Kinds[ArgN] == DepNodeKind::ValueFlow)
+        Kinds[ArgN] = DepNodeKind::Actual;
       addEdge(N, nodeOfExpr(A->fn()), DepEdgeKind::Data);
       addEdge(N, nodeOfExpr(A->arg()), DepEdgeKind::Data);
       Stack.push_back({A->fn(), Item.Guard});
@@ -240,19 +244,6 @@ Status DependenceGraph::init(const Options &Opts) {
     }
   }
 
-  // Argument position refines a plain value-flow occurrence to Actual
-  // (shape kinds — call/definition — win).
-  for (uint32_t EIdx = 0; EIdx != NumExprs; ++EIdx) {
-    if (!Reachable.contains(EIdx))
-      continue;
-    const Expr *E = M.expr(ExprId(EIdx));
-    if (const AppExpr *A = dyn_cast<AppExpr>(E)) {
-      uint32_t ArgN = nodeOfExpr(A->arg());
-      if (Kinds[ArgN] == DepNodeKind::ValueFlow)
-        Kinds[ArgN] = DepNodeKind::Actual;
-    }
-  }
-
   // --- pass 2: congruence ties + the projected CSR contraction.
   //
   // Group entities by canonical frozen node.  For each group the first
@@ -261,32 +252,20 @@ Status DependenceGraph::init(const Options &Opts) {
   // edges; co-located entities ride along through a Congr edge pair.
   const uint32_t NumFrozen = F.numNodes();
   std::vector<uint32_t> RepOf(NumFrozen, None); // frozen node -> rep entity
-  std::vector<uint32_t> EntNode(NumEnts, None); // entity -> frozen node
-  for (uint32_t EIdx = 0; EIdx != NumExprs; ++EIdx) {
-    uint32_t FN = F.nodeOfExpr(ExprId(EIdx));
+  auto tie = [&](uint32_t FN, uint32_t Ent) {
     if (FN == FrozenGraph::None || FN >= NumFrozen)
-      continue;
-    EntNode[EIdx] = FN;
-    if (RepOf[FN] == None) {
-      RepOf[FN] = EIdx;
-    } else {
-      addEdge(RepOf[FN], EIdx, DepEdgeKind::Congr);
-      addEdge(EIdx, RepOf[FN], DepEdgeKind::Congr);
-    }
-  }
-  for (uint32_t VIdx = 0; VIdx != NumVars; ++VIdx) {
-    uint32_t FN = F.nodeOfVar(VarId(VIdx));
-    if (FN == FrozenGraph::None || FN >= NumFrozen)
-      continue;
-    uint32_t Ent = NumExprs + VIdx;
-    EntNode[Ent] = FN;
+      return;
     if (RepOf[FN] == None) {
       RepOf[FN] = Ent;
     } else {
       addEdge(RepOf[FN], Ent, DepEdgeKind::Congr);
       addEdge(Ent, RepOf[FN], DepEdgeKind::Congr);
     }
-  }
+  };
+  for (uint32_t EIdx = 0; EIdx != NumExprs; ++EIdx)
+    tie(F.nodeOfExpr(ExprId(EIdx)), EIdx);
+  for (uint32_t VIdx = 0; VIdx != NumVars; ++VIdx)
+    tie(F.nodeOfVar(VarId(VIdx)), NumExprs + VIdx);
 
   if (faultFires(fault::SliceAlloc))
     return Status::outOfMemory(
@@ -328,58 +307,79 @@ Status DependenceGraph::init(const Options &Opts) {
     }
   }
 
-  // --- pass 3: dedup + CSR.  Most-specific kind wins for a repeated
-  // (From, To) pair; reachability is identical either way.
-  std::sort(Edges.begin(), Edges.end(),
-            [](const RawEdge &A, const RawEdge &B) {
-              if (A.From != B.From)
-                return A.From < B.From;
-              if (A.To != B.To)
-                return A.To < B.To;
-              return kindPriority(A.Kind) < kindPriority(B.Kind);
-            });
-  Edges.erase(std::unique(Edges.begin(), Edges.end(),
-                          [](const RawEdge &A, const RawEdge &B) {
-                            return A.From == B.From && A.To == B.To;
-                          }),
-              Edges.end());
+  // --- pass 3: dedup + CSR, linear in entities + raw edges (no
+  // comparison sort).  A stable counting sort on To and then one on From
+  // leave every forward row ordered by To, so a repeated (From, To) pair
+  // is adjacent: it keeps one slot and its most specific kind
+  // (reachability is identical either way).
+  const size_t NumRaw = Edges.size();
+  std::vector<RawEdge> ByTo(NumRaw);
+  std::vector<uint32_t> Cursor(NumEnts + 1, 0);
+  for (const RawEdge &E : Edges)
+    ++Cursor[E.To + 1];
+  for (uint32_t I = 0; I != NumEnts; ++I)
+    Cursor[I + 1] += Cursor[I];
+  for (const RawEdge &E : Edges)
+    ByTo[Cursor[E.To]++] = E;
+  std::vector<RawEdge>().swap(Edges);
 
   FwdOffsets.assign(NumEnts + 1, 0);
-  for (const RawEdge &E : Edges)
+  for (const RawEdge &E : ByTo)
     ++FwdOffsets[E.From + 1];
   for (uint32_t I = 0; I != NumEnts; ++I)
     FwdOffsets[I + 1] += FwdOffsets[I];
-  FwdTargets.resize(Edges.size());
-  FwdKinds.resize(Edges.size());
-  {
-    std::vector<uint32_t> Cursor(FwdOffsets.begin(), FwdOffsets.end() - 1);
-    for (const RawEdge &E : Edges) {
-      uint32_t Slot = Cursor[E.From]++;
-      FwdTargets[Slot] = E.To;
-      FwdKinds[Slot] = E.Kind;
+  FwdTargets.resize(NumRaw);
+  FwdKinds.resize(NumRaw);
+  Cursor.assign(FwdOffsets.begin(), FwdOffsets.end() - 1);
+  for (const RawEdge &E : ByTo) {
+    const uint32_t Slot = Cursor[E.From]++;
+    FwdTargets[Slot] = E.To;
+    FwdKinds[Slot] = E.Kind;
+  }
+
+  uint32_t Kept = 0;
+  for (uint32_t N = 0; N != NumEnts; ++N) {
+    const uint32_t Begin = FwdOffsets[N], End = FwdOffsets[N + 1];
+    FwdOffsets[N] = Kept;
+    for (uint32_t I = Begin; I != End; ++I) {
+      const uint32_t To = FwdTargets[I];
+      const DepEdgeKind K = FwdKinds[I];
+      if (Kept == FwdOffsets[N] || FwdTargets[Kept - 1] != To) {
+        FwdTargets[Kept] = To;
+        FwdKinds[Kept++] = K;
+      } else if (kindPriority(K) < kindPriority(FwdKinds[Kept - 1])) {
+        FwdKinds[Kept - 1] = K;
+      }
     }
   }
+  FwdOffsets[NumEnts] = Kept;
+  FwdTargets.resize(Kept);
+  FwdKinds.resize(Kept);
+
+  // The reverse CSR, filled row by row from the forward one, lists each
+  // entity's users in ascending order.
   RevOffsets.assign(NumEnts + 1, 0);
-  for (const RawEdge &E : Edges)
-    ++RevOffsets[E.To + 1];
+  for (uint32_t To : FwdTargets)
+    ++RevOffsets[To + 1];
   for (uint32_t I = 0; I != NumEnts; ++I)
     RevOffsets[I + 1] += RevOffsets[I];
-  RevTargets.resize(Edges.size());
-  RevKinds.resize(Edges.size());
-  {
-    std::vector<uint32_t> Cursor(RevOffsets.begin(), RevOffsets.end() - 1);
-    for (const RawEdge &E : Edges) {
-      uint32_t Slot = Cursor[E.To]++;
-      RevTargets[Slot] = E.From;
-      RevKinds[Slot] = E.Kind;
+  RevTargets.resize(Kept);
+  RevKinds.resize(Kept);
+  Cursor.assign(RevOffsets.begin(), RevOffsets.end() - 1);
+  for (uint32_t From = 0; From != NumEnts; ++From)
+    for (uint32_t I = FwdOffsets[From]; I != FwdOffsets[From + 1]; ++I) {
+      const uint32_t Slot = Cursor[FwdTargets[I]]++;
+      RevTargets[Slot] = From;
+      RevKinds[Slot] = FwdKinds[I];
     }
-  }
 
   BuildMs = T.millis();
   NodeCount.add(NumEnts);
-  EdgeCount.add(Edges.size());
+  EdgeCount.add(Kept);
   BuildMillis.observe(static_cast<uint64_t>(BuildMs));
   BuildSpan.arg("dep_nodes", NumEnts);
-  BuildSpan.arg("dep_edges", Edges.size());
+  BuildSpan.arg("dep_edges", Kept);
+  BuildSpan.arg("raw_edges", NumRaw);
+  BuildSpan.arg("projection_steps", Steps);
   return Status::ok();
 }

@@ -14,6 +14,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,7 +50,7 @@ class StringInterner {
 public:
   /// Interns \p Text, returning the existing symbol if already present.
   Symbol intern(std::string_view Text) {
-    auto It = Index.find(std::string(Text));
+    auto It = Index.find(Text);
     if (It != Index.end())
       return It->second;
     Symbol S(static_cast<uint32_t>(Pool.size()));
@@ -68,8 +69,17 @@ public:
   size_t size() const { return Pool.size(); }
 
 private:
+  /// Hashes `std::string` keys and `std::string_view` probes alike, so a
+  /// lookup builds no temporary string.
+  struct TextHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Text) const {
+      return std::hash<std::string_view>{}(Text);
+    }
+  };
+
   std::vector<std::string> Pool;
-  std::unordered_map<std::string, Symbol> Index;
+  std::unordered_map<std::string, Symbol, TextHash, std::equal_to<>> Index;
 };
 
 } // namespace stcfa

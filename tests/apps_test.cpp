@@ -355,4 +355,90 @@ TEST_P(CalledOnceProperty, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CalledOnceProperty,
                          ::testing::Range<uint64_t>(700, 720));
 
+//===----------------------------------------------------------------------===//
+// Governed runs
+//===----------------------------------------------------------------------===//
+
+/// Never < Once < Many.
+int rankOf(CalledOnceAnalysis::CallCount C) {
+  switch (C) {
+  case CalledOnceAnalysis::CallCount::Never:
+    return 0;
+  case CalledOnceAnalysis::CallCount::Once:
+    return 1;
+  case CalledOnceAnalysis::CallCount::Many:
+    return 2;
+  }
+  return 3;
+}
+
+/// Every label of \p Partial ranks at or below its rank in \p Full, and
+/// a unique site kept by both is the same site.
+void expectCalledOnceUnderApproximates(const Module &M,
+                                       const CalledOnceAnalysis &Partial,
+                                       const CalledOnceAnalysis &Full) {
+  bool Below = false;
+  for (uint32_t L = 0; L != M.numLabels(); ++L) {
+    const int P = rankOf(Partial.countOf(LabelId(L)));
+    const int W = rankOf(Full.countOf(LabelId(L)));
+    EXPECT_LE(P, W) << "label " << L;
+    Below |= P < W;
+    if (P == 1 && W == 1) {
+      EXPECT_EQ(Partial.uniqueCallSite(LabelId(L)),
+                Full.uniqueCallSite(LabelId(L)))
+          << "label " << L;
+    }
+  }
+  EXPECT_TRUE(Below) << "the governed run did not stop early";
+}
+
+TEST(GovernedApps, CalledOnceStopsOnDeadlineAndCancellation) {
+  Pipeline P(makeCalledOnceFamily(16));
+  ASSERT_TRUE(P.G);
+  CalledOnceAnalysis Full(*P.M, *P.F);
+  ASSERT_TRUE(Full.run(Deadline::infinite()).isOk());
+
+  CalledOnceAnalysis Expired(*P.M, *P.F);
+  EXPECT_EQ(Expired.run(Deadline::afterMillis(0)).code(),
+            StatusCode::DeadlineExceeded);
+  EXPECT_EQ(Expired.runStatus().code(), StatusCode::DeadlineExceeded);
+  expectCalledOnceUnderApproximates(*P.M, Expired, Full);
+
+  CancellationToken Token = CancellationToken::create();
+  Token.requestCancel();
+  CalledOnceAnalysis Cancelled(*P.M, *P.F);
+  EXPECT_EQ(Cancelled.run(Deadline::infinite(), Token).code(),
+            StatusCode::Cancelled);
+  EXPECT_EQ(Cancelled.runStatus().code(), StatusCode::Cancelled);
+  expectCalledOnceUnderApproximates(*P.M, Cancelled, Full);
+}
+
+TEST(GovernedApps, EffectsStopOnDeadlineAndCancellation) {
+  Pipeline P(makeEffectsFamily(16));
+  ASSERT_TRUE(P.G);
+  EffectsAnalysis Full(*P.M, *P.F);
+  ASSERT_TRUE(Full.run(Deadline::infinite()).isOk());
+
+  EffectsAnalysis Expired(*P.M, *P.F);
+  EXPECT_EQ(Expired.run(Deadline::afterMillis(0)).code(),
+            StatusCode::DeadlineExceeded);
+  EXPECT_EQ(Expired.runStatus().code(), StatusCode::DeadlineExceeded);
+
+  CancellationToken Token = CancellationToken::create();
+  Token.requestCancel();
+  EffectsAnalysis Cancelled(*P.M, *P.F);
+  EXPECT_EQ(Cancelled.run(Deadline::infinite(), Token).code(),
+            StatusCode::Cancelled);
+  EXPECT_EQ(Cancelled.runStatus().code(), StatusCode::Cancelled);
+
+  // Both stopped marks are under-approximations of the fixpoint.
+  for (const EffectsAnalysis *Partial : {&Expired, &Cancelled}) {
+    EXPECT_LT(Partial->numEffectful(), Full.numEffectful());
+    for (uint32_t I = 0, N = P.M->numExprs(); I != N; ++I)
+      if (Partial->isEffectful(ExprId(I))) {
+        EXPECT_TRUE(Full.isEffectful(ExprId(I))) << "expr " << I;
+      }
+  }
+}
+
 } // namespace

@@ -19,6 +19,7 @@
 #include "core/QueryEngine.h"
 #include "core/SubtransitiveGraph.h"
 #include "gen/Generators.h"
+#include "slice/DependenceGraph.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
@@ -26,6 +27,7 @@
 
 #include "TestUtil.h"
 
+#include <algorithm>
 #include <map>
 #include <thread>
 #include <vector>
@@ -375,6 +377,42 @@ TEST(Observability, HybridRungTransitionCarriesCause) {
   EXPECT_EQ(Instants[0]->StrKey, "cause");
   EXPECT_EQ(Instants[0]->StrVal, statusCodeName(Report.Attempts[0].S.code()));
   EXPECT_EQ(intArg(*Instants[0], "to_rung"), 2u);
+}
+
+TEST(Observability, SliceBuildSpanCountsRawEdgesAndProjectionSteps) {
+  if (!tracingCompiledIn())
+    GTEST_SKIP() << "tracing compiled out";
+  std::unique_ptr<Module> M = parseMaybeInfer(makeCubicFamily(16));
+  ASSERT_TRUE(M);
+  SubtransitiveGraph G(*M, SubtransitiveConfig{});
+  G.build();
+  ASSERT_TRUE(G.close(Deadline::infinite()).isOk());
+  Status FreezeStatus;
+  std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(G, FreezeStatus);
+  ASSERT_TRUE(F);
+
+  ScopedTracing T;
+  Status BS;
+  std::unique_ptr<DependenceGraph> DG = DependenceGraph::build(*M, *F, BS);
+  ASSERT_TRUE(DG) << BS.toString();
+  std::vector<TraceEventView> Evs = snapshotTraceEvents();
+  auto Builds = eventsNamed(Evs, "slice.build");
+  ASSERT_EQ(Builds.size(), 1u);
+  EXPECT_EQ(intArg(*Builds[0], "dep_nodes"), DG->numDepNodes());
+  EXPECT_EQ(intArg(*Builds[0], "dep_edges"), DG->numEdges());
+  // The projection re-derives pairs the structural walk already emits,
+  // so the dedup drops some raw edges; every canonical node carrying an
+  // entity starts one projection walk of at least one step.
+  EXPECT_GT(intArg(*Builds[0], "raw_edges"), DG->numEdges());
+  std::vector<char> Carries(F->numNodes(), 0);
+  for (uint32_t E = 0; E != M->numExprs(); ++E)
+    if (uint32_t N = F->nodeOfExpr(ExprId(E)); N != FrozenGraph::None)
+      Carries[N] = 1;
+  for (uint32_t V = 0; V != M->numVars(); ++V)
+    if (uint32_t N = F->nodeOfVar(VarId(V)); N != FrozenGraph::None)
+      Carries[N] = 1;
+  EXPECT_GE(intArg(*Builds[0], "projection_steps"),
+            uint64_t(std::count(Carries.begin(), Carries.end(), 1)));
 }
 
 } // namespace

@@ -10,8 +10,10 @@
 ///  * taxonomy — node kinds and the four edge derivations on handwritten
 ///    programs with known shapes;
 ///  * adjacency invariants — the forward and reverse CSR describe the
-///    same edge multiset, and every `Bind` edge lands on the occurrence's
-///    actual binder;
+///    same edge multiset, every `Bind` edge lands on the occurrence's
+///    actual binder, and both CSRs equal, element for element, the ones
+///    a comparison sort + unique over the raw edges produces (witness
+///    choice and `--export-deps` bytes depend on row order);
 ///  * slicing — golden member sets, backward/forward duality, witness
 ///    chains validated hop by hop, and the `slice.witness-corrupt`
 ///    canary proving the validation rejects a broken parent structure;
@@ -32,15 +34,20 @@
 #include "slice/Slicer.h"
 
 #include "core/SubtransitiveGraph.h"
+#include "delta/DeltaSession.h"
 #include "gen/Corpus.h"
 #include "gen/Generators.h"
+#include "serve/Epoch.h"
 #include "serve/Json.h"
 #include "support/FaultInjection.h"
+#include "testgen/ShapeGen.h"
 
 #include "TestUtil.h"
 
 #include <algorithm>
 #include <set>
+#include <tuple>
+#include <type_traits>
 #include <string>
 #include <vector>
 
@@ -130,6 +137,220 @@ void expectSliceMatchesNaive(const Pipeline &P, ExprId Target,
                                return A.index() < B.index();
                              }));
   EXPECT_TRUE(R.Marked.contains(P.DG->nodeOfExpr(Target)));
+}
+
+/// The dependence CSR as a comparison sort + unique over the raw edges
+/// lays it out: rows by source, each row by target, the most specific
+/// kind kept for a repeated pair, and the reverse CSR filled in that
+/// order.  An independent re-derivation of every edge the build emits,
+/// and of every node kind.
+struct ReferenceCsr {
+  std::vector<uint32_t> FwdOffsets, FwdTargets, RevOffsets, RevTargets;
+  std::vector<DepEdgeKind> FwdKinds, RevKinds;
+  std::vector<DepNodeKind> Kinds;
+};
+
+ReferenceCsr referenceCsr(const Module &M, const FrozenGraph &F) {
+  struct RawEdge {
+    uint32_t From, To;
+    DepEdgeKind Kind;
+  };
+  constexpr uint32_t None = DependenceGraph::None;
+  const uint32_t NumExprs = M.numExprs(), NumVars = M.numVars();
+  const uint32_t NumEnts = NumExprs + NumVars;
+  auto ofVar = [&](VarId V) { return NumExprs + V.index(); };
+  ReferenceCsr R;
+  R.Kinds.assign(NumEnts, DepNodeKind::ValueFlow);
+  std::vector<RawEdge> Edges;
+  auto add = [&](uint32_t From, uint32_t To, DepEdgeKind K) {
+    Edges.push_back({From, To, K});
+  };
+
+  // Structural, control and bind edges, one preorder walk from the root
+  // carrying the innermost guard.
+  std::vector<char> Seen(NumExprs, 0);
+  std::vector<std::pair<ExprId, uint32_t>> Stack;
+  if (M.root().isValid())
+    Stack.push_back({M.root(), None});
+  while (!Stack.empty()) {
+    auto [Id, Guard] = Stack.back();
+    Stack.pop_back();
+    const uint32_t N = Id.index();
+    if (Seen[N])
+      continue;
+    Seen[N] = 1;
+    if (Guard != None)
+      add(N, Guard, DepEdgeKind::Control);
+    const Expr *E = M.expr(Id);
+    auto data = [&](ExprId C, uint32_t G) {
+      add(N, C.index(), DepEdgeKind::Data);
+      Stack.push_back({C, G});
+    };
+    if (const auto *V = dyn_cast<VarExpr>(E)) {
+      add(N, ofVar(V->var()), DepEdgeKind::Bind);
+    } else if (const auto *L = dyn_cast<LamExpr>(E)) {
+      R.Kinds[N] = DepNodeKind::Definition;
+      R.Kinds[ofVar(L->param())] = DepNodeKind::Formal;
+      Stack.push_back({L->body(), N});
+    } else if (const auto *A = dyn_cast<AppExpr>(E)) {
+      R.Kinds[N] = DepNodeKind::Call;
+      data(A->fn(), Guard);
+      data(A->arg(), Guard);
+    } else if (const auto *L = dyn_cast<LetExpr>(E)) {
+      R.Kinds[N] = R.Kinds[ofVar(L->var())] = DepNodeKind::Definition;
+      add(N, L->body().index(), DepEdgeKind::Data);
+      Stack.push_back({L->init(), Guard});
+      Stack.push_back({L->body(), Guard});
+    } else if (const auto *L = dyn_cast<LetRecNExpr>(E)) {
+      R.Kinds[N] = DepNodeKind::Definition;
+      for (const LetRecNExpr::Binding &B : L->bindings()) {
+        R.Kinds[ofVar(B.Var)] = DepNodeKind::Definition;
+        Stack.push_back({B.Init, Guard});
+      }
+      data(L->body(), Guard);
+    } else if (const auto *I = dyn_cast<IfExpr>(E)) {
+      const uint32_t Cond = I->cond().index();
+      add(N, Cond, DepEdgeKind::Data);
+      add(N, I->thenExpr().index(), DepEdgeKind::Data);
+      add(N, I->elseExpr().index(), DepEdgeKind::Data);
+      Stack.push_back({I->cond(), Guard});
+      Stack.push_back({I->thenExpr(), Cond});
+      Stack.push_back({I->elseExpr(), Cond});
+    } else if (const auto *T = dyn_cast<TupleExpr>(E)) {
+      for (ExprId C : T->elems())
+        data(C, Guard);
+    } else if (const auto *P = dyn_cast<ProjExpr>(E)) {
+      data(P->tuple(), Guard);
+    } else if (const auto *C = dyn_cast<ConExpr>(E)) {
+      for (ExprId A : C->args())
+        data(A, Guard);
+    } else if (const auto *C = dyn_cast<CaseExpr>(E)) {
+      const uint32_t Scrut = C->scrutinee().index();
+      data(C->scrutinee(), Guard);
+      for (const CaseArm &Arm : C->arms()) {
+        for (VarId B : Arm.Binders)
+          R.Kinds[ofVar(B)] = DepNodeKind::Formal;
+        add(N, Arm.Body.index(), DepEdgeKind::Data);
+        Stack.push_back({Arm.Body, Scrut});
+      }
+    } else if (const auto *P = dyn_cast<PrimExpr>(E)) {
+      for (ExprId A : P->args())
+        data(A, Guard);
+    }
+  }
+
+  // Argument position refines a plain value-flow occurrence; shape kinds
+  // win.
+  for (uint32_t N = 0; N != NumExprs; ++N)
+    if (const auto *A = dyn_cast<AppExpr>(M.expr(ExprId(N))); A && Seen[N])
+      if (DepNodeKind &K = R.Kinds[A->arg().index()];
+          K == DepNodeKind::ValueFlow)
+        K = DepNodeKind::Actual;
+
+  // Congruence ties through each canonical node's first entity, then
+  // the projection from every representative.
+  const uint32_t NumFrozen = F.numNodes();
+  std::vector<uint32_t> RepOf(NumFrozen, None);
+  for (uint32_t Ent = 0; Ent != NumEnts; ++Ent) {
+    const uint32_t FN = Ent < NumExprs ? F.nodeOfExpr(ExprId(Ent))
+                                       : F.nodeOfVar(VarId(Ent - NumExprs));
+    if (FN == FrozenGraph::None || FN >= NumFrozen)
+      continue;
+    if (RepOf[FN] == None) {
+      RepOf[FN] = Ent;
+    } else {
+      add(RepOf[FN], Ent, DepEdgeKind::Congr);
+      add(Ent, RepOf[FN], DepEdgeKind::Congr);
+    }
+  }
+  std::vector<uint32_t> Stamp(NumFrozen, None);
+  for (uint32_t FN = 0; FN != NumFrozen; ++FN) {
+    if (RepOf[FN] == None)
+      continue;
+    std::vector<uint32_t> Queue{FN};
+    Stamp[FN] = FN;
+    for (size_t Head = 0; Head != Queue.size(); ++Head)
+      for (uint32_t Succ : F.succs(Queue[Head])) {
+        if (Stamp[Succ] == FN)
+          continue;
+        Stamp[Succ] = FN;
+        if (RepOf[Succ] != None)
+          add(RepOf[FN], RepOf[Succ], DepEdgeKind::Data);
+        else
+          Queue.push_back(Succ);
+      }
+  }
+
+  auto priority = [](DepEdgeKind K) {
+    switch (K) {
+    case DepEdgeKind::Bind:
+      return 0;
+    case DepEdgeKind::Control:
+      return 1;
+    case DepEdgeKind::Congr:
+      return 2;
+    case DepEdgeKind::Data:
+      return 3;
+    }
+    return 4;
+  };
+  std::sort(Edges.begin(), Edges.end(),
+            [&](const RawEdge &A, const RawEdge &B) {
+              return std::tuple(A.From, A.To, priority(A.Kind)) <
+                     std::tuple(B.From, B.To, priority(B.Kind));
+            });
+  Edges.erase(std::unique(Edges.begin(), Edges.end(),
+                          [](const RawEdge &A, const RawEdge &B) {
+                            return A.From == B.From && A.To == B.To;
+                          }),
+              Edges.end());
+
+  R.FwdOffsets.assign(NumEnts + 1, 0);
+  R.RevOffsets.assign(NumEnts + 1, 0);
+  for (const RawEdge &E : Edges) {
+    ++R.FwdOffsets[E.From + 1];
+    ++R.RevOffsets[E.To + 1];
+  }
+  for (uint32_t I = 0; I != NumEnts; ++I) {
+    R.FwdOffsets[I + 1] += R.FwdOffsets[I];
+    R.RevOffsets[I + 1] += R.RevOffsets[I];
+  }
+  R.RevTargets.resize(Edges.size());
+  R.RevKinds.resize(Edges.size());
+  std::vector<uint32_t> Cursor(R.RevOffsets.begin(), R.RevOffsets.end() - 1);
+  for (const RawEdge &E : Edges) {
+    R.FwdTargets.push_back(E.To);
+    R.FwdKinds.push_back(E.Kind);
+    const uint32_t Slot = Cursor[E.To]++;
+    R.RevTargets[Slot] = E.From;
+    R.RevKinds[Slot] = E.Kind;
+  }
+  return R;
+}
+
+/// Compares \p DG's node kinds and four CSR views with the reference,
+/// row by row.
+void expectCsrMatchesReference(const DependenceGraph &DG) {
+  const ReferenceCsr R = referenceCsr(DG.module(), DG.frozen());
+  ASSERT_EQ(DG.numEdges(), R.FwdTargets.size());
+  auto row = [](const auto &Values, const std::vector<uint32_t> &Offsets,
+                uint32_t N) {
+    using T = typename std::decay_t<decltype(Values)>::value_type;
+    return std::vector<T>(Values.begin() + Offsets[N],
+                          Values.begin() + Offsets[N + 1]);
+  };
+  auto vec = [](auto Span) {
+    return std::vector<typename decltype(Span)::value_type>(Span.begin(),
+                                                            Span.end());
+  };
+  for (uint32_t N = 0; N != DG.numDepNodes(); ++N) {
+    ASSERT_STREQ(depNodeKindName(DG.kindOf(N)), depNodeKindName(R.Kinds[N]))
+        << N;
+    ASSERT_EQ(vec(DG.deps(N)), row(R.FwdTargets, R.FwdOffsets, N)) << N;
+    ASSERT_EQ(vec(DG.depKinds(N)), row(R.FwdKinds, R.FwdOffsets, N)) << N;
+    ASSERT_EQ(vec(DG.users(N)), row(R.RevTargets, R.RevOffsets, N)) << N;
+    ASSERT_EQ(vec(DG.userKinds(N)), row(R.RevKinds, R.RevOffsets, N)) << N;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -224,6 +445,51 @@ TEST(DependenceGraph, ForwardAndReverseAdjacencyAgree) {
   }
   EXPECT_EQ(Fwd, Rev);
   EXPECT_EQ(Fwd.size(), DG.numEdges());
+}
+
+TEST(DependenceGraph, CsrMatchesSortedReference) {
+  std::vector<std::string> Corpus = {makeCubicFamily(8), makeCubicFamily(32),
+                                     makeCubicFamily(128),
+                                     makeJoinPointFamily(64), lifeProgram()};
+  RandomProgramOptions RO;
+  for (uint64_t Seed : {3ull, 7ull, 21ull, 99ull, 1234ull}) {
+    RO.Seed = Seed;
+    RO.NumBindings = 40;
+    Corpus.push_back(makeRandomProgram(RO));
+  }
+  for (size_t I = 0; I != Corpus.size(); ++I) {
+    SCOPED_TRACE("program " + std::to_string(I));
+    Pipeline P = buildPipeline(Corpus[I]);
+    ASSERT_TRUE(P.DG);
+    expectCsrMatchesReference(*P.DG);
+  }
+
+  // A delta epoch: the spliced source's module over the edit's
+  // canonically numbered view, after edits that leave shadow garbage.
+  ShapeSpec Spec;
+  ASSERT_TRUE(parseShapeSpec("diamond:3", Spec));
+  Status S = Status::ok();
+  std::unique_ptr<DeltaSession> Sess =
+      DeltaSession::create(makeShapeProgram(Spec), DeltaSession::Options{}, S);
+  ASSERT_TRUE(Sess) << S.toString();
+  for (auto [Name, Text] :
+       {std::pair{"l2", "letrec l2 = fn x => l2 (m0 x);"},
+        std::pair{"m0", "let m0 = fn y => fn z => y;"}}) {
+    EditRequest R;
+    R.Kind = EditRequest::Op::Replace;
+    R.Name = Name;
+    R.Text = Text;
+    ApplyResult Res;
+    ASSERT_TRUE(Sess->apply(R, Res).isOk()) << Name;
+  }
+  DeltaView V;
+  ASSERT_TRUE(Sess->freezeView(V).isOk());
+  serve::Epoch Delta(1, std::move(V), Sess->currentSource(), 1,
+                     QueryEngine::DefaultKernelThreshold);
+  const DependenceGraph *DG = nullptr;
+  ASSERT_TRUE(Delta.dependenceGraph(Deadline::infinite(), DG).isOk());
+  SCOPED_TRACE("delta epoch");
+  expectCsrMatchesReference(*DG);
 }
 
 TEST(DependenceGraph, RootConeIsReachable) {
