@@ -10,7 +10,10 @@
 #                  (false -Wrestrict positives) at -O3 that -O2 does not
 #   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels plus the
 #                  serve, slice, snapshot, Prop. 1, flag-error and output
-#                  smokes
+#                  smokes and the bench_scale smoke; then one driver run
+#                  with LeakSanitizer on, which proves the epoch the
+#                  one-shot driver keeps at exit (instead of freeing it)
+#                  raises no leak report
 #   4. tsan      - ThreadSanitizer, unit label (the parallel query
 #                  paths are what TSan is here for; the fuzz sweep under
 #                  TSan is slow and adds no thread coverage), then the
@@ -118,6 +121,14 @@ if [[ "${FAST}" == 0 ]]; then
   # epoch-swap coverage.
   run_preset build-asan "-DSTCFA_SANITIZE=address,undefined" \
     -L 'unit|fuzz|serve-smoke|slice-smoke|snapshot-smoke|prop1-smoke|flag-smoke|output-smoke'
+  # The linearity sweep's smoke drives every front-half layer in forked
+  # children, one per family.
+  (cd build-asan && ctest --output-on-failure -R '^bench_scale_smoke$')
+  # The one-shot driver hands its finished epoch to a static instead of
+  # tearing it down; the epoch stays reachable, so LSan must stay quiet.
+  echo "=== LSan: one-shot driver keeps its epoch at exit ==="
+  ASAN_OPTIONS=detect_leaks=1 ./build-asan/src/driver/stcfa \
+    --corpus=cubic:32 --query=all-labels >/dev/null
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
   # The lock-free point-query suite hammers one epoch from five threads,
   # and the parallel lint run shares the `call_once`-built called-once

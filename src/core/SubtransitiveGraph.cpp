@@ -16,8 +16,8 @@ using namespace stcfa;
 
 namespace {
 
-// Field tags pack (is-tuple, constructor-or-arity, index) into 28 bits so
-// the whole node identity fits one 64-bit hash-cons key.
+// Field tags pack (is-tuple, constructor-or-arity, index) into 28 bits, the
+// width `nodeKey` gives each payload.
 constexpr uint32_t TagTupleBit = 1u << 27;
 
 uint32_t packTag(bool IsTuple, uint32_t ConOrArity, uint32_t Index) {
@@ -54,7 +54,7 @@ SubtransitiveGraph::SubtransitiveGraph(const Module &M,
     if (const auto *Lam = dyn_cast<LamExpr>(B)) {
       TypeId LamTy = Lam->type();
       if (LamTy.isValid() && TT.type(LamTy).Kind == TypeKind::Arrow)
-        VarType[I] = TT.type(LamTy).Args[0];
+        VarType[I] = TT.arg(LamTy, 0);
     } else if (const auto *Let = dyn_cast<LetExpr>(B)) {
       if (Let->var() == VarId(I))
         VarType[I] = M.expr(Let->init())->type();
@@ -68,52 +68,20 @@ SubtransitiveGraph::SubtransitiveGraph(const Module &M,
 }
 
 void SubtransitiveGraph::reserveNodes(size_t Expected) {
-  Ops.reserve(Expected);
-  PayloadA.reserve(Expected);
-  PayloadB.reserve(Expected);
-  NodeType.reserve(Expected);
-  NodeRoot.reserve(Expected);
-  NodeDepth.reserve(Expected);
-  InvolvesDecon.reserve(Expected);
-  Demanded.reserve(Expected);
-  Created.reserve(Expected);
-  DomOf.reserve(Expected);
-  RanOf.reserve(Expected);
-  RefCellOf.reserve(Expected);
-  FirstOut.reserve(Expected);
-  FirstIn.reserve(Expected);
-  FieldsOf.reserve(Expected);
-  AliasesOf.reserve(Expected);
+  Nodes.reserve(Expected);
   Edges.reserve(Expected * 2);
+  Aliases.reserve(Expected);
 }
 
 bool SubtransitiveGraph::isDataType(TypeId Ty) const {
   return Ty.isValid() && M.types().type(Ty).Kind == TypeKind::Data;
 }
 
-NodeId SubtransitiveGraph::getNode(NodeOp Op, uint32_t A, uint32_t B) {
-  uint64_t Key = nodeKey(Op, A, B);
-  uint32_t &Slot = NodeIndex.lookupOrInsert(Key, ~0u);
-  if (Slot != ~0u)
-    return NodeId(Slot);
-  NodeId N(static_cast<uint32_t>(Ops.size()));
-  Ops.push_back(Op);
-  PayloadA.push_back(A);
-  PayloadB.push_back(B);
-  NodeType.push_back(TypeId::invalid());
-  NodeRoot.push_back(N);
-  NodeDepth.push_back(0);
-  InvolvesDecon.push_back(false);
-  Demanded.push_back(false);
-  Created.push_back(false);
-  DomOf.push_back(NodeId::invalid());
-  RanOf.push_back(NodeId::invalid());
-  RefCellOf.push_back(NodeId::invalid());
-  FirstOut.push_back(NoEdge);
-  FirstIn.push_back(NoEdge);
-  FieldsOf.emplace_back();
-  AliasesOf.emplace_back();
-  Slot = N.index();
+NodeId SubtransitiveGraph::newNode(NodeOp Op, uint32_t A, uint32_t B) {
+  NodeId N(static_cast<uint32_t>(Nodes.size()));
+  Nodes.push_back({Op, 0, A, B, TypeId::invalid(), N, 0, NodeId::invalid(),
+                   NodeId::invalid(), NodeId::invalid(), NoEdge, NoEdge, 0,
+                   0, NoLink, NoLink, NoLink});
   if (InClosePhase)
     ++Stats.CloseNodes;
   else
@@ -121,10 +89,28 @@ NodeId SubtransitiveGraph::getNode(NodeOp Op, uint32_t A, uint32_t B) {
   return N;
 }
 
+NodeId SubtransitiveGraph::sharedNode(NodeOp Op, uint32_t A, uint32_t B) {
+  uint32_t &Slot = NodeIndex.lookupOrInsert(nodeKey(Op, A, B), ~0u);
+  if (Slot != ~0u)
+    return NodeId(Slot);
+  NodeId N = newNode(Op, A, B); // leaves the index, and so `Slot`, alone
+  Slot = N.index();
+  return N;
+}
+
+NodeId SubtransitiveGraph::findField(NodeId Base, uint32_t Tag) const {
+  for (uint32_t I = Nodes[Base.index()].FirstField; I != NoLink;
+       I = Fields[I].Next)
+    if (Fields[I].Tag == Tag)
+      return Fields[I].Node;
+  return NodeId::invalid();
+}
+
 NodeId SubtransitiveGraph::topNode() {
   if (Top.isValid())
     return Top;
-  Top = getNode(NodeOp::Top, 0, 0);
+  // The `Top` member is its cache: no second request reaches `newNode`.
+  Top = newNode(NodeOp::Top, 0, 0);
   setDemanded(Top);
   // Soundness of the widening: Top conservatively evaluates to every
   // abstraction in the program.
@@ -134,14 +120,18 @@ NodeId SubtransitiveGraph::topNode() {
 }
 
 NodeId SubtransitiveGraph::canonicalizeBase(TypeId Ty, NodeOp Op,
-                                            uint32_t Payload) {
+                                            uint32_t Payload,
+                                            std::vector<NodeId> &NodeOf) {
   NodeId N;
   if (Config.Congruence == CongruenceMode::ByType && isDataType(Ty))
-    N = getNode(NodeOp::Summary, Ty.index(), 0);
+    N = sharedNode(NodeOp::Summary, Ty.index(), 0);
   else
-    N = getNode(Op, Payload, 0);
-  if (!Created[N.index()]) {
-    NodeType[N.index()] = Ty;
+    N = newNode(Op, Payload, 0); // the caller's slot was empty
+  // Filled before `onCreate`, which may re-enter: creating `Top` asks
+  // for the node of every abstraction.
+  NodeOf[Payload] = N;
+  if (!has(N, Created)) {
+    Nodes[N.index()].Type = Ty;
     onCreate(N);
   }
   return N;
@@ -153,11 +143,10 @@ NodeId SubtransitiveGraph::exprNode(ExprId E) {
   // survive — `lookupExprNode` serves freeze and queries from this table.
   if (NodeOfExpr.size() < M.numExprs())
     NodeOfExpr.resize(M.numExprs(), NodeId::invalid());
-  NodeId &Slot = NodeOfExpr[E.index()];
-  if (Slot.isValid())
-    return Slot;
-  Slot = canonicalizeBase(M.expr(E)->type(), NodeOp::Expr, E.index());
-  return Slot;
+  if (NodeId N = NodeOfExpr[E.index()]; N.isValid())
+    return N;
+  return canonicalizeBase(M.expr(E)->type(), NodeOp::Expr, E.index(),
+                          NodeOfExpr);
 }
 
 NodeId SubtransitiveGraph::varNode(VarId V) {
@@ -165,16 +154,15 @@ NodeId SubtransitiveGraph::varNode(VarId V) {
     NodeOfVar.resize(M.numVars(), NodeId::invalid());
   if (VarType.size() < M.numVars())
     VarType.resize(M.numVars(), TypeId::invalid());
-  NodeId &Slot = NodeOfVar[V.index()];
-  if (Slot.isValid())
-    return Slot;
-  Slot = canonicalizeBase(VarType[V.index()], NodeOp::Var, V.index());
-  return Slot;
+  if (NodeId N = NodeOfVar[V.index()]; N.isValid())
+    return N;
+  return canonicalizeBase(VarType[V.index()], NodeOp::Var, V.index(),
+                          NodeOfVar);
 }
 
 NodeId SubtransitiveGraph::labelNode(LabelId L) {
-  NodeId N = getNode(NodeOp::Label, L.index(), 0);
-  if (!Created[N.index()])
+  NodeId N = sharedNode(NodeOp::Label, L.index(), 0);
+  if (!has(N, Created))
     onCreate(N);
   return N;
 }
@@ -182,25 +170,25 @@ NodeId SubtransitiveGraph::labelNode(LabelId L) {
 TypeId SubtransitiveGraph::derivedType(NodeOp Op, NodeId Base,
                                        uint32_t Tag) const {
   const TypeTable &TT = M.types();
-  TypeId BaseTy = NodeType[Base.index()];
+  TypeId BaseTy = Nodes[Base.index()].Type;
   switch (Op) {
   case NodeOp::Dom:
     if (BaseTy.isValid() && TT.type(BaseTy).Kind == TypeKind::Arrow)
-      return TT.type(BaseTy).Args[0];
+      return TT.arg(BaseTy, 0);
     return TypeId::invalid();
   case NodeOp::Ran:
     if (BaseTy.isValid() && TT.type(BaseTy).Kind == TypeKind::Arrow)
-      return TT.type(BaseTy).Args[1];
+      return TT.arg(BaseTy, 1);
     return TypeId::invalid();
   case NodeOp::RefCell:
     if (BaseTy.isValid() && TT.type(BaseTy).Kind == TypeKind::Ref)
-      return TT.type(BaseTy).Args[0];
+      return TT.arg(BaseTy, 0);
     return TypeId::invalid();
   case NodeOp::Field:
     if (tagIsTuple(Tag)) {
       if (BaseTy.isValid() && TT.type(BaseTy).Kind == TypeKind::Tuple &&
-          tagIndex(Tag) < TT.type(BaseTy).Args.size())
-        return TT.type(BaseTy).Args[tagIndex(Tag)];
+          tagIndex(Tag) < TT.type(BaseTy).NumArgs)
+        return TT.arg(BaseTy, tagIndex(Tag));
       return TypeId::invalid();
     }
     return M.con(ConId(tagConOrArity(Tag))).ArgTypes[tagIndex(Tag)];
@@ -216,53 +204,37 @@ NodeId SubtransitiveGraph::derived(NodeOp Op, NodeId Base, uint32_t Tag) {
     return Top;
 
   // Fast path: the (op, base, tag) alias was resolved before.
-  switch (Op) {
-  case NodeOp::Dom:
-    if (NodeId N = DomOf[Base.index()]; N.isValid())
-      return N;
-    break;
-  case NodeOp::Ran:
-    if (NodeId N = RanOf[Base.index()]; N.isValid())
-      return N;
-    break;
-  case NodeOp::RefCell:
-    if (NodeId N = RefCellOf[Base.index()]; N.isValid())
-      return N;
-    break;
-  case NodeOp::Field:
-    for (const auto &[T, N] : FieldsOf[Base.index()])
-      if (T == Tag)
-        return N;
-    break;
-  default:
-    assert(false && "not a derived node op");
-  }
+  if (NodeId N = lookupDerived(Op, Base, Tag); N.isValid())
+    return N;
 
   TypeId Ty = derivedType(Op, Base, Tag);
   NodeId Canonical;
-  bool Decon = InvolvesDecon[Base.index()] || Op == NodeOp::Field;
+  bool Decon = has(Base, InvolvesDecon) || Op == NodeOp::Field;
   if (Config.Congruence == CongruenceMode::ByType && isDataType(Ty)) {
-    Canonical = getNode(NodeOp::Summary, Ty.index(), 0);
+    Canonical = sharedNode(NodeOp::Summary, Ty.index(), 0);
   } else if (Config.Congruence == CongruenceMode::ByBaseAndType &&
              isDataType(Ty) && Decon) {
-    Canonical = getNode(NodeOp::Summary2, NodeRoot[Base.index()].index(),
-                        Ty.index());
-  } else if (NodeDepth[Base.index()] + 1 > Config.MaxNodeDepth) {
+    Canonical = sharedNode(NodeOp::Summary2,
+                           Nodes[Base.index()].Root.index(), Ty.index());
+  } else if (Nodes[Base.index()].Depth + 1 > Config.MaxNodeDepth) {
     ++Stats.Widenings;
     return topNode();
   } else {
-    Canonical = getNode(Op, Base.index(), Tag);
+    // The cache miss above means no earlier request named this node.
+    Canonical = newNode(Op, Base.index(), Tag);
   }
 
-  bool IsNew = !Created[Canonical.index()];
+  // No node is created below until `onCreate`, so the references hold.
+  NodeRec &BaseRec = Nodes[Base.index()];
+  NodeRec &C = Nodes[Canonical.index()];
+  bool IsNew = !(C.Flags & Created);
   if (IsNew) {
-    NodeType[Canonical.index()] = Ty;
-    NodeRoot[Canonical.index()] = op(Canonical) == NodeOp::Summary ||
-                                          op(Canonical) == NodeOp::Summary2
-                                      ? Canonical
-                                      : NodeRoot[Base.index()];
-    NodeDepth[Canonical.index()] = NodeDepth[Base.index()] + 1;
-    InvolvesDecon[Canonical.index()] = Decon;
+    C.Type = Ty;
+    if (C.Op != NodeOp::Summary && C.Op != NodeOp::Summary2)
+      C.Root = BaseRec.Root;
+    C.Depth = BaseRec.Depth + 1;
+    if (Decon)
+      C.Flags |= InvolvesDecon;
   }
 
   // Fill the cache, registering the (op, base, tag) alias so demand events
@@ -271,20 +243,28 @@ NodeId SubtransitiveGraph::derived(NodeOp Op, NodeId Base, uint32_t Tag) {
   // alias.)
   switch (Op) {
   case NodeOp::Dom:
-    DomOf[Base.index()] = Canonical;
+    BaseRec.Dom = Canonical;
     break;
   case NodeOp::Ran:
-    RanOf[Base.index()] = Canonical;
+    BaseRec.Ran = Canonical;
     break;
   case NodeOp::RefCell:
-    RefCellOf[Base.index()] = Canonical;
+    BaseRec.RefCell = Canonical;
     break;
-  default:
-    FieldsOf[Base.index()].emplace_back(Tag, Canonical);
+  default: {
+    uint32_t *Tail = &BaseRec.FirstField;
+    while (*Tail != NoLink)
+      Tail = &Fields[*Tail].Next;
+    *Tail = static_cast<uint32_t>(Fields.size());
+    Fields.push_back({Tag, Canonical, NoLink});
     break;
   }
-  AliasesOf[Canonical.index()].push_back({Op, Base, Tag});
-  if (Demanded[Canonical.index()])
+  }
+  uint32_t Link = static_cast<uint32_t>(Aliases.size());
+  Aliases.push_back({{Op, Base, Tag}, NoLink});
+  (C.LastAlias == NoLink ? C.FirstAlias : Aliases[C.LastAlias].Next) = Link;
+  C.LastAlias = Link;
+  if (C.Flags & Demanded)
     PendingDemand.push_back({Op, Base, Tag});
 
   if (IsNew)
@@ -303,16 +283,13 @@ NodeId SubtransitiveGraph::lookupDerived(NodeOp Op, NodeId Base,
     return Top;
   switch (Op) {
   case NodeOp::Dom:
-    return DomOf[Base.index()];
+    return Nodes[Base.index()].Dom;
   case NodeOp::Ran:
-    return RanOf[Base.index()];
+    return Nodes[Base.index()].Ran;
   case NodeOp::RefCell:
-    return RefCellOf[Base.index()];
+    return Nodes[Base.index()].RefCell;
   case NodeOp::Field:
-    for (const auto &[T, N] : FieldsOf[Base.index()])
-      if (T == Tag)
-        return N;
-    return NodeId::invalid();
+    return findField(Base, Tag);
   default:
     assert(false && "not a derived node op");
     return NodeId::invalid();
@@ -337,7 +314,7 @@ NodeId SubtransitiveGraph::tupleFieldNode(uint32_t Index, NodeId Base) {
 }
 
 void SubtransitiveGraph::onCreate(NodeId N) {
-  Created[N.index()] = true;
+  set(N, Created);
   if (Config.Policy != ClosurePolicy::PaperExact)
     setDemanded(N);
   if (Config.Policy == ClosurePolicy::Undemanded)
@@ -345,18 +322,19 @@ void SubtransitiveGraph::onCreate(NodeId N) {
 }
 
 void SubtransitiveGraph::setDemanded(NodeId N) {
-  if (Demanded[N.index()])
+  if (has(N, Demanded))
     return;
-  Demanded[N.index()] = true;
-  for (const Alias &A : AliasesOf[N.index()])
-    PendingDemand.push_back(A);
+  set(N, Demanded);
+  for (uint32_t I = Nodes[N.index()].FirstAlias; I != NoLink;
+       I = Aliases[I].Next)
+    PendingDemand.push_back(Aliases[I].A);
 }
 
 void SubtransitiveGraph::materializeTemplate(NodeId N) {
-  uint64_t Key = N.index() + 1;
-  if (!MaterializedSet.insert(Key))
+  if (has(N, Materialized))
     return;
-  TypeId Ty = NodeType[N.index()];
+  set(N, Materialized);
+  TypeId Ty = Nodes[N.index()].Type;
   if (!Ty.isValid())
     return;
   const Type &T = M.types().type(Ty);
@@ -366,7 +344,7 @@ void SubtransitiveGraph::materializeTemplate(NodeId N) {
     ranNode(N);
     break;
   case TypeKind::Tuple:
-    for (uint32_t I = 0; I != T.Args.size(); ++I)
+    for (uint32_t I = 0; I != T.NumArgs; ++I)
       tupleFieldNode(I, N);
     break;
   case TypeKind::Ref:
@@ -384,35 +362,66 @@ void SubtransitiveGraph::materializeTemplate(NodeId N) {
   }
 }
 
+uint32_t SubtransitiveGraph::findEdge(NodeId A, NodeId B) const {
+  const NodeRec &From = Nodes[A.index()], &To = Nodes[B.index()];
+  if (From.OutDeg <= To.InDeg) {
+    for (uint32_t I = From.FirstOut; I != NoEdge; I = Edges[I].NextOut)
+      if (Edges[I].To == B)
+        return I;
+  } else {
+    for (uint32_t I = To.FirstIn; I != NoEdge; I = Edges[I].NextIn)
+      if (Edges[I].From == A)
+        return I;
+  }
+  return NoEdge;
+}
+
+bool SubtransitiveGraph::hasEdge(NodeId A, NodeId B) const {
+  // Unless both lists outgrow `HubDegree` (A is then a hub), the shorter
+  // one has at most `HubDegree` entries.
+  if ((Nodes[A.index()].Flags & Hub) && Nodes[B.index()].InDeg > HubDegree)
+    return HubEdges.contains(edgeKey(A, B));
+  return findEdge(A, B) != NoEdge;
+}
+
 void SubtransitiveGraph::addEdge(NodeId A, NodeId B) {
   if (A == B)
     return;
   if (Journal)
     Journal->push_back({A, B});
-  uint64_t Key = (uint64_t(A.index()) + 1) << 32 | (uint64_t(B.index()) + 1);
-  if (!EdgeSet.insert(Key))
+  if (hasEdge(A, B))
     return;
   if (InClosePhase)
     ++Stats.CloseEdges;
   else
     ++Stats.BuildEdges;
   uint32_t E = static_cast<uint32_t>(Edges.size());
-  Edges.push_back({A, B, FirstOut[A.index()], FirstIn[B.index()]});
-  FirstOut[A.index()] = E;
-  FirstIn[B.index()] = E;
+  NodeRec &From = Nodes[A.index()], &To = Nodes[B.index()];
+  Edges.push_back({A, B, From.FirstOut, To.FirstIn});
+  From.FirstOut = E;
+  To.FirstIn = E;
+  ++From.OutDeg;
+  ++To.InDeg;
+  if (From.Flags & Hub) {
+    HubEdges.insert(edgeKey(A, B));
+  } else if (From.OutDeg > HubDegree) {
+    From.Flags |= Hub;
+    for (uint32_t I = From.FirstOut; I != NoEdge; I = Edges[I].NextOut)
+      HubEdges.insert(edgeKey(A, Edges[I].To));
+  }
   setDemanded(B);
 }
 
 LabelId SubtransitiveGraph::labelOf(NodeId N) const {
   switch (op(N)) {
   case NodeOp::Expr: {
-    const Expr *E = M.expr(ExprId(PayloadA[N.index()]));
+    const Expr *E = M.expr(ExprId(payloadA(N)));
     if (const auto *Lam = dyn_cast<LamExpr>(E))
       return Lam->label();
     return LabelId::invalid();
   }
   case NodeOp::Label:
-    return LabelId(PayloadA[N.index()]);
+    return LabelId(payloadA(N));
   default:
     return LabelId::invalid();
   }
@@ -421,17 +430,24 @@ LabelId SubtransitiveGraph::labelOf(NodeId N) const {
 void SubtransitiveGraph::build() {
   assert(!Built && "build() called twice");
   Built = true;
-  // Empirically ~1.5 nodes per syntax node on realistic programs (E6).
-  reserveNodes(M.numExprs() + M.numExprs() / 2);
-  forEachExprPreorder(M, M.root(),
-                      [&](ExprId Id, const Expr *E) { buildExpr(Id, E); });
+  // The closed graph holds 2.0-4.1 nodes per expr on the benchmark mix;
+  // an untouched reserve costs address space, not memory.
+  reserveNodes(3 * size_t(M.numExprs()));
+  buildFrom(M.root());
 }
 
 void SubtransitiveGraph::buildFragment(ExprId FragmentRoot) {
   assert(!Built && "buildFragment() after build()");
   Built = true;
-  forEachExprPreorder(M, FragmentRoot,
+  buildFrom(FragmentRoot);
+}
+
+void SubtransitiveGraph::buildFrom(ExprId Root) {
+  Span BuildSpan("build");
+  forEachExprPreorder(M, Root,
                       [&](ExprId Id, const Expr *E) { buildExpr(Id, E); });
+  BuildSpan.arg("nodes", Stats.BuildNodes);
+  BuildSpan.arg("edges", Stats.BuildEdges);
 }
 
 void SubtransitiveGraph::setExternalizedVars(std::vector<bool> Flags) {
@@ -541,7 +557,7 @@ Status SubtransitiveGraph::close(const Deadline &D,
   InClosePhase = true;
   Span CloseSpan("close");
   Timer CloseTimer;
-  const size_t NodesBefore = Ops.size(), EdgesBefore = Edges.size();
+  const size_t NodesBefore = Nodes.size(), EdgesBefore = Edges.size();
   uint64_t Polls = 0;
   auto finish = [&](Status S) {
     static Counter &Runs = counter("close.runs");
@@ -555,10 +571,10 @@ Status SubtransitiveGraph::close(const Deadline &D,
     if (!S.isOk())
       AbortsC.inc();
     EdgesAdded.add(Edges.size() - EdgesBefore);
-    NodesAdded.add(Ops.size() - NodesBefore);
+    NodesAdded.add(Nodes.size() - NodesBefore);
     PollsC.add(Polls);
     Millis.observe(static_cast<uint64_t>(CloseTimer.millis()));
-    CloseSpan.arg("nodes_added", Ops.size() - NodesBefore);
+    CloseSpan.arg("nodes_added", Nodes.size() - NodesBefore);
     CloseSpan.arg("edges_added", Edges.size() - EdgesBefore);
     CloseSpan.arg("checkpoint_polls", Polls);
     CloseSpan.arg("rule_firings", Stats.CloseRuleFirings);
@@ -577,7 +593,7 @@ Status SubtransitiveGraph::close(const Deadline &D,
   uint32_t Stride = 0;
   while (DemandCursor != PendingDemand.size() ||
          NextUnprocessedEdge != Edges.size()) {
-    if ((Config.MaxNodes != 0 && Ops.size() > Config.MaxNodes) ||
+    if ((Config.MaxNodes != 0 && Nodes.size() > Config.MaxNodes) ||
         faultFires(fault::CloseNodeBudget))
       return governedStop(Status::resourceExhausted(
           "close phase exceeded the node budget (" +
@@ -614,32 +630,32 @@ Status SubtransitiveGraph::close(const Deadline &D,
 
 void SubtransitiveGraph::processEdge(NodeId A, NodeId B) {
   // CLOSE-DOM': n1 -> n2 with dom(n2) demanded  ==>  dom(n2) -> dom(n1).
-  if (NodeId D = DomOf[B.index()]; D.isValid() && Demanded[D.index()]) {
+  if (NodeId D = Nodes[B.index()].Dom; D.isValid() && has(D, Demanded)) {
     ++Stats.CloseRuleFirings;
     addEdge(D, domNode(A));
   }
   // CLOSE-RAN': n1 -> n2 with ran(n1) demanded  ==>  ran(n1) -> ran(n2).
-  if (NodeId R = RanOf[A.index()]; R.isValid() && Demanded[R.index()]) {
+  if (NodeId R = Nodes[A.index()].Ran; R.isValid() && has(R, Demanded)) {
     ++Stats.CloseRuleFirings;
     addEdge(R, ranNode(B));
   }
-  // Covariant deconstructor fields (Section 6).  Index-based loop: the
-  // vector may grow while we create field nodes over B.
-  for (size_t I = 0; I != FieldsOf[A.index()].size(); ++I) {
-    auto [Tag, F] = FieldsOf[A.index()][I];
-    if (Demanded[F.index()]) {
+  // Covariant deconstructor fields (Section 6).  The link is re-read from
+  // the pool after each step: creating field nodes over B may grow it.
+  for (uint32_t I = Nodes[A.index()].FirstField; I != NoLink;
+       I = Fields[I].Next) {
+    const uint32_t Tag = Fields[I].Tag;
+    const NodeId F = Fields[I].Node;
+    if (has(F, Demanded)) {
       ++Stats.CloseRuleFirings;
       addEdge(F, derived(NodeOp::Field, B, Tag));
     }
   }
   // Ref cells are invariant: close in both directions.
-  if (NodeId R = RefCellOf[A.index()];
-      R.isValid() && Demanded[R.index()]) {
+  if (NodeId R = Nodes[A.index()].RefCell; R.isValid() && has(R, Demanded)) {
     ++Stats.CloseRuleFirings;
     addEdge(R, refCellNode(B));
   }
-  if (NodeId R = RefCellOf[B.index()];
-      R.isValid() && Demanded[R.index()]) {
+  if (NodeId R = Nodes[B.index()].RefCell; R.isValid() && has(R, Demanded)) {
     ++Stats.CloseRuleFirings;
     addEdge(R, refCellNode(A));
   }
@@ -686,24 +702,24 @@ void SubtransitiveGraph::processDemand(const Alias &A) {
 }
 
 void SubtransitiveGraph::removeEdgeForDelta(NodeId A, NodeId B) {
-  uint64_t Key = (uint64_t(A.index()) + 1) << 32 | (uint64_t(B.index()) + 1);
-  if (!EdgeSet.erase(Key))
+  uint32_t Idx = findEdge(A, B);
+  if (Idx == NoEdge)
     return;
-  // Find the pool entry through A's out list and unlink it there.
-  uint32_t Idx = NoEdge;
-  for (uint32_t *L = &FirstOut[A.index()]; *L != NoEdge;
-       L = &Edges[*L].NextOut)
-    if (Edges[*L].To == B) {
-      Idx = *L;
+  NodeRec &From = Nodes[A.index()], &To = Nodes[B.index()];
+  for (uint32_t *L = &From.FirstOut; *L != NoEdge; L = &Edges[*L].NextOut)
+    if (*L == Idx) {
       *L = Edges[Idx].NextOut;
       break;
     }
-  assert(Idx != NoEdge && "edge set and adjacency lists out of sync");
-  for (uint32_t *L = &FirstIn[B.index()]; *L != NoEdge; L = &Edges[*L].NextIn)
+  for (uint32_t *L = &To.FirstIn; *L != NoEdge; L = &Edges[*L].NextIn)
     if (*L == Idx) {
       *L = Edges[Idx].NextIn;
       break;
     }
+  --From.OutDeg;
+  --To.InDeg;
+  if (From.Flags & Hub)
+    HubEdges.erase(edgeKey(A, B));
   // Tombstone in place; the pool never compacts, so indices stay stable.
   Edges[Idx].From = NodeId::invalid();
   Edges[Idx].To = NodeId::invalid();
@@ -713,28 +729,28 @@ void SubtransitiveGraph::appendConsequencesForDelta(
     NodeId A, NodeId B, std::vector<std::pair<NodeId, NodeId>> &Out) const {
   // Mirror of `processEdge`: the conclusions each rule family could have
   // drawn from (A, B), restricted to node pairs that were actually
-  // materialised.  (The widening path leaves `DomOf`/`RanOf` unfilled for
+  // materialised.  (The widening path leaves the dom/ran caches unfilled for
   // edges into `Top`; the delta layer refuses to run once a Top node
   // exists, so nothing is missed here.)
-  if (NodeId DB = DomOf[B.index()]; DB.isValid())
-    if (NodeId DA = DomOf[A.index()]; DA.isValid())
-      Out.push_back({DB, DA}); // CLOSE-DOM'
-  if (NodeId RA = RanOf[A.index()]; RA.isValid())
-    if (NodeId RB = RanOf[B.index()]; RB.isValid())
-      Out.push_back({RA, RB}); // CLOSE-RAN'
-  for (const auto &[Tag, FA] : FieldsOf[A.index()])
-    if (NodeId FB = lookupDerived(NodeOp::Field, B, Tag); FB.isValid())
-      Out.push_back({FA, FB}); // covariant fields
-  if (NodeId CA = RefCellOf[A.index()]; CA.isValid())
-    if (NodeId CB = RefCellOf[B.index()]; CB.isValid()) {
+  const NodeRec &From = Nodes[A.index()], &To = Nodes[B.index()];
+  if (From.Dom.isValid() && To.Dom.isValid())
+    Out.push_back({To.Dom, From.Dom}); // CLOSE-DOM'
+  if (From.Ran.isValid() && To.Ran.isValid())
+    Out.push_back({From.Ran, To.Ran}); // CLOSE-RAN'
+  for (uint32_t I = From.FirstField; I != NoLink; I = Fields[I].Next)
+    if (NodeId FB = findField(B, Fields[I].Tag); FB.isValid())
+      Out.push_back({Fields[I].Node, FB}); // covariant fields
+  if (NodeId CA = From.RefCell; CA.isValid())
+    if (NodeId CB = To.RefCell; CB.isValid()) {
       Out.push_back({CA, CB}); // ref cells are invariant:
       Out.push_back({CB, CA}); // both directions
     }
 }
 
 void SubtransitiveGraph::requeueAliasesForDelta(NodeId N) {
-  for (const Alias &A : AliasesOf[N.index()])
-    PendingDemand.push_back(A);
+  for (uint32_t I = Nodes[N.index()].FirstAlias; I != NoLink;
+       I = Aliases[I].Next)
+    PendingDemand.push_back(Aliases[I].A);
 }
 
 void SubtransitiveGraph::notifyModuleGrown() {
@@ -751,32 +767,32 @@ void SubtransitiveGraph::notifyModuleGrown() {
 std::string SubtransitiveGraph::describe(NodeId N) const {
   switch (op(N)) {
   case NodeOp::Expr:
-    return describeExpr(M, ExprId(PayloadA[N.index()]));
+    return describeExpr(M, ExprId(payloadA(N)));
   case NodeOp::Var:
-    return "var:" + std::string(M.text(M.var(VarId(PayloadA[N.index()])).Name));
+    return "var:" + std::string(M.text(M.var(VarId(payloadA(N))).Name));
   case NodeOp::Dom:
-    return "dom(" + describe(NodeId(PayloadA[N.index()])) + ")";
+    return "dom(" + describe(NodeId(payloadA(N))) + ")";
   case NodeOp::Ran:
-    return "ran(" + describe(NodeId(PayloadA[N.index()])) + ")";
+    return "ran(" + describe(NodeId(payloadA(N))) + ")";
   case NodeOp::RefCell:
-    return "refcell(" + describe(NodeId(PayloadA[N.index()])) + ")";
+    return "refcell(" + describe(NodeId(payloadA(N))) + ")";
   case NodeOp::Field: {
-    uint32_t Tag = PayloadB[N.index()];
+    uint32_t Tag = payloadB(N);
     std::string Head =
         tagIsTuple(Tag)
             ? "#" + std::to_string(tagIndex(Tag) + 1)
             : std::string(M.text(M.con(ConId(tagConOrArity(Tag))).Name)) +
                   "~" + std::to_string(tagIndex(Tag) + 1);
-    return Head + "(" + describe(NodeId(PayloadA[N.index()])) + ")";
+    return Head + "(" + describe(NodeId(payloadA(N))) + ")";
   }
   case NodeOp::Label:
-    return "label:" + std::to_string(PayloadA[N.index()]);
+    return "label:" + std::to_string(payloadA(N));
   case NodeOp::Summary:
     return "summary[" +
-           M.types().render(TypeId(PayloadA[N.index()]), M.strings()) + "]";
+           M.types().render(TypeId(payloadA(N)), M.strings()) + "]";
   case NodeOp::Summary2:
-    return "summary2[" + describe(NodeId(PayloadA[N.index()])) + ":" +
-           M.types().render(TypeId(PayloadB[N.index()]), M.strings()) + "]";
+    return "summary2[" + describe(NodeId(payloadA(N))) + ":" +
+           M.types().render(TypeId(payloadB(N)), M.strings()) + "]";
   case NodeOp::Top:
     return "top";
   }

@@ -201,13 +201,13 @@ public:
   const SubtransitiveConfig &config() const { return Config; }
   const GraphStats &stats() const { return Stats; }
 
-  uint32_t numNodes() const { return static_cast<uint32_t>(Ops.size()); }
+  uint32_t numNodes() const { return static_cast<uint32_t>(Nodes.size()); }
 
-  NodeOp op(NodeId N) const { return Ops[N.index()]; }
-  uint32_t payloadA(NodeId N) const { return PayloadA[N.index()]; }
-  uint32_t payloadB(NodeId N) const { return PayloadB[N.index()]; }
+  NodeOp op(NodeId N) const { return Nodes[N.index()].Op; }
+  uint32_t payloadA(NodeId N) const { return Nodes[N.index()].A; }
+  uint32_t payloadB(NodeId N) const { return Nodes[N.index()].B; }
   /// The type associated with \p N (drives congruences; may be invalid).
-  TypeId nodeType(NodeId N) const { return NodeType[N.index()]; }
+  TypeId nodeType(NodeId N) const { return Nodes[N.index()].Type; }
 
   /// Edges live in one pooled arena; adjacency is an intrusive singly
   /// linked list per node (new edges prepend, so a captured range is a
@@ -256,11 +256,15 @@ public:
   };
 
   EdgeRange succs(NodeId N) const {
-    return EdgeRange(&Edges, FirstOut[N.index()], /*OutDir=*/true);
+    return EdgeRange(&Edges, Nodes[N.index()].FirstOut, /*OutDir=*/true);
   }
   EdgeRange preds(NodeId N) const {
-    return EdgeRange(&Edges, FirstIn[N.index()], /*OutDir=*/false);
+    return EdgeRange(&Edges, Nodes[N.index()].FirstIn, /*OutDir=*/false);
   }
+
+  /// Pool entry \p I in creation order (a delta retraction leaves an
+  /// invalid `From`/`To` tombstone in place).
+  const EdgeRec &edgeAt(uint32_t I) const { return Edges[I]; }
 
   /// The canonical node of an expression occurrence (may be a congruence
   /// summary under ≈1).
@@ -323,13 +327,12 @@ public:
     Journal = J;
   }
 
-  /// True iff the edge A -> B is currently present.
-  bool hasEdge(NodeId A, NodeId B) const {
-    return EdgeSet.contains((uint64_t(A.index()) + 1) << 32 |
-                            (uint64_t(B.index()) + 1));
-  }
+  /// True iff the edge A -> B is currently present.  Scans the shorter
+  /// of A's out-list and B's in-list, or probes the hub set when both
+  /// exceed `HubDegree`.
+  bool hasEdge(NodeId A, NodeId B) const;
 
-  /// Physically unlinks A -> B: both intrusive adjacency lists, the edge
+  /// Physically unlinks A -> B: both intrusive adjacency lists, the hub
   /// set, and the pool entry (tombstoned in place; the close cursor skips
   /// it).  No-op when the edge is absent.  O(deg(A) + deg(B)).
   void removeEdgeForDelta(NodeId A, NodeId B);
@@ -372,9 +375,70 @@ private:
     uint32_t Tag;
   };
 
+  static constexpr uint32_t NoEdge = ~0u;
+  /// End of a pooled field or alias list.
+  static constexpr uint32_t NoLink = ~0u;
+  /// Out-degree past which a source keeps its out-edges in `HubEdges`
+  /// too, so deduplicating an edge between two hubs is one probe instead
+  /// of a list scan.  Bounded-type programs keep almost every node far
+  /// below it; `Top` and the ≈1 summaries are the hubs.
+  static constexpr uint32_t HubDegree = 16;
+
+  enum NodeFlag : uint8_t {
+    Demanded = 1,
+    Created = 2,
+    InvolvesDecon = 4,
+    Materialized = 8,
+    Hub = 16,
+  };
+
+  /// One node: identity, congruence bookkeeping, the derived-node caches
+  /// (the close phase's hot path; a valid entry means the (op, base)
+  /// alias is registered) and the heads of its adjacency, field and
+  /// alias lists.
+  struct NodeRec {
+    NodeOp Op;
+    uint8_t Flags;
+    uint32_t A, B;
+    TypeId Type;
+    NodeId Root;
+    uint32_t Depth;
+    NodeId Dom, Ran, RefCell;
+    uint32_t FirstOut, FirstIn;
+    uint32_t OutDeg, InDeg;
+    uint32_t FirstField;
+    uint32_t FirstAlias, LastAlias;
+  };
+  static_assert(sizeof(NodeRec) == 64, "one cache line per node");
+  /// A resolved field request `(tag, node)` of one base; lists append at
+  /// the tail, so they iterate in registration order.
+  struct FieldLink {
+    uint32_t Tag;
+    NodeId Node;
+    uint32_t Next;
+  };
+  struct AliasLink {
+    Alias A;
+    uint32_t Next;
+  };
+
+  bool has(NodeId N, NodeFlag F) const { return Nodes[N.index()].Flags & F; }
+  void set(NodeId N, NodeFlag F) { Nodes[N.index()].Flags |= F; }
+
   void reserveNodes(size_t Expected);
-  NodeId getNode(NodeOp Op, uint32_t A, uint32_t B);
-  NodeId canonicalizeBase(TypeId Ty, NodeOp Op, uint32_t Payload);
+  /// Appends a node no other request can name (the callers' caches
+  /// answer every later request for it).
+  NodeId newNode(NodeOp Op, uint32_t A, uint32_t B);
+  /// Hash-conses the shared keys: summaries and label carriers.
+  NodeId sharedNode(NodeOp Op, uint32_t A, uint32_t B);
+  NodeId findField(NodeId Base, uint32_t Tag) const;
+  /// The pool index of A -> B, or `NoEdge`.
+  uint32_t findEdge(NodeId A, NodeId B) const;
+  static uint64_t edgeKey(NodeId A, NodeId B) {
+    return (uint64_t(A.index()) + 1) << 32 | (uint64_t(B.index()) + 1);
+  }
+  NodeId canonicalizeBase(TypeId Ty, NodeOp Op, uint32_t Payload,
+                          std::vector<NodeId> &NodeOf);
   NodeId derived(NodeOp Op, NodeId Base, uint32_t Tag);
   NodeId topNode();
   TypeId derivedType(NodeOp Op, NodeId Base, uint32_t Tag) const;
@@ -385,38 +449,20 @@ private:
   void processEdge(NodeId A, NodeId B);
   void processDemand(const Alias &A);
   void buildExpr(ExprId Id, const Expr *E);
+  void buildFrom(ExprId Root);
 
   const Module &M;
   SubtransitiveConfig Config;
   GraphStats Stats;
 
-  // Structure-of-arrays node storage.
-  std::vector<NodeOp> Ops;
-  std::vector<uint32_t> PayloadA;
-  std::vector<uint32_t> PayloadB;
-  std::vector<TypeId> NodeType;
-  std::vector<NodeId> NodeRoot;
-  std::vector<uint32_t> NodeDepth;
-  static constexpr uint32_t NoEdge = ~0u;
-
-  std::vector<bool> InvolvesDecon;
-  std::vector<bool> Demanded;
-  std::vector<bool> Created;
+  std::vector<NodeRec> Nodes;
   std::vector<EdgeRec> Edges;
-  std::vector<uint32_t> FirstOut;
-  std::vector<uint32_t> FirstIn;
-  /// Per-node caches of resolved derived nodes: the hot path of the close
-  /// phase.  A valid entry means the (op, base) alias is registered.
-  std::vector<NodeId> DomOf;
-  std::vector<NodeId> RanOf;
-  std::vector<NodeId> RefCellOf;
-  std::vector<std::vector<std::pair<uint32_t, NodeId>>> FieldsOf;
-  /// Aliases resolving to each canonical node.
-  std::vector<std::vector<Alias>> AliasesOf;
-
+  std::vector<FieldLink> Fields;
+  std::vector<AliasLink> Aliases;
+  /// Summary, Summary2 and Label nodes by (op, payloads).
   U64Map NodeIndex;
-  U64Set EdgeSet;
-  U64Set MaterializedSet;
+  /// Every edge whose source is a hub.
+  U64Set HubEdges;
   /// Delta-layer journal of addEdge attempts (null when inactive).
   std::vector<std::pair<NodeId, NodeId>> *Journal = nullptr;
   /// Edges are processed in pool order; this is the work cursor.

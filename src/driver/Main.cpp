@@ -1305,6 +1305,16 @@ int main(int Argc, char **Argv) {
   // hit (named through the snapshot's own tables), or built by the live
   // pipeline.
   std::unique_ptr<serve::Epoch> E;
+  // ...and is never freed: the process is about to exit, and tearing the
+  // module, frozen graph and kernel down node by node buys nothing.  The
+  // static keeps the epoch reachable, so leak checkers stay quiet.
+  struct KeepAtExit {
+    std::unique_ptr<serve::Epoch> &E;
+    ~KeepAtExit() {
+      [[maybe_unused]] static serve::Epoch *volatile Kept;
+      Kept = E.release();
+    }
+  } Keep{E};
   const LoadedSnapshot *Tables = nullptr;
   Deadline D;
   int ExitCode = 0;

@@ -54,21 +54,22 @@ bool PolyvariantCFA::enumeratePaths(TypeId Ty, VarId Shared,
   S.Anchors.push_back({Shared, Prefix});
   if (!Ty.isValid())
     return true; // unresolved leaf: sound, context flows pass through
-  const Type &T = M.types().type(Ty);
+  const TypeTable &TT = M.types();
+  const Type &T = TT.type(Ty);
   switch (T.Kind) {
   case TypeKind::Arrow:
     Prefix.push_back({NodeOp::Dom, 0});
-    if (!enumeratePaths(T.Args[0], Shared, Prefix, S))
+    if (!enumeratePaths(TT.arg(T, 0), Shared, Prefix, S))
       return false;
     Prefix.back() = {NodeOp::Ran, 0};
-    if (!enumeratePaths(T.Args[1], Shared, Prefix, S))
+    if (!enumeratePaths(TT.arg(T, 1), Shared, Prefix, S))
       return false;
     Prefix.pop_back();
     return true;
   case TypeKind::Tuple:
-    for (uint32_t I = 0; I != T.Args.size(); ++I) {
+    for (uint32_t I = 0; I != T.NumArgs; ++I) {
       Prefix.push_back({NodeOp::Field, I});
-      if (!enumeratePaths(T.Args[I], Shared, Prefix, S))
+      if (!enumeratePaths(TT.arg(T, I), Shared, Prefix, S))
         return false;
       Prefix.pop_back();
     }

@@ -6,10 +6,9 @@
 ///
 /// \file
 /// Hash combining plus a compact open-addressing set of non-zero 64-bit
-/// keys.  The subtransitive graph stores each edge as a packed
-/// `(source << 32) | target` key; edge deduplication is the hottest
-/// operation in the close phase, so it gets a dedicated structure instead
-/// of `std::unordered_set`.
+/// keys.  The subtransitive graph stores each edge out of a hub node as a
+/// packed `(source << 32) | target` key, so deduplicating an edge between
+/// two high-degree nodes is one probe instead of a list scan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -169,8 +168,8 @@ private:
 };
 
 /// Open-addressing hash map from *non-zero* 64-bit keys to 32-bit values.
-/// Same conventions as `U64Set`; used for node hash-consing where
-/// `std::unordered_map` overhead would dominate graph construction.
+/// Same conventions as `U64Set`; used for the graph's shared nodes
+/// (summaries, label carriers) and the delta layer's edge refcounts.
 class U64Map {
 public:
   U64Map() : Keys(InitialCapacity, 0), Values(InitialCapacity, 0) {}

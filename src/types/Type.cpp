@@ -10,25 +10,49 @@
 
 using namespace stcfa;
 
-TypeId TypeTable::get(Type T) {
-  uint64_t H = hashType(T);
-  std::vector<TypeId> &Bucket = Buckets[H];
-  for (TypeId Id : Bucket) {
-    const Type &Existing = Nodes[Id.index()];
-    if (Existing.Kind == T.Kind && Existing.VarNum == T.VarNum &&
-        Existing.Name == T.Name && Existing.Args == T.Args)
-      return Id;
+TypeId TypeTable::get(TypeKind Kind, uint32_t VarNum, Symbol Name,
+                      std::span<const TypeId> Args) {
+  assert((Args.empty() || Args.data() < ArgPool.data() ||
+          Args.data() >= ArgPool.data() + ArgPool.size()) &&
+         "arguments alias the pool");
+  if ((Nodes.size() + 1) * 4 >= Index.size() * 3)
+    growIndex();
+  const size_t Mask = Index.size() - 1;
+  size_t I = static_cast<size_t>(hashType(Kind, VarNum, Name, Args)) & Mask;
+  for (; Index[I] != 0; I = (I + 1) & Mask) {
+    const Type &T = Nodes[Index[I] - 1];
+    if (T.Kind == Kind && T.VarNum == VarNum && T.Name == Name &&
+        T.NumArgs == Args.size() &&
+        std::equal(Args.begin(), Args.end(), ArgPool.begin() + T.FirstArg))
+      return TypeId(Index[I] - 1);
   }
   TypeId Id(static_cast<uint32_t>(Nodes.size()));
-  Nodes.push_back(std::move(T));
-  Bucket.push_back(Id);
+  Nodes.push_back({Kind, VarNum, Name, static_cast<uint32_t>(ArgPool.size()),
+                   static_cast<uint32_t>(Args.size())});
+  ArgPool.insert(ArgPool.end(), Args.begin(), Args.end());
+  Index[I] = Id.index() + 1;
   return Id;
 }
 
-uint64_t TypeTable::hashType(const Type &T) const {
-  uint64_t H = hashCombine(static_cast<uint64_t>(T.Kind),
-                           (uint64_t(T.VarNum) << 32) | (T.Name.index() + 1));
-  for (TypeId A : T.Args)
+void TypeTable::growIndex() {
+  Index.assign(Index.empty() ? 64 : Index.size() * 2, 0);
+  const size_t Mask = Index.size() - 1;
+  for (uint32_t Id = 0; Id != Nodes.size(); ++Id) {
+    const Type &T = Nodes[Id];
+    size_t I =
+        static_cast<size_t>(hashType(T.Kind, T.VarNum, T.Name, args(T))) &
+        Mask;
+    while (Index[I] != 0)
+      I = (I + 1) & Mask;
+    Index[I] = Id + 1;
+  }
+}
+
+uint64_t TypeTable::hashType(TypeKind Kind, uint32_t VarNum, Symbol Name,
+                             std::span<const TypeId> Args) {
+  uint64_t H = hashCombine(static_cast<uint64_t>(Kind),
+                           (uint64_t(VarNum) << 32) | (Name.index() + 1));
+  for (TypeId A : Args)
     H = hashCombine(H, A.index());
   return H;
 }
@@ -36,7 +60,7 @@ uint64_t TypeTable::hashType(const Type &T) const {
 uint32_t TypeTable::treeSize(TypeId Id) const {
   const Type &T = type(Id);
   uint32_t Size = 1;
-  for (TypeId A : T.Args)
+  for (TypeId A : args(T))
     Size += treeSize(A);
   return Size;
 }
@@ -52,11 +76,11 @@ uint32_t TypeTable::order(TypeId Id) const {
   case TypeKind::Data:
     return 0;
   case TypeKind::Arrow:
-    return std::max(order(T.Args[0]) + 1, order(T.Args[1]));
+    return std::max(order(arg(T, 0)) + 1, order(arg(T, 1)));
   case TypeKind::Tuple:
   case TypeKind::Ref: {
     uint32_t Max = 0;
-    for (TypeId A : T.Args)
+    for (TypeId A : args(T))
       Max = std::max(Max, order(A));
     return Max;
   }
@@ -69,7 +93,7 @@ uint32_t TypeTable::arity(TypeId Id) const {
   const Type &T = type(Id);
   if (T.Kind != TypeKind::Arrow)
     return 0;
-  return 1 + arity(T.Args[1]);
+  return 1 + arity(arg(T, 1));
 }
 
 std::string TypeTable::renderAtom(TypeId Id,
@@ -101,16 +125,16 @@ std::string TypeTable::render(TypeId Id, const StringInterner &Strings) const {
   case TypeKind::Data:
     return std::string(Strings.text(T.Name));
   case TypeKind::Ref:
-    return "Ref " + renderAtom(T.Args[0], Strings);
+    return "Ref " + renderAtom(arg(T, 0), Strings);
   case TypeKind::Arrow:
-    return renderAtom(T.Args[0], Strings) + " -> " +
-           render(T.Args[1], Strings);
+    return renderAtom(arg(T, 0), Strings) + " -> " +
+           render(arg(T, 1), Strings);
   case TypeKind::Tuple: {
     std::string Out = "(";
-    for (size_t I = 0; I != T.Args.size(); ++I) {
+    for (uint32_t I = 0; I != T.NumArgs; ++I) {
       if (I)
         Out += ", ";
-      Out += render(T.Args[I], Strings);
+      Out += render(arg(T, I), Strings);
     }
     return Out + ")";
   }

@@ -31,8 +31,9 @@
 #include "support/StringInterner.h"
 
 #include <cassert>
+#include <initializer_list>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace stcfa {
@@ -49,25 +50,31 @@ enum class TypeKind : uint8_t {
   Ref,   // mutable cell
 };
 
-/// One interned type node.
+/// One interned type node.  Trivially copyable: the arguments live in the
+/// owning table's pool (`TypeTable::args`), so a copy stays valid while
+/// the table interns more types.
 struct Type {
   TypeKind Kind;
   /// Var: variable number.  Arrow: unused.  Tuple: unused.  Data: unused.
   uint32_t VarNum = 0;
   /// Data: the datatype name.
   Symbol Name;
-  /// Arrow: {param, result}.  Tuple: the fields.  Ref: {content}.
-  std::vector<TypeId> Args;
+  /// Arrow: {param, result}.  Tuple: the fields.  Ref: {content}.  An
+  /// offset and a count into the table's argument pool.
+  uint32_t FirstArg = 0;
+  uint32_t NumArgs = 0;
 };
 
-/// Interns types; owned by a `Module`.
+/// Interns types; owned by a `Module`.  Types and their arguments are two
+/// flat arrays, and interning probes one open-addressing table of type
+/// ids, so a lookup that hits allocates nothing.
 class TypeTable {
 public:
   TypeTable() {
-    IntTy = get({TypeKind::Int, 0, Symbol(), {}});
-    BoolTy = get({TypeKind::Bool, 0, Symbol(), {}});
-    UnitTy = get({TypeKind::Unit, 0, Symbol(), {}});
-    StringTy = get({TypeKind::String, 0, Symbol(), {}});
+    IntTy = get(TypeKind::Int, 0, Symbol(), {});
+    BoolTy = get(TypeKind::Bool, 0, Symbol(), {});
+    UnitTy = get(TypeKind::Unit, 0, Symbol(), {});
+    StringTy = get(TypeKind::String, 0, Symbol(), {});
   }
 
   TypeId intType() const { return IntTy; }
@@ -76,26 +83,43 @@ public:
   TypeId stringType() const { return StringTy; }
 
   TypeId varType(uint32_t VarNum) {
-    return get({TypeKind::Var, VarNum, Symbol(), {}});
+    return get(TypeKind::Var, VarNum, Symbol(), {});
   }
   TypeId arrowType(TypeId Param, TypeId Result) {
-    return get({TypeKind::Arrow, 0, Symbol(), {Param, Result}});
+    const TypeId Args[] = {Param, Result};
+    return get(TypeKind::Arrow, 0, Symbol(), Args);
   }
-  TypeId tupleType(std::vector<TypeId> Fields) {
+  /// \p Fields must not point into this table's argument pool.
+  TypeId tupleType(std::span<const TypeId> Fields) {
     assert(Fields.size() >= 2 && "tuple types have at least two fields");
-    return get({TypeKind::Tuple, 0, Symbol(), std::move(Fields)});
+    return get(TypeKind::Tuple, 0, Symbol(), Fields);
+  }
+  TypeId tupleType(std::initializer_list<TypeId> Fields) {
+    return tupleType(std::span(Fields.begin(), Fields.size()));
   }
   TypeId dataType(Symbol Name) {
-    return get({TypeKind::Data, 0, Name, {}});
+    return get(TypeKind::Data, 0, Name, {});
   }
   TypeId refType(TypeId Content) {
-    return get({TypeKind::Ref, 0, Symbol(), {Content}});
+    return get(TypeKind::Ref, 0, Symbol(), std::span(&Content, 1));
   }
 
   const Type &type(TypeId Id) const {
     assert(Id.isValid() && Id.index() < Nodes.size() && "bad type id");
     return Nodes[Id.index()];
   }
+
+  /// The arguments of \p T.  The span dies with the next interning; read
+  /// one argument at a time (`arg`) across calls that may intern.
+  std::span<const TypeId> args(const Type &T) const {
+    return {ArgPool.data() + T.FirstArg, T.NumArgs};
+  }
+  std::span<const TypeId> args(TypeId Id) const { return args(type(Id)); }
+  TypeId arg(const Type &T, uint32_t I) const {
+    assert(I < T.NumArgs && "type argument out of range");
+    return ArgPool[T.FirstArg + I];
+  }
+  TypeId arg(TypeId Id, uint32_t I) const { return arg(type(Id), I); }
 
   uint32_t size() const { return static_cast<uint32_t>(Nodes.size()); }
 
@@ -116,14 +140,19 @@ public:
   std::string render(TypeId Id, const StringInterner &Strings) const;
 
 private:
-  TypeId get(Type T);
-  uint64_t hashType(const Type &T) const;
+  TypeId get(TypeKind Kind, uint32_t VarNum, Symbol Name,
+             std::span<const TypeId> Args);
+  static uint64_t hashType(TypeKind Kind, uint32_t VarNum, Symbol Name,
+                           std::span<const TypeId> Args);
+  void growIndex();
   /// Like `render`, but parenthesizes arrows and refs so the result can be
   /// embedded on the left of `->`.
   std::string renderAtom(TypeId Id, const StringInterner &Strings) const;
 
   std::vector<Type> Nodes;
-  std::unordered_map<uint64_t, std::vector<TypeId>> Buckets;
+  std::vector<TypeId> ArgPool;
+  /// Open addressing over `Nodes`: a slot holds type id + 1, 0 is empty.
+  std::vector<uint32_t> Index;
   TypeId IntTy, BoolTy, UnitTy, StringTy;
 };
 

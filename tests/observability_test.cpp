@@ -28,9 +28,14 @@
 #include "TestUtil.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace stcfa;
 
@@ -413,6 +418,72 @@ TEST(Observability, SliceBuildSpanCountsRawEdgesAndProjectionSteps) {
       Carries[N] = 1;
   EXPECT_GE(intArg(*Builds[0], "projection_steps"),
             uint64_t(std::count(Carries.begin(), Carries.end(), 1)));
+}
+
+TEST(Observability, BuildSpanCarriesBuildPhaseCounts) {
+  if (!tracingCompiledIn())
+    GTEST_SKIP() << "tracing compiled out";
+  std::unique_ptr<Module> M = parseMaybeInfer(makeCubicFamily(16));
+  ASSERT_TRUE(M);
+  ScopedTracing T;
+  SubtransitiveGraph G(*M, SubtransitiveConfig{});
+  G.build();
+  SubtransitiveGraph Frag(*M, SubtransitiveConfig{});
+  Frag.buildFragment(M->root());
+  std::vector<TraceEventView> Evs = snapshotTraceEvents();
+  auto Builds = eventsNamed(Evs, "build");
+  ASSERT_EQ(Builds.size(), 2u);
+  EXPECT_EQ(intArg(*Builds[0], "nodes"), G.stats().BuildNodes);
+  EXPECT_EQ(intArg(*Builds[0], "edges"), G.stats().BuildEdges);
+  EXPECT_EQ(intArg(*Builds[1], "nodes"), Frag.stats().BuildNodes);
+  EXPECT_EQ(intArg(*Builds[1], "edges"), Frag.stats().BuildEdges);
+}
+
+TEST(Observability, DriverRunEmitsEveryFrontHalfSpan) {
+  if (!tracingCompiledIn())
+    GTEST_SKIP() << "tracing compiled out";
+  // The real binary, as an operator runs it: one span per layer from
+  // parse to render, and the build span's counts are the `--stats`
+  // build counts.
+  char Dir[] = "/tmp/stcfa-obs-XXXXXX";
+  ASSERT_NE(mkdtemp(Dir), nullptr);
+  const std::string TracePath = std::string(Dir) + "/trace.json";
+  const std::string OutPath = std::string(Dir) + "/out.txt";
+  const std::string Cmd = std::string(STCFA_DRIVER_PATH) +
+                          " --corpus=cubic:20 --query=all-labels --stats"
+                          " --trace-json=" +
+                          TracePath + " > " + OutPath;
+  ASSERT_EQ(std::system(Cmd.c_str()), 0) << Cmd;
+  auto slurp = [](const std::string &Path) {
+    std::ifstream In(Path);
+    return std::string(std::istreambuf_iterator<char>(In),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string Trace = slurp(TracePath), Out = slurp(OutPath);
+  std::remove(TracePath.c_str());
+  std::remove(OutPath.c_str());
+  rmdir(Dir);
+  for (const char *Name :
+       {"parse", "infer", "build", "close", "freeze", "render"})
+    EXPECT_NE(Trace.find("\"name\": \"" + std::string(Name) + "\""),
+              std::string::npos)
+        << "no " << Name << " span";
+  // The number after the first \p Key at or past \p From in \p Text.
+  auto numberAfter = [](const std::string &Text, size_t From,
+                        std::string_view Key) -> uint64_t {
+    size_t At = Text.find(Key, From);
+    return At == std::string::npos
+               ? ~uint64_t(0)
+               : std::strtoull(Text.c_str() + At + Key.size(), nullptr, 10);
+  };
+  const size_t Build = Trace.find("\"name\": \"build\"");
+  const size_t Graph = Out.find("graph: build ");
+  ASSERT_NE(Build, std::string::npos);
+  ASSERT_NE(Graph, std::string::npos);
+  EXPECT_EQ(numberAfter(Trace, Build, "\"nodes\": "),
+            numberAfter(Out, Graph, "graph: build "));
+  EXPECT_EQ(numberAfter(Trace, Build, "\"edges\": "),
+            numberAfter(Out, Graph, "nodes / "));
 }
 
 } // namespace

@@ -9,6 +9,11 @@
 #include "sema/Infer.h"
 #include "types/Type.h"
 
+#include <map>
+#include <random>
+#include <set>
+#include <tuple>
+
 using namespace stcfa;
 
 namespace {
@@ -58,6 +63,139 @@ TEST(TypeTable, Render) {
   EXPECT_EQ(TT.render(P, SI), "(Int, Ref Bool)");
   Symbol D = SI.intern("IntList");
   EXPECT_EQ(TT.render(TT.dataType(D), SI), "IntList");
+}
+
+/// One random type constructor over earlier ids: what `internScript`
+/// interns, replayable.
+struct TypeStep {
+  TypeKind Kind;
+  uint32_t VarNum;
+  Symbol Name;
+  std::vector<TypeId> Args;
+};
+
+TypeId internStep(TypeTable &TT, const TypeStep &S) {
+  switch (S.Kind) {
+  case TypeKind::Arrow:
+    return TT.arrowType(S.Args[0], S.Args[1]);
+  case TypeKind::Tuple:
+    return TT.tupleType(S.Args);
+  case TypeKind::Ref:
+    return TT.refType(S.Args[0]);
+  case TypeKind::Data:
+    return TT.dataType(S.Name);
+  default:
+    return TT.varType(S.VarNum);
+  }
+}
+
+/// 10^4 random arrow, tuple, ref, data and variable types, each built
+/// from types interned before it, so the script outgrows the index many
+/// times over.
+std::vector<TypeStep> randomTypeScript(TypeTable &TT, StringInterner &SI) {
+  std::mt19937_64 Rng(7);
+  std::vector<TypeId> Known = {TT.intType(), TT.boolType(), TT.unitType(),
+                               TT.stringType()};
+  const Symbol Names[] = {SI.intern("IntList"), SI.intern("Tree"),
+                          SI.intern("Opt")};
+  std::vector<TypeStep> Script;
+  auto any = [&] { return Known[Rng() % Known.size()]; };
+  while (Script.size() != 10000) {
+    TypeStep S{TypeKind::Var, 0, Symbol(), {}};
+    switch (Rng() % 5) {
+    case 0:
+      S.Kind = TypeKind::Arrow;
+      S.Args = {any(), any()};
+      break;
+    case 1:
+      S.Kind = TypeKind::Tuple;
+      for (uint64_t I = 0, N = 2 + Rng() % 3; I != N; ++I)
+        S.Args.push_back(any());
+      break;
+    case 2:
+      S.Kind = TypeKind::Ref;
+      S.Args = {any()};
+      break;
+    case 3:
+      S.Kind = TypeKind::Data;
+      S.Name = Names[Rng() % 3];
+      break;
+    default:
+      S.VarNum = static_cast<uint32_t>(Rng() % 64);
+      break;
+    }
+    Script.push_back(S);
+    Known.push_back(internStep(TT, S));
+  }
+  return Script;
+}
+
+TEST(TypeTable, InterningStaysCanonicalAcrossIndexGrowth) {
+  TypeTable TT;
+  StringInterner SI;
+  std::vector<TypeStep> Script = randomTypeScript(TT, SI);
+  std::vector<TypeId> First;
+  // Replay the script on a fresh table: the same sequence, the same ids.
+  TypeTable Fresh;
+  for (const TypeStep &S : Script)
+    First.push_back(internStep(Fresh, S));
+  const uint32_t Size = Fresh.size();
+  // Interned a second time, every type is found, not re-created.
+  for (size_t I = 0; I != Script.size(); ++I)
+    ASSERT_EQ(internStep(Fresh, Script[I]), First[I]) << "step " << I;
+  EXPECT_EQ(Fresh.size(), Size);
+  EXPECT_EQ(Fresh.size(), TT.size());
+}
+
+TEST(TypeTable, StructurallyDistinctTypesGetDistinctIds) {
+  TypeTable TT;
+  StringInterner SI;
+  std::vector<TypeStep> Script = randomTypeScript(TT, SI);
+  // Structure -> id must be a bijection onto the ids the script produced.
+  std::map<std::tuple<int, uint32_t, uint32_t, std::vector<uint32_t>>,
+           uint32_t>
+      IdOf;
+  std::set<uint32_t> Ids;
+  for (const TypeStep &S : Script) {
+    TypeId Id = internStep(TT, S);
+    const Type &T = TT.type(Id);
+    ASSERT_EQ(T.Kind, S.Kind);
+    ASSERT_EQ(std::vector<TypeId>(TT.args(Id).begin(), TT.args(Id).end()),
+              S.Args);
+    std::vector<uint32_t> Args;
+    for (TypeId A : S.Args)
+      Args.push_back(A.index());
+    auto Key = std::make_tuple(int(S.Kind), S.VarNum,
+                               S.Name.isValid() ? S.Name.index() : ~0u, Args);
+    auto [It, New] = IdOf.emplace(Key, Id.index());
+    EXPECT_EQ(It->second, Id.index());
+    if (New) {
+      EXPECT_TRUE(Ids.insert(Id.index()).second) << "two structures, one id";
+    }
+  }
+  // Every type but the four base types came from the script.
+  EXPECT_EQ(Ids.size(), TT.size() - 4);
+  EXPECT_GT(Ids.size(), 4000u);
+}
+
+TEST(TypeTable, RenderIsUnchanged) {
+  TypeTable TT;
+  StringInterner SI;
+  TypeId I2I = TT.arrowType(TT.intType(), TT.intType());
+  TypeId V0 = TT.varType(0), V3 = TT.varType(3);
+  TypeId L = TT.dataType(SI.intern("IntList"));
+  EXPECT_EQ(TT.render(TT.refType(I2I), SI), "Ref (Int -> Int)");
+  EXPECT_EQ(TT.render(TT.arrowType(TT.refType(V0), V3), SI),
+            "(Ref 't0) -> 't3");
+  EXPECT_EQ(TT.render(TT.arrowType(TT.tupleType({V0, L, I2I}),
+                                   TT.refType(TT.stringType())),
+                      SI),
+            "('t0, IntList, Int -> Int) -> Ref String");
+  EXPECT_EQ(TT.render(TT.arrowType(I2I, TT.arrowType(V3, TT.unitType())),
+                      SI),
+            "(Int -> Int) -> 't3 -> Unit");
+  EXPECT_EQ(TT.render(TT.refType(TT.refType(TT.boolType())), SI),
+            "Ref (Ref Bool)");
 }
 
 //===----------------------------------------------------------------------===//
