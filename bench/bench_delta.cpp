@@ -125,7 +125,7 @@ uint64_t fullLoad(const std::string &Source) {
   std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(*G.Graph, FS);
   if (!F)
     std::abort();
-  QueryEngine Engine(*F, 1);
+  QueryEngine Engine(*F);
   return Engine.labelsOf(M->root()).count();
 }
 
@@ -167,7 +167,7 @@ double timedEdit(DeltaSession &Sess, const EditRequest &Req) {
   DeltaView V;
   if (!Sess.freezeView(V).isOk())
     std::abort();
-  QueryEngine Engine(*V.Frozen, 1);
+  QueryEngine Engine(*V.Frozen);
   benchmark::DoNotOptimize(
       Engine.labelsOf(ExprId(V.NumExprs - 1)).count());
   return T.millis();
@@ -298,7 +298,7 @@ void printPaperTables() {
           if (!Sess->freezeView(V).isOk())
             std::abort();
           return std::make_unique<serve::Epoch>(
-              2, std::move(V), Source, 1, QueryEngine::DefaultKernelThreshold);
+              2, std::move(V), Source, QueryEngine::DefaultKernelThreshold);
         }
         Timer T;
         serve::LivePipeline P;
@@ -317,7 +317,7 @@ void printPaperTables() {
         std::unique_ptr<serve::Epoch> E = newEpoch();
         LintResult LR;
         Timer T;
-        if (!E->lint({}, D, 1, LR).isOk())
+        if (!E->lint({}, D, LR).isOk())
           std::abort();
         const double Ms = T.millis();
         LintMs = I == 0 ? Ms : std::min(LintMs, Ms);
@@ -395,7 +395,7 @@ void BM_SingleEdit(benchmark::State &State) {
     DeltaView V;
     if (!Sess->freezeView(V).isOk())
       std::abort();
-    QueryEngine Engine(*V.Frozen, 1);
+    QueryEngine Engine(*V.Frozen);
     benchmark::DoNotOptimize(
         Engine.labelsOf(ExprId(V.NumExprs - 1)).count());
   }

@@ -1,20 +1,16 @@
-//===-- bench/bench_parallel.cpp - Frozen CSR + parallel query engine -----===//
+//===-- bench/bench_kernel.cpp - The label-set kernel and batched queries -===//
 //
 // Part of the stcfa project (PLDI'97 subtransitive CFA reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving-path benchmark: how do batched queries over the frozen
-/// CSR snapshot scale across worker lanes?
+/// The serving-path benchmark: what do batched queries over the frozen
+/// CSR snapshot cost, per-query BFS against the label-set kernel?
 ///
-///   * Table 2 — batched `labelsOf` over every occurrence at 1, 2, and 4
-///     lanes.  Thread counts beyond the machine's core count cannot show
-///     wall-clock wins (this table reports honest numbers either way).
 ///   * Table 3 — the word-parallel `LabelSetKernel`: one sequential
 ///     sweep over the condensation vs one BFS per query, plus the
-///     steady-state kernel-backed batch path at 1, 2, and 4
-///     `QueryEngine` lanes.
+///     steady-state kernel-backed batch path.
 ///   * Table 5 — the kernel over the condensation-shape stress corpus
 ///     (wide/deep/diamond/skewed, src/testgen), with the component
 ///     count and the active SIMD path per row.
@@ -25,13 +21,12 @@
 ///     peak RSS and its kernel and render spans.
 ///
 /// Every timed cell is min-of-N after untimed warm-up reps (see
-/// `bestMillis`), and every report leads with a `cpu` record (model,
+/// `bestMillis`), and the report leads with a `cpu` record (model,
 /// SIMD capability, thread count), so numbers are comparable across
-/// runs and machines.
+/// runs and machines.  Every query runs on the calling thread.
 ///
-/// Emits `BENCH_parallel.json` (Table 2) and `BENCH_kernel.json`
-/// (Tables 3–5, with a `hardware_threads` field so scaling numbers can
-/// be judged against the machine that produced them).
+/// Emits `BENCH_kernel.json` (Tables 3–5; the table numbers are the
+/// historical ones, EXPERIMENTS.md E11 cites them).
 ///
 /// `--kernel-smoke` runs a correctness-only check (kernel vs per-query
 /// BFS on cubic:100) and exits non-zero on any mismatch; CI wires it as
@@ -59,7 +54,6 @@
 #include <string_view>
 #include <sys/resource.h>
 #include <sys/wait.h>
-#include <thread>
 
 using namespace stcfa;
 using namespace stcfa::bench;
@@ -81,8 +75,8 @@ std::vector<Workload> workloads() {
 /// passes fault the matrix pages in, populate caches and branch
 /// predictors, and let the governor ramp the clock, so the timed reps
 /// measure steady state.  (Without this, BENCH_kernel.json once showed
-/// lexgen `lanes1_ms` > `lanes2_ms` — a 1.32 "scaling" on a 1-core box
-/// that was pure cold-start noise in the first-measured cell.)
+/// a 1.32× "speed-up" between two cells on a 1-core box that was pure
+/// cold-start noise in the first-measured cell.)
 constexpr int WarmupReps = 2;
 
 /// Timed repetitions of a kernel closure cell.  A closure costs ~0.1 ms,
@@ -142,7 +136,7 @@ double spanMillis(const std::string &Trace, const std::string &Name) {
 /// and the kernel and render spans of its trace.  The driver path comes
 /// from the build (`STCFA_DRIVER_PATH`).
 void driverAllLabels(JsonReport &Report, const std::string &Spec) {
-  const std::string Trace = "bench_parallel_driver_trace.json";
+  const std::string Trace = "bench_kernel_driver_trace.json";
   const std::string Corpus = "--corpus=" + Spec;
   const std::string TraceFlag = "--trace-json=" + Trace;
   char *Argv[] = {const_cast<char *>(STCFA_DRIVER_PATH),
@@ -160,7 +154,7 @@ void driverAllLabels(JsonReport &Report, const std::string &Spec) {
   struct rusage Use = {};
   if (Err != 0 || wait4(Pid, &WStatus, 0, &Use) != Pid ||
       !WIFEXITED(WStatus) || WEXITSTATUS(WStatus) != 0) {
-    std::fprintf(stderr, "bench_parallel: driver run on %s failed\n",
+    std::fprintf(stderr, "bench_kernel: driver run on %s failed\n",
                  Spec.c_str());
     return;
   }
@@ -183,58 +177,8 @@ void driverAllLabels(JsonReport &Report, const std::string &Spec) {
       .add("wall_ms", WallMs);
 }
 
-void printPaperTables() {
-  JsonReport Report("parallel");
-  std::printf("machine: %u hardware thread(s)\n\n",
-              std::thread::hardware_concurrency());
-
-  std::printf("== batched labelsOf over every occurrence: lane scaling ==\n");
-  TablePrinter T2({"program", "queries", "1 lane(ms)", "2 lanes(ms)",
-                   "4 lanes(ms)", "2x", "4x"});
-  for (const Workload &W : workloads()) {
-    auto M = mustParse(W.Source);
-    GraphRun G = runGraph(*M);
-    FrozenGraph F(*G.Graph);
-
-    std::vector<ExprId> Queries;
-    for (uint32_t I = 0; I != M->numExprs(); ++I)
-      Queries.push_back(ExprId(I));
-
-    constexpr int Reps = 9;
-    double Ms[3];
-    unsigned LaneCounts[3] = {1, 2, 4};
-    for (int I = 0; I != 3; ++I) {
-      QueryEngine Engine(F, LaneCounts[I]);
-      Ms[I] = bestMillis(Reps, [&] {
-        benchmark::DoNotOptimize(Engine.labelsOfBatch(Queries).size());
-      });
-    }
-
-    T2.addRow({W.Name, std::to_string(Queries.size()),
-               TablePrinter::num(Ms[0]), TablePrinter::num(Ms[1]),
-               TablePrinter::num(Ms[2]),
-               TablePrinter::num(Ms[1] > 0 ? Ms[0] / Ms[1] : 0, 2),
-               TablePrinter::num(Ms[2] > 0 ? Ms[0] / Ms[2] : 0, 2)});
-    Report.record("batched_labels_of")
-        .add("program", std::string(W.Name))
-        .add("queries", uint64_t(Queries.size()))
-        .add("lanes1_ms", Ms[0])
-        .add("lanes2_ms", Ms[1])
-        .add("lanes4_ms", Ms[2])
-        .add("scaling2", Ms[1] > 0 ? Ms[0] / Ms[1] : 0)
-        .add("scaling4", Ms[2] > 0 ? Ms[0] / Ms[2] : 0);
-  }
-  std::printf("%s\n", T2.render().c_str());
-
-  // The per-stage accounting behind the wall-clock cells above (freeze
-  // counts, close edges, dispatch decisions) rides along in the JSON.
-  Report.record("metrics_snapshot")
-      .addRaw("metrics", snapshotMetrics().toJson(2));
-}
-
 void printKernelTables() {
   JsonReport Report("kernel");
-  const unsigned HwThreads = std::thread::hardware_concurrency();
 
   std::printf("== label-set kernel: sequential sweep vs per-query BFS ==\n");
   TablePrinter T3({"program", "exprs", "bfs(ms)", "kernel(ms)", "vs-bfs"});
@@ -252,7 +196,7 @@ void printKernelTables() {
 
     constexpr int Reps = 9;
     // Baseline: the CSR per-query BFS (kernel dispatch disabled).
-    QueryEngine Bfs(F, 1);
+    QueryEngine Bfs(F);
     Bfs.setKernelThreshold(0);
     double BfsMs = bestMillis(Reps, [&] {
       benchmark::DoNotOptimize(Bfs.labelsOfBatch(Queries).size());
@@ -283,8 +227,8 @@ void printKernelTables() {
 
   std::printf("== batched labelsOf served by the kernel (steady state) "
               "==\n");
-  TablePrinter T4({"program", "queries", "bfs-batch(ms)", "1 lane(ms)",
-                   "2 lanes(ms)", "4 lanes(ms)", "vs-bfs", "2x", "4x"});
+  TablePrinter T4(
+      {"program", "queries", "bfs-batch(ms)", "kernel-batch(ms)", "vs-bfs"});
   for (const Workload &W : workloads()) {
     auto M = mustParse(W.Source);
     GraphRun G = runGraph(*M);
@@ -296,43 +240,31 @@ void printKernelTables() {
       Queries.push_back(ExprId(I));
 
     constexpr int Reps = 9;
-    QueryEngine BfsEngine(F, 1);
+    QueryEngine BfsEngine(F);
     BfsEngine.setKernelThreshold(0);
     double BfsMs = bestMillis(Reps, [&] {
       benchmark::DoNotOptimize(BfsEngine.labelsOfBatch(Queries).size());
     });
 
-    double Ms[3];
-    unsigned LaneCounts[3] = {1, 2, 4};
-    for (int I = 0; I != 3; ++I) {
-      QueryEngine Engine(F, LaneCounts[I]);
-      Engine.setKernelThreshold(1);
-      // First call pays the closure; the steady state below is what a
-      // query-serving process sees on every later batch.
+    QueryEngine Engine(F);
+    Engine.setKernelThreshold(1);
+    // First call pays the closure; the steady state below is what a
+    // query-serving process sees on every later batch.
+    benchmark::DoNotOptimize(Engine.labelsOfBatch(Queries).size());
+    double Ms = bestMillis(Reps, [&] {
       benchmark::DoNotOptimize(Engine.labelsOfBatch(Queries).size());
-      Ms[I] = bestMillis(Reps, [&] {
-        benchmark::DoNotOptimize(Engine.labelsOfBatch(Queries).size());
-      });
-    }
-    double VsBfs = Ms[0] > 0 ? BfsMs / Ms[0] : 0;
+    });
+    double VsBfs = Ms > 0 ? BfsMs / Ms : 0;
 
     T4.addRow({W.Name, std::to_string(Queries.size()),
-               TablePrinter::num(BfsMs), TablePrinter::num(Ms[0]),
-               TablePrinter::num(Ms[1]), TablePrinter::num(Ms[2]),
-               TablePrinter::num(VsBfs, 2),
-               TablePrinter::num(Ms[1] > 0 ? Ms[0] / Ms[1] : 0, 2),
-               TablePrinter::num(Ms[2] > 0 ? Ms[0] / Ms[2] : 0, 2)});
+               TablePrinter::num(BfsMs), TablePrinter::num(Ms),
+               TablePrinter::num(VsBfs, 2)});
     addInterning(Report.record("kernel_batched")
                      .add("program", std::string(W.Name))
                      .add("queries", uint64_t(Queries.size()))
-                     .add("hardware_threads", HwThreads)
                      .add("bfs_batch_ms", BfsMs)
-                     .add("lanes1_ms", Ms[0])
-                     .add("lanes2_ms", Ms[1])
-                     .add("lanes4_ms", Ms[2])
-                     .add("speedup_vs_bfs", VsBfs)
-                     .add("scaling2", Ms[1] > 0 ? Ms[0] / Ms[1] : 0)
-                     .add("scaling4", Ms[2] > 0 ? Ms[0] / Ms[2] : 0),
+                     .add("batch_ms", Ms)
+                     .add("speedup_vs_bfs", VsBfs),
                  F);
   }
   std::printf("%s\n", T4.render().c_str());
@@ -403,7 +335,7 @@ int kernelSmoke() {
       return 1;
     }
 
-  QueryEngine Engine(F, 2);
+  QueryEngine Engine(F);
   Engine.setKernelThreshold(1);
   std::vector<ExprId> Queries;
   for (uint32_t I = 0; I != M->numExprs(); ++I)
@@ -424,18 +356,14 @@ void BM_LabelsOfBatch(benchmark::State &State) {
   auto M = mustParse(makeCubicFamily(200));
   GraphRun G = runGraph(*M);
   FrozenGraph F(*G.Graph);
-  QueryEngine Engine(F, static_cast<unsigned>(State.range(0)));
+  QueryEngine Engine(F);
   std::vector<ExprId> Queries;
   for (uint32_t I = 0; I != M->numExprs(); ++I)
     Queries.push_back(ExprId(I));
   for (auto _ : State)
     benchmark::DoNotOptimize(Engine.labelsOfBatch(Queries).size());
 }
-BENCHMARK(BM_LabelsOfBatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LabelsOfBatch)->Unit(benchmark::kMillisecond);
 
 void BM_KernelAllLabels(benchmark::State &State) {
   auto M = mustParse(makeCubicFamily(200));
@@ -460,7 +388,6 @@ int main(int argc, char **argv) {
   for (int I = 1; I != argc; ++I)
     if (std::string_view(argv[I]) == "--kernel-smoke")
       return kernelSmoke();
-  printPaperTables();
   printKernelTables();
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv))

@@ -173,7 +173,7 @@ void runOnce(const std::string &Source, Row &R, bool Smoke) {
     return;
 
   T.reset();
-  QueryEngine QE(*F, 1);
+  QueryEngine QE(*F);
   QE.setKernelThreshold(1);
   BatchOutcome Outcome;
   InternedLabelSets Sets = QE.allLabelSets({}, Outcome);

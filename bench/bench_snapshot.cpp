@@ -62,7 +62,7 @@ uint64_t coldPipeline(const std::string &Source) {
   auto M = mustParse(Source);
   GraphRun G = runGraph(*M);
   FrozenGraph F(*G.Graph);
-  QueryEngine Engine(F, 1);
+  QueryEngine Engine(F);
   return Engine.labelsOf(M->root()).count();
 }
 
@@ -111,7 +111,7 @@ void printPaperTables() {
       std::unique_ptr<LoadedSnapshot> Snap = LoadedSnapshot::load(Path, S);
       if (!Snap)
         std::abort();
-      QueryEngine Engine(Snap->frozen(), 1);
+      QueryEngine Engine(Snap->frozen());
       if (auto K = Snap->adoptKernel())
         Engine.adoptKernel(std::move(K));
       benchmark::DoNotOptimize(
@@ -167,8 +167,8 @@ int snapshotSmoke() {
                  S.toString().c_str());
     return 1;
   }
-  QueryEngine Mem(F, 1);
-  QueryEngine Disk(Snap->frozen(), 1);
+  QueryEngine Mem(F);
+  QueryEngine Disk(Snap->frozen());
   if (auto K = Snap->adoptKernel())
     Disk.adoptKernel(std::move(K));
   std::vector<ExprId> Es;
@@ -198,7 +198,7 @@ void BM_SnapshotLoad(benchmark::State &State) {
   for (auto _ : State) {
     Status S = Status::ok();
     std::unique_ptr<LoadedSnapshot> Snap = LoadedSnapshot::load(Path, S);
-    QueryEngine Engine(Snap->frozen(), 1);
+    QueryEngine Engine(Snap->frozen());
     benchmark::DoNotOptimize(Engine.labelsOf(Snap->rootExpr()).count());
   }
   std::remove(Path.c_str());

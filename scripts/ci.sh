@@ -14,11 +14,11 @@
 #                  with LeakSanitizer on, which proves the epoch the
 #                  one-shot driver keeps at exit (instead of freeing it)
 #                  raises no leak report
-#   4. tsan      - ThreadSanitizer, unit label (the parallel query
-#                  paths are what TSan is here for; the fuzz sweep under
-#                  TSan is slow and adds no thread coverage), then the
-#                  EpochConcurrency suite and the parallel lint run
-#                  (LintGoverned.ParallelRunMatchesSerial) ten more times
+#   4. tsan      - ThreadSanitizer, unit label (concurrent point queries
+#                  on one epoch and the daemon's worker pool are what
+#                  TSan is here for; the fuzz sweep under TSan is slow
+#                  and adds no thread coverage), then the
+#                  EpochConcurrency suite ten more times
 #
 # The benchmark (perfbench/, its own CMake project over src/) is built
 # but not run, so a src/ API change that breaks it fails here first.
@@ -130,13 +130,11 @@ if [[ "${FAST}" == 0 ]]; then
   ASAN_OPTIONS=detect_leaks=1 ./build-asan/src/driver/stcfa \
     --corpus=cubic:32 --query=all-labels >/dev/null
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
-  # The lock-free point-query suite hammers one epoch from five threads,
-  # and the parallel lint run shares the `call_once`-built called-once
-  # and effects tables across four pass threads; a race in either can
-  # hide in one interleaving, so rerun both until they fail, ten times
-  # over.
+  # The lock-free point-query suite hammers one epoch from five threads;
+  # a race can hide in one interleaving, so rerun it until it fails, ten
+  # times over.
   (cd build-tsan && ctest --output-on-failure --repeat until-fail:10 \
-    -R 'EpochConcurrency|LintGoverned\.ParallelRunMatchesSerial')
+    -R 'EpochConcurrency')
 fi
 
 echo "=== ci.sh: all presets green ==="

@@ -58,8 +58,9 @@ expect 2 --corpus=life --close-budget=$BIG
 expect 2 --corpus=life --close-budget=0
 expect 2 --corpus=life --kernel-threshold=$BIG
 expect 2 --corpus=life --kernel-threshold=-1
-expect 2 --corpus=life --threads=abc
-expect 2 --corpus=life --threads=$BIG
+expect 2 --serve --threads=abc
+expect 2 --serve --threads=$BIG
+expect 2 --serve --threads=257
 expect 2 --serve --serve-max-cost=0
 expect 2 --serve --serve-max-request-mb=17592186044416
 expect 2 --corpus=life --snapshot-cache-max-mb=17592186044416
@@ -77,6 +78,7 @@ expect 2 --corpus=life --policy=bogus
 expect 2 --corpus=life --query=bogus
 
 # Flag conflicts.
+expect 2 --corpus=life --threads=2
 expect 2 --load-snapshot=/nonexistent.snap --close-budget=10
 expect 2 --snapshot-cache --analysis=hybrid --degrade=standard
 expect 2 --snapshot-cache --lint "$INPUT"

@@ -97,10 +97,8 @@ std::string DegradationReport::toJson() const {
   return Out;
 }
 
-HybridCFA::HybridCFA(const Module &M, uint32_t BudgetFactor, unsigned Threads)
-    : M(M) {
+HybridCFA::HybridCFA(const Module &M, uint32_t BudgetFactor) : M(M) {
   Opts.BudgetFactor = BudgetFactor;
-  Opts.Threads = Threads;
 }
 
 HybridCFA::HybridCFA(const Module &M, const HybridOptions &Opts)
@@ -163,7 +161,7 @@ Status HybridCFA::solve() {
       Frozen = FrozenGraph::freeze(*Graph, FreezeStatus, Opts.D);
     Report.Attempts.push_back({"freeze", FreezeStatus, FreezeTimer.millis()});
     if (FreezeStatus.isOk()) {
-      Queries = std::make_unique<QueryEngine>(*Frozen, Opts.Threads);
+      Queries = std::make_unique<QueryEngine>(*Frozen);
       Queries->setKernelThreshold(Opts.KernelThreshold);
       Used = Engine::Subtransitive;
       return finish(Status::ok());

@@ -57,7 +57,8 @@ enum class DegradeMode : uint8_t {
 struct HybridOptions {
   /// Bounds the subtransitive attempt at `BudgetFactor * numExprs` nodes.
   uint32_t BudgetFactor = 8;
-  /// Worker lanes for the query engine (batched queries shard across it).
+  /// Ignored: queries run on the calling thread.  Benchmark-only: kept
+  /// for `perfbench/ServeEdit.cpp` and `perfbench/ServeQuery.cpp`.
   unsigned Threads = 1;
   /// Wall-clock deadline over the whole ladder (infinite by default).
   Deadline D;
@@ -93,8 +94,7 @@ class HybridCFA {
 public:
   /// Ungoverned construction: infinite deadline, `Standard` degradation —
   /// exactly the paper's hybrid.
-  explicit HybridCFA(const Module &M, uint32_t BudgetFactor = 8,
-                     unsigned Threads = 1);
+  explicit HybridCFA(const Module &M, uint32_t BudgetFactor = 8);
 
   HybridCFA(const Module &M, const HybridOptions &Opts);
 

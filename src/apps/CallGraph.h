@@ -36,7 +36,7 @@ namespace stcfa {
 /// Monovariant call graph over abstraction labels.
 class CallGraph {
 public:
-  /// Callee sets come from one (optionally parallel) `labelsOfBatch` on
+  /// Callee sets come from one `labelsOfBatch` on
   /// \p Engine over all call-site operators of \p M, the module the
   /// engine's frozen graph was built from.
   CallGraph(const Module &M, QueryEngine &Engine);

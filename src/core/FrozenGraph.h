@@ -44,8 +44,8 @@
 ///
 /// Thread safety: after construction every accessor is `const` and
 /// lock-free; the cached condensation is materialised under
-/// `std::call_once`, so concurrent readers are safe (`QueryEngine` shards
-/// batched queries over one shared snapshot).
+/// `std::call_once`, so concurrent readers are safe (the daemon's workers
+/// query one shared snapshot).
 ///
 //===----------------------------------------------------------------------===//
 

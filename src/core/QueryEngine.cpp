@@ -1,4 +1,4 @@
-//===-- core/QueryEngine.cpp - Parallel batched CFA queries ---------------===//
+//===-- core/QueryEngine.cpp - Batched CFA queries ------------------------===//
 //
 // Part of the stcfa project (PLDI'97 subtransitive CFA reproduction).
 //
@@ -12,7 +12,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 
 using namespace stcfa;
@@ -35,11 +34,7 @@ QueryEngine::Scratch &QueryEngine::threadScratch(uint32_t NumNodes) {
   return S;
 }
 
-QueryEngine::QueryEngine(const FrozenGraph &F, unsigned Threads)
-    : F(F), NumThreads(Threads ? Threads : 1) {
-  if (NumThreads > 1)
-    Pool = std::make_unique<ThreadPool>(NumThreads);
-}
+QueryEngine::QueryEngine(const FrozenGraph &F) : F(F) {}
 
 QueryEngine::~QueryEngine() = default;
 
@@ -68,24 +63,6 @@ bool QueryEngine::dispatchKernel(size_t BatchSize, const Deadline &D,
   Fallbacks.inc();
   traceInstant("query.kernel-fallback", "cause", statusCodeName(S.code()));
   return false;
-}
-
-/// Forward/reverse duality: an occurrence `E` is in `occurrencesOf(L)`
-/// (reverse reachability from `L`'s roots) iff `L` is in `labelsOf(E)`
-/// (forward closure).  The nodes carrying label `L` are exactly `L`'s
-/// two reverse roots — congruence summaries only merge datatype-typed
-/// nodes, never a lambda's occurrence node or a label carrier — so the
-/// kernel's forward rows answer the reverse query with one bit test per
-/// occurrence.  (The equivalence suite pins this against the reverse
-/// BFS over the whole corpus.)
-void QueryEngine::occurrencesFromKernel(const LabelSetKernel &K, LabelId L,
-                                        std::vector<ExprId> &Out) const {
-  const uint32_t Label = L.index();
-  for (uint32_t I = 0, E = F.numExprs(); I != E; ++I) {
-    uint32_t N = F.nodeOfExpr(ExprId(I));
-    if (N != FrozenGraph::None && K.hasLabel(N, Label))
-      Out.push_back(ExprId(I));
-  }
 }
 
 /// The one stamped DFS behind every BFS answer: visits each node
@@ -253,69 +230,30 @@ std::vector<ExprId> QueryEngine::occurrencesOf(LabelId L) const {
 // Batched queries
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Splits \p N items into one contiguous shard per lane.
-struct Shard {
-  size_t Begin, End;
-};
-
-inline Shard shardOf(size_t N, size_t NumShards, size_t Index) {
-  size_t Chunk = (N + NumShards - 1) / NumShards;
-  size_t Begin = std::min(N, Index * Chunk);
-  return {Begin, std::min(N, Begin + Chunk)};
-}
-
-} // namespace
-
 template <typename ItemFn>
 void QueryEngine::runGoverned(size_t N, const BatchControl &C,
                               BatchOutcome &Out, ItemFn Item) {
   Out.S = Status::ok();
-  Out.Completed = 0;
   Out.Done.assign(N, 0);
-
-  // One flag stops every lane; the CAS winner owns the status slot, so
-  // the first failure is the one reported and no lock is needed.
-  std::atomic<bool> Stop{false};
-  std::atomic<uint64_t> Completed{0};
   // Controls that can never fire (an ungoverned batch) skip the polls.
   const bool Polled =
       !C.D.isInfinite() || C.Token.armed() || anyFaultArmed();
-  auto fail = [&](Status S) {
-    bool Expected = false;
-    if (Stop.compare_exchange_strong(Expected, true))
-      Out.S = std::move(S);
-  };
-  auto RunShard = [&](unsigned Lane, size_t Index) {
-    Shard Sh = shardOf(N, NumThreads, Index);
-    Span LaneSpan("query.lane");
-    LaneSpan.arg("lane", Lane);
-    LaneSpan.arg("items", Sh.End - Sh.Begin);
-    size_t I = Sh.Begin;
-    for (; I != Sh.End; ++I) {
-      if (Polled) {
-        if (Stop.load(std::memory_order_relaxed))
-          break;
-        if (C.Token.cancelled() || faultFires(fault::QueryBatchCancel)) {
-          fail(Status::cancelled("batched query cancelled"));
-          break;
-        }
-        if (C.D.expired() || faultFires(fault::QueryBatchDeadline)) {
-          fail(Status::deadlineExceeded("batched query exceeded its deadline"));
-          break;
-        }
+  size_t I = 0;
+  for (; I != N; ++I) {
+    if (Polled) {
+      if (C.Token.cancelled() || faultFires(fault::QueryBatchCancel)) {
+        Out.S = Status::cancelled("batched query cancelled");
+        break;
       }
-      Item(I);
-      Out.Done[I] = 1;
+      if (C.D.expired() || faultFires(fault::QueryBatchDeadline)) {
+        Out.S = Status::deadlineExceeded("batched query exceeded its deadline");
+        break;
+      }
     }
-    Completed.fetch_add(I - Sh.Begin, std::memory_order_relaxed);
-  };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
-  Out.Completed = Completed.load();
+    Item(I);
+    Out.Done[I] = 1;
+  }
+  Out.Completed = I;
   static Counter &Items = counter("query.batch.items_completed");
   static Counter &Aborts = counter("query.batch.aborts");
   Items.add(Out.Completed);
@@ -336,7 +274,6 @@ QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es,
   };
   Span BatchSpan("query.batch.labels");
   BatchSpan.arg("items", Es.size());
-  BatchSpan.arg("lanes", NumThreads);
   // Kernel path: run the closure under the batch's own controls, then
   // read each answer's pooled row through `runGoverned`, so per-item
   // governor semantics (poll-between-items, prefix Done flags, the
@@ -368,7 +305,6 @@ InternedLabelSets QueryEngine::allLabelSets(const BatchControl &C,
   const uint32_t N = F.numExprs();
   Span BatchSpan("query.batch.labels");
   BatchSpan.arg("items", N);
-  BatchSpan.arg("lanes", NumThreads);
   // Same governor semantics as `labelsOfBatch`; the kernel path reads one
   // row id per occurrence and builds no set.
   if (dispatchKernel(N, C.D, C.Token)) {
@@ -385,64 +321,11 @@ InternedLabelSets QueryEngine::allLabelSets(const BatchControl &C,
   static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
   BfsDispatch.inc();
   InternedLabelSets Out(F.numLabels(), N);
-  std::mutex PoolMu; // the lanes share one pool
   runGoverned(N, C, Outcome, [&](size_t I) {
     uint32_t Start = F.nodeOfExpr(ExprId(static_cast<uint32_t>(I)));
-    if (Start == FrozenGraph::None)
-      return; // row 0, the empty set
-    DenseBitset Set = labelsFromNode(Start);
-    std::lock_guard<std::mutex> Lock(PoolMu);
-    Out.set(static_cast<uint32_t>(I), Set);
+    if (Start != FrozenGraph::None) // else row 0, the empty set
+      Out.set(static_cast<uint32_t>(I), labelsFromNode(Start));
   });
   Out.Done = Outcome.Done;
-  return Out;
-}
-
-std::vector<char>
-QueryEngine::isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs,
-                            const BatchControl &C, BatchOutcome &Outcome) {
-  std::vector<char> Out(Qs.size(), 0);
-  Span BatchSpan("query.batch.members");
-  BatchSpan.arg("items", Qs.size());
-  BatchSpan.arg("lanes", NumThreads);
-  // Membership batches never *build* the closure (a single bit each is
-  // too cheap to justify it), but once an earlier batch completed the
-  // kernel, every membership test is one O(1) bit probe.
-  const LabelSetKernel *K = publishedKernel();
-  BatchSpan.arg("dispatch", K ? "kernel" : "bfs");
-  runGoverned(Qs.size(), C, Outcome, [&](size_t I) {
-    uint32_t Start = F.nodeOfExpr(Qs[I].first);
-    Out[I] = Start != FrozenGraph::None &&
-             (K ? K->hasLabel(Start, Qs[I].second.index())
-                : labelReachableFrom(Start, Qs[I].second.index()));
-  });
-  return Out;
-}
-
-std::vector<std::vector<ExprId>>
-QueryEngine::occurrencesOfBatch(const std::vector<LabelId> &Ls,
-                                const BatchControl &C, BatchOutcome &Outcome) {
-  std::vector<std::vector<ExprId>> Out(Ls.size());
-  Span BatchSpan("query.batch.occurrences");
-  BatchSpan.arg("items", Ls.size());
-  BatchSpan.arg("lanes", NumThreads);
-  // Kernel path (find_callers batches): one forward closure, then one
-  // bit probe per (label, occurrence) pair via the forward/reverse
-  // duality — instead of one reverse BFS per label.
-  if (dispatchKernel(Ls.size(), C.D, C.Token)) {
-    BatchSpan.arg("dispatch", "kernel");
-    const LabelSetKernel &K = *Kern;
-    runGoverned(Ls.size(), C, Outcome, [&](size_t I) {
-      occurrencesFromKernel(K, Ls[I], Out[I]);
-    });
-    return Out;
-  }
-  BatchSpan.arg("dispatch", "bfs");
-  static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
-  BfsDispatch.inc();
-  const bool Indexed = noteReverseQueries(Ls.size());
-  runGoverned(Ls.size(), C, Outcome, [&](size_t I) {
-    markOccurrences(Ls[I], Indexed, Out[I]);
-  });
   return Out;
 }

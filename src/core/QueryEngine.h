@@ -1,4 +1,4 @@
-//===-- core/QueryEngine.h - Parallel batched CFA queries -------*- C++ -*-===//
+//===-- core/QueryEngine.h - Batched CFA queries ----------------*- C++ -*-===//
 //
 // Part of the stcfa project (PLDI'97 subtransitive CFA reproduction).
 //
@@ -7,17 +7,18 @@
 /// \file
 /// The serving-path query engine: answers the Section 2 query problems
 /// over a `FrozenGraph` CSR snapshot, bit-for-bit equal to reachability
-/// over the mutable graph but without pointer chasing, and with batched
-/// entry points sharded across a fixed `ThreadPool`.  "All label sets"
+/// over the mutable graph but without pointer chasing.  "All label sets"
 /// is `labelsOfBatch` over every occurrence, which the label-set kernel
 /// answers above the dispatch threshold.
 ///
-/// Concurrency model: the CSR snapshot is read-only, and every walk runs
+/// Concurrency model: every query, batch or point, runs on the thread
+/// that asks for it.  The CSR snapshot is read-only, and every walk runs
 /// on the calling thread's own `thread_local` scratch.  Point queries are
-/// `const` and safe from any number of threads at once; the lazily built
-/// state they read (the complete kernel, the occurrence index) is
-/// published once.  Batches may run the kernel, so callers serialize
-/// batches against each other, never against point queries.
+/// `const` and safe from any number of threads at once (the daemon's
+/// workers); the lazily built state they read (the complete kernel, the
+/// occurrence index) is published once.  Batches may run the kernel, so
+/// callers serialize batches against each other, never against point
+/// queries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,13 +31,11 @@
 #include "support/DenseBitset.h"
 #include "support/Metrics.h"
 #include "support/Status.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 namespace stcfa {
@@ -61,16 +60,18 @@ struct BatchOutcome {
   std::vector<char> Done;
 };
 
-/// Parallel batched reachability queries over a frozen graph.
+/// Point and batched reachability queries over a frozen graph.
 class QueryEngine {
 public:
-  /// \p Threads is the worker-lane count (1 = fully sequential, no
-  /// threads spawned).
-  explicit QueryEngine(const FrozenGraph &F, unsigned Threads = 1);
+  explicit QueryEngine(const FrozenGraph &F);
+
+  /// Same as `QueryEngine(F)`; the lane count is ignored.  Benchmark-only:
+  /// kept for `perfbench/ServeQuery.cpp`'s point-query probe.
+  QueryEngine(const FrozenGraph &F, unsigned) : QueryEngine(F) {}
+
   ~QueryEngine();
 
   const FrozenGraph &frozen() const { return F; }
-  unsigned threads() const { return NumThreads; }
 
   //===--- kernel dispatch -------------------------------------------------//
   //
@@ -78,9 +79,8 @@ public:
   // word-parallel `LabelSetKernel`: one sequential sweep over the
   // condensation DAG is amortised across the whole batch instead of B
   // independent BFS walks.  The kernel is built lazily on first eligible
-  // batch and cached; it never uses this engine's thread pool (the lanes
-  // serve BFS batches and row lookups).  An aborted kernel run (injected
-  // fault, deadline) falls back to the BFS path transparently.
+  // batch and cached.  An aborted kernel run (injected fault, deadline)
+  // falls back to the BFS path transparently.
 
   /// Default batch size above which batches use the kernel.
   static constexpr size_t DefaultKernelThreshold = 16;
@@ -126,46 +126,24 @@ public:
   /// All expression occurrences whose label set contains \p L.
   std::vector<ExprId> occurrencesOf(LabelId L) const;
 
-  //===--- batched queries (sharded across the pool) ----------------------//
+  //===--- batched queries (calling thread) --------------------------------//
   //
-  // Each runs its governed overload below under controls that never fire.
+  // A governed batch polls the deadline and cancellation token *between*
+  // items — individual DFS traversals stay check-free, so overrun is
+  // bounded by one query.  A stopped batch returns partial results with
+  // \p Out explaining why.
 
-  /// `labelsOf` for every query in \p Es, in order.
+  /// `labelsOf` for every query in \p Es, in order, under controls that
+  /// never fire.
   std::vector<DenseBitset> labelsOfBatch(const std::vector<ExprId> &Es) {
     BatchOutcome Out;
     return labelsOfBatch(Es, {}, Out);
   }
 
-  /// `isLabelIn` for every (occurrence, label) pair, in order.
-  std::vector<char>
-  isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs) {
-    BatchOutcome Out;
-    return isLabelInBatch(Qs, {}, Out);
-  }
-
-  /// `occurrencesOf` for every label in \p Ls, in order.
-  std::vector<std::vector<ExprId>>
-  occurrencesOfBatch(const std::vector<LabelId> &Ls) {
-    BatchOutcome Out;
-    return occurrencesOfBatch(Ls, {}, Out);
-  }
-
-  //===--- governed batched queries ----------------------------------------//
-  //
-  // Same sharding as above, but every lane polls the deadline and
-  // cancellation token *between* items — individual DFS traversals stay
-  // check-free, so overrun is bounded by one query per lane.  A stopped
-  // batch returns partial results with \p Out explaining why.
-
   /// Governed `labelsOfBatch`: unanswered slots are empty sets.
   std::vector<DenseBitset> labelsOfBatch(const std::vector<ExprId> &Es,
                                          const BatchControl &C,
                                          BatchOutcome &Out);
-
-  /// Governed `isLabelInBatch`: unanswered slots are 0.
-  std::vector<char>
-  isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs,
-                 const BatchControl &C, BatchOutcome &Out);
 
   /// "All label sets": every occurrence's set, interned.  Above the
   /// kernel threshold this is the complete kernel's own pool and one row
@@ -173,11 +151,6 @@ public:
   /// set is interned into a fresh pool.  Unanswered occurrences read row
   /// 0 and have `Done` clear.
   InternedLabelSets allLabelSets(const BatchControl &C, BatchOutcome &Out);
-
-  /// Governed `occurrencesOfBatch`: unanswered slots are empty lists.
-  std::vector<std::vector<ExprId>>
-  occurrencesOfBatch(const std::vector<LabelId> &Ls, const BatchControl &C,
-                     BatchOutcome &Out);
 
   /// Nodes touched by this engine's walks so far, over every thread.
   uint64_t nodesVisited() const { return Visited.value(); }
@@ -200,10 +173,8 @@ private:
   /// takes the per-query BFS path.
   bool dispatchKernel(size_t BatchSize, const Deadline &D = Deadline(),
                       const CancellationToken &Token = CancellationToken());
-  void occurrencesFromKernel(const LabelSetKernel &K, LabelId L,
-                             std::vector<ExprId> &Out) const;
-  /// Shards \p N items across the lanes, invoking `Item(I)` per item
-  /// with a governor poll before each one.
+  /// Invokes `Item(I)` for each of \p N items in order, with a governor
+  /// poll before each one.
   template <typename ItemFn>
   void runGoverned(size_t N, const BatchControl &C, BatchOutcome &Out,
                    ItemFn Item);
@@ -225,8 +196,6 @@ private:
                        std::vector<ExprId> &Out) const;
 
   const FrozenGraph &F;
-  unsigned NumThreads;
-  std::unique_ptr<ThreadPool> Pool; // null when NumThreads == 1
   size_t KernelThreshold = DefaultKernelThreshold;
   std::unique_ptr<LabelSetKernel> Kern; // built on first eligible batch
   /// `Kern` once complete: what point queries read.

@@ -162,7 +162,7 @@ public:
     /// cycles branch exponentially below the depth widening) aborts
     /// into the fallback ladder instead of running unbounded.
     SubtransitiveConfig Config;
-    /// Worker lanes for the published views' query engines.
+    /// Ignored.  Benchmark-only: kept for `perfbench/ServeEdit.cpp`.
     unsigned Threads = 1;
     /// Governed re-close budget per edit; 0 = no deadline.
     uint64_t CloseDeadlineMillis = 0;

@@ -62,6 +62,10 @@ using namespace stcfa;
 
 namespace {
 
+/// Largest `--threads` value: the daemon spawns one worker per thread up
+/// front, so the flag must not be able to ask for thousands.
+constexpr unsigned MaxServeThreads = 256;
+
 struct Options {
   std::string InputFile;
   std::string Corpus;
@@ -71,7 +75,9 @@ struct Options {
   uint32_t KLimit = 0;
   std::string Congruence = "bytype";
   std::string Policy = "paper";
+  /// `--threads=<n>`: the `--serve` worker count (rejected without it).
   unsigned Threads = 1;
+  bool ThreadsGiven = false;
   /// Batch size above which batched queries dispatch to the label-set
   /// kernel; -1 = flag not given (engine default), 0 = kernel disabled.
   int64_t KernelThreshold = -1;
@@ -177,7 +183,6 @@ int usage(const char *Argv0) {
       "                         dot | json\n"
       "  --congruence=<c>       none | bytype (default) | bybase\n"
       "  --policy=<p>           paper (default) | nodeexists | undemanded\n"
-      "  --threads=<n>          query-engine worker lanes\n"
       "  --kernel-threshold=<n> batch size above which batched queries use\n"
       "                         the word-parallel label-set kernel\n"
       "                         (0 disables the kernel; default 16)\n"
@@ -210,6 +215,9 @@ int usage(const char *Argv0) {
       "                         (default 4194304)\n"
       "  --serve-max-request-mb=<n>\n"
       "                         longest accepted request line (default 32)\n"
+      "  --threads=<n>          --serve worker threads (at most 256;\n"
+      "                         default 1); every query and lint run\n"
+      "                         stays on the thread that asks for it\n"
       "  --trace-json=<file>    write stage spans as a Chrome-tracing /\n"
       "                         Perfetto JSON array (docs/OBSERVABILITY.md)\n"
       "  --metrics-json=<file>  write the process metrics snapshot\n"
@@ -444,7 +452,7 @@ int runLint(const Options &Opts, serve::Epoch &E, Deadline D,
             const char *Over) {
   Timer LintTimer;
   LintResult LR;
-  if (Status S = E.lint(Opts.LintPasses, D, Opts.Threads, LR); !S.isOk()) {
+  if (Status S = E.lint(Opts.LintPasses, D, LR); !S.isOk()) {
     std::fprintf(stderr, "error: %s\n", S.toString().c_str());
     return 1;
   }
@@ -682,7 +690,6 @@ int runLivePipeline(const Options &Opts, const std::string &Source,
   } else if (Opts.Analysis == "hybrid") {
     HybridOptions HO;
     HO.BudgetFactor = 8;
-    HO.Threads = Opts.Threads;
     HO.D = D;
     HO.Degrade = degradeModeNamed(Opts.Degrade);
     HO.KernelThreshold = kernelThreshold(Opts);
@@ -730,7 +737,7 @@ int runLivePipeline(const Options &Opts, const std::string &Source,
   else if (Graph)
     E = std::make_unique<serve::Epoch>(1, std::move(M),
                                        std::make_unique<FrozenGraph>(*Graph),
-                                       Opts.Threads, kernelThreshold(Opts));
+                                       kernelThreshold(Opts));
   else if (Std)
     E = std::make_unique<serve::Epoch>(
         1, std::move(M), "standard",
@@ -784,10 +791,9 @@ int runLivePipeline(const Options &Opts, const std::string &Source,
                   (unsigned long long)S.Widenings);
     }
     if (Frozen)
-      std::printf("frozen: %u nodes / %llu edges compacted in %.3f ms, "
-                  "%u query lane(s)\n",
+      std::printf("frozen: %u nodes / %llu edges compacted in %.3f ms\n",
                   Frozen->numNodes(), (unsigned long long)Frozen->numEdges(),
-                  Frozen->freezeMillis(), Opts.Threads);
+                  Frozen->freezeMillis());
     if (Std)
       std::printf("standard: %llu propagations, %llu insertions, %llu "
                   "edges\n",
@@ -929,8 +935,9 @@ int main(int Argc, char **Argv) {
                                  UINT64_MAX >> 20))
         return 2;
     } else if (startsWith(A, "--threads=")) {
-      if (!numericFlag(A, Opts.Threads))
+      if (!numericFlag(A, Opts.Threads, 0u, MaxServeThreads))
         return 2;
+      Opts.ThreadsGiven = true;
       if (Opts.Threads == 0)
         Opts.Threads = 1;
     } else if (startsWith(A, "--kernel-threshold=")) {
@@ -1011,6 +1018,12 @@ int main(int Argc, char **Argv) {
                  "error: --degrade only applies to --analysis=hybrid or "
                  "--serve (got --analysis=%s)\n",
                  Opts.Analysis.c_str());
+    return 2;
+  }
+  if (Opts.ThreadsGiven && !Opts.Serve) {
+    std::fprintf(stderr, "error: --threads sizes the --serve worker pool; "
+                         "without --serve every query and lint run on the "
+                         "calling thread\n");
     return 2;
   }
   if (Opts.Serve) {
@@ -1353,7 +1366,7 @@ int main(int Argc, char **Argv) {
     }
     Tables = Snap.get();
     E = std::make_unique<serve::Epoch>(1, std::move(Snap),
-                                       std::move(VerifiedSource), Opts.Threads,
+                                       std::move(VerifiedSource),
                                        kernelThreshold(Opts));
   } else {
     bool Ok = true;
@@ -1372,7 +1385,7 @@ int main(int Argc, char **Argv) {
           std::printf("snapshot cache: hit %s\n", CacheSlot.Path.c_str());
         Tables = Snap.get();
         E = std::make_unique<serve::Epoch>(1, std::move(Snap),
-                                           std::move(Source), Opts.Threads,
+                                           std::move(Source),
                                            kernelThreshold(Opts));
       } else if (Opts.Stats) {
         std::printf("snapshot cache: miss (%s)\n", CacheSlot.Path.c_str());
@@ -1394,10 +1407,10 @@ int main(int Argc, char **Argv) {
   if (Opts.sliceMode())
     return runSliceModes(Opts, *E, D, ExitCode);
   if (Tables && Opts.Stats)
-    std::printf("snapshot: %u nodes / %llu edges served zero-copy, %u "
-                "query lane(s), kernel rows %s\n",
+    std::printf("snapshot: %u nodes / %llu edges served zero-copy, kernel "
+                "rows %s\n",
                 E->frozen()->numNodes(),
-                (unsigned long long)E->frozen()->numEdges(), Opts.Threads,
+                (unsigned long long)E->frozen()->numEdges(),
                 Tables->hasKernelRows() ? "adopted" : "absent");
 
   // The query tail writes through one writer and one name table; the
@@ -1431,7 +1444,7 @@ int main(int Argc, char **Argv) {
       Out.write("called once: ", N.label(L), " at ",
                 N.expr(CO.uniqueCallSite(L)), '\n');
   } else if (Opts.Query == "callgraph") {
-    QueryEngine QE(*Frozen, Opts.Threads);
+    QueryEngine QE(*Frozen);
     QE.setKernelThreshold(kernelThreshold(Opts));
     CallGraph CG(E->module(), QE);
     CG.run();
@@ -1461,7 +1474,7 @@ int main(int Argc, char **Argv) {
     // function the (over-approximating) subtransitive flow never calls must
     // also be dead under the liveness-gated analysis.
     if (Frozen) {
-      QueryEngine QE(*Frozen, Opts.Threads);
+      QueryEngine QE(*Frozen);
       QE.setKernelThreshold(kernelThreshold(Opts));
       CallGraph CG(E->module(), QE);
       CG.run();

@@ -7,7 +7,6 @@
 #include "lint/LintEngine.h"
 
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
@@ -28,8 +27,7 @@ LintResult LintEngine::run(const LintOptions &Opts) {
       histogram("lint.pass_millis", latencyBucketsMillis());
   Runs.inc();
 
-  // Selection in registry order keeps report order deterministic however
-  // the pool interleaves execution.
+  // Selection in registry order keeps report order deterministic.
   std::vector<const LintPassInfo *> Selected;
   for (const LintPassInfo &P : passes()) {
     if (Opts.Passes.empty()) {
@@ -49,11 +47,7 @@ LintResult LintEngine::run(const LintOptions &Opts) {
     return Result;
 
   LintContext Ctx(M, F, Opts.D, Opts.Token);
-  unsigned Width = Opts.Threads ? Opts.Threads : 1;
-  if (Width > Selected.size())
-    Width = static_cast<unsigned>(Selected.size());
-  ThreadPool Pool(Width);
-  Pool.parallelFor(Selected.size(), [&](unsigned, size_t I) {
+  for (size_t I = 0; I != Selected.size(); ++I) {
     const LintPassInfo *Info = Selected[I];
     Span PassSpan(Info->SpanName);
     Timer T;
@@ -72,7 +66,7 @@ LintResult LintEngine::run(const LintOptions &Opts) {
     if (R.Partial)
       PartialPasses.inc();
     PassMillis.observe(static_cast<uint64_t>(R.Millis));
-  });
+  }
 
   for (const LintPassReport &R : Result.Reports)
     for (const LintDiagnostic &Diag : R.Findings)

@@ -25,10 +25,10 @@
 ///   escaping-function    note     closure flowing into the program result
 ///                                 or a mutable reference cell
 ///
-/// The engine fans passes out on a `ThreadPool` (each pass writes its own
-/// report slot), shares the expensive wrapped analyses between passes
-/// through a `LintContext` (built once under `std::call_once`), and runs
-/// under the resource governor: every pass polls the shared
+/// The engine runs the selected passes in registry order on the calling
+/// thread, shares the expensive wrapped analyses between passes through
+/// a `LintContext` (each built on first use), and runs under the
+/// resource governor: every pass polls the shared
 /// `Deadline`/`CancellationToken` and reports a per-pass `Status` plus a
 /// `Partial` flag instead of aborting the run.  Spans and counters follow
 /// docs/OBSERVABILITY.md (`lint.run`, `lint.pass.<id>`,
@@ -47,7 +47,6 @@
 #include "support/Status.h"
 
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -72,9 +71,10 @@ struct LintPassInfo {
   Status (*Run)(const LintContext &Ctx, std::vector<LintDiagnostic> &Out);
 };
 
-/// Shared state handed to every pass.  Thread-safe: the wrapped analyses
-/// are materialised lazily under `std::call_once`, so two passes racing
-/// for `calledOnce()` build it exactly once and then share it read-only.
+/// Shared state handed to every pass of one `LintEngine::run`: the
+/// wrapped analyses are materialised on first use and then shared
+/// read-only.  Not thread-safe — a context lives and dies inside `run`,
+/// on the thread that called it.
 class LintContext {
 public:
   /// The passes and wrapped analyses run on \p F's flat tables alone,
@@ -108,7 +108,6 @@ private:
   Deadline D;
   CancellationToken Token;
 
-  mutable std::once_flag CalledOnceFlag, EffectsFlag, NodeMapFlag;
   mutable std::unique_ptr<CalledOnceAnalysis> CalledOnceA;
   mutable std::unique_ptr<EffectsAnalysis> EffectsA;
   mutable Status CalledOnceStatus, EffectsStatus;
@@ -133,7 +132,8 @@ struct LintOptions {
   std::vector<std::string> Passes;
   Deadline D;
   CancellationToken Token;
-  /// Fan-out width; passes beyond this queue on the pool.
+  /// Ignored: passes run on the calling thread.  Benchmark-only: kept for
+  /// `perfbench/ServeEdit.cpp`'s lint replay.
   unsigned Threads = 1;
 };
 

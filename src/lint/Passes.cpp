@@ -43,30 +43,30 @@ LintContext::LintContext(const Module &M, const FrozenGraph &F,
 LintContext::~LintContext() = default;
 
 const CalledOnceAnalysis &LintContext::calledOnce(Status &S) const {
-  std::call_once(CalledOnceFlag, [this] {
+  if (!CalledOnceA) {
     CalledOnceA = std::make_unique<CalledOnceAnalysis>(M, F);
     CalledOnceStatus = CalledOnceA->run(D, Token);
-  });
+  }
   S = CalledOnceStatus;
   return *CalledOnceA;
 }
 
 const EffectsAnalysis &LintContext::effects(Status &S) const {
-  std::call_once(EffectsFlag, [this] {
+  if (!EffectsA) {
     EffectsA = std::make_unique<EffectsAnalysis>(M, F);
     EffectsStatus = EffectsA->run(D, Token);
-  });
+  }
   S = EffectsStatus;
   return *EffectsA;
 }
 
 ExprId LintContext::exprOfNode(uint32_t N) const {
-  std::call_once(NodeMapFlag, [this] {
+  if (NodeToExpr.size() != F.numNodes()) {
     NodeToExpr.assign(F.numNodes(), ExprId::invalid());
     for (uint32_t E = 0, End = M.numExprs(); E != End; ++E)
       if (uint32_t Node = F.nodeOfExpr(ExprId(E)); Node != FrozenGraph::None)
         NodeToExpr[Node] = ExprId(E);
-  });
+  }
   return N < NodeToExpr.size() ? NodeToExpr[N] : ExprId::invalid();
 }
 

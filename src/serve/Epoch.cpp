@@ -58,23 +58,22 @@ Epoch::Epoch(uint64_t Id, std::unique_ptr<Module> Mod,
 }
 
 Epoch::Epoch(uint64_t Id, std::unique_ptr<LoadedSnapshot> S,
-             std::string Src, unsigned Threads,
-             size_t KernelThreshold) // NOLINT(bugprone-easily-swappable-parameters)
+             std::string Src, size_t KernelThreshold)
     : EpochId(Id), EngineName("snapshot"), Source(std::move(Src)),
       Snap(std::move(S)) {
-  serveFrozen(Snap->frozen(), Threads, KernelThreshold);
+  serveFrozen(Snap->frozen(), KernelThreshold);
   if (auto Kern = Snap->adoptKernel())
     OwnedEngine->adoptKernel(std::move(Kern));
   setShape(F->numExprs(), F->numLabels(), Snap->rootExpr());
   recordEpochDelta(+1);
 }
 
-Epoch::Epoch(uint64_t Id, DeltaView V, std::string Src, unsigned Threads,
+Epoch::Epoch(uint64_t Id, DeltaView V, std::string Src,
              size_t KernelThreshold)
     : EpochId(Id), EngineName("delta"), Source(std::move(Src)),
       View(std::move(V)) {
   assert(View.Frozen && "delta epoch needs a frozen view");
-  serveFrozen(*View.Frozen, Threads, KernelThreshold);
+  serveFrozen(*View.Frozen, KernelThreshold);
   // Canonical numbering puts the outermost spine let — the program root —
   // last (it is the last expression a fresh parse creates).
   setShape(View.NumExprs, View.NumLabels, ExprId(View.NumExprs - 1));
@@ -82,11 +81,10 @@ Epoch::Epoch(uint64_t Id, DeltaView V, std::string Src, unsigned Threads,
 }
 
 Epoch::Epoch(uint64_t Id, std::unique_ptr<Module> Mod,
-             std::unique_ptr<FrozenGraph> Frozen, unsigned Threads,
-             size_t KernelThreshold)
+             std::unique_ptr<FrozenGraph> Frozen, size_t KernelThreshold)
     : EpochId(Id), EngineName("subtransitive"), M(std::move(Mod)),
       OwnedFrozen(std::move(Frozen)) {
-  serveFrozen(*OwnedFrozen, Threads, KernelThreshold);
+  serveFrozen(*OwnedFrozen, KernelThreshold);
   setShape(M->numExprs(), M->numLabels(), M->root());
   recordEpochDelta(+1);
 }
@@ -107,10 +105,9 @@ void Epoch::setShape(uint32_t Exprs, uint32_t Labels, ExprId Root) {
   RootId = Root;
 }
 
-void Epoch::serveFrozen(const FrozenGraph &Frozen, unsigned Threads,
-                        size_t KernelThreshold) {
+void Epoch::serveFrozen(const FrozenGraph &Frozen, size_t KernelThreshold) {
   F = &Frozen;
-  OwnedEngine = std::make_unique<QueryEngine>(Frozen, Threads);
+  OwnedEngine = std::make_unique<QueryEngine>(Frozen);
   OwnedEngine->setKernelThreshold(KernelThreshold);
   Q = OwnedEngine.get();
 }
@@ -196,11 +193,10 @@ Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
 }
 
 Status Epoch::lint(const std::vector<std::string> &Passes, const Deadline &D,
-                   unsigned Threads, LintResult &Out) {
+                   LintResult &Out) {
   LintOptions LO;
   LO.Passes = Passes;
   LO.D = D;
-  LO.Threads = Threads;
   std::lock_guard<std::mutex> Lock(Mu);
   if (Status S = substrate(); !S.isOk())
     return S;

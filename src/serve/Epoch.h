@@ -44,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace stcfa {
@@ -77,20 +78,25 @@ public:
   /// backend.  \p Source is the program text the snapshot was built from
   /// (empty when unknown): the first `lint` or `slice` parses it.
   Epoch(uint64_t Id, std::unique_ptr<LoadedSnapshot> Snap, std::string Source,
-        unsigned Threads, size_t KernelThreshold);
+        size_t KernelThreshold);
 
   /// Delta epoch: published by an incremental `edit`.  The view's frozen
   /// snapshot is already in canonical numbering, so it serves queries
   /// like any other.  \p Source is the session's current (spliced)
   /// source text: the first `lint` or `slice` parses it into the module
   /// those walk, so their answers match a fresh load of the same text.
-  Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
-        size_t KernelThreshold);
+  Epoch(uint64_t Id, DeltaView V, std::string Source, size_t KernelThreshold);
+
+  /// Same as the delta epoch above; the lane count is ignored.
+  /// Benchmark-only: kept for `perfbench/ServeEdit.cpp`'s replay.
+  Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned,
+        size_t KernelThreshold)
+      : Epoch(Id, std::move(V), std::move(Source), KernelThreshold) {}
 
   /// Frozen-graph epoch over \p F, frozen from a closed graph of \p M
   /// (the driver's subtransitive and polyvariant analyses).
   Epoch(uint64_t Id, std::unique_ptr<Module> M, std::unique_ptr<FrozenGraph> F,
-        unsigned Threads, size_t KernelThreshold);
+        size_t KernelThreshold);
 
   /// Graph-free epoch: \p LabelSet answers every occurrence of \p M once,
   /// here, into the table (the driver's standard and unification
@@ -153,7 +159,14 @@ public:
   /// subtransitive graph's ports, which the cubic and partial rungs never
   /// build).
   Status lint(const std::vector<std::string> &Passes, const Deadline &D,
-              unsigned Threads, LintResult &Out);
+              LintResult &Out);
+
+  /// Same as `lint(Passes, D, Out)`; the lane count is ignored.
+  /// Benchmark-only: kept for `perfbench/ServeEdit.cpp`'s replay.
+  Status lint(const std::vector<std::string> &Passes, const Deadline &D,
+              unsigned, LintResult &Out) {
+    return lint(Passes, D, Out);
+  }
 
   /// The epoch's dependence graph, built on first demand and cached for
   /// the epoch's lifetime: what `slice` walks, and what the driver's
@@ -184,8 +197,7 @@ private:
   void setShape(uint32_t Exprs, uint32_t Labels, ExprId Root);
 
   /// Serves from \p F through an engine of the epoch's own.
-  void serveFrozen(const FrozenGraph &F, unsigned Threads,
-                   size_t KernelThreshold);
+  void serveFrozen(const FrozenGraph &F, size_t KernelThreshold);
 
   /// Fills the table from \p LabelSet, one answer per occurrence.
   void fillTable(const std::function<DenseBitset(ExprId)> &LabelSet);

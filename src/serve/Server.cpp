@@ -93,7 +93,6 @@ std::string streamOkReply(const JsonValue &Id, const Epoch &E, bool Degraded,
 /// The ladder options shared by every live pipeline the daemon runs.
 HybridOptions ladderOptions(const ServeOptions &O, const Deadline &D) {
   HybridOptions HO;
-  HO.Threads = O.Threads;
   HO.D = D;
   HO.Degrade = degradeModeNamed(O.Degrade);
   if (O.KernelThreshold >= 0)
@@ -418,7 +417,7 @@ void Server::handleLoad(const ServeRequest &Req) {
             Opts.SnapshotDir, Source, ServeCacheConfig, Slot)) {
       CacheOutcome = "hit";
       E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(Snap),
-                                  Source, Opts.Threads, HO.KernelThreshold);
+                                  Source, HO.KernelThreshold);
     }
   }
   if (E) {
@@ -554,10 +553,8 @@ void Server::handleEdit(const ServeRequest &Req) {
   }
   const uint64_t BoundEpoch = Bound->id();
   if (!Session) {
-    DeltaSession::Options DO;
-    DO.Threads = Opts.Threads;
     Status CS = Status::ok();
-    Session = DeltaSession::create(LoadedSource, DO, CS);
+    Session = DeltaSession::create(LoadedSource, DeltaSession::Options(), CS);
     if (!Session) {
       replyError(Req.Id, CS);
       return;
@@ -601,7 +598,7 @@ void Server::handleEdit(const ServeRequest &Req) {
       return;
     }
     E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(View),
-                                Session->currentSource(), Opts.Threads,
+                                Session->currentSource(),
                                 ladderOptions(Opts, D).KernelThreshold);
     Epochs.install(E);
     Mode = Res.M == ApplyResult::Mode::Metadata      ? "metadata"
@@ -796,7 +793,7 @@ void Server::handleLint(const ServeRequest &Req,
     }
 
   LintResult LR;
-  if (Status S = E->lint(Passes, requestDeadline(Req), Opts.Threads, LR);
+  if (Status S = E->lint(Passes, requestDeadline(Req), LR);
       !S.isOk()) {
     replyError(Req.Id, S);
     return;

@@ -54,7 +54,8 @@ namespace serve {
 
 /// Daemon configuration, fixed for the server's lifetime.
 struct ServeOptions {
-  /// Query-engine lanes and worker-thread count.
+  /// Worker-thread count: requests run concurrently across the workers,
+  /// each on the one worker that took it.
   unsigned Threads = 1;
   /// Batched-query kernel dispatch threshold; <0 = engine default.
   int64_t KernelThreshold = -1;

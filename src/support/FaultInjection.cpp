@@ -88,7 +88,7 @@ constexpr FaultSite Sites[] = {
 
 #if STCFA_FAULT_INJECTION
 // Armed state: a pointer into `Sites` plus a countdown of polls to let
-// pass before firing.  Query lanes poll concurrently, so both are
+// pass before firing.  Serve workers poll concurrently, so both are
 // atomics; arming happens quiescently (tests arm before running).
 std::atomic<const FaultSite *> Armed{nullptr};
 std::atomic<uint64_t> SkipsLeft{0};

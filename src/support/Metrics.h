@@ -11,7 +11,7 @@
 ///
 ///  * `Counter::add()` is one relaxed `fetch_add` on the calling thread's
 ///    shard — a cache-line-padded atomic slot picked once per thread —
-///    so concurrent lanes never contend on the same line.  Shards are
+///    so concurrent threads never contend on the same line.  Shards are
 ///    summed at scrape time.
 ///  * `Gauge::set()` is a single atomic store (gauges are set from one
 ///    place at a time; no sharding needed).

@@ -52,7 +52,7 @@ struct Event {
 };
 
 // Per-thread buffer.  Held by shared_ptr from both the thread_local slot
-// and the global registry, so events recorded on a pool thread survive
+// and the global registry, so events recorded on a worker thread survive
 // that thread's exit.  Appends take the buffer's own mutex — uncontended
 // in practice, and spans are stage-granularity, never per-edge.
 struct TraceBuffer {

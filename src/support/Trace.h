@@ -7,7 +7,7 @@
 /// \file
 /// Zero-overhead-when-disabled tracing for the analysis pipeline.  Stages
 /// open an RAII `Span` at their boundary (close phase, freeze, condense,
-/// one per kernel level, one per query-batch lane, one per hybrid rung)
+/// one per kernel level, one per query batch, one per hybrid rung)
 /// and may attach a handful of integer arguments plus one string argument
 /// (typically a `statusCodeName()` cause).  Completed spans carry a
 /// monotonic start timestamp, duration, the recording thread, and a link
@@ -31,7 +31,7 @@
 /// — the buffer stores the pointers, which is what keeps recording cheap.
 ///
 /// Spans mark *stage* boundaries: per level, per component batch, per
-/// lane shard.  Never open one inside a per-edge or per-word loop; that
+/// query batch.  Never open one inside a per-edge or per-word loop; that
 /// is what the Metrics counters are for.
 ///
 //===----------------------------------------------------------------------===//

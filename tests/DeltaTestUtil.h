@@ -70,7 +70,7 @@ inline std::string compareDeltaToFreshRebuild(DeltaSession &Sess,
   std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(G, FS);
   if (!F)
     return Tag + ": oracle freeze failed: " + FS.toString();
-  QueryEngine Fresh(*F, 1);
+  QueryEngine Fresh(*F);
 
   const FrozenGraph &DF = *V.Frozen;
   auto shape = [&](const char *What, uint32_t Delta, uint32_t Want) {
@@ -106,7 +106,7 @@ inline std::string compareDeltaToFreshRebuild(DeltaSession &Sess,
              std::to_string(DF.labelAt(DLam)) + "\n--- source ---\n" + Src;
   }
 
-  QueryEngine Delta(DF, 1);
+  QueryEngine Delta(DF);
   // Binders: the same node presence, the same "referenced at all" bit
   // (a binder node's predecessors are its occurrences) and the same
   // label set, so a permuted binder order cannot hide.
@@ -179,7 +179,7 @@ inline std::string compareDeltaEpochToFreshLoad(DeltaSession &Sess,
   if (Status S = Sess.freezeView(V); !S.isOk())
     return Tag + ": freezeView failed: " + S.toString();
   const std::string Src = Sess.currentSource();
-  serve::Epoch Delta(2, std::move(V), Src, 1,
+  serve::Epoch Delta(2, std::move(V), Src,
                      QueryEngine::DefaultKernelThreshold);
 
   serve::LivePipeline P;
@@ -191,9 +191,9 @@ inline std::string compareDeltaEpochToFreshLoad(DeltaSession &Sess,
 
   const Deadline D = Deadline::infinite();
   LintResult DL, FL;
-  if (Status S = Delta.lint({}, D, 1, DL); !S.isOk())
+  if (Status S = Delta.lint({}, D, DL); !S.isOk())
     return Tag + ": delta lint failed: " + S.toString();
-  if (Status S = Fresh.lint({}, D, 1, FL); !S.isOk())
+  if (Status S = Fresh.lint({}, D, FL); !S.isOk())
     return Tag + ": fresh lint failed: " + S.toString();
   if (lintRowsOf(DL) != lintRowsOf(FL))
     return Tag + ": lint findings differ\n--- delta ---\n" + lintRowsOf(DL) +

@@ -401,7 +401,7 @@ TEST(DeltaEpoch, ParsesItsSourceOnceForLintAndSlice) {
   DeltaView V;
   ASSERT_TRUE(Sess->freezeView(V).isOk());
   const uint32_t NumExprs = V.NumExprs;
-  serve::Epoch E(2, std::move(V), Sess->currentSource(), 1,
+  serve::Epoch E(2, std::move(V), Sess->currentSource(),
                  QueryEngine::DefaultKernelThreshold);
   EXPECT_STREQ(E.engine(), "delta");
 
@@ -412,9 +412,9 @@ TEST(DeltaEpoch, ParsesItsSourceOnceForLintAndSlice) {
   const Deadline D = Deadline::infinite();
   LintResult LR;
   serve::Epoch::SliceReply SR;
-  ASSERT_TRUE(E.lint({}, D, 1, LR).isOk());
+  ASSERT_TRUE(E.lint({}, D, LR).isOk());
   ASSERT_TRUE(E.slice(E.root(), SliceDirection::Backward, true, D, SR).isOk());
-  ASSERT_TRUE(E.lint({}, D, 1, LR).isOk());
+  ASSERT_TRUE(E.lint({}, D, LR).isOk());
   ASSERT_TRUE(E.slice(ExprId(0), SliceDirection::Forward, false, D, SR).isOk());
   EXPECT_EQ(counter("delta.epoch_parses").value(), Before + 1);
   EXPECT_EQ(E.module().numExprs(), NumExprs);

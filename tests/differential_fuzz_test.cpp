@@ -77,7 +77,7 @@ std::string differentialReportSource(const std::string &Tag,
 
   // Engine 2: governed BFS batch — kernel disabled, infinite controls,
   // so the batch must complete every slot.
-  QueryEngine Bfs(*F, /*Threads=*/2);
+  QueryEngine Bfs(*F);
   Bfs.setKernelThreshold(0);
   BatchControl Control;
   BatchOutcome Outcome;
@@ -87,7 +87,7 @@ std::string differentialReportSource(const std::string &Tag,
            Outcome.S.toString();
 
   // Engine 3: the word-parallel kernel — threshold 1 forces dispatch.
-  QueryEngine Kern(*F, /*Threads=*/2);
+  QueryEngine Kern(*F);
   Kern.setKernelThreshold(1);
   std::vector<DenseBitset> KernSets = Kern.labelsOfBatch(Es);
 

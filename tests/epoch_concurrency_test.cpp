@@ -54,7 +54,7 @@ struct Expected {
 };
 
 Expected bfsAnswers(const FrozenGraph &F) {
-  QueryEngine Bfs(F, 1);
+  QueryEngine Bfs(F);
   Bfs.setKernelThreshold(0); // never a kernel: every answer is a walk
   Expected Out;
   for (uint32_t I = 0; I != F.numExprs(); ++I)
@@ -151,7 +151,6 @@ std::string hammer(serve::Epoch &E, const Expected &Want) {
 serve::LivePipeline solved(const std::string &Src) {
   serve::LivePipeline P;
   HybridOptions HO;
-  HO.Threads = 2;
   EXPECT_TRUE(P.run(Src, HO).isOk());
   return P;
 }
@@ -186,7 +185,7 @@ TEST(EpochConcurrency, MappedSnapshotEpochAnswersFromItsAdoptedKernel) {
   std::unique_ptr<LoadedSnapshot> Snap = LoadedSnapshot::load(Path, S);
   ASSERT_TRUE(Snap) << S.toString();
   ASSERT_TRUE(Snap->hasKernelRows());
-  serve::Epoch E(2, std::move(Snap), Src, 2,
+  serve::Epoch E(2, std::move(Snap), Src,
                  QueryEngine::DefaultKernelThreshold);
   ASSERT_STREQ(E.engine(), "snapshot");
   const Expected Want = bfsAnswers(*E.frozen());
@@ -211,7 +210,7 @@ TEST(EpochConcurrency, DeltaEpochPublishesItsKernelMidBurst) {
   ASSERT_TRUE(Sess->apply(Edit, Res).isOk());
   DeltaView V;
   ASSERT_TRUE(Sess->freezeView(V).isOk());
-  serve::Epoch E(3, std::move(V), Sess->currentSource(), 2,
+  serve::Epoch E(3, std::move(V), Sess->currentSource(),
                  QueryEngine::DefaultKernelThreshold);
   ASSERT_STREQ(E.engine(), "delta");
   const Expected Want = bfsAnswers(*E.frozen());
@@ -275,7 +274,7 @@ TEST(EpochConcurrency, ThreadScratchMovesBetweenEnginesOfDifferentSizes) {
   std::thread([&] {
     for (int Pass = 0; Pass != 3; ++Pass)
       for (const Built *B : {&Small, &Big}) {
-        QueryEngine Engine(*B->F, 1);
+        QueryEngine Engine(*B->F);
         Engine.setKernelThreshold(0); // walks only
         Reachability R(*B->G);
         const std::string Tag = "pass " + std::to_string(Pass) + " " +

@@ -243,7 +243,7 @@ TEST(FaultInjection, BatchDeadlineReturnsPartialResults) {
   Status S;
   std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(G, S);
   ASSERT_TRUE(S.isOk());
-  QueryEngine E(*F, /*Threads=*/1); // one lane: deterministic item order
+  QueryEngine E(*F);
 
   std::vector<ExprId> Es;
   for (uint32_t I = 0; I != M->numExprs(); ++I)
@@ -271,7 +271,7 @@ TEST(FaultInjection, BatchDeadlineReturnsPartialResults) {
   EXPECT_EQ(std::count(Outcome.Done.begin(), Outcome.Done.end(), 1), 3);
 }
 
-TEST(FaultInjection, BatchCancelStopsIsLabelInBatch) {
+TEST(FaultInjection, BatchCancelStopsAllLabelSets) {
   std::unique_ptr<Module> M = parseMaybeInfer(Program);
   ASSERT_TRUE(M);
   SubtransitiveGraph G(*M, exactConfig());
@@ -280,23 +280,20 @@ TEST(FaultInjection, BatchCancelStopsIsLabelInBatch) {
   Status S;
   std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(G, S);
   ASSERT_TRUE(S.isOk());
-  QueryEngine E(*F, /*Threads=*/1);
-
-  std::vector<std::pair<ExprId, LabelId>> Qs;
-  for (uint32_t I = 0; I != M->numExprs(); ++I)
-    for (uint32_t L = 0; L != M->numLabels(); ++L)
-      Qs.emplace_back(ExprId(I), LabelId(L));
+  QueryEngine E(*F);
+  E.setKernelThreshold(0); // per-occurrence BFS: one poll per item
 
   ArmedSite Armed(fault::QueryBatchCancel, /*SkipHits=*/2);
   BatchControl Control;
   BatchOutcome Outcome;
-  std::vector<char> Partial = E.isLabelInBatch(Qs, Control, Outcome);
+  InternedLabelSets Partial = E.allLabelSets(Control, Outcome);
   EXPECT_EQ(Outcome.S.code(), StatusCode::Cancelled);
   EXPECT_EQ(Outcome.Completed, 2u);
-  // Unanswered slots stay at the default (false), never garbage.
-  for (size_t I = 0; I != Qs.size(); ++I) {
+  ASSERT_EQ(Partial.Done, Outcome.Done);
+  // Unanswered slots read row 0, the empty set, never garbage.
+  for (size_t I = 0; I != Partial.RowOf.size(); ++I) {
     if (!Outcome.Done[I]) {
-      EXPECT_EQ(Partial[I], 0) << "item " << I;
+      EXPECT_EQ(Partial.RowOf[I], 0u) << "item " << I;
     }
   }
 }
@@ -310,17 +307,17 @@ TEST(FaultInjection, GovernedBatchCompletesWhenNothingFires) {
   Status S;
   std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(G, S);
   ASSERT_TRUE(S.isOk());
-  QueryEngine E(*F, /*Threads=*/2);
+  QueryEngine E(*F);
 
-  std::vector<LabelId> Ls;
-  for (uint32_t L = 0; L != M->numLabels(); ++L)
-    Ls.push_back(LabelId(L));
+  std::vector<ExprId> Es;
+  for (uint32_t I = 0; I != M->numExprs(); ++I)
+    Es.push_back(ExprId(I));
   BatchControl Control;
   BatchOutcome Outcome;
-  auto Governed = E.occurrencesOfBatch(Ls, Control, Outcome);
+  auto Governed = E.labelsOfBatch(Es, Control, Outcome);
   EXPECT_TRUE(Outcome.S.isOk());
-  EXPECT_EQ(Outcome.Completed, Ls.size());
-  EXPECT_EQ(Governed, E.occurrencesOfBatch(Ls));
+  EXPECT_EQ(Outcome.Completed, Es.size());
+  EXPECT_EQ(Governed, E.labelsOfBatch(Es));
 }
 
 //===----------------------------------------------------------------------===//
@@ -504,7 +501,7 @@ TEST(FaultInjection, EverySiteDegradesGracefully) {
 
     // Stage 3: governed batch over whatever survived.
     if (F) {
-      QueryEngine E(*F, /*Threads=*/2);
+      QueryEngine E(*F);
       std::vector<ExprId> Es;
       for (uint32_t I = 0; I != M->numExprs(); ++I)
         Es.push_back(ExprId(I));

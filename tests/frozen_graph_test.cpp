@@ -5,13 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The frozen CSR snapshot and the parallel query engine must be
-/// *bit-for-bit* interchangeable with the mutable-graph `Reachability`
-/// reference: every query kind, on every corpus program, under every
-/// closure policy and congruence mode, at one worker lane and at four.
-/// Plus unit tests for the `ThreadPool` primitive, and the apps over the
-/// frozen tables checked against the same reference on every corpus
-/// program.
+/// The frozen CSR snapshot and the query engine must be *bit-for-bit*
+/// interchangeable with the mutable-graph `Reachability` reference: every
+/// query kind, on every corpus program, under every closure policy and
+/// congruence mode.  Plus the apps over the frozen tables checked against
+/// the same reference on every corpus program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,64 +24,16 @@
 #include "core/Reachability.h"
 #include "gen/Corpus.h"
 #include "gen/Generators.h"
-#include "support/ThreadPool.h"
 
 #include "TestUtil.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
-#include <thread>
 
 using namespace stcfa;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// ThreadPool
-//===----------------------------------------------------------------------===//
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.size(), 4u);
-  std::vector<std::atomic<int>> Hits(1000);
-  Pool.parallelFor(Hits.size(), [&](unsigned, size_t I) { ++Hits[I]; });
-  for (auto &H : Hits)
-    EXPECT_EQ(H.load(), 1);
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool Pool(3);
-  for (int Round = 0; Round != 50; ++Round) {
-    std::atomic<uint64_t> Sum{0};
-    Pool.parallelFor(100, [&](unsigned, size_t I) { Sum += I; });
-    EXPECT_EQ(Sum.load(), 100u * 99u / 2);
-  }
-}
-
-TEST(ThreadPool, WorkerIndexInRange) {
-  ThreadPool Pool(2);
-  std::vector<std::atomic<int>> PerWorker(2);
-  Pool.parallelFor(64, [&](unsigned W, size_t) {
-    ASSERT_LT(W, 2u);
-    ++PerWorker[W];
-  });
-  int Total = PerWorker[0] + PerWorker[1];
-  EXPECT_EQ(Total, 64);
-}
-
-TEST(ThreadPool, SingleWorkerAndEmptyBatch) {
-  ThreadPool Pool(1);
-  int Count = 0;
-  Pool.parallelFor(0, [&](unsigned, size_t) { ++Count; });
-  EXPECT_EQ(Count, 0);
-  Pool.parallelFor(7, [&](unsigned W, size_t) {
-    EXPECT_EQ(W, 0u);
-    ++Count;
-  });
-  EXPECT_EQ(Count, 7);
-}
 
 //===----------------------------------------------------------------------===//
 // FrozenGraph structure
@@ -147,7 +97,7 @@ TEST(FrozenGraph, CondensationIsCachedAndConsistent) {
 }
 
 //===----------------------------------------------------------------------===//
-// QueryEngine vs Reachability, all corpora x configs x thread counts
+// QueryEngine vs Reachability, all corpora x configs
 //===----------------------------------------------------------------------===//
 
 struct Config {
@@ -179,13 +129,13 @@ void expectSameSet(const DenseBitset &A, const DenseBitset &B,
                       << Index;
 }
 
-/// Runs every query kind through Reachability and through a QueryEngine
-/// with \p Threads lanes; everything must agree exactly.
+/// Runs every query kind through Reachability and through a QueryEngine;
+/// everything must agree exactly.
 void checkEquivalence(const Module &M, const SubtransitiveGraph &G,
-                      unsigned Threads, const char *Where) {
+                      const char *Where) {
   Reachability Reach(G);
   FrozenGraph F(G);
-  QueryEngine Engine(F, Threads);
+  QueryEngine Engine(F);
 
   // labelsOf: point and batched, every occurrence.  The batch over every
   // occurrence is "all label sets"; two more engines pin it to the kernel
@@ -195,7 +145,7 @@ void checkEquivalence(const Module &M, const SubtransitiveGraph &G,
     AllExprs.push_back(ExprId(I));
   std::vector<DenseBitset> Batch = Engine.labelsOfBatch(AllExprs);
   ASSERT_EQ(Batch.size(), AllExprs.size());
-  QueryEngine Kernel(F, Threads), Bfs(F, Threads);
+  QueryEngine Kernel(F), Bfs(F);
   Kernel.setKernelThreshold(1);
   Bfs.setKernelThreshold(0);
   std::vector<DenseBitset> KernelBatch = Kernel.labelsOfBatch(AllExprs);
@@ -214,36 +164,19 @@ void checkEquivalence(const Module &M, const SubtransitiveGraph &G,
     expectSameSet(Reach.labelsOfVar(VarId(V)), Engine.labelsOfVar(VarId(V)),
                   "labelsOfVar", Where, V);
 
-  // isLabelIn: every (occurrence, label) pair, point and batched.
-  std::vector<std::pair<ExprId, LabelId>> Pairs;
+  // isLabelIn: every (occurrence, label) pair.
   for (uint32_t I = 0; I != M.numExprs(); ++I)
     for (uint32_t L = 0; L != M.numLabels(); ++L)
-      Pairs.emplace_back(ExprId(I), LabelId(L));
-  std::vector<char> Mask = Engine.isLabelInBatch(Pairs);
-  ASSERT_EQ(Mask.size(), Pairs.size());
-  for (size_t I = 0; I != Pairs.size(); ++I) {
-    bool Want = Reach.isLabelIn(Pairs[I].first, Pairs[I].second);
-    EXPECT_EQ(Want, Engine.isLabelIn(Pairs[I].first, Pairs[I].second))
-        << "isLabelIn mismatch on " << Where << " at pair " << I;
-    EXPECT_EQ(Want, static_cast<bool>(Mask[I]))
-        << "isLabelInBatch mismatch on " << Where << " at pair " << I;
-  }
+      EXPECT_EQ(Reach.isLabelIn(ExprId(I), LabelId(L)),
+                Engine.isLabelIn(ExprId(I), LabelId(L)))
+          << "isLabelIn mismatch on " << Where << " at expr " << I
+          << ", label " << L;
 
-  // occurrencesOf: every label, point and batched; order is part of the
-  // contract (ascending expression id).
-  std::vector<LabelId> AllLabels;
+  // occurrencesOf: every label; order is part of the contract (ascending
+  // expression id).
   for (uint32_t L = 0; L != M.numLabels(); ++L)
-    AllLabels.push_back(LabelId(L));
-  std::vector<std::vector<ExprId>> OccBatch =
-      Engine.occurrencesOfBatch(AllLabels);
-  ASSERT_EQ(OccBatch.size(), AllLabels.size());
-  for (uint32_t L = 0; L != M.numLabels(); ++L) {
-    std::vector<ExprId> Want = Reach.occurrencesOf(LabelId(L));
-    EXPECT_EQ(Want, Engine.occurrencesOf(LabelId(L)))
+    EXPECT_EQ(Reach.occurrencesOf(LabelId(L)), Engine.occurrencesOf(LabelId(L)))
         << "occurrencesOf mismatch on " << Where << " at label " << L;
-    EXPECT_EQ(Want, OccBatch[L])
-        << "occurrencesOfBatch mismatch on " << Where << " at label " << L;
-  }
 }
 
 TEST(QueryEngine, MatchesReachabilityEverywhere) {
@@ -259,8 +192,7 @@ TEST(QueryEngine, MatchesReachabilityEverywhere) {
       G.close();
       ASSERT_FALSE(G.aborted()) << P.Name << " " << C.Name;
       std::string Where = std::string(P.Name) + "/" + C.Name;
-      checkEquivalence(*M, G, /*Threads=*/1, Where.c_str());
-      checkEquivalence(*M, G, /*Threads=*/4, (Where + "/t4").c_str());
+      checkEquivalence(*M, G, Where.c_str());
     }
   }
 }
@@ -289,8 +221,7 @@ TEST(QueryEngine, MatchesReachabilityUnderByBaseCongruence) {
     G.close();
     ASSERT_FALSE(G.aborted()) << P.Name;
     std::string Where = std::string(P.Name) + "/paper/bybase";
-    checkEquivalence(*M, G, /*Threads=*/1, Where.c_str());
-    checkEquivalence(*M, G, /*Threads=*/4, (Where + "/t4").c_str());
+    checkEquivalence(*M, G, Where.c_str());
   }
 }
 
@@ -303,7 +234,7 @@ TEST(QueryEngine, SharedSnapshotIndependentEngines) {
   G.build();
   G.close();
   FrozenGraph F(G);
-  QueryEngine A(F, 1), B(F, 2);
+  QueryEngine A(F), B(F);
   for (uint32_t I = 0; I != M->numExprs(); ++I)
     EXPECT_TRUE(A.labelsOf(ExprId(I)) == B.labelsOf(ExprId(I)));
   // Each engine runs its own kernel over the snapshot's one cached
@@ -419,7 +350,7 @@ TEST(FrozenApps, CallGraphCalleesMatchReachabilityPerSite) {
     G.build();
     G.close();
     FrozenGraph F(G);
-    QueryEngine Engine(F, 2);
+    QueryEngine Engine(F);
     CallGraph CG(*M, Engine);
     CG.run();
     Reachability Reach(G);
@@ -445,7 +376,7 @@ TEST(FrozenApps, EngineNeverCalledContainedInDeadCodeAware) {
     G.build();
     G.close();
     FrozenGraph F(G);
-    QueryEngine Engine(F, 2);
+    QueryEngine Engine(F);
     CallGraph CG(*M, Engine);
     CG.run();
     DeadCodeAwareCFA Dc(*M);
@@ -473,7 +404,7 @@ TEST(QueryEngine, ManyQueriesStayConsistent) {
   G.build();
   G.close();
   FrozenGraph F(G);
-  QueryEngine Engine(F, 1);
+  QueryEngine Engine(F);
   DenseBitset First = Engine.labelsOf(M->root());
   for (int I = 0; I != 1000; ++I)
     ASSERT_TRUE(First == Engine.labelsOf(M->root()));
@@ -541,49 +472,8 @@ TEST(FrozenGraph, FreezeUnderExpiredDeadlineIsInert) {
 }
 
 //===----------------------------------------------------------------------===//
-// Worker-lane edge cases
+// Batch edge cases
 //===----------------------------------------------------------------------===//
-
-TEST(QueryEngine, ZeroThreadsClampsToSequential) {
-  std::unique_ptr<Module> M = parseMaybeInfer(miniEvalProgram());
-  ASSERT_TRUE(M);
-  SubtransitiveGraph G(*M);
-  G.build();
-  G.close();
-  FrozenGraph F(G);
-  QueryEngine E(F, /*Threads=*/0);
-  EXPECT_EQ(E.threads(), 1u);
-  QueryEngine Baseline(F, 1);
-  EXPECT_EQ(E.labelsOf(M->root()), Baseline.labelsOf(M->root()));
-  std::vector<ExprId> Es{M->root()};
-  EXPECT_EQ(E.labelsOfBatch(Es), Baseline.labelsOfBatch(Es));
-}
-
-TEST(QueryEngine, MoreThreadsThanHardwareStillCorrect) {
-  std::unique_ptr<Module> M = parseMaybeInfer(miniEvalProgram());
-  ASSERT_TRUE(M);
-  SubtransitiveGraph G(*M);
-  G.build();
-  G.close();
-  FrozenGraph F(G);
-  unsigned Hw = std::thread::hardware_concurrency();
-  unsigned Oversubscribed = (Hw ? Hw : 4) * 4 + 3;
-  QueryEngine E(F, Oversubscribed);
-  EXPECT_EQ(E.threads(), Oversubscribed);
-  QueryEngine Baseline(F, 1);
-
-  std::vector<ExprId> Es;
-  for (uint32_t I = 0; I != M->numExprs(); ++I)
-    Es.push_back(ExprId(I));
-  EXPECT_EQ(E.labelsOfBatch(Es), Baseline.labelsOfBatch(Es));
-
-  // Governed batches shard item-per-lane here (more lanes than items).
-  BatchControl Control;
-  BatchOutcome Outcome;
-  EXPECT_EQ(E.labelsOfBatch(Es, Control, Outcome), Baseline.labelsOfBatch(Es));
-  EXPECT_TRUE(Outcome.S.isOk());
-  EXPECT_EQ(Outcome.Completed, Es.size());
-}
 
 TEST(QueryEngine, EmptyBatchesAreNoOps) {
   std::unique_ptr<Module> M = parseMaybeInfer("let id = fn x => x in id id");
@@ -592,19 +482,15 @@ TEST(QueryEngine, EmptyBatchesAreNoOps) {
   G.build();
   G.close();
   FrozenGraph F(G);
-  for (unsigned Threads : {1u, 4u}) {
-    QueryEngine E(F, Threads);
-    EXPECT_TRUE(E.labelsOfBatch({}).empty());
-    EXPECT_TRUE(E.isLabelInBatch({}).empty());
-    EXPECT_TRUE(E.occurrencesOfBatch({}).empty());
+  QueryEngine E(F);
+  EXPECT_TRUE(E.labelsOfBatch({}).empty());
 
-    BatchControl Control;
-    BatchOutcome Outcome;
-    EXPECT_TRUE(E.labelsOfBatch({}, Control, Outcome).empty());
-    EXPECT_TRUE(Outcome.S.isOk());
-    EXPECT_EQ(Outcome.Completed, 0u);
-    EXPECT_TRUE(Outcome.Done.empty());
-  }
+  BatchControl Control;
+  BatchOutcome Outcome;
+  EXPECT_TRUE(E.labelsOfBatch({}, Control, Outcome).empty());
+  EXPECT_TRUE(Outcome.S.isOk());
+  EXPECT_EQ(Outcome.Completed, 0u);
+  EXPECT_TRUE(Outcome.Done.empty());
 }
 
 TEST(QueryEngine, GovernedBatchWithRealDeadlineFinishesPromptly) {
@@ -615,7 +501,7 @@ TEST(QueryEngine, GovernedBatchWithRealDeadlineFinishesPromptly) {
   G.build();
   G.close();
   FrozenGraph F(G);
-  QueryEngine E(F, 2);
+  QueryEngine E(F);
   std::vector<ExprId> Es;
   for (uint32_t I = 0; I != M->numExprs(); ++I)
     Es.push_back(ExprId(I));
@@ -643,7 +529,7 @@ TEST(QueryEngine, GovernedBatchCancellationToken) {
   G.build();
   G.close();
   FrozenGraph F(G);
-  QueryEngine E(F, 2);
+  QueryEngine E(F);
   std::vector<ExprId> Es;
   for (uint32_t I = 0; I != M->numExprs(); ++I)
     Es.push_back(ExprId(I));

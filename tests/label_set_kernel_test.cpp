@@ -419,9 +419,9 @@ TEST(QueryEngineKernel, BatchAboveThresholdUsesKernelAndMatchesBfs) {
   for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
     Es.push_back(ExprId(I));
 
-  QueryEngine Kern(*B.F, 2);
+  QueryEngine Kern(*B.F);
   Kern.setKernelThreshold(1);
-  QueryEngine Bfs(*B.F, 2);
+  QueryEngine Bfs(*B.F);
   Bfs.setKernelThreshold(0); // kernel disabled: pure BFS engine
 
   std::vector<DenseBitset> A = Kern.labelsOfBatch(Es);
@@ -440,66 +440,43 @@ TEST(QueryEngineKernel, BatchAboveThresholdUsesKernelAndMatchesBfs) {
 TEST(QueryEngineKernel, SubThresholdBatchSkipsKernel) {
   Built B = build({"cubic:6", makeCubicFamily(6), true}, CongruenceMode::None);
   ASSERT_TRUE(B.M);
-  QueryEngine E(*B.F, 1);
+  QueryEngine E(*B.F);
   E.setKernelThreshold(1000000);
   std::vector<ExprId> Small{B.M->root()};
   (void)E.labelsOfBatch(Small);
   EXPECT_EQ(E.kernel(), nullptr);
 }
 
-TEST(QueryEngineKernel, OccurrencesBatchMatchesReverseBfs) {
-  for (const Workload &W : corpus()) {
-    Built B = build(W, CongruenceMode::ByType);
-    ASSERT_TRUE(B.M) << W.Name;
-    std::vector<LabelId> Ls;
-    for (uint32_t L = 0, E = B.M->numLabels(); L != E; ++L)
-      Ls.push_back(LabelId(L));
-    if (Ls.empty())
-      continue;
-
-    QueryEngine Kern(*B.F, 2);
-    Kern.setKernelThreshold(1);
-    QueryEngine Bfs(*B.F, 2);
-    Bfs.setKernelThreshold(0);
-    std::vector<std::vector<ExprId>> A = Kern.occurrencesOfBatch(Ls);
-    std::vector<std::vector<ExprId>> Want = Bfs.occurrencesOfBatch(Ls);
-    ASSERT_NE(Kern.kernel(), nullptr) << W.Name;
-    for (size_t I = 0; I != Ls.size(); ++I) {
-      ASSERT_EQ(A[I].size(), Want[I].size()) << W.Name << " label " << I;
-      for (size_t J = 0; J != A[I].size(); ++J)
-        ASSERT_TRUE(A[I][J] == Want[I][J]) << W.Name << " label " << I;
-    }
-  }
-}
-
-TEST(QueryEngineKernel, MembershipBatchReusesCompletedKernel) {
+TEST(QueryEngineKernel, MembershipReusesCompletedKernel) {
   Built B = build({"dispatch:8", makeDispatchFamily(8), true},
                   CongruenceMode::None);
   ASSERT_TRUE(B.M);
-  QueryEngine Kern(*B.F, 1);
+  QueryEngine Kern(*B.F);
   Kern.setKernelThreshold(1);
-  QueryEngine Bfs(*B.F, 1);
+  QueryEngine Bfs(*B.F);
   Bfs.setKernelThreshold(0);
 
   // Prime the kernel through a big labels batch, then compare every
-  // (expr, label) membership probe against the BFS engine.
+  // (expr, label) membership probe — one bit of the published kernel —
+  // against the BFS engine's walk.
   std::vector<ExprId> Es;
   for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
     Es.push_back(ExprId(I));
   (void)Kern.labelsOfBatch(Es);
-  ASSERT_NE(Kern.kernel(), nullptr);
+  ASSERT_NE(Kern.publishedKernel(), nullptr);
+  ASSERT_EQ(Bfs.publishedKernel(), nullptr);
 
-  std::vector<std::pair<ExprId, LabelId>> Qs;
   for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
     for (uint32_t L = 0, LE = B.M->numLabels(); L != LE; ++L)
-      Qs.push_back({ExprId(I), LabelId(L)});
-  EXPECT_EQ(Kern.isLabelInBatch(Qs), Bfs.isLabelInBatch(Qs));
+      ASSERT_EQ(Kern.isLabelIn(ExprId(I), LabelId(L)),
+                Bfs.isLabelIn(ExprId(I), LabelId(L)))
+          << "expr " << I << ", label " << L;
 }
 
 TEST(QueryEngineKernel, GovernedBatchOnKernelPathReportsAllDone) {
   Built B = build({"cubic:8", makeCubicFamily(8), true}, CongruenceMode::None);
   ASSERT_TRUE(B.M);
-  QueryEngine E(*B.F, 2);
+  QueryEngine E(*B.F);
   E.setKernelThreshold(1);
   std::vector<ExprId> Es;
   for (uint32_t I = 0, EN = B.M->numExprs(); I != EN; ++I)
@@ -522,7 +499,7 @@ TEST(QueryEngineKernel, GovernedCancelledBatchAnswersNothing) {
   // fallback: zero items answered, `Cancelled` reported.
   Built B = build({"cubic:8", makeCubicFamily(8), true}, CongruenceMode::None);
   ASSERT_TRUE(B.M);
-  QueryEngine E(*B.F, 2);
+  QueryEngine E(*B.F);
   E.setKernelThreshold(1);
   std::vector<ExprId> Es;
   for (uint32_t I = 0, EN = B.M->numExprs(); I != EN; ++I)
@@ -553,7 +530,7 @@ TEST(QueryEngineKernel, AbortedKernelFallsBackToBfsTransparently) {
     Es.push_back(ExprId(I));
 
   for (std::string_view Site : {fault::KernelAlloc, fault::KernelCancel}) {
-    QueryEngine E(*B.F, 2);
+    QueryEngine E(*B.F);
     E.setKernelThreshold(1);
     ASSERT_TRUE(armFault(Site));
     std::vector<DenseBitset> Sets = E.labelsOfBatch(Es);
@@ -575,7 +552,6 @@ TEST(QueryEngineKernel, HybridThreadsKernelThresholdThrough) {
   auto M = parseMaybeInfer(makeCubicFamily(8));
   ASSERT_TRUE(M);
   HybridOptions HO;
-  HO.Threads = 2;
   HO.KernelThreshold = 1;
   HybridCFA H(*M, HO);
   ASSERT_TRUE(H.solve().isOk());
@@ -749,9 +725,9 @@ TEST(QueryEngineKernel, AllLabelSetsAgreeOnKernelAndBfsPaths) {
     std::vector<ExprId> Es;
     for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
       Es.push_back(ExprId(I));
-    QueryEngine Kern(*B.F, 2);
+    QueryEngine Kern(*B.F);
     Kern.setKernelThreshold(1);
-    QueryEngine Bfs(*B.F, 2);
+    QueryEngine Bfs(*B.F);
     Bfs.setKernelThreshold(0);
     BatchOutcome OA, OZ;
     InternedLabelSets A = Kern.allLabelSets({}, OA);
@@ -773,7 +749,7 @@ TEST(QueryEngineKernel, GovernedAllLabelSetsLeavesUnansweredEmpty) {
   Built B = build({"cubic:8", makeCubicFamily(8), true}, CongruenceMode::None);
   ASSERT_TRUE(B.M);
   for (size_t Threshold : {size_t(1), size_t(0)}) {
-    QueryEngine E(*B.F, 1);
+    QueryEngine E(*B.F);
     E.setKernelThreshold(Threshold);
     BatchControl C;
     C.Token = CancellationToken::create();

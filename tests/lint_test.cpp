@@ -286,29 +286,6 @@ TEST(LintGoverned, CancelledTokenReportsCancelled) {
   }
 }
 
-TEST(LintGoverned, ParallelRunMatchesSerial) {
-  std::string Source = readFileOrDie(std::string(STCFA_SOURCE_DIR) +
-                                     "/examples/lint/impure_in_pure.stml");
-  Pipeline P = buildPipeline(Source);
-  ASSERT_TRUE(P.F);
-  LintResult Serial = runAll(P);
-  LintOptions LO;
-  LO.Threads = 4;
-  LintResult Parallel = runAll(P, LO);
-  ASSERT_EQ(Serial.Reports.size(), Parallel.Reports.size());
-  for (size_t I = 0; I != Serial.Reports.size(); ++I) {
-    EXPECT_EQ(Serial.Reports[I].Info, Parallel.Reports[I].Info);
-    ASSERT_EQ(Serial.Reports[I].Findings.size(),
-              Parallel.Reports[I].Findings.size());
-    for (size_t J = 0; J != Serial.Reports[I].Findings.size(); ++J) {
-      EXPECT_EQ(Serial.Reports[I].Findings[J].Message,
-                Parallel.Reports[I].Findings[J].Message);
-      EXPECT_EQ(keyOf(Serial.Reports[I].Findings[J].Range),
-                keyOf(Parallel.Reports[I].Findings[J].Range));
-    }
-  }
-}
-
 TEST(LintEngineApi, PassSelectionAndLookup) {
   EXPECT_EQ(LintEngine::passes().size(), 6u);
   EXPECT_NE(LintEngine::findPass("dead-function"), nullptr);

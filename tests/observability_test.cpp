@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Tests for the observability layer: span nesting and parent linkage
-/// (including across ThreadPool lanes), counter shard aggregation,
+/// (including across threads), counter shard aggregation,
 /// histogram bucket boundaries, the disabled-mode no-allocation claim,
 /// and the governed-abort telemetry contract (a kernel abort must emit
 /// the fallback counter and an instant whose cause names the Status
@@ -22,7 +22,6 @@
 #include "slice/DependenceGraph.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include "TestUtil.h"
@@ -147,28 +146,34 @@ TEST(Trace, NestingHoldsAcrossPoolLanes) {
     GTEST_SKIP() << "tracing compiled out";
   ScopedTracing T;
 
-  // Spans opened inside pool tasks must link to the enclosing span *on
-  // the same thread*, never to a span another lane happens to have open.
-  ThreadPool Pool(3);
-  Pool.parallelFor(8, [](unsigned, size_t) {
-    Span Outer("test.lane.outer");
-    Span Inner("test.lane.inner");
-    (void)Inner;
-  });
+  // Spans opened on worker threads (as the daemon's workers do) must link
+  // to the enclosing span *on the same thread*, never to a span another
+  // thread happens to have open.
+  std::vector<std::thread> Workers;
+  for (int W = 0; W != 4; ++W)
+    Workers.emplace_back([] {
+      for (int Task = 0; Task != 2; ++Task) {
+        Span Outer("test.thread.outer");
+        Span Inner("test.thread.inner");
+        (void)Inner;
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
 
   std::vector<TraceEventView> Evs = snapshotTraceEvents();
   std::map<uint64_t, const TraceEventView *> BySeq;
   for (const TraceEventView &E : Evs)
     BySeq[E.Seq] = &E;
 
-  auto Outers = eventsNamed(Evs, "test.lane.outer");
-  auto Inners = eventsNamed(Evs, "test.lane.inner");
+  auto Outers = eventsNamed(Evs, "test.thread.outer");
+  auto Inners = eventsNamed(Evs, "test.thread.inner");
   ASSERT_EQ(Outers.size(), 8u);
   ASSERT_EQ(Inners.size(), 8u);
   for (const TraceEventView *Inner : Inners) {
     auto It = BySeq.find(Inner->Parent);
     ASSERT_NE(It, BySeq.end()) << "dangling parent seq " << Inner->Parent;
-    EXPECT_EQ(It->second->Name, "test.lane.outer");
+    EXPECT_EQ(It->second->Name, "test.thread.outer");
     EXPECT_EQ(It->second->Tid, Inner->Tid)
         << "span parented across threads";
   }
@@ -310,7 +315,7 @@ TEST(Observability, GovernedKernelAbortEmitsFallbackTelemetry) {
   std::unique_ptr<FrozenGraph> F = FrozenGraph::freeze(G, FreezeStatus);
   ASSERT_TRUE(F);
 
-  QueryEngine E(*F, /*Threads=*/2);
+  QueryEngine E(*F);
   E.setKernelThreshold(1);
   std::vector<ExprId> Es;
   for (uint32_t I = 0; I != M->numExprs(); ++I)

@@ -72,7 +72,7 @@ std::vector<DenseBitset> allLabelSets(const Module &M) {
   G.build();
   G.close();
   FrozenGraph F(G);
-  QueryEngine QE(F, 1);
+  QueryEngine QE(F);
   std::vector<ExprId> Es;
   for (uint32_t I = 0; I != M.numExprs(); ++I)
     Es.push_back(ExprId(I));

@@ -1404,7 +1404,7 @@ struct FreshReplies {
   std::string lint(const JsonValue &Id, int64_t EpochId,
                    const std::string &Engine) {
     LintResult LR;
-    EXPECT_TRUE(E->lint({}, Deadline::infinite(), 1, LR).isOk());
+    EXPECT_TRUE(E->lint({}, Deadline::infinite(), LR).isOk());
     JsonValue Findings = JsonValue::array();
     for (const LintPassReport &R : LR.Reports)
       for (const LintDiagnostic &D : R.Findings) {

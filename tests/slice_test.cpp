@@ -484,7 +484,7 @@ TEST(DependenceGraph, CsrMatchesSortedReference) {
   }
   DeltaView V;
   ASSERT_TRUE(Sess->freezeView(V).isOk());
-  serve::Epoch Delta(1, std::move(V), Sess->currentSource(), 1,
+  serve::Epoch Delta(1, std::move(V), Sess->currentSource(),
                      QueryEngine::DefaultKernelThreshold);
   const DependenceGraph *DG = nullptr;
   ASSERT_TRUE(Delta.dependenceGraph(Deadline::infinite(), DG).isOk());

@@ -170,8 +170,8 @@ TEST(SnapshotRoundTrip, BitExactAcrossTheCorpus) {
 
     // Every label set, through both the point path and the adopted
     // kernel batch path, must equal the in-memory engine's answer.
-    QueryEngine Mem(*P.F, 1);
-    QueryEngine Disk(LF, 1);
+    QueryEngine Mem(*P.F);
+    QueryEngine Disk(LF);
     if (auto Kern = Snap->adoptKernel())
       Disk.adoptKernel(std::move(Kern));
     std::vector<ExprId> Es;
@@ -215,8 +215,8 @@ TEST(SnapshotRoundTrip, KernelLessSnapshotStillAnswers) {
   EXPECT_FALSE(Snap->hasKernelRows());
   EXPECT_EQ(Snap->adoptKernel(), nullptr);
 
-  QueryEngine Mem(*P.F, 1);
-  QueryEngine Disk(Snap->frozen(), 1);
+  QueryEngine Mem(*P.F);
+  QueryEngine Disk(Snap->frozen());
   for (uint32_t I = 0; I != P.M->numExprs(); ++I)
     EXPECT_TRUE(Mem.labelsOf(ExprId(I)) == Disk.labelsOf(ExprId(I)));
   std::remove(Path.c_str());
